@@ -180,46 +180,12 @@ Bytes ScpuChannel::dispatch(ByteView request) {
   OpCode op = static_cast<OpCode>(r.u8());
   ByteWriter out;
   switch (op) {
-    case OpCode::kWrite: {
-      Attr attr = Attr::deserialize(r);
-      std::uint32_t nrd = r.count(20);
-      std::vector<storage::RecordDescriptor> rdl;
-      rdl.reserve(nrd);
-      for (std::uint32_t i = 0; i < nrd; ++i) {
-        rdl.push_back(storage::RecordDescriptor::deserialize(r));
-      }
-      std::vector<Bytes> payloads = get_payloads(r);
-      Bytes claimed = r.blob();
-      auto mode = get_witness_mode(r);
-      auto hash_mode = get_hash_mode(r);
-      r.expect_end();
-      put_witness(out, fw_.write(attr, rdl, payloads, claimed, mode, hash_mode));
-      // Epoch attestation rides single-write acks exactly like batch acks.
-      if (std::optional<EpochCert> cert = fw_.epoch_cert_opt()) {
-        out.boolean(true);
-        cert->serialize(out);
-      } else {
-        out.boolean(false);
-      }
-      break;
-    }
     case OpCode::kWriteBatch: {
-      auto mode = get_witness_mode(r);
-      auto hash_mode = get_hash_mode(r);
-      // Each item needs at least an attr + one descriptor; 20 bytes is a
-      // safe floor that still rejects forged multi-gigabyte counts.
-      std::uint32_t n = r.count(20);
-      if (n == 0) throw common::ParseError("empty write batch");
-      if (n > kMaxBatchItems) throw common::ParseError("write batch too large");
-      std::vector<Firmware::BatchItem> items;
-      items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        items.push_back(get_batch_item(r));
-      }
-      r.expect_end();
       // Parsing is complete before the firmware sees the batch: a truncated
       // or malformed request therefore cannot issue any serial number.
-      auto witnesses = fw_.write_batch(items, mode, hash_mode);
+      ParsedWriteBatch batch = decode_write_batch_request(request);
+      auto witnesses =
+          fw_.write_batch(batch.items, batch.mode, batch.hash_mode);
       out.u32(static_cast<std::uint32_t>(witnesses.size()));
       for (const auto& ww : witnesses) put_witness(out, ww);
       // Batch ack shape: the group's net effect on the device's SN counter
@@ -531,30 +497,6 @@ Bytes ScpuChannel::send_ok(const Prepared& cmd) {
 // Request/response codecs
 // ---------------------------------------------------------------------------
 
-Bytes ScpuChannel::encode_write(
-    const Attr& attr, const std::vector<storage::RecordDescriptor>& rdl,
-    const std::vector<Bytes>& payloads, ByteView claimed_hash,
-    WitnessMode mode, HashMode hash_mode) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(OpCode::kWrite));
-  attr.serialize(w);
-  w.u32(static_cast<std::uint32_t>(rdl.size()));
-  for (const auto& rd : rdl) rd.serialize(w);
-  put_payloads(w, payloads);
-  w.blob(claimed_hash);
-  w.u8(static_cast<std::uint8_t>(mode));
-  w.u8(static_cast<std::uint8_t>(hash_mode));
-  return w.take();
-}
-
-Bytes ScpuChannel::encode_write_batch(
-    const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-    HashMode hash_mode) {
-  ByteWriter w;
-  encode_write_batch_into(w, items, mode, hash_mode);
-  return w.take();
-}
-
 void ScpuChannel::encode_write_batch_into(
     ByteWriter& w, const std::vector<Firmware::BatchItem>& items,
     WitnessMode mode, HashMode hash_mode) {
@@ -632,15 +574,6 @@ Bytes ScpuChannel::encode_advance_base(
   return w.take();
 }
 
-ScpuChannel::WriteAck ScpuChannel::decode_write_response(ByteView payload) {
-  ByteReader r(payload);
-  WriteAck ack;
-  ack.witness = get_witness(r);
-  if (r.boolean()) ack.epoch_cert = EpochCert::deserialize(r);
-  r.expect_end();
-  return ack;
-}
-
 ScpuChannel::BatchAck ScpuChannel::decode_write_batch_response(
     ByteView payload) {
   ByteReader r(payload);
@@ -697,26 +630,6 @@ OpCode ScpuChannel::request_opcode(ByteView request) {
   return static_cast<OpCode>(r.u8());
 }
 
-ScpuChannel::ParsedWrite ScpuChannel::decode_write_request(ByteView request) {
-  ByteReader r(request);
-  if (static_cast<OpCode>(r.u8()) != OpCode::kWrite) {
-    throw common::ParseError("decode_write_request: not a kWrite frame");
-  }
-  ParsedWrite p;
-  p.item.attr = Attr::deserialize(r);
-  std::uint32_t nrd = r.count(20);
-  p.item.rdl.reserve(nrd);
-  for (std::uint32_t i = 0; i < nrd; ++i) {
-    p.item.rdl.push_back(storage::RecordDescriptor::deserialize(r));
-  }
-  p.item.payloads = get_payloads(r);
-  p.item.claimed_hash = r.blob();
-  p.mode = get_witness_mode(r);
-  p.hash_mode = get_hash_mode(r);
-  r.expect_end();
-  return p;
-}
-
 ScpuChannel::ParsedWriteBatch ScpuChannel::decode_write_batch_request(
     ByteView request) {
   ByteReader r(request);
@@ -726,7 +639,11 @@ ScpuChannel::ParsedWriteBatch ScpuChannel::decode_write_batch_request(
   ParsedWriteBatch p;
   p.mode = get_witness_mode(r);
   p.hash_mode = get_hash_mode(r);
+  // Each item needs at least an attr + one descriptor; 20 bytes is a safe
+  // floor that still rejects forged multi-gigabyte counts.
   std::uint32_t n = r.count(20);
+  if (n == 0) throw common::ParseError("empty write batch");
+  if (n > kMaxBatchItems) throw common::ParseError("write batch too large");
   p.items.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) p.items.push_back(get_batch_item(r));
   r.expect_end();
@@ -742,15 +659,6 @@ Sn ScpuChannel::decode_lit_request_sn(ByteView request) {
   return Vrd::deserialize(r).sn;
 }
 
-Sn ScpuChannel::decode_advance_base_request_target(ByteView request) {
-  ByteReader r(request);
-  if (static_cast<OpCode>(r.u8()) != OpCode::kAdvanceBase) {
-    throw common::ParseError(
-        "decode_advance_base_request_target: not a kAdvanceBase frame");
-  }
-  return r.u64();
-}
-
 // ---------------------------------------------------------------------------
 // Host-side typed wrappers
 // ---------------------------------------------------------------------------
@@ -758,24 +666,6 @@ Sn ScpuChannel::decode_advance_base_request_target(ByteView request) {
 Bytes ScpuChannel::invoke_ok(Bytes request) {
   // Unsequenced (idempotent) command: retried per policy, never deduped.
   return send_ok(Prepared{0, std::move(request)});
-}
-
-WriteWitness ScpuChannel::write(
-    const Attr& attr, const std::vector<storage::RecordDescriptor>& rdl,
-    const std::vector<Bytes>& payloads, ByteView claimed_hash,
-    WitnessMode mode, HashMode hash_mode) {
-  return decode_write_response(
-             send_ok(prepare(encode_write(attr, rdl, payloads, claimed_hash,
-                                          mode, hash_mode))))
-      .witness;
-}
-
-std::vector<WriteWitness> ScpuChannel::write_batch(
-    const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-    HashMode hash_mode) {
-  return decode_write_batch_response(
-             send_ok(prepare(encode_write_batch(items, mode, hash_mode))))
-      .witnesses;
 }
 
 ScpuStatus ScpuChannel::status() {
@@ -817,50 +707,12 @@ EpochCert ScpuChannel::epoch_cert() {
   return EpochCert::deserialize(r);
 }
 
-SignedSnBase ScpuChannel::advance_base(
-    Sn new_base, const std::vector<DeletionProof>& proofs,
-    const std::vector<DeletedWindow>& windows) {
-  return decode_base_response(
-      send_ok(prepare(encode_advance_base(new_base, proofs, windows))));
-}
-
-DeletedWindow ScpuChannel::certify_window(
-    Sn lo, Sn hi, const std::vector<DeletionProof>& proofs,
-    const std::vector<DeletedWindow>& windows) {
-  return decode_window_response(
-      send_ok(prepare(encode_certify_window(lo, hi, proofs, windows))));
-}
-
-std::vector<StrengthenResult> ScpuChannel::strengthen(
-    const std::vector<Vrd>& vrds,
-    const std::vector<std::vector<Bytes>>& payloads_per_vrd) {
-  return decode_strengthen_response(
-      send_ok(prepare(encode_strengthen(vrds, payloads_per_vrd))));
-}
-
 void ScpuChannel::audit_hash(Sn sn, const std::vector<Bytes>& payloads) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(OpCode::kAuditHash));
   w.u64(sn);
   put_payloads(w, payloads);
   invoke_ok(w.take());
-}
-
-Firmware::LitUpdate ScpuChannel::lit_hold(const Vrd& vrd,
-                                          common::SimTime hold_until,
-                                          std::uint64_t lit_id,
-                                          common::SimTime cred_issued_at,
-                                          ByteView credential) {
-  return decode_lit_response(send_ok(prepare(
-      encode_lit_hold(vrd, hold_until, lit_id, cred_issued_at, credential))));
-}
-
-Firmware::LitUpdate ScpuChannel::lit_release(const Vrd& vrd,
-                                             std::uint64_t lit_id,
-                                             common::SimTime cred_issued_at,
-                                             ByteView credential) {
-  return decode_lit_response(send_ok(
-      prepare(encode_lit_release(vrd, lit_id, cred_issued_at, credential))));
 }
 
 CertificateBundle ScpuChannel::get_certificates() {

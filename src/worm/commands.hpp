@@ -36,8 +36,9 @@
 
 namespace worm::core {
 
+// Value 1 is retired and must not be reused: a lone write is a kWriteBatch of
+// one, and the device answers opcode 1 with an error.
 enum class OpCode : std::uint8_t {
-  kWrite = 1,
   kHeartbeat = 2,
   kSignBase = 3,
   kAdvanceBase = 4,
@@ -181,24 +182,17 @@ class ScpuChannel {
 
   /// Seq continuation across host restarts (from ScpuStatus::last_seq + 1).
   void set_next_seq(std::uint64_t next) { next_seq_ = next; }
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   [[nodiscard]] const WireStats& wire_stats() const { return wire_; }
   [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
 
   // --- request/response codecs --------------------------------------------
   // Public and static so WormStore can journal an encoded intent before the
-  // crossing and re-decode it during recovery; the typed wrappers below and
-  // the device dispatch use the same functions, keeping one wire format.
+  // crossing and re-decode it during recovery; the device dispatch uses the
+  // same functions, keeping one wire format.
 
-  static common::Bytes encode_write(
-      const Attr& attr, const std::vector<storage::RecordDescriptor>& rdl,
-      const std::vector<common::Bytes>& payloads,
-      common::ByteView claimed_hash, WitnessMode mode, HashMode hash_mode);
-  static common::Bytes encode_write_batch(
-      const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-      HashMode hash_mode);
-  /// Writer-sink variant for hot paths encoding into a reusable arena.
+  /// Encodes a kWriteBatch request into `w` (the store passes a reusable
+  /// arena writer).
   static void encode_write_batch_into(
       common::ByteWriter& w, const std::vector<Firmware::BatchItem>& items,
       WitnessMode mode, HashMode hash_mode);
@@ -220,14 +214,6 @@ class ScpuChannel {
       Sn new_base, const std::vector<DeletionProof>& proofs,
       const std::vector<DeletedWindow>& windows);
 
-  /// kWrite ack: the witness plus, like the batch ack, the newest EpochCert
-  /// when one rolled during the crossing — the single-write path keeps
-  /// sessions' freshness caches warm the same way group commit does.
-  struct WriteAck {
-    WriteWitness witness;
-    std::optional<EpochCert> epoch_cert;
-  };
-  static WriteAck decode_write_response(common::ByteView payload);
   /// kWriteBatch ack: the witnesses plus the device's SN_current after the
   /// whole group landed. The trailing attestation lets the host advance its
   /// scheduling mirror straight off the ack — one group-commit flush updates
@@ -250,14 +236,9 @@ class ScpuChannel {
   /// First byte of a request frame (for journal replay dispatch).
   static OpCode request_opcode(common::ByteView request);
 
-  /// Re-parses a journaled kWrite request back into its batch-item shape
-  /// (recovery needs the RDL to rebuild the VRD around the resent witness).
-  struct ParsedWrite {
-    Firmware::BatchItem item;
-    WitnessMode mode = WitnessMode::kStrong;
-    HashMode hash_mode = HashMode::kScpuHash;
-  };
-  static ParsedWrite decode_write_request(common::ByteView request);
+  /// Parses a kWriteBatch request — the device's decoder, and recovery's way
+  /// back to the RDLs it needs to rebuild the VRDs around resent witnesses.
+  /// Rejects empty and oversized batches (kMaxBatchItems).
   struct ParsedWriteBatch {
     std::vector<Firmware::BatchItem> items;
     WitnessMode mode = WitnessMode::kStrong;
@@ -266,21 +247,12 @@ class ScpuChannel {
   static ParsedWriteBatch decode_write_batch_request(common::ByteView request);
   /// SN a journaled kLitHold/kLitRelease request targets.
   static Sn decode_lit_request_sn(common::ByteView request);
-  /// Target base of a journaled kAdvanceBase request.
-  static Sn decode_advance_base_request_target(common::ByteView request);
 
   // --- typed wrappers (encode -> send -> decode) ---------------------------
-  // Mutating opcodes go out sequenced; queries go out unsequenced. Both
-  // retry per policy.
+  // Unsequenced queries and idle-duty commands, retried per policy. The
+  // mutating opcodes have no wrapper: WormStore journals their encoded
+  // frames and sends them through prepare() / send_ok() itself.
 
-  [[nodiscard]] WriteWitness write(const Attr& attr,
-                     const std::vector<storage::RecordDescriptor>& rdl,
-                     const std::vector<common::Bytes>& payloads,
-                     common::ByteView claimed_hash, WitnessMode mode,
-                     HashMode hash_mode);
-  [[nodiscard]] std::vector<WriteWitness> write_batch(
-      const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-      HashMode hash_mode);
   [[nodiscard]] ScpuStatus status();
   [[nodiscard]] SignedSnCurrent heartbeat();
   /// Fetches (re-signing first if the interval elapsed) the device's
@@ -288,23 +260,7 @@ class ScpuChannel {
   /// disabled on the device.
   [[nodiscard]] EpochCert epoch_cert();
   [[nodiscard]] SignedSnBase sign_base();
-  [[nodiscard]] SignedSnBase advance_base(Sn new_base,
-                            const std::vector<DeletionProof>& proofs,
-                            const std::vector<DeletedWindow>& windows);
-  [[nodiscard]] DeletedWindow certify_window(Sn lo, Sn hi,
-                               const std::vector<DeletionProof>& proofs,
-                               const std::vector<DeletedWindow>& windows);
-  [[nodiscard]] std::vector<StrengthenResult> strengthen(
-      const std::vector<Vrd>& vrds,
-      const std::vector<std::vector<common::Bytes>>& payloads_per_vrd);
   void audit_hash(Sn sn, const std::vector<common::Bytes>& payloads);
-  [[nodiscard]] Firmware::LitUpdate lit_hold(const Vrd& vrd, common::SimTime hold_until,
-                               std::uint64_t lit_id,
-                               common::SimTime cred_issued_at,
-                               common::ByteView credential);
-  [[nodiscard]] Firmware::LitUpdate lit_release(const Vrd& vrd, std::uint64_t lit_id,
-                                  common::SimTime cred_issued_at,
-                                  common::ByteView credential);
   [[nodiscard]] CertificateBundle get_certificates();
   void vexp_rebuild_begin();
   void vexp_rebuild_add(const Vrd& vrd);

@@ -26,32 +26,6 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
 
 }  // namespace
 
-const char* to_string(JournalRecordType t) {
-  switch (t) {
-    case JournalRecordType::kIntent:
-      return "intent";
-    case JournalRecordType::kComplete:
-      return "complete";
-    case JournalRecordType::kPutActive:
-      return "put-active";
-    case JournalRecordType::kPutDeleted:
-      return "put-deleted";
-    case JournalRecordType::kSigUpdate:
-      return "sig-update";
-    case JournalRecordType::kApplyWindow:
-      return "apply-window";
-    case JournalRecordType::kTrimBelow:
-      return "trim-below";
-    case JournalRecordType::kCheckpoint:
-      return "checkpoint";
-    case JournalRecordType::kQueuedWrite:
-      return "queued-write";
-    case JournalRecordType::kGroupIntent:
-      return "group-intent";
-  }
-  return "?";
-}
-
 HostJournal::HostJournal(std::string path, common::FaultInjector* fault)
     : path_(std::move(path)), fault_(fault) {
   WORM_REQUIRE(!path_.empty(), "journal path must not be empty");
@@ -89,7 +63,6 @@ void HostJournal::append(JournalRecordType type, ByteView payload) {
   if (!out_) {
     throw common::StorageError("journal write failed: " + path_);
   }
-  ++appended_;
 }
 
 HostJournal::ReplayResult HostJournal::replay() const {
@@ -110,7 +83,7 @@ HostJournal::ReplayResult HostJournal::replay() const {
                         static_cast<std::uint32_t>(data[pos + 4]) << 24;
     std::size_t body = pos + 5;
     if (type < static_cast<std::uint8_t>(JournalRecordType::kIntent) ||
-        type > static_cast<std::uint8_t>(JournalRecordType::kGroupIntent)) {
+        type > static_cast<std::uint8_t>(JournalRecordType::kQueuedWrite)) {
       break;  // garbage header
     }
     if (data.size() - body < static_cast<std::size_t>(len) + 4) break;

@@ -26,8 +26,12 @@
 namespace worm::core {
 
 enum class JournalRecordType : std::uint8_t {
-  /// A sequenced mailbox command is about to cross: u64 seq + blob(frame).
-  /// The frame is the exact wire encoding — recovery resends it verbatim.
+  /// A sequenced mailbox command is about to cross: u64 seq + blob(frame) +
+  /// u32 n + n * u64 queued ids. The frame is the exact wire encoding —
+  /// recovery resends it verbatim. The queued ids (none for anything but a
+  /// write) name the kQueuedWrite admissions the crossing carries: one
+  /// checksummed frame atomically supersedes them with a resendable intent,
+  /// so a crash can never both resend AND re-execute a write.
   kIntent = 1,
   /// The command's effects are fully applied to host soft state: u64 seq.
   kComplete = 2,
@@ -48,17 +52,10 @@ enum class JournalRecordType : std::uint8_t {
   kCheckpoint = 8,
   /// write_async admission (group-commit pipeline): u64 queued id +
   /// blob(serialized WriteRequest). Journaled before the completion ticket
-  /// exists — the durability-before-ack point. A queued write that never
-  /// makes it into a kGroupIntent is re-executed by recover().
+  /// exists — the durability-before-ack point. A queued write no kIntent
+  /// ever superseded is re-executed by recover().
   kQueuedWrite = 9,
-  /// The committer formed a group and is about to cross: u64 seq +
-  /// blob(wire frame) + u32 n + n * u64 queued ids. One checksummed frame
-  /// atomically supersedes the member kQueuedWrite records with a resendable
-  /// intent, so a crash can never both resend AND re-execute a write.
-  kGroupIntent = 10,
 };
-
-[[nodiscard]] const char* to_string(JournalRecordType t);
 
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kIntent;
@@ -106,15 +103,12 @@ class HostJournal {
   /// truncate history after recovery folds it into a checkpoint.
   void rewrite(const std::vector<JournalRecord>& records);
 
-  [[nodiscard]] std::uint64_t appended() const { return appended_; }
-
  private:
   void open_for_append();
 
   std::string path_;
   common::FaultInjector* fault_ = nullptr;
   std::ofstream out_;
-  std::uint64_t appended_ = 0;
 };
 
 }  // namespace worm::core

@@ -4,26 +4,6 @@
 
 namespace worm::core {
 
-std::vector<WriteWitness> ScpuMailbox::write_batch(
-    const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-    HashMode hash_mode) {
-  note_queue_depth(items.size());
-  std::vector<WriteWitness> out;
-  out.reserve(items.size());
-  std::size_t chunk = std::max<std::size_t>(config_.max_batch, 1);
-  for (std::size_t i = 0; i < items.size(); i += chunk) {
-    std::size_t n = std::min(chunk, items.size() - i);
-    std::vector<Firmware::BatchItem> slice(items.begin() + static_cast<std::ptrdiff_t>(i),
-                                           items.begin() + static_cast<std::ptrdiff_t>(i + n));
-    std::vector<WriteWitness> part = channel_.write_batch(slice, mode, hash_mode);
-    ++m_.batches;
-    m_.batched_writes += part.size();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
-}
-
 void ScpuMailbox::add_duty(std::string name, Duty duty, bool urgent) {
   duties_.push_back({std::move(name), std::move(duty), urgent});
 }

@@ -1,9 +1,9 @@
 // Host-side command pipeline in front of the SCPU mailbox (§4.1): the layer
 // that amortizes access to the slow trusted device. It owns the serialized
-// transport (ScpuChannel), batches pending writes into kWriteBatch crossings,
-// keeps a rotation of standing idle duties (strengthening, hash audits,
-// compaction, base advance, VEXP rebuild), and lets deadline pressure force
-// the urgent duties ahead of foreground traffic.
+// transport (ScpuChannel), meters the kWriteBatch crossings the store's
+// write committer forms, keeps a rotation of standing idle duties
+// (strengthening, hash audits, compaction, base advance, VEXP rebuild), and
+// lets deadline pressure force the urgent duties ahead of foreground traffic.
 //
 // Everything here runs on the untrusted main CPU. The mailbox never holds
 // protocol authority — it only decides *when* commands cross the boundary,
@@ -86,12 +86,6 @@ class ScpuMailbox {
 
   [[nodiscard]] ScpuChannel& channel() { return channel_; }
   [[nodiscard]] const MailboxConfig& config() const { return config_; }
-
-  /// Witnesses the pending writes in order, at most config().max_batch per
-  /// crossing. Witnesses come back in submission order.
-  [[nodiscard]] std::vector<WriteWitness> write_batch(
-      const std::vector<Firmware::BatchItem>& items, WitnessMode mode,
-      HashMode hash_mode);
 
   /// Registers a standing duty for the idle rotation. Urgent duties are the
   /// ones deadline pressure may force ahead of foreground traffic

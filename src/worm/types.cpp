@@ -26,7 +26,11 @@ Attr Attr::deserialize(common::ByteReader& r) {
   a.creation_time.ns = r.i64();
   a.retention.ns = r.i64();
   a.regulation_policy = r.u32();
-  a.shredding = static_cast<storage::ShredPolicy>(r.u8());
+  std::uint8_t shred = r.u8();
+  if (shred > static_cast<std::uint8_t>(storage::ShredPolicy::kCryptoShred)) {
+    throw common::ParseError("Attr: bad shredding policy");
+  }
+  a.shredding = static_cast<storage::ShredPolicy>(shred);
   a.litigation_hold = r.boolean();
   a.lit_hold_expiry.ns = r.i64();
   a.lit_credential = r.blob();

@@ -172,39 +172,32 @@ void WormStore::enter_degraded(const ScpuDeadError& cause) {
 // soft-state mutation journaled before it is applied, completion last)
 // ---------------------------------------------------------------------------
 
-WormStore::Sequenced WormStore::sequenced(Bytes frame) {
-  ScpuChannel::Prepared cmd = mailbox_.channel().prepare(std::move(frame));
-  if (journal_.enabled()) {
-    common::ByteWriter w;
-    w.u64(cmd.seq);
-    w.blob(cmd.request);
-    journal_.append(JournalRecordType::kIntent, w.bytes());
-    pending_seqs_.insert(cmd.seq);
-  }
-  return send_prepared(std::move(cmd));
+namespace {
+/// kIntent payload: seq, exact wire frame, superseded admission ids.
+Bytes intent_record(std::uint64_t seq, ByteView frame,
+                    const std::vector<std::uint64_t>& qids) {
+  common::ByteWriter w;
+  w.u64(seq);
+  w.blob(frame);
+  w.u32(static_cast<std::uint32_t>(qids.size()));
+  for (std::uint64_t qid : qids) w.u64(qid);
+  return w.take();
 }
+}  // namespace
 
-WormStore::Sequenced WormStore::sequenced_group(
+WormStore::Sequenced WormStore::sequenced(
     Bytes frame, const std::vector<std::uint64_t>& qids) {
   ScpuChannel::Prepared cmd = mailbox_.channel().prepare(std::move(frame));
   if (journal_.enabled()) {
-    // One record both journals the intent AND supersedes the member
-    // admissions: after it, recovery resends this exact frame (the device's
+    // One record both journals the intent AND supersedes the admissions it
+    // carries: after it, recovery resends this exact frame (the device's
     // dedup cache makes that exactly-once) and must NOT also re-execute the
     // kQueuedWrite records it absorbs — atomicity a separate "consume qid"
     // record could not give us.
-    common::ByteWriter w;
-    w.u64(cmd.seq);
-    w.blob(cmd.request);
-    w.u32(static_cast<std::uint32_t>(qids.size()));
-    for (std::uint64_t qid : qids) w.u64(qid);
-    journal_.append(JournalRecordType::kGroupIntent, w.bytes());
+    journal_.append(JournalRecordType::kIntent,
+                    intent_record(cmd.seq, cmd.request, qids));
     pending_seqs_.insert(cmd.seq);
   }
-  return send_prepared(std::move(cmd));
-}
-
-WormStore::Sequenced WormStore::send_prepared(ScpuChannel::Prepared cmd) {
   Bytes payload;
   try {
     payload = mailbox_.channel().send_ok(cmd);
@@ -329,19 +322,37 @@ void WormStore::release_rd(const storage::RecordDescriptor& rd,
 }
 
 // ---------------------------------------------------------------------------
-// Writes
+// Writes: every path stages its writes and hands them to commit_locked()
 // ---------------------------------------------------------------------------
 
-Firmware::BatchItem WormStore::prepare_item(const WriteRequest& request) {
-  WORM_REQUIRE(!request.payloads.empty(), "WormStore::write: no payloads");
+namespace {
 
+/// Write admission, before anything is stored or journaled. A shredding byte
+/// the device would sign but RecordStore::shred cannot honor would make a
+/// verified deletion that leaves the plaintext on the platter.
+void check_request(const WriteRequest& request) {
+  WORM_REQUIRE(!request.payloads.empty(), "WormStore::write: no payloads");
+  WORM_REQUIRE(request.attr.shredding <= storage::ShredPolicy::kCryptoShred,
+               "WormStore::write: unknown shredding policy");
+}
+
+Bytes chained_hash(const std::vector<Bytes>& payloads) {
+  crypto::ChainedHash chain;
+  for (const auto& p : payloads) chain.add(p);
+  return chain.digest_bytes();
+}
+
+}  // namespace
+
+WormStore::StagedWrite WormStore::stage(const WriteRequest& request) {
   // 1. Main CPU writes the actual data to disk (§4.2.2 "Write").
-  Firmware::BatchItem item;
-  item.attr = request.attr;
-  item.rdl.reserve(request.payloads.size());
+  StagedWrite s;
+  s.mode = request.mode.value_or(config_.default_mode);
+  s.item.attr = request.attr;
+  s.item.rdl.reserve(request.payloads.size());
   std::size_t total = 0;
   for (const auto& p : request.payloads) {
-    item.rdl.push_back(store_payload(p));
+    s.item.rdl.push_back(store_payload(p));
     total += p.size();
   }
 
@@ -350,116 +361,140 @@ Firmware::BatchItem WormStore::prepare_item(const WriteRequest& request) {
   //    hash crosses the device boundary, not the data.
   if (config_.hash_mode == HashMode::kHostHash) {
     charge_host(config_.host_model.hash_cost(total));
-    crypto::ChainedHash chain;
-    for (const auto& p : request.payloads) chain.add(p);
-    item.claimed_hash = chain.digest_bytes();
+    s.item.claimed_hash = chained_hash(request.payloads);
   } else {
-    item.payloads = request.payloads;
+    s.item.payloads = request.payloads;
   }
-  return item;
+  return s;
 }
 
-Sn WormStore::finish_write(WriteWitness witness,
-                           std::vector<storage::RecordDescriptor> rdl,
-                           WitnessMode mode) {
-  // Main CPU assembles the VRD, journals it, and persists it in the VRDT.
-  Vrd vrd;
-  vrd.sn = witness.sn;
-  vrd.attr = witness.attr;
-  vrd.rdl = std::move(rdl);
-  vrd.data_hash = std::move(witness.data_hash);
-  vrd.metasig = std::move(witness.metasig);
-  vrd.datasig = std::move(witness.datasig);
-  SimTime created = vrd.attr.creation_time;
-  Sn sn = vrd.sn;
-  journal_put_active(vrd);
-  vrdt_.put_active(std::move(vrd));
+WormStore::StagedWrite WormStore::stage(WritePipeline::Pending& p) {
+  StagedWrite s;
+  s.mode = p.mode.value_or(config_.default_mode);
+  s.qid = p.qid;
+  s.item.attr = p.attr;
+  s.item.rdl.reserve(p.payloads.size());
+  for (const auto& b : p.payloads) s.item.rdl.push_back(store_payload(b));
+  if (config_.hash_mode == HashMode::kHostHash) {
+    s.item.claimed_hash = p.claimed_hash;  // hashed on the admitting thread
+  } else {
+    s.item.payloads = std::move(p.payloads);
+  }
+  return s;
+}
 
-  sn_current_mirror_ = std::max(sn_current_mirror_, sn);
-  if (mode != WitnessMode::kStrong) note_deferred_witness(created);
-  ++ops_.writes;
-  return sn;
+void WormStore::commit_locked(std::vector<StagedWrite>& writes,
+                              const Landed& landed) {
+  mailbox_.note_queue_depth(writes.size());
+  const std::size_t max_batch = config_.mailbox.max_batch;
+  std::size_t first = 0;
+  while (first < writes.size()) {
+    // Consecutive same-mode writes share a crossing (the wire command
+    // carries one mode), at most max_batch of them.
+    const WitnessMode mode = writes[first].mode;
+    std::vector<Firmware::BatchItem> items;
+    std::vector<std::uint64_t> qids;
+    std::size_t end = first;
+    for (; end < writes.size() && end - first < max_batch &&
+           writes[end].mode == mode;
+         ++end) {
+      items.push_back(std::move(writes[end].item));
+      if (writes[end].qid != 0) qids.push_back(writes[end].qid);
+    }
+
+    // Encode into the store's reusable arena (no buffer growth once warm),
+    // then take one exact-size copy for the journal/retry owner.
+    common::ByteWriter w = encode_scratch_.writer();
+    ScpuChannel::encode_write_batch_into(w, items, mode, config_.hash_mode);
+    common::ByteView encoded = w.written();
+    Sequenced sq;
+    try {
+      sq = sequenced(Bytes(encoded.begin(), encoded.end()), qids);
+    } catch (const ScpuDeadError&) {
+      throw;
+    } catch (const ChannelTimeoutError&) {
+      throw;
+    } catch (const ChannelError&) {
+      // Definitive rejection: nothing in the chunk ran, and the completed
+      // intent consumed its admissions.
+      std::exception_ptr rejected = std::current_exception();
+      for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, rejected);
+      first = end;
+      continue;
+    }
+    std::vector<Sn> sns = apply_write_ack_locked(sq.payload, items, mode);
+    mailbox_.note_batch(sns.size());
+    complete_intent(sq.seq);
+    for (std::size_t k = 0; k < sns.size(); ++k) {
+      landed(first + k, sns[k], nullptr);
+    }
+    first = end;
+  }
+}
+
+std::vector<Sn> WormStore::apply_write_ack_locked(
+    ByteView payload, std::vector<Firmware::BatchItem>& items,
+    WitnessMode mode) {
+  ScpuChannel::BatchAck ack = ScpuChannel::decode_write_batch_response(payload);
+  WORM_CHECK(ack.witnesses.size() == items.size(),
+             "write ack: witness count mismatch");
+  std::vector<Sn> sns;
+  sns.reserve(items.size());
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    // Main CPU assembles the VRD, journals it, and persists it in the VRDT.
+    WriteWitness& witness = ack.witnesses[k];
+    Vrd vrd;
+    vrd.sn = witness.sn;
+    vrd.attr = witness.attr;
+    vrd.rdl = std::move(items[k].rdl);
+    vrd.data_hash = std::move(witness.data_hash);
+    vrd.metasig = std::move(witness.metasig);
+    vrd.datasig = std::move(witness.datasig);
+    journal_put_active(vrd);
+    vrdt_.put_active(std::move(vrd));
+    sn_current_mirror_ = std::max(sn_current_mirror_, witness.sn);
+    if (mode != WitnessMode::kStrong) {
+      note_deferred_witness(witness.attr.creation_time);
+    }
+    ++ops_.writes;
+    sns.push_back(witness.sn);
+  }
+  // The ack's trailing attestation can only run ahead of the per-witness
+  // maximum (other writes may have landed on the device since), never behind.
+  sn_current_mirror_ = std::max(sn_current_mirror_, ack.sn_current_after);
+  adopt_epoch_cert_locked(ack.epoch_cert);
+  return sns;
 }
 
 Sn WormStore::write(const WriteRequest& request) {
   if (pipeline_ != nullptr) {
-    // With the pipeline on there is ONE write path: synchronous write is an
-    // admission plus an immediate ticket wait (which forces the flush due, so
-    // a lone caller never sleeps out the linger window).
+    // With the pipeline on, synchronous write is an admission plus an
+    // immediate ticket wait (which forces the flush due, so a lone caller
+    // never sleeps out the linger window).
     return write_async(request).get();
   }
-  common::ExclusiveLock lk(state_mu_);
-  require_mutable();
-  try {
-    maybe_service_deadline();
-    WitnessMode mode = request.mode.value_or(config_.default_mode);
-    Firmware::BatchItem item = prepare_item(request);
-    std::vector<storage::RecordDescriptor> rdl = item.rdl;
-
-    // 3. SCPU witnesses the update over one sequenced mailbox crossing.
-    Sequenced sq = sequenced(ScpuChannel::encode_write(
-        item.attr, item.rdl, item.payloads, item.claimed_hash, mode,
-        config_.hash_mode));
-    ScpuChannel::WriteAck ack = ScpuChannel::decode_write_response(sq.payload);
-    adopt_epoch_cert_locked(ack.epoch_cert);
-    Sn sn = finish_write(std::move(ack.witness), std::move(rdl), mode);
-    complete_intent(sq.seq);
-    return sn;
-  } catch (const ScpuDeadError& e) {
-    enter_degraded(e);
-  }
+  return write_batch(std::span(&request, 1)).front();
 }
 
 std::vector<Sn> WormStore::write_batch(
-    const std::vector<WriteRequest>& requests) {
+    std::span<const WriteRequest> requests) {
+  for (const WriteRequest& r : requests) check_request(r);
+  if (requests.empty()) return {};
   std::vector<Sn> sns;
-  if (requests.empty()) return sns;
+  sns.reserve(requests.size());
   common::ExclusiveLock lk(state_mu_);
   require_mutable();
-  sns.reserve(requests.size());
   try {
     maybe_service_deadline();
-    mailbox_.note_queue_depth(requests.size());
-
-    // Consecutive requests with the same effective witness mode share
-    // kWriteBatch crossings (the wire command carries one mode per batch).
-    std::size_t i = 0;
-    while (i < requests.size()) {
-      WitnessMode mode = requests[i].mode.value_or(config_.default_mode);
-      std::vector<Firmware::BatchItem> items;
-      std::vector<std::vector<storage::RecordDescriptor>> rdls;
-      std::size_t j = i;
-      while (j < requests.size() &&
-             requests[j].mode.value_or(config_.default_mode) == mode) {
-        Firmware::BatchItem item = prepare_item(requests[j]);
-        rdls.push_back(item.rdl);
-        items.push_back(std::move(item));
-        ++j;
-      }
-      // One journaled sequenced crossing per max_batch-sized chunk.
-      std::size_t chunk = std::max<std::size_t>(config_.mailbox.max_batch, 1);
-      for (std::size_t off = 0; off < items.size(); off += chunk) {
-        std::size_t n = std::min(chunk, items.size() - off);
-        std::vector<Firmware::BatchItem> slice(
-            items.begin() + static_cast<std::ptrdiff_t>(off),
-            items.begin() + static_cast<std::ptrdiff_t>(off + n));
-        Sequenced sq = sequenced(
-            ScpuChannel::encode_write_batch(slice, mode, config_.hash_mode));
-        ScpuChannel::BatchAck ack =
-            ScpuChannel::decode_write_batch_response(sq.payload);
-        WORM_CHECK(ack.witnesses.size() == n,
-                   "write_batch: witness count mismatch");
-        mailbox_.note_batch(ack.witnesses.size());
-        for (std::size_t k = 0; k < ack.witnesses.size(); ++k) {
-          sns.push_back(finish_write(std::move(ack.witnesses[k]),
-                                     std::move(rdls[off + k]), mode));
-        }
-        sn_current_mirror_ = std::max(sn_current_mirror_, ack.sn_current_after);
-        adopt_epoch_cert_locked(ack.epoch_cert);
-        complete_intent(sq.seq);
-      }
-      i = j;
-    }
+    std::vector<StagedWrite> writes;
+    writes.reserve(requests.size());
+    for (const WriteRequest& r : requests) writes.push_back(stage(r));
+    commit_locked(writes, [&sns](std::size_t, Sn sn,
+                                 const std::exception_ptr& rejected) {
+      // The caller gets one answer: a rejection stops the whole call.
+      if (rejected) std::rethrow_exception(rejected);
+      sns.push_back(sn);
+    });
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
   }
@@ -471,9 +506,25 @@ std::vector<Sn> WormStore::write_batch(
 // ---------------------------------------------------------------------------
 
 WriteTicket WormStore::write_async(WriteRequest request) {
+  return *admit(std::move(request), /*blocking=*/true);
+}
+
+std::optional<WriteTicket> WormStore::try_write_async(WriteRequest request) {
+  return admit(std::move(request), /*blocking=*/false);
+}
+
+std::optional<WriteTicket> WormStore::admit(WriteRequest request,
+                                            bool blocking) {
   WORM_REQUIRE(pipeline_ != nullptr,
                "WormStore::write_async: StoreConfig.pipeline.enabled is off");
-  WORM_REQUIRE(!request.payloads.empty(), "WormStore::write: no payloads");
+  check_request(request);
+
+  // Claim the queue slot BEFORE journaling, with no state_mu_ held: the
+  // committer needs the state lock to free space (lint:
+  // blocking-under-state-mu), and a kBusy rejection must leave no
+  // kQueuedWrite record behind, or recover() would re-execute a write the
+  // caller was told did not happen.
+  if (!pipeline_->claim_slot(blocking)) return std::nullopt;
 
   WritePipeline::Pending p;
   p.attr = request.attr;
@@ -485,57 +536,21 @@ WriteTicket WormStore::write_async(WriteRequest request) {
     // crossing serialize. The committer reuses this digest; the per-write
     // host cost stays on this caller (charged via its own modeled time in
     // benches), not on the shared serialized clock.
-    crypto::ChainedHash chain;
-    for (const auto& b : request.payloads) chain.add(b);
-    p.claimed_hash = chain.digest_bytes();
-  }
-
-  {
-    common::ExclusiveLock lk(state_mu_);
-    require_mutable();
-    p.qid = ++next_qid_;
-    // Durability before ack: the admission hits the WAL before the ticket
-    // exists, so a resolved ticket always implies a recoverable write.
-    journal_queued_write(p.qid, request);
-  }
-  p.payloads = std::move(request.payloads);
-  // No state_mu_ here: backpressure may block, and the committer needs the
-  // state lock to free space (lint: blocking-under-state-mu).
-  return pipeline_->submit(std::move(p));
-}
-
-std::optional<WriteTicket> WormStore::try_write_async(WriteRequest request) {
-  WORM_REQUIRE(pipeline_ != nullptr,
-               "WormStore::try_write_async: StoreConfig.pipeline.enabled is "
-               "off");
-  WORM_REQUIRE(!request.payloads.empty(), "WormStore::write: no payloads");
-
-  // Reserve the queue slot BEFORE journaling: a kBusy rejection must leave
-  // no kQueuedWrite record behind, or recover() would re-execute a write the
-  // caller was told did not happen.
-  if (!pipeline_->try_reserve()) return std::nullopt;
-
-  WritePipeline::Pending p;
-  p.attr = request.attr;
-  p.mode = request.mode;
-  for (const auto& b : request.payloads) p.bytes += b.size();
-  if (config_.hash_mode == HashMode::kHostHash) {
-    crypto::ChainedHash chain;
-    for (const auto& b : request.payloads) chain.add(b);
-    p.claimed_hash = chain.digest_bytes();
+    p.claimed_hash = chained_hash(request.payloads);
   }
 
   try {
     common::ExclusiveLock lk(state_mu_);
     require_mutable();
     p.qid = ++next_qid_;
+    // Durability before ack: the admission hits the WAL before the ticket
+    // exists, so a resolved ticket always implies a recoverable write.
     journal_queued_write(p.qid, request);
   } catch (...) {
     pipeline_->release_reservation();
     throw;
   }
   p.payloads = std::move(request.payloads);
-  // Consumes the reservation; never blocks (the slot is already ours).
   return pipeline_->submit_reserved(std::move(p));
 }
 
@@ -560,108 +575,41 @@ void WormStore::close() {
   pipeline_->shutdown_drop();
 }
 
-Firmware::BatchItem WormStore::prepare_pending(WritePipeline::Pending& p) {
-  Firmware::BatchItem item;
-  item.attr = p.attr;
-  item.rdl.reserve(p.payloads.size());
-  for (const auto& b : p.payloads) item.rdl.push_back(store_payload(b));
-  if (config_.hash_mode == HashMode::kHostHash) {
-    item.claimed_hash = p.claimed_hash;  // hashed on the admitting thread
-  } else {
-    // The committer owns the group from here on; hand the payloads to the
-    // wire frame instead of duplicating them (they can be multi-MB).
-    item.payloads = std::move(p.payloads);
-  }
-  return item;
-}
-
-std::vector<Sn> WormStore::commit_chunk_locked(
-    const std::vector<Firmware::BatchItem>& items,
-    std::vector<std::vector<storage::RecordDescriptor>> rdls,
-    const std::vector<std::uint64_t>& qids, WitnessMode mode) {
-  // Encode the batch frame into the store's reusable arena (no buffer growth
-  // once warm), then take one exact-size copy for the journal/retry owner.
-  common::ByteWriter w = encode_scratch_.writer();
-  ScpuChannel::encode_write_batch_into(w, items, mode, config_.hash_mode);
-  common::ByteView encoded = w.written();
-  Sequenced sq =
-      sequenced_group(Bytes(encoded.begin(), encoded.end()), qids);
-  ScpuChannel::BatchAck ack =
-      ScpuChannel::decode_write_batch_response(sq.payload);
-  WORM_CHECK(ack.witnesses.size() == items.size(),
-             "write pipeline: witness count mismatch");
-  mailbox_.note_batch(ack.witnesses.size());
-  std::vector<Sn> sns;
-  sns.reserve(ack.witnesses.size());
-  for (std::size_t k = 0; k < ack.witnesses.size(); ++k) {
-    sns.push_back(
-        finish_write(std::move(ack.witnesses[k]), std::move(rdls[k]), mode));
-  }
-  // The ack's trailing attestation can only run ahead of the per-witness
-  // maximum (other writes may have landed on the device since), never behind.
-  sn_current_mirror_ = std::max(sn_current_mirror_, ack.sn_current_after);
-  adopt_epoch_cert_locked(ack.epoch_cert);
-  complete_intent(sq.seq);
-  return sns;
-}
-
 void WormStore::flush_group(std::vector<WritePipeline::Pending>&& group) {
   common::ExclusiveLock lk(state_mu_);
   std::size_t next = 0;  // first unresolved ticket
+  std::exception_ptr err;  // what every unresolved ticket fails with
   try {
     require_mutable();
     maybe_service_deadline();
-    mailbox_.note_queue_depth(group.size());
-    while (next < group.size()) {
-      // Consecutive same-mode admissions share crossings, chunked to the
-      // transport bound — the same grouping write_batch applies.
-      WitnessMode mode = group[next].mode.value_or(config_.default_mode);
-      std::size_t end = next;
-      while (end < group.size() &&
-             group[end].mode.value_or(config_.default_mode) == mode) {
-        ++end;
+    std::vector<StagedWrite> writes;
+    writes.reserve(group.size());
+    for (WritePipeline::Pending& p : group) writes.push_back(stage(p));
+    commit_locked(writes, [&](std::size_t k, Sn sn,
+                              const std::exception_ptr& rejected) {
+      // A rejected chunk fails only its own tickets: the intent it completed
+      // consumed exactly their admissions, and later chunks still cross.
+      if (rejected) {
+        pipeline_->resolve_error(group[k], rejected);
+      } else {
+        pipeline_->resolve_ok(group[k], sn);
       }
-      std::size_t chunk = std::max<std::size_t>(config_.mailbox.max_batch, 1);
-      while (next < end) {
-        std::size_t n = std::min(chunk, end - next);
-        std::vector<Firmware::BatchItem> items;
-        std::vector<std::vector<storage::RecordDescriptor>> rdls;
-        std::vector<std::uint64_t> qids;
-        items.reserve(n);
-        rdls.reserve(n);
-        qids.reserve(n);
-        for (std::size_t k = next; k < next + n; ++k) {
-          Firmware::BatchItem item = prepare_pending(group[k]);
-          rdls.push_back(item.rdl);
-          qids.push_back(group[k].qid);
-          items.push_back(std::move(item));
-        }
-        std::vector<Sn> sns =
-            commit_chunk_locked(items, std::move(rdls), qids, mode);
-        for (std::size_t k = 0; k < n; ++k) {
-          pipeline_->resolve_ok(group[next + k], sns[k]);
-        }
-        next += n;
-      }
-    }
+      next = k + 1;
+    });
   } catch (const ScpuDeadError& e) {
     degraded_ = true;
-    std::exception_ptr err =
-        std::make_exception_ptr(common::ReadOnlyStoreError(
-            std::string("SCPU zeroized during a pipeline flush; store "
-                        "degraded to read-only verified mode: ") +
-            e.what()));
-    for (std::size_t k = next; k < group.size(); ++k) {
-      pipeline_->resolve_error(group[k], err);
-    }
+    err = std::make_exception_ptr(common::ReadOnlyStoreError(
+        std::string("SCPU zeroized during a pipeline flush; store degraded "
+                    "to read-only verified mode: ") +
+        e.what()));
   } catch (...) {
-    // Timeouts, rejections, degraded-mode refusals: the waiting tickets get
-    // the exception the synchronous path would have thrown. A timed-out group
+    // Timeouts, degraded-mode refusals, host faults: the waiting tickets get
+    // the exception the synchronous path would have thrown. A timed-out
     // intent stays pending; recover() reconciles it exactly-once.
-    std::exception_ptr err = std::current_exception();
-    for (std::size_t k = next; k < group.size(); ++k) {
-      pipeline_->resolve_error(group[k], err);
-    }
+    err = std::current_exception();
+  }
+  for (std::size_t k = next; k < group.size(); ++k) {
+    pipeline_->resolve_error(group[k], err);
   }
 }
 
@@ -966,21 +914,37 @@ WormStore::RecoveryReport WormStore::recover() {
                "recover: store already in service");
 
   RecoveryReport report;
+  Replayed replayed = replay_journal_locked(report);
+  Intents unresolved;
+  bool rewrite_safe = true;
+  try {
+    unresolved = resend_intents_locked(replayed, report);
+    reconcile_with_device_locked(replayed.journaled_base, unresolved);
+    rewrite_safe = reexecute_queued_locked(replayed.queued, report);
+  } catch (const ScpuDeadError&) {
+    // Dead device: keep pending intents on the books (reads of possibly
+    // in-flight SNs answer unavailable, not failure) and serve read-only.
+    degraded_ = true;
+    for (const auto& [seq, frame] : replayed.pending) pending_seqs_.insert(seq);
+  }
+
+  if (config_.dedup) rebuild_dedup_index_locked();
+  read_cache_.clear();
+  if (!degraded_ && rewrite_safe) checkpoint_locked(unresolved);
+  return report;
+}
+
+WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
+  // Fold the journal into host soft state, collecting intents whose
+  // completion never landed and pipeline admissions no intent superseded.
   HostJournal::ReplayResult replay = journal_.replay();
   report.torn_tail = replay.torn_tail;
   report.torn_bytes = replay.torn_bytes;
-
-  // Phase 1: fold the journal into host soft state, collecting intents whose
-  // completion never landed and pipeline admissions no group ever absorbed.
-  std::map<std::uint64_t, Bytes> pending;
-  std::map<std::uint64_t, WriteRequest> queued;
-  // Highest SN_base the journal itself has recorded. sn_base_mirror_ cannot
-  // serve here: the constructor seeds it from the device's *current* status,
-  // which already reflects any base advance that happened while the host was
-  // down — exactly the advance reconciliation must detect and journal.
-  // Starts at the genesis base: SNs begin at 1, so a device still at base 1
-  // has trimmed nothing and needs no catch-up record.
-  Sn journaled_base = 1;
+  // journaled_base cannot be sn_base_mirror_: the constructor seeds that from
+  // the device's *current* status, which already reflects any base advance
+  // that happened while the host was down — exactly the advance
+  // reconciliation must detect and journal.
+  Replayed out;
   for (const JournalRecord& rec : replay.records) {
     common::ByteReader r(rec.payload);
     try {
@@ -1025,19 +989,25 @@ WormStore::RecoveryReport WormStore::recover() {
           r.expect_end();
           vrdt_.trim_below(sn_base);
           sn_base_mirror_ = std::max(sn_base_mirror_, sn_base);
-          journaled_base = std::max(journaled_base, sn_base);
+          out.journaled_base = std::max(out.journaled_base, sn_base);
           break;
         }
         case JournalRecordType::kIntent: {
+          // Atomic supersession: the frame becomes the pending intent
+          // (resent verbatim through the dedup cache) and the admissions it
+          // carries stop being re-executable — never both.
           std::uint64_t seq = r.u64();
-          pending[seq] = r.blob();
+          Bytes frame = r.blob();
+          std::uint32_t n = r.count(/*min_elem_bytes=*/8);
+          for (std::uint32_t k = 0; k < n; ++k) out.queued.erase(r.u64());
           r.expect_end();
+          out.pending[seq] = std::move(frame);
           break;
         }
         case JournalRecordType::kComplete: {
           std::uint64_t seq = r.u64();
           r.expect_end();
-          pending.erase(seq);
+          out.pending.erase(seq);
           break;
         }
         case JournalRecordType::kQueuedWrite: {
@@ -1055,20 +1025,8 @@ WormStore::RecoveryReport WormStore::recover() {
           req.payloads.reserve(n);
           for (std::uint32_t k = 0; k < n; ++k) req.payloads.push_back(r.blob());
           r.expect_end();
-          queued[qid] = std::move(req);
+          out.queued[qid] = std::move(req);
           next_qid_ = std::max(next_qid_, qid);
-          break;
-        }
-        case JournalRecordType::kGroupIntent: {
-          // Atomic supersession: the group frame becomes the pending intent
-          // (resent verbatim through the dedup cache) and its member
-          // admissions stop being re-executable — never both.
-          std::uint64_t seq = r.u64();
-          Bytes frame = r.blob();
-          std::uint32_t n = r.count(/*min_elem_bytes=*/8);
-          for (std::uint32_t k = 0; k < n; ++k) queued.erase(r.u64());
-          r.expect_end();
-          pending[seq] = std::move(frame);
           break;
         }
       }
@@ -1083,209 +1041,166 @@ WormStore::RecoveryReport WormStore::recover() {
   }
   recovery_replayed_ += report.replayed;
   recovery_torn_bytes_ += report.torn_bytes;
+  return out;
+}
 
-  // Phase 2: reconcile with the device and resend pending intents verbatim.
-  // The device's per-(seq, crc) response cache turns each resend into
+WormStore::Intents WormStore::resend_intents_locked(
+    Replayed& replayed, RecoveryReport& report) {
+  // Continue the crossing sequence past everything the device or the
+  // journal has seen, then resend every pending intent verbatim. The
+  // device's per-(seq, crc) response cache turns each resend into
   // exactly-once: already-executed commands answer from the cache without
   // re-executing.
-  std::map<std::uint64_t, Bytes> unresolved;
-  // Set when a re-executed group intent times out: that intent lives only in
-  // the appended-to journal, so the checkpoint rewrite (which would drop it)
-  // must be skipped for this recovery.
-  bool rewrite_unsafe = false;
-  try {
-    ScpuStatus st = mailbox_.channel().status();
-    std::uint64_t next = st.last_seq;
-    if (!pending.empty()) next = std::max(next, pending.rbegin()->first);
-    mailbox_.channel().set_next_seq(next + 1);
+  std::uint64_t next = mailbox_.channel().status().last_seq;
+  if (!replayed.pending.empty()) {
+    next = std::max(next, replayed.pending.rbegin()->first);
+  }
+  mailbox_.channel().set_next_seq(next + 1);
 
-    for (auto& [seq, frame] : pending) {
-      ++report.resent;
-      ++recovery_resent_;
-      Bytes payload;
-      try {
-        payload = mailbox_.channel().send_ok(
-            ScpuChannel::Prepared{seq, frame});
-      } catch (const ScpuDeadError&) {
-        throw;
-      } catch (const ChannelTimeoutError&) {
-        // The resend itself timed out — the original delivery (or this one)
-        // may still have executed. The intent must stay on the books: reads
-        // of possibly-allocated SNs keep answering unavailable, and a later
-        // recover() retries the resend through the dedup cache.
-        ++report.unresolved;
-        unresolved.emplace(seq, frame);
-        continue;
-      } catch (const ChannelError&) {
-        // Rejected: deterministic, so the original delivery (if any) was
-        // rejected too. Nothing executed; abandon the intent.
-        ++report.abandoned;
-        complete_intent(seq);
-        continue;
-      }
-      switch (ScpuChannel::request_opcode(frame)) {
-        case OpCode::kWrite: {
-          ScpuChannel::ParsedWrite parsed =
-              ScpuChannel::decode_write_request(frame);
-          ScpuChannel::WriteAck ack =
-              ScpuChannel::decode_write_response(payload);
-          Sn sn = finish_write(std::move(ack.witness),
-                               std::move(parsed.item.rdl), parsed.mode);
-          report.recovered_sns.push_back(sn);
-          adopt_epoch_cert_locked(ack.epoch_cert);
-          break;
-        }
-        case OpCode::kWriteBatch: {
-          ScpuChannel::ParsedWriteBatch parsed =
-              ScpuChannel::decode_write_batch_request(frame);
-          ScpuChannel::BatchAck ack =
-              ScpuChannel::decode_write_batch_response(payload);
-          WORM_CHECK(ack.witnesses.size() == parsed.items.size(),
-                     "recover: batch witness count mismatch");
-          for (std::size_t k = 0; k < ack.witnesses.size(); ++k) {
-            Sn sn = finish_write(std::move(ack.witnesses[k]),
-                                 std::move(parsed.items[k].rdl), parsed.mode);
-            report.recovered_sns.push_back(sn);
-          }
-          adopt_epoch_cert_locked(ack.epoch_cert);
-          break;
-        }
-        case OpCode::kLitHold:
-        case OpCode::kLitRelease:
-          apply_lit_update(ScpuChannel::decode_lit_request_sn(frame),
-                           ScpuChannel::decode_lit_response(payload));
-          break;
-        case OpCode::kStrengthen:
-          apply_strengthen_results(
-              ScpuChannel::decode_strengthen_response(payload));
-          break;
-        case OpCode::kCertifyWindow: {
-          DeletedWindow merged = ScpuChannel::decode_window_response(payload);
-          try {
-            journal_apply_window(merged);
-            vrdt_.apply_window(merged);
-            ++ops_.compactions;
-          } catch (const common::Error&) {
-            // The journal replay may not have restored every covered proof;
-            // the signed window is still valid — skip the local compaction.
-          }
-          break;
-        }
-        case OpCode::kAdvanceBase: {
-          SignedSnBase base = ScpuChannel::decode_base_response(payload);
-          Sn new_base = base.sn_base;
-          base_ = std::move(base);
-          journal_trim_below(new_base);
-          vrdt_.trim_below(new_base);
-          sn_base_mirror_ = new_base;
-          journaled_base = std::max(journaled_base, new_base);
-          ++ops_.base_advances;
-          break;
-        }
-        default:
-          break;  // unsequenced opcodes are never journaled
-      }
+  Intents unresolved;
+  for (const auto& [seq, frame] : replayed.pending) {
+    ++report.resent;
+    ++recovery_resent_;
+    Bytes payload;
+    try {
+      payload = mailbox_.channel().send_ok(ScpuChannel::Prepared{seq, frame});
+    } catch (const ScpuDeadError&) {
+      throw;
+    } catch (const ChannelTimeoutError&) {
+      // The resend itself timed out — the original delivery (or this one)
+      // may still have executed. The intent must stay on the books: reads
+      // of possibly-allocated SNs keep answering unavailable, and a later
+      // recover() retries the resend through the dedup cache.
+      ++report.unresolved;
+      unresolved.emplace(seq, frame);
+      continue;
+    } catch (const ChannelError&) {
+      // Rejected: deterministic, so the original delivery (if any) was
+      // rejected too. Nothing executed; abandon the intent.
+      ++report.abandoned;
       complete_intent(seq);
+      continue;
     }
-
-    // Post-resend reconciliation with the device's signed view.
-    st = mailbox_.channel().status();
-    sn_current_mirror_ = st.sn_current;
-    if (st.sn_base > journaled_base) {
-      // The device advanced sn_base past anything the journal has recorded —
-      // it moved while we were down. Record the trim before applying it: a
-      // crash between here and the end-of-recovery checkpoint rewrite must
-      // not resurrect proofs the device already considers expired.
-      journal_trim_below(st.sn_base);
-      vrdt_.trim_below(st.sn_base);
-    }
-    sn_base_mirror_ = st.sn_base;
-    deferred_mirror_count_ = st.deferred_count;
-    deferred_mirror_earliest_ = st.earliest_deadline;
-    heartbeat_ = mailbox_.channel().heartbeat();
-    pending_seqs_.clear();
-    for (const auto& [seq, frame] : unresolved) pending_seqs_.insert(seq);
-
-    // Phase 3: re-execute pipeline admissions no group ever absorbed. They
-    // were journaled before their tickets could resolve, so they are owed to
-    // whoever was told "queued"; they cross now as fresh group intents (in
-    // qid = admission order), which supersede them in the journal exactly
-    // like a live flush would have.
-    std::vector<std::pair<std::uint64_t, WriteRequest>> todo(queued.begin(),
-                                                             queued.end());
-    std::size_t i = 0;
-    while (i < todo.size() && !rewrite_unsafe) {
-      WitnessMode mode = todo[i].second.mode.value_or(config_.default_mode);
-      std::size_t end = i;
-      while (end < todo.size() &&
-             todo[end].second.mode.value_or(config_.default_mode) == mode) {
-        ++end;
-      }
-      std::size_t chunk = std::max<std::size_t>(config_.mailbox.max_batch, 1);
-      while (i < end) {
-        std::size_t n = std::min(chunk, end - i);
-        std::vector<Firmware::BatchItem> items;
-        std::vector<std::vector<storage::RecordDescriptor>> rdls;
-        std::vector<std::uint64_t> qids;
-        items.reserve(n);
-        rdls.reserve(n);
-        qids.reserve(n);
-        for (std::size_t k = i; k < i + n; ++k) {
-          Firmware::BatchItem item = prepare_item(todo[k].second);
-          rdls.push_back(item.rdl);
-          qids.push_back(todo[k].first);
-          items.push_back(std::move(item));
-        }
-        try {
-          std::vector<Sn> sns =
-              commit_chunk_locked(items, std::move(rdls), qids, mode);
-          report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
-                                      sns.end());
-          report.queued_replayed += n;
-        } catch (const ScpuDeadError&) {
-          throw;
-        } catch (const ChannelTimeoutError&) {
-          // The group intent is journaled and pending; only the appended-to
-          // journal knows it, so the checkpoint rewrite below must not run —
-          // the next recover() resends it through the dedup cache.
-          ++report.unresolved;
-          rewrite_unsafe = true;
-          break;
-        } catch (const ChannelError&) {
-          // Definitive rejection: the admissions are consumed (the group
-          // intent superseding them was completed by send_prepared) and the
-          // writes never ran.
-          report.abandoned += n;
-        }
-        i += n;
-      }
-      i = std::max(i, end);
-    }
-  } catch (const ScpuDeadError&) {
-    // Dead device: keep pending intents on the books (reads of possibly
-    // in-flight SNs answer unavailable, not failure) and serve read-only.
-    degraded_ = true;
-    for (const auto& [seq, frame] : pending) pending_seqs_.insert(seq);
+    apply_resent_locked(frame, payload, replayed, report);
+    complete_intent(seq);
   }
+  return unresolved;
+}
 
-  if (config_.dedup) rebuild_dedup_index_locked();
-  read_cache_.clear();
-
-  if (!degraded_ && !rewrite_unsafe) {
-    // Fold the replayed history into a single fresh checkpoint — plus one
-    // intent record per unresolved resend, so a crash before the next
-    // recover() cannot orphan a possibly-executed command.
-    std::vector<JournalRecord> fresh;
-    fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
-    for (const auto& [seq, frame] : unresolved) {
-      common::ByteWriter w;
-      w.u64(seq);
-      w.blob(frame);
-      fresh.push_back({JournalRecordType::kIntent, w.take()});
+void WormStore::apply_resent_locked(ByteView frame, ByteView payload,
+                                    Replayed& replayed,
+                                    RecoveryReport& report) {
+  switch (ScpuChannel::request_opcode(frame)) {
+    case OpCode::kWriteBatch: {
+      ScpuChannel::ParsedWriteBatch parsed =
+          ScpuChannel::decode_write_batch_request(frame);
+      std::vector<Sn> sns =
+          apply_write_ack_locked(payload, parsed.items, parsed.mode);
+      report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
+                                  sns.end());
+      break;
     }
-    journal_.rewrite(fresh);
+    case OpCode::kLitHold:
+    case OpCode::kLitRelease:
+      apply_lit_update(ScpuChannel::decode_lit_request_sn(frame),
+                       ScpuChannel::decode_lit_response(payload));
+      break;
+    case OpCode::kStrengthen:
+      apply_strengthen_results(
+          ScpuChannel::decode_strengthen_response(payload));
+      break;
+    case OpCode::kCertifyWindow: {
+      DeletedWindow merged = ScpuChannel::decode_window_response(payload);
+      try {
+        journal_apply_window(merged);
+        vrdt_.apply_window(merged);
+        ++ops_.compactions;
+      } catch (const common::Error&) {
+        // The journal replay may not have restored every covered proof;
+        // the signed window is still valid — skip the local compaction.
+      }
+      break;
+    }
+    case OpCode::kAdvanceBase: {
+      SignedSnBase base = ScpuChannel::decode_base_response(payload);
+      Sn new_base = base.sn_base;
+      base_ = std::move(base);
+      journal_trim_below(new_base);
+      vrdt_.trim_below(new_base);
+      sn_base_mirror_ = new_base;
+      replayed.journaled_base = std::max(replayed.journaled_base, new_base);
+      ++ops_.base_advances;
+      break;
+    }
+    default:
+      break;  // unsequenced opcodes are never journaled
   }
-  return report;
+}
+
+void WormStore::reconcile_with_device_locked(Sn journaled_base,
+                                             const Intents& unresolved) {
+  // Post-resend reconciliation with the device's signed view.
+  ScpuStatus st = mailbox_.channel().status();
+  sn_current_mirror_ = st.sn_current;
+  if (st.sn_base > journaled_base) {
+    // The device advanced sn_base past anything the journal has recorded —
+    // it moved while we were down. Record the trim before applying it: a
+    // crash between here and the end-of-recovery checkpoint rewrite must
+    // not resurrect proofs the device already considers expired.
+    journal_trim_below(st.sn_base);
+    vrdt_.trim_below(st.sn_base);
+  }
+  sn_base_mirror_ = st.sn_base;
+  deferred_mirror_count_ = st.deferred_count;
+  deferred_mirror_earliest_ = st.earliest_deadline;
+  heartbeat_ = mailbox_.channel().heartbeat();
+  pending_seqs_.clear();
+  for (const auto& [seq, frame] : unresolved) pending_seqs_.insert(seq);
+}
+
+bool WormStore::reexecute_queued_locked(
+    const std::map<std::uint64_t, WriteRequest>& queued,
+    RecoveryReport& report) {
+  // Pipeline admissions no intent ever superseded were journaled before
+  // their tickets could resolve, so they are owed to whoever was told
+  // "queued". They cross now in qid (= admission order) through the write
+  // committer, whose intents supersede them exactly like a live flush.
+  std::vector<StagedWrite> writes;
+  writes.reserve(queued.size());
+  for (const auto& [qid, request] : queued) {
+    writes.push_back(stage(request));
+    writes.back().qid = qid;
+  }
+  try {
+    commit_locked(writes, [&report](std::size_t, Sn sn,
+                                    const std::exception_ptr& rejected) {
+      if (rejected) {
+        ++report.abandoned;  // never ran, and its admission is consumed
+        return;
+      }
+      report.recovered_sns.push_back(sn);
+      ++report.queued_replayed;
+    });
+  } catch (const ChannelTimeoutError&) {
+    // The intent is journaled and pending, but only the appended-to journal
+    // knows it (and the admissions after it): the checkpoint rewrite must
+    // not run — the next recover() resends it through the dedup cache.
+    ++report.unresolved;
+    return false;
+  }
+  return true;
+}
+
+void WormStore::checkpoint_locked(const Intents& unresolved) {
+  // Fold the replayed history into a single fresh checkpoint — plus one
+  // intent record per unresolved resend, so a crash before the next
+  // recover() cannot orphan a possibly-executed command.
+  std::vector<JournalRecord> fresh;
+  fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
+  for (const auto& [seq, frame] : unresolved) {
+    fresh.push_back({JournalRecordType::kIntent, intent_record(seq, frame, {})});
+  }
+  journal_.rewrite(fresh);
 }
 
 // ---------------------------------------------------------------------------

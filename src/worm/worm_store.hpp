@@ -26,11 +26,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>  // std::once_flag (locks themselves are annotated wrappers)
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,6 +127,8 @@ struct StoreConfig {
 
 /// A write, spelled out. Designated initializers read like the operation:
 ///   store.write({.payloads = {bytes}, .attr = attr});
+/// Every write path refuses (PreconditionError) a request with no payloads
+/// or a shredding byte outside ShredPolicy before storing or journaling it.
 struct WriteRequest {
   std::vector<common::Bytes> payloads{};
   Attr attr{};
@@ -158,19 +163,23 @@ class WormStore final : public HostAgent {
   /// each) under `request.attr`, witnessed by the SCPU over the mailbox.
   /// Returns the issued serial number — discarding it orphans the record
   /// (nothing else names it), so the compiler rejects a dropped result.
+  /// With the pipeline off this is write_batch() of one request; with it on,
+  /// write_async(request).get().
   [[nodiscard]] Sn write(const WriteRequest& request) EXCLUDES(state_mu_);
 
   /// Witnesses many pending writes with as few mailbox crossings as possible
   /// (kWriteBatch, at most StoreConfig::mailbox.max_batch per crossing).
   /// Requests with the same effective witness mode share crossings; returned
-  /// SNs parallel `requests`.
+  /// SNs parallel `requests`. Crosses inline under the store lock, pipeline
+  /// or not; a device rejection throws and leaves later chunks uncrossed.
   [[nodiscard]] std::vector<Sn> write_batch(
-      const std::vector<WriteRequest>& requests) EXCLUDES(state_mu_);
+      std::span<const WriteRequest> requests) EXCLUDES(state_mu_);
 
   /// Asynchronous write through the group-commit pipeline (requires
-  /// StoreConfig::pipeline.enabled). Journals the admission first — the write
-  /// is durable before the ticket can resolve — then enqueues it for the
-  /// committer thread, which crosses the mailbox once per group. The ticket's
+  /// StoreConfig::pipeline.enabled). Waits for a queue slot (backpressure),
+  /// journals the admission — the write is durable before the ticket can
+  /// resolve — then enqueues it for the committer thread, which crosses the
+  /// mailbox once per group. The ticket's
   /// get() blocks until the group lands and yields the issued Sn; with the
   /// pipeline on, write() is exactly write_async(request).get(). Safe to call
   /// from many threads concurrently (admission-side hashing runs in parallel;
@@ -181,9 +190,9 @@ class WormStore final : public HostAgent {
   /// Non-blocking write_async: admits the write if the pipeline has queue
   /// space, returns nullopt when it is at capacity (the caller surfaces
   /// explicit backpressure — the server maps this to the kBusy wire status —
-  /// instead of stalling). The queue slot is reserved BEFORE the admission is
-  /// journaled, so a rejected call leaves no journal record for recover() to
-  /// re-execute. Same preconditions as write_async.
+  /// instead of stalling). As with write_async, the slot is claimed BEFORE
+  /// the admission is journaled, so a rejected call leaves no journal record
+  /// for recover() to re-execute. Same preconditions as write_async.
   [[nodiscard]] std::optional<WriteTicket> try_write_async(WriteRequest request)
       EXCLUDES(state_mu_);
 
@@ -426,20 +435,48 @@ class WormStore final : public HostAgent {
   void adopt_epoch_cert_locked(const std::optional<EpochCert>& cert)
       REQUIRES(state_mu_);
 
-  Sequenced sequenced(common::Bytes frame) REQUIRES(state_mu_);
-  /// Like sequenced(), but journals a kGroupIntent that atomically supersedes
-  /// the listed pipeline admissions (their kQueuedWrite records): after this
-  /// record, recovery resends the group frame (dedup-exact) instead of
-  /// re-executing the admissions, so a crash between journal and ack can
-  /// never apply a write twice.
-  Sequenced sequenced_group(common::Bytes frame,
-                            const std::vector<std::uint64_t>& qids)
+  /// `qids` names the pipeline admissions (kQueuedWrite records) a write
+  /// crossing carries: the intent record atomically supersedes them, so
+  /// recovery resends the frame (dedup-exact) instead of re-executing them
+  /// and a crash between journal and ack can never apply a write twice.
+  Sequenced sequenced(common::Bytes frame,
+                      const std::vector<std::uint64_t>& qids = {})
       REQUIRES(state_mu_);
-  Sequenced send_prepared(ScpuChannel::Prepared cmd) REQUIRES(state_mu_);
   void complete_intent(std::uint64_t seq) REQUIRES(state_mu_);
 
-  // --- group-commit pipeline internals -------------------------------------
+  // --- the write path -------------------------------------------------------
 
+  /// One write on its way to the committer: payloads stored, hash taken (or
+  /// payloads carried for the device to hash).
+  struct StagedWrite {
+    Firmware::BatchItem item;
+    WitnessMode mode = WitnessMode::kStrong;
+    std::uint64_t qid = 0;  // journaled admission it completes; 0 = none
+  };
+  /// Synchronous and recovered writes hash on the serialized clock (charged);
+  /// admitted ones reuse their admitting thread's hash and MOVE their
+  /// payloads into the frame, so multi-MB payloads are never copied.
+  StagedWrite stage(const WriteRequest& request) REQUIRES(state_mu_);
+  StagedWrite stage(WritePipeline::Pending& p) REQUIRES(state_mu_);
+  /// Each committed write's fate, in order: its SN, or the device rejection
+  /// of its chunk (nothing in that chunk ran).
+  using Landed = std::function<void(std::size_t index, Sn sn,
+                                    const std::exception_ptr& rejected)>;
+  /// The one write committer: consecutive same-mode writes, chunked at
+  /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk. After
+  /// a rejected chunk committing goes on unless `landed` throws; timeouts,
+  /// device death and host faults propagate.
+  void commit_locked(std::vector<StagedWrite>& writes, const Landed& landed)
+      REQUIRES(state_mu_);
+  /// Applies a kWriteBatch ack (VRDs around `items`' RDLs, SN mirror, epoch
+  /// cert); returns the issued SNs.
+  std::vector<Sn> apply_write_ack_locked(
+      common::ByteView payload, std::vector<Firmware::BatchItem>& items,
+      WitnessMode mode) REQUIRES(state_mu_);
+  /// The one async admission step: write_async blocks on a full queue,
+  /// try_write_async (blocking = false) answers nullopt.
+  std::optional<WriteTicket> admit(WriteRequest request, bool blocking)
+      EXCLUDES(state_mu_);
   /// Journals a write_async admission (kQueuedWrite) before the ticket exists.
   void journal_queued_write(std::uint64_t qid, const WriteRequest& request)
       REQUIRES(state_mu_);
@@ -448,21 +485,31 @@ class WormStore final : public HostAgent {
   /// throws — errors land in the tickets.
   void flush_group(std::vector<WritePipeline::Pending>&& group)
       EXCLUDES(state_mu_);
-  /// BatchItem from an admitted Pending; reuses the admission-thread payload
-  /// hash instead of recomputing (and recharging) under the lock. Takes the
-  /// Pending by mutable reference: payloads are MOVED into the item when the
-  /// wire needs them (kScpuHash) — the committer owns the group, so the hot
-  /// flush path forwards multi-MB payload vectors without copying them.
-  Firmware::BatchItem prepare_pending(WritePipeline::Pending& p)
+
+  // --- recover() phases, in order ------------------------------------------
+
+  using Intents = std::map<std::uint64_t, common::Bytes>;  // seq -> frame
+  struct Replayed {
+    Intents pending;                               // no completion journaled
+    std::map<std::uint64_t, WriteRequest> queued;  // qid -> admission
+    Sn journaled_base = 1;  // highest SN_base the journal recorded
+  };
+  Replayed replay_journal_locked(RecoveryReport& report) REQUIRES(state_mu_);
+  /// Returns the intents whose resend timed out.
+  Intents resend_intents_locked(Replayed& replayed, RecoveryReport& report)
       REQUIRES(state_mu_);
-  /// One kWriteBatch crossing for <= mailbox.max_batch same-mode items,
-  /// journaled as a group intent over `qids`. Applies the witnesses and the
-  /// ack's trailing SN_current attestation; returns the issued SNs.
-  std::vector<Sn> commit_chunk_locked(
-      const std::vector<Firmware::BatchItem>& items,
-      std::vector<std::vector<storage::RecordDescriptor>> rdls,
-      const std::vector<std::uint64_t>& qids, WitnessMode mode)
+  void apply_resent_locked(common::ByteView frame, common::ByteView payload,
+                           Replayed& replayed, RecoveryReport& report)
       REQUIRES(state_mu_);
+  void reconcile_with_device_locked(Sn journaled_base,
+                                    const Intents& unresolved)
+      REQUIRES(state_mu_);
+  /// False when a timeout left an intent only the appended-to journal
+  /// knows, so the checkpoint rewrite must be skipped.
+  bool reexecute_queued_locked(
+      const std::map<std::uint64_t, WriteRequest>& queued,
+      RecoveryReport& report) REQUIRES(state_mu_);
+  void checkpoint_locked(const Intents& unresolved) REQUIRES(state_mu_);
 
   // WAL appends for host soft-state mutations; each runs BEFORE the
   // in-memory mutation it describes.
@@ -481,11 +528,6 @@ class WormStore final : public HostAgent {
   /// Rebuilds the dedup content index from the active VRDs (restart paths).
   void rebuild_dedup_index_locked() REQUIRES(state_mu_);
   common::ThreadPool& read_pool();
-  Firmware::BatchItem prepare_item(const WriteRequest& request)
-      REQUIRES(state_mu_);
-  Sn finish_write(WriteWitness witness,
-                  std::vector<storage::RecordDescriptor> rdl, WitnessMode mode)
-      REQUIRES(state_mu_);
   void note_deferred_witness(common::SimTime creation_time)
       REQUIRES(state_mu_);
   void sync_deferred_mirror() REQUIRES(state_mu_);
@@ -530,12 +572,12 @@ class WormStore final : public HostAgent {
   // monotone in the epoch number.
   std::optional<EpochCert> epoch_cert_ GUARDED_BY(state_mu_);
   std::optional<SignedSnBase> base_ GUARDED_BY(state_mu_);
-  // Reusable encode buffer for the group-commit batch frames: steady-state
-  // flushes build their mailbox frame with zero buffer growth once warm.
+  // Reusable encode buffer for the write committer's batch frames: steady
+  // state builds each mailbox frame with zero buffer growth once warm.
   common::ScratchArena encode_scratch_ GUARDED_BY(state_mu_);
   std::once_flag read_pool_once_;
   std::unique_ptr<common::ThreadPool> read_pool_;
-  // Admission ids for journaled queued writes (kQueuedWrite / kGroupIntent).
+  // Admission ids for journaled queued writes (kQueuedWrite / kIntent).
   std::uint64_t next_qid_ GUARDED_BY(state_mu_) = 0;
 
   // Host-side mirrors of device scheduling state, maintained from command

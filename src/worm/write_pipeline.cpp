@@ -49,47 +49,24 @@ bool WritePipeline::flush_due_locked() const {
   return clock_.now() >= queue_.front().admit_time + config_.linger;
 }
 
-WriteTicket WritePipeline::submit(Pending p) {
-  auto state = std::make_shared<detail::TicketState>();
-  p.ticket = state;
-  {
-    common::MutexLock lk(mu_);
-    WORM_REQUIRE(!stop_, "WritePipeline::submit: pipeline is shut down");
-    if (queue_.size() + reserved_ >= config_.queue_capacity) {
-      stat_stalls_.fetch_add(1, std::memory_order_relaxed);
-      // A full queue is itself a flush trigger: the stalled submitter must
-      // not depend on linger expiry for space.
-      flush_requested_ = true;
-      cv_work_.notify_all();
-      while (!stop_ && queue_.size() + reserved_ >= config_.queue_capacity) {
-        cv_space_.wait(lk);
-      }
-      WORM_REQUIRE(!stop_, "WritePipeline::submit: pipeline shut down while "
-                           "waiting for queue space");
-    }
-    p.admit_time = clock_.now();
-    queued_bytes_ += p.bytes;
-    // Visible to readers before the queue can assign the record an Sn:
-    // read-your-writes needs "queued" observable no later than "flushable".
-    unsettled_.fetch_add(1, std::memory_order_release);
-    unassigned_.fetch_add(1, std::memory_order_release);
-    queue_.push_back(std::move(p));
-  }
-  stat_queued_.fetch_add(1, std::memory_order_relaxed);
-  cv_work_.notify_all();
-  return WriteTicket(std::move(state), this);
-}
-
-bool WritePipeline::try_reserve() {
+bool WritePipeline::claim_slot(bool block) {
   common::MutexLock lk(mu_);
-  WORM_REQUIRE(!stop_, "WritePipeline::try_reserve: pipeline is shut down");
+  WORM_REQUIRE(!stop_, "WritePipeline::claim_slot: pipeline is shut down");
   if (queue_.size() + reserved_ >= config_.queue_capacity) {
-    stat_busy_.fetch_add(1, std::memory_order_relaxed);
-    // Same trigger as a blocked submit: the rejected caller will retry, so
-    // get the committer working on space now.
+    // A full queue is itself a flush trigger: neither a stalled caller nor a
+    // rejected one (who will retry) may depend on linger expiry for space.
     flush_requested_ = true;
     cv_work_.notify_all();
-    return false;
+    if (!block) {
+      stat_busy_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    stat_stalls_.fetch_add(1, std::memory_order_relaxed);
+    while (!stop_ && queue_.size() + reserved_ >= config_.queue_capacity) {
+      cv_space_.wait(lk);
+    }
+    WORM_REQUIRE(!stop_, "WritePipeline::claim_slot: pipeline shut down "
+                         "while waiting for queue space");
   }
   ++reserved_;
   return true;
@@ -107,6 +84,8 @@ WriteTicket WritePipeline::submit_reserved(Pending p) {
                  "WritePipeline::submit_reserved: pipeline is shut down");
     p.admit_time = clock_.now();
     queued_bytes_ += p.bytes;
+    // Visible to readers before the queue can assign the record an Sn:
+    // read-your-writes needs "queued" observable no later than "flushable".
     unsettled_.fetch_add(1, std::memory_order_release);
     unassigned_.fetch_add(1, std::memory_order_release);
     queue_.push_back(std::move(p));

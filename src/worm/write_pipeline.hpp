@@ -131,28 +131,25 @@ class WritePipeline {
   WritePipeline(const WritePipeline&) = delete;
   WritePipeline& operator=(const WritePipeline&) = delete;
 
-  /// Admits one write. Blocks while the queue is at capacity (backpressure;
-  /// a full queue also makes the flush due). Throws PreconditionError after
-  /// shutdown. Never call while holding the store's state lock.
-  [[nodiscard]] WriteTicket submit(Pending p) EXCLUDES(mu_);
+  // Admission comes in two steps so the caller can journal the admission
+  // BETWEEN them: claim_slot() takes a queue slot, then submit_reserved()
+  // consumes it without ever blocking. Backpressure and kBusy rejections
+  // therefore happen before anything reaches the journal — no ghost
+  // admission for recover() to re-execute — while a claimed slot guarantees
+  // the journaled write is also queued.
 
-  // Non-blocking admission, in two steps so the caller can journal the
-  // admission BETWEEN them: try_reserve() claims a queue slot (or reports
-  // busy), then submit_reserved() consumes the reservation without ever
-  // blocking. A kBusy rejection therefore happens before anything reaches
-  // the journal — no ghost admission for recover() to re-execute — while a
-  // successful reservation guarantees the journaled write is also queued.
+  /// Claims one queue slot. When the queue (live + reserved) is at capacity
+  /// it makes the flush due, then either blocks until the committer frees
+  /// space (`block`, counted as a backpressure stall) or returns false — the
+  /// caller should surface kBusy. Throws PreconditionError after shutdown.
+  /// On success the caller MUST follow with submit_reserved() or
+  /// release_reservation(). Never call while holding the store's state lock.
+  [[nodiscard]] bool claim_slot(bool block) EXCLUDES(mu_);
 
-  /// Claims one queue slot without blocking. Returns false when the queue
-  /// (live + reserved) is at capacity — the caller should surface kBusy.
-  /// Throws PreconditionError after shutdown. On success the caller MUST
-  /// follow with submit_reserved() or release_reservation().
-  [[nodiscard]] bool try_reserve() EXCLUDES(mu_);
-
-  /// Enqueues a write into a slot claimed by try_reserve(). Never blocks.
+  /// Enqueues a write into a slot claimed by claim_slot(). Never blocks.
   [[nodiscard]] WriteTicket submit_reserved(Pending p) EXCLUDES(mu_);
 
-  /// Returns a try_reserve() slot unused (the step between reserve and
+  /// Returns a claim_slot() slot unused (the step between claim and
   /// enqueue failed, e.g. the journal append threw).
   void release_reservation() EXCLUDES(mu_);
 
@@ -195,7 +192,7 @@ class WritePipeline {
     std::uint64_t batches = 0;              // groups flushed
     std::uint64_t flushed_writes = 0;       // writes those groups carried
     std::uint64_t backpressure_stalls = 0;  // submits that hit a full queue
-    std::uint64_t busy_rejected = 0;        // try_reserve calls turned away
+    std::uint64_t busy_rejected = 0;        // non-blocking claims turned away
   };
   [[nodiscard]] Stats stats() const;
 
@@ -218,7 +215,7 @@ class WritePipeline {
   std::condition_variable_any cv_space_;  // wakes backpressured submitters
   std::condition_variable_any cv_done_;   // wakes drain() after each round
   std::deque<Pending> queue_ GUARDED_BY(mu_);
-  std::size_t reserved_ GUARDED_BY(mu_) = 0;  // try_reserve slots not yet enqueued
+  std::size_t reserved_ GUARDED_BY(mu_) = 0;  // claimed slots not yet enqueued
   std::size_t queued_bytes_ GUARDED_BY(mu_) = 0;
   std::size_t inflight_ GUARDED_BY(mu_) = 0;
   bool flush_requested_ GUARDED_BY(mu_) = false;

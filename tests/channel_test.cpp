@@ -18,28 +18,79 @@ using worm::testing::Rig;
 
 struct ChannelRig : worm::testing::Rig {
   ChannelRig() : channel(firmware) {}
+
+  /// One sequenced crossing of an encoded mutating command; returns the ok
+  /// payload or throws ChannelError.
+  Bytes sequenced(Bytes frame) {
+    return channel.send_ok(channel.prepare(std::move(frame)));
+  }
+
   ScpuChannel channel;
 };
 
-TEST(Channel, WriteRoundTrip) {
-  ChannelRig rig;
-  Bytes payload = to_bytes("over the wire");
-  storage::RecordDescriptor rd = rig.records.write(payload);
-  Attr attr = rig.attr(Duration::days(30));
+namespace batch {
 
-  WriteWitness w = rig.channel.write(attr, {rd}, {payload}, {},
-                                     WitnessMode::kStrong, HashMode::kScpuHash);
+Firmware::BatchItem make_item(ChannelRig& rig, const std::string& text,
+                              common::Duration retention) {
+  Bytes payload = to_bytes(text);
+  Firmware::BatchItem item;
+  item.attr = rig.attr(retention);
+  item.rdl = {rig.records.write(payload)};
+  item.payloads = {payload};
+  return item;
+}
+
+/// The serialized request for one single-payload kScpuHash batch item.
+Bytes encode_request(const std::vector<Firmware::BatchItem>& items) {
+  common::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(OpCode::kWriteBatch));
+  w.u8(0);  // WitnessMode::kStrong
+  w.u8(0);  // HashMode::kScpuHash
+  w.u32(static_cast<std::uint32_t>(items.size()));
+  for (const auto& item : items) {
+    item.attr.serialize(w);
+    w.u32(static_cast<std::uint32_t>(item.rdl.size()));
+    for (const auto& rd : item.rdl) rd.serialize(w);
+    w.u32(static_cast<std::uint32_t>(item.payloads.size()));
+    for (const auto& p : item.payloads) w.blob(p);
+    w.blob(item.claimed_hash);
+  }
+  return w.take();
+}
+
+/// One kWriteBatch crossing of strong, device-hashed items.
+ScpuChannel::BatchAck write(ScpuChannel& channel,
+                            const std::vector<Firmware::BatchItem>& items) {
+  common::ByteWriter w;
+  ScpuChannel::encode_write_batch_into(w, items, WitnessMode::kStrong,
+                                       HashMode::kScpuHash);
+  return ScpuChannel::decode_write_batch_response(
+      channel.send_ok(channel.prepare(w.take())));
+}
+
+}  // namespace batch
+
+TEST(Channel, WriteRoundTrip) {
+  // A lone write crosses as a kWriteBatch of one.
+  ChannelRig rig;
+  Firmware::BatchItem item =
+      batch::make_item(rig, "over the wire", Duration::days(30));
+
+  ScpuChannel::BatchAck ack = batch::write(rig.channel, {item});
+  ASSERT_EQ(ack.witnesses.size(), 1u);
+  const WriteWitness& w = ack.witnesses[0];
   EXPECT_EQ(w.sn, 1u);
+  EXPECT_EQ(ack.sn_current_after, 1u);
   EXPECT_EQ(w.metasig.kind, SigKind::kStrong);
   // The witness verifies like any firmware-issued one.
   Vrd vrd;
   vrd.sn = w.sn;
   vrd.attr = w.attr;
-  vrd.rdl = {rd};
+  vrd.rdl = item.rdl;
   vrd.data_hash = w.data_hash;
   vrd.metasig = w.metasig;
   vrd.datasig = w.datasig;
-  EXPECT_EQ(rig.verifier.verify_vrd(vrd, {payload}).verdict,
+  EXPECT_EQ(rig.verifier.verify_vrd(vrd, item.payloads).verdict,
             Verdict::kAuthentic);
 }
 
@@ -71,7 +122,8 @@ TEST(Channel, StrengthenRoundTrip) {
   ASSERT_EQ(pending, std::vector<Sn>{sn});
 
   const Vrdt::Entry* e = rig.store.vrdt().find(sn);
-  auto results = rig.channel.strengthen({e->vrd}, {{}});
+  auto results = ScpuChannel::decode_strengthen_response(
+      rig.sequenced(ScpuChannel::encode_strengthen({e->vrd}, {{}})));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].sn, sn);
   EXPECT_EQ(results[0].metasig.kind, SigKind::kStrong);
@@ -82,18 +134,17 @@ TEST(Channel, LitHoldRoundTrip) {
   ChannelRig rig;
   Sn sn = rig.put("held via wire", Duration::days(1));
   const Vrdt::Entry* e = rig.store.vrdt().find(sn);
-  auto up = rig.channel.lit_hold(e->vrd, rig.clock.now() + Duration::days(9),
-                                 7, rig.clock.now(),
-                                 rig.lit_credential(sn, 7, true));
+  auto up = ScpuChannel::decode_lit_response(
+      rig.sequenced(ScpuChannel::encode_lit_hold(
+          e->vrd, rig.clock.now() + Duration::days(9), 7, rig.clock.now(),
+          rig.lit_credential(sn, 7, true))));
   EXPECT_TRUE(up.attr.litigation_hold);
-  auto rel = rig.channel.lit_release(
-      [&] {
-        Vrd v = e->vrd;
-        v.attr = up.attr;
-        v.metasig = up.metasig;
-        return v;
-      }(),
-      7, rig.clock.now(), rig.lit_credential(sn, 7, false));
+  Vrd held = e->vrd;
+  held.attr = up.attr;
+  held.metasig = up.metasig;
+  auto rel = ScpuChannel::decode_lit_response(
+      rig.sequenced(ScpuChannel::encode_lit_release(
+          held, 7, rig.clock.now(), rig.lit_credential(sn, 7, false))));
   EXPECT_FALSE(rel.attr.litigation_hold);
 }
 
@@ -125,7 +176,9 @@ TEST(Channel, VexpRebuildSequenceOverWire) {
 TEST(Channel, RejectedCommandReturnsErrorStatus) {
   ChannelRig rig;
   // advance_base without any proofs is a certified-logic rejection.
-  EXPECT_THROW(rig.channel.advance_base(5, {}, {}), ChannelError);
+  EXPECT_THROW(
+      (void)rig.sequenced(ScpuChannel::encode_advance_base(5, {}, {})),
+      ChannelError);
 }
 
 TEST(Channel, EmptyRequestIsMalformed) {
@@ -142,11 +195,31 @@ TEST(Channel, UnknownOpcodeIsMalformed) {
   EXPECT_EQ(resp[0], 1);
 }
 
-TEST(Channel, TruncatedWriteIsMalformed) {
+TEST(Channel, RetiredSingleWriteOpcodeIsRejected) {
+  // Opcode 1 (the old single-record write) is gone: even a frame that is a
+  // valid write batch in every other byte gets an error and issues no SN.
   ChannelRig rig;
-  Bytes req = {static_cast<std::uint8_t>(OpCode::kWrite), 0x01, 0x02};
+  Bytes req = batch::encode_request(
+      {batch::make_item(rig, "retired", Duration::days(1))});
+  req[0] = 0x01;
   Bytes resp = rig.channel.call(req);
+  ASSERT_FALSE(resp.empty());
   EXPECT_EQ(resp[0], 1);
+  EXPECT_EQ(rig.firmware.sn_current(), 0u);
+}
+
+TEST(Channel, TruncatedWriteIsMalformed) {
+  // A write frame cut off after its opcode and two bytes is an error, both
+  // for the kWriteBatch a lone write now sends and for the retired opcode 1.
+  ChannelRig rig;
+  for (std::uint8_t opcode :
+       {static_cast<std::uint8_t>(OpCode::kWriteBatch), std::uint8_t{0x01}}) {
+    Bytes req = {opcode, 0x01, 0x02};
+    Bytes resp = rig.channel.call(req);
+    ASSERT_FALSE(resp.empty());
+    EXPECT_EQ(resp[0], 1) << "opcode " << int{opcode};
+  }
+  EXPECT_EQ(rig.firmware.sn_current(), 0u);
 }
 
 TEST(Channel, TrailingGarbageIsMalformed) {
@@ -158,19 +231,12 @@ TEST(Channel, TrailingGarbageIsMalformed) {
 
 TEST(Channel, FuzzedMutationsNeverCrashOrCorrupt) {
   ChannelRig rig;
-  // Build one valid write request, then hammer the device with mutations.
-  Bytes payload = to_bytes("seed");
-  storage::RecordDescriptor rd = rig.records.write(payload);
+  // Build the frame a lone write sends (a kWriteBatch of one, from the
+  // store's own encoder), then hammer the device with mutations.
   common::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(OpCode::kWrite));
-  rig.attr(Duration::days(1)).serialize(w);
-  w.u32(1);
-  rd.serialize(w);
-  w.u32(1);
-  w.blob(payload);
-  w.blob(Bytes{});
-  w.u8(0);
-  w.u8(0);
+  ScpuChannel::encode_write_batch_into(
+      w, {batch::make_item(rig, "seed", Duration::days(1))},
+      WitnessMode::kStrong, HashMode::kScpuHash);
   Bytes valid = w.take();
 
   crypto::Drbg rng(0xf022);
@@ -210,38 +276,6 @@ TEST(Channel, TamperedDeviceAnswersWithErrors) {
 // kWriteBatch: round trip, atomicity, and hostile batch framing
 // ---------------------------------------------------------------------------
 
-namespace batch {
-
-Firmware::BatchItem make_item(ChannelRig& rig, const std::string& text,
-                              common::Duration retention) {
-  Bytes payload = to_bytes(text);
-  Firmware::BatchItem item;
-  item.attr = rig.attr(retention);
-  item.rdl = {rig.records.write(payload)};
-  item.payloads = {payload};
-  return item;
-}
-
-/// The serialized request for one single-payload kScpuHash batch item.
-Bytes encode_request(const std::vector<Firmware::BatchItem>& items) {
-  common::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(OpCode::kWriteBatch));
-  w.u8(0);  // WitnessMode::kStrong
-  w.u8(0);  // HashMode::kScpuHash
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& item : items) {
-    item.attr.serialize(w);
-    w.u32(static_cast<std::uint32_t>(item.rdl.size()));
-    for (const auto& rd : item.rdl) rd.serialize(w);
-    w.u32(static_cast<std::uint32_t>(item.payloads.size()));
-    for (const auto& p : item.payloads) w.blob(p);
-    w.blob(item.claimed_hash);
-  }
-  return w.take();
-}
-
-}  // namespace batch
-
 TEST(Channel, WriteBatchRoundTrip) {
   ChannelRig rig;
   std::vector<Firmware::BatchItem> items = {
@@ -249,8 +283,7 @@ TEST(Channel, WriteBatchRoundTrip) {
       batch::make_item(rig, "second", Duration::days(2)),
       batch::make_item(rig, "third", Duration::days(3)),
   };
-  auto witnesses =
-      rig.channel.write_batch(items, WitnessMode::kStrong, HashMode::kScpuHash);
+  auto witnesses = batch::write(rig.channel, items).witnesses;
   ASSERT_EQ(witnesses.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(witnesses[i].sn, i + 1);  // one contiguous SN range
@@ -268,12 +301,11 @@ TEST(Channel, WriteBatchRoundTrip) {
 
 TEST(Channel, BatchedWitnessesMatchSequentialOnes) {
   // The batch opcode only amortizes the crossing — the per-record witnesses
-  // must be byte-identical to what sequential kWrite calls would have
-  // produced. Zero-cost rigs pin simulated time so signatures (which embed
+  // must be byte-identical to what sequential Firmware::write calls
+  // produce. Zero-cost rigs pin simulated time so signatures (which embed
   // creation_time) can be compared byte for byte.
   Rig seq({}, {}, 32u << 20, scpu::CostModel::zero());
   Rig bat({}, {}, 32u << 20, scpu::CostModel::zero());
-  ScpuChannel seq_ch(seq.firmware);
   ScpuChannel bat_ch(bat.firmware);
 
   std::vector<Firmware::BatchItem> items;
@@ -286,12 +318,11 @@ TEST(Channel, BatchedWitnessesMatchSequentialOnes) {
     item.rdl = {bat.records.write(payload)};
     item.payloads = {payload};
     items.push_back(item);
-    sequential.push_back(seq_ch.write(attr, {seq.records.write(payload)},
-                                      {payload}, {}, WitnessMode::kStrong,
-                                      HashMode::kScpuHash));
+    sequential.push_back(seq.firmware.write(attr, {seq.records.write(payload)},
+                                            {payload}, {}, WitnessMode::kStrong,
+                                            HashMode::kScpuHash));
   }
-  auto batched =
-      bat_ch.write_batch(items, WitnessMode::kStrong, HashMode::kScpuHash);
+  auto batched = batch::write(bat_ch, items).witnesses;
   ASSERT_EQ(batched.size(), sequential.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(batched[i].sn, sequential[i].sn);
@@ -363,6 +394,7 @@ TEST(Channel, FuzzedWriteBatchNeverCorruptsState) {
   };
   Bytes valid = batch::encode_request(items);
   crypto::Drbg rng(0xba7c4);
+  Sn sn_before = rig.firmware.sn_current();
   std::size_t errors = 0;
   for (int i = 0; i < 500; ++i) {
     Bytes mutated = valid;
@@ -378,9 +410,12 @@ TEST(Channel, FuzzedWriteBatchNeverCorruptsState) {
     ASSERT_FALSE(resp.empty());
     if (resp[0] == 1) ++errors;
   }
+  // Most mutations must be rejected; a few may decode as (valid but weird)
+  // writes, which is fine — they were syntactically well-formed commands.
   EXPECT_GT(errors, 300u);
   // Whatever got through was syntactically valid; the device still serves
   // honest traffic and its SN sequence is intact.
+  EXPECT_GE(rig.firmware.sn_current(), sn_before);
   Sn sn = rig.put("still works after batch fuzzing", Duration::days(1));
   EXPECT_EQ(rig.verifier.verify_read(sn, rig.store.read(sn)).verdict,
             Verdict::kAuthentic);

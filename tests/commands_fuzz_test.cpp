@@ -39,19 +39,21 @@ std::vector<std::pair<OpCode, Bytes>> valid_frames(Rig& rig) {
     return w.take();
   };
 
-  frames.emplace_back(OpCode::kWrite,
-                      ScpuChannel::encode_write(rig.attr(Duration::days(1)),
-                                                vrd.rdl, {payload}, {},
-                                                WitnessMode::kStrong,
-                                                HashMode::kScpuHash));
-  {
+  // kWriteBatch in both item shapes: payloads for the device to hash, and a
+  // host-claimed hash (a lone write is the one-item case of either).
+  for (HashMode hash_mode : {HashMode::kScpuHash, HashMode::kHostHash}) {
     Firmware::BatchItem item;
     item.attr = rig.attr(Duration::days(1));
     item.rdl = vrd.rdl;
-    item.payloads = {payload};
-    frames.emplace_back(OpCode::kWriteBatch,
-                        ScpuChannel::encode_write_batch(
-                            {item}, WitnessMode::kStrong, HashMode::kScpuHash));
+    if (hash_mode == HashMode::kScpuHash) {
+      item.payloads = {payload};
+    } else {
+      item.claimed_hash = vrd.data_hash;
+    }
+    ByteWriter w;
+    ScpuChannel::encode_write_batch_into(w, {item}, WitnessMode::kStrong,
+                                         hash_mode);
+    frames.emplace_back(OpCode::kWriteBatch, w.take());
   }
   frames.emplace_back(OpCode::kHeartbeat, bare(OpCode::kHeartbeat));
   frames.emplace_back(OpCode::kSignBase, bare(OpCode::kSignBase));
@@ -108,6 +110,7 @@ std::vector<std::pair<OpCode, Bytes>> valid_frames(Rig& rig) {
     frames.emplace_back(OpCode::kHashAuditsPending, w.take());
   }
   frames.emplace_back(OpCode::kStatus, bare(OpCode::kStatus));
+  frames.emplace_back(OpCode::kEpochCert, bare(OpCode::kEpochCert));
   return frames;
 }
 
@@ -134,7 +137,9 @@ bool is_parse_rejection(const Bytes& response) {
 TEST(CommandsFuzz, EveryOpcodeIsCovered) {
   Rig rig;
   auto frames = valid_frames(rig);
-  EXPECT_EQ(frames.size(), 19u);  // grows with the OpCode enum — keep in sync
+  // One frame per opcode (kWriteBatch in both item shapes); grows with the
+  // OpCode enum — keep in sync.
+  EXPECT_EQ(frames.size(), 20u);
   // Each valid frame must at least clear the PARSER — state-dependent ops
   // (base advance without proofs, say) may be rejected by certified logic,
   // but a "malformed command" answer would mean the fuzz below starts from

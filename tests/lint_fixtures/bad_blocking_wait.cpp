@@ -22,11 +22,11 @@ struct BadStore {
     store->drain_writes();  // same deadlock, reader side
   }
 
-  void submit_under_lock(core::WritePipeline::Pending p) {
+  void claim_under_lock() {
     common::ExclusiveLock lk(state_mu_);
-    // Backpressure can block in submit; the committer frees space only
+    // Backpressure can block in claim_slot; the committer frees space only
     // after taking state_mu_.
-    (void)pipeline_->submit(std::move(p));
+    (void)pipeline_->claim_slot(/*block=*/true);
   }
 };
 

@@ -5,6 +5,8 @@
 // failing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fault_fixture.hpp"
 
 namespace worm::core {
@@ -75,6 +77,107 @@ TEST(Recovery, PendingIntentResentExactlyOnce) {
             Verdict::kAuthentic);
   EXPECT_EQ(rig.put("next", Duration::days(30)), 2u);
   EXPECT_GT(rig.store->counters().at("recovery.resent"), 0u);
+}
+
+/// Lockstep store with one delivery attempt per command, so a single
+/// scheduled drop of an answer is a timeout; `pipelined` holds admissions
+/// queued (huge linger and batch) until the host crashes.
+StoreConfig one_attempt(bool pipelined = false) {
+  StoreConfig sc = worm::testing::lockstep_store_config();
+  sc.mailbox.retry_max_attempts = 1;
+  sc.pipeline.enabled = pipelined;
+  sc.pipeline.linger = Duration::hours(1);
+  sc.pipeline.max_batch = 1024;
+  return sc;
+}
+
+TEST(Recovery, ResendLostAgainStaysPendingThroughTheCheckpoint) {
+  CrashRig rig("recovery_unresolved.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt());
+  std::uint64_t executed_before = rig.firmware.counters().writes;
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
+  EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
+               ChannelTimeoutError);
+  ASSERT_EQ(rig.firmware.counters().writes, executed_before + 1);
+
+  // The resend loses its answer too (evaluation 1 is recovery's status
+  // probe): the intent stays pending, and reads of its SN stay honest.
+  rig.crash();
+  rig.boot();
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 2);
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.resent, 1u);
+  EXPECT_EQ(report.unresolved, 1u);
+  EXPECT_TRUE(report.recovered_sns.empty());
+  ReadOutcome limbo = rig.store->read(1);
+  auto* gone = limbo.get_if<ReadUnavailable>();
+  ASSERT_NE(gone, nullptr) << to_string(limbo.status());
+  EXPECT_TRUE(gone->retryable);
+
+  // The checkpoint rewrite kept the intent, so the next recovery lands it
+  // from the device's response cache without executing anything again.
+  auto second = rig.crash_and_recover();
+  EXPECT_EQ(second.replayed, 2u) << "the checkpoint plus the kept intent";
+  EXPECT_EQ(second.resent, 1u);
+  EXPECT_EQ(second.unresolved, 0u);
+  EXPECT_EQ(second.recovered_sns, std::vector<Sn>{1});
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 1);
+  EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+            Verdict::kAuthentic);
+}
+
+TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
+  CrashRig rig("recovery_requeued.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt(true));
+  std::uint64_t executed_before = rig.firmware.counters().writes;
+  WriteTicket t = rig.store->write_async(
+      {.payloads = {common::to_bytes("queued")},
+       .attr = rig.attr(Duration::days(30))});
+  rig.crash();  // journaled, never grouped
+  EXPECT_THROW((void)t.get(), common::TransientStorageError);
+
+  // Re-execution crosses, but its answer is lost (evaluations 1-3 are the
+  // status probe, then reconciliation's status and heartbeat).
+  rig.boot();
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 4);
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.unresolved, 1u);
+  EXPECT_EQ(report.queued_replayed, 0u);
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 1);
+
+  // Only the appended journal knew that intent, so the rewrite was skipped:
+  // the next recovery resends it exactly once, from the response cache, and
+  // does not re-execute the admission it superseded.
+  auto second = rig.crash_and_recover();
+  EXPECT_EQ(second.resent, 1u);
+  EXPECT_EQ(second.queued_replayed, 0u);
+  EXPECT_EQ(second.recovered_sns, std::vector<Sn>{1});
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 1);
+  EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+            Verdict::kAuthentic);
+}
+
+TEST(Recovery, RejectedQueuedAdmissionIsAbandonedNotRetried) {
+  CrashRig rig("recovery_rejected.wal", /*with_faults=*/false, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt(true));
+  WriteTicket t = rig.store->write_async(
+      {.payloads = {common::to_bytes("no retention")},
+       .attr = rig.attr(Duration{})});  // the firmware refuses zero retention
+  rig.crash();
+  EXPECT_THROW((void)t.get(), common::TransientStorageError);
+
+  rig.boot();
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.abandoned, 1u);
+  EXPECT_EQ(report.queued_replayed, 0u);
+  EXPECT_TRUE(report.recovered_sns.empty());
+  EXPECT_EQ(rig.firmware.sn_current(), 0u);
+
+  auto second = rig.crash_and_recover();
+  EXPECT_EQ(second.abandoned, 0u);
+  EXPECT_EQ(second.resent, 0u);
+  EXPECT_EQ(second.queued_replayed, 0u);
+  EXPECT_EQ(rig.put("next", Duration::days(30)), 1u);
 }
 
 TEST(Recovery, TornJournalTailIsDiscardedNotFatal) {

@@ -153,6 +153,21 @@ TEST(WormServer, GarbageFrameAnswersParseErrorAndDrops) {
   EXPECT_GE(srv.server->stats().parse_errors, 1u);
 }
 
+TEST(WormServer, OutOfRangeShredPolicyAnswersParseError) {
+  // A shredding byte past ShredPolicy dies in the frame decoder: nothing
+  // reaches the store, let alone the SCPU's signature.
+  ServerRig srv;
+  common::Socket sock = common::connect_tcp_loopback(srv.server->port());
+  Request write;
+  write.op = MsgOp::kWrite;
+  write.rid = 5;
+  write.write = srv.record("never shredded");
+  write.write.attr.shredding = static_cast<storage::ShredPolicy>(200);
+  Response resp = raw_transact(sock, write);
+  EXPECT_EQ(resp.status, core::WireStatus::kParseError);
+  EXPECT_EQ(srv.rig.firmware.sn_current(), 0u);
+}
+
 TEST(WormServer, WriteReadVerifyAcrossTheWire) {
   ServerRig srv;
   WormClient client = srv.connect();

@@ -340,6 +340,22 @@ TEST(WireFuzz, MutatedBodiesNeverEscapeAsAnythingButParseError) {
   }
 }
 
+TEST(WireFuzz, OutOfRangeShredPolicyIsAParseError) {
+  // The attr's shredding byte is range-checked at decode: a value past
+  // kCryptoShred would be signed by the SCPU yet honored by no shredder.
+  for (int v = 0; v < 256; ++v) {
+    Request req = sample_request(MsgOp::kWrite);
+    req.write.attr.shredding = static_cast<storage::ShredPolicy>(v);
+    Bytes body = encode_request(req);
+    if (v <= static_cast<int>(storage::ShredPolicy::kCryptoShred)) {
+      EXPECT_EQ(decode_request(body).write.attr.shredding,
+                req.write.attr.shredding);
+    } else {
+      EXPECT_THROW((void)decode_request(body), ParseError) << v;
+    }
+  }
+}
+
 TEST(WireFuzz, OpcodeSpaceIsExactlyTheFrozenSet) {
   int valid = 0;
   for (int v = 0; v < 256; ++v) {

@@ -4,6 +4,9 @@
 // the behavioural form of the paper's §4.2-§4.3.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "worm/session.hpp"
 #include "worm_fixture.hpp"
 
@@ -526,6 +529,52 @@ TEST(WormStore, WriteBatchChunksAtMaxBatch) {
   (void)rig.store.write_batch(requests);  // only the crossing count matters
   // ceil(10 / 4) = 3 kWriteBatch crossings.
   EXPECT_EQ(rig.store.counters().at("mailbox.batches"), 3u);
+}
+
+TEST(WormStore, WriteIsABatchOfOne) {
+  // With the pipeline off, write() goes through the same committer as
+  // write_batch(): one kWriteBatch crossing carrying one write.
+  Rig rig;
+  auto before = rig.store.counters();
+  (void)rig.put("lone", Duration::days(1));
+  auto after = rig.store.counters();
+  for (const char* key :
+       {"mailbox.crossings", "mailbox.batches", "mailbox.batched_writes"}) {
+    EXPECT_EQ(after.at(key) - before.at(key), 1u) << key;
+  }
+}
+
+TEST(WormStore, OutOfRangeShredPolicyIsRefusedOnEveryWritePath) {
+  // The SCPU would sign any shredding byte, but RecordStore::shred honors
+  // only the ShredPolicy values: a record signed with 200 would read back
+  // as a verified deletion with its plaintext still on the platter. Every
+  // write path refuses it before storing, journaling or crossing anything.
+  for (bool pipelined : {false, true}) {
+    StoreConfig sc;
+    sc.journal_path = ::testing::TempDir() + "shred_refused.wal";
+    std::remove(sc.journal_path.c_str());
+    sc.pipeline.enabled = pipelined;
+    Rig rig({}, sc);
+    WriteRequest good{.payloads = {to_bytes("fine")},
+                      .attr = rig.attr(Duration::days(1))};
+    WriteRequest bad{.payloads = {to_bytes("never shredded")},
+                     .attr = rig.attr(Duration::days(1),
+                                      static_cast<ShredPolicy>(200))};
+    std::uint64_t disk_writes = rig.disk.stats().bytes_written;
+
+    EXPECT_THROW((void)rig.store.write(bad), common::PreconditionError);
+    EXPECT_THROW((void)rig.store.write_batch(std::vector{good, bad}),
+                 common::PreconditionError);
+    if (pipelined) {
+      EXPECT_THROW((void)rig.store.write_async(bad),
+                   common::PreconditionError);
+      EXPECT_THROW((void)rig.store.try_write_async(bad),
+                   common::PreconditionError);
+    }
+    EXPECT_EQ(rig.firmware.sn_current(), 0u) << "pipelined=" << pipelined;
+    EXPECT_EQ(rig.disk.stats().bytes_written, disk_writes);
+    EXPECT_EQ(std::filesystem::file_size(sc.journal_path), 0u);
+  }
 }
 
 TEST(WormStore, DeadlinePressureServicesStrengtheningMidBurst) {

@@ -1159,7 +1159,7 @@ JOURNAL_COVERS = {
 }
 # Intent-record helpers and raw journal appends cover any mutation kind:
 # they put a durable record ahead of whatever follows.
-JOURNAL_GENERIC = ("sequenced", "sequenced_group")
+JOURNAL_GENERIC = ("sequenced",)
 
 
 def pass_journal_ordering(prog: Program) -> list[Finding]:

@@ -41,10 +41,11 @@ enforces the architectural invariants that no single-TU analysis can see:
                       The write pipeline's committer needs state_mu_ to make
                       progress, so blocking on the pipeline while holding the
                       store lock (ticket .get(), drain_writes(), pipeline
-                      submit()/drain()/shutdown_drop()) is a deadlock waiting
-                      for its schedule. Inside a scope that constructed a
-                      MutexLock/ExclusiveLock/SharedLock on state_mu_, those
-                      calls are banned; non-blocking pokes are fine.
+                      claim_slot()/drain()/shutdown_drop()) is a deadlock
+                      waiting for its schedule. Inside a scope that
+                      constructed a MutexLock/ExclusiveLock/SharedLock on
+                      state_mu_, those calls are banned; non-blocking pokes
+                      are fine.
 
   server-store-isolation
                       The network front-end (src/server/) and the cluster
@@ -180,7 +181,7 @@ STATE_LOCK_PATTERN = re.compile(
 )
 BLOCKING_WAIT_PATTERN = re.compile(
     r"\bdrain_writes\s*\(|"
-    r"(?:\.|->)\s*(?:get|submit|drain|shutdown_drop)\s*\("
+    r"(?:\.|->)\s*(?:get|submit|claim_slot|drain|shutdown_drop)\s*\("
 )
 
 # src/server/ and src/cluster/ may only reach the store through WormSession:
@@ -298,7 +299,7 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                 "blocking-under-state-mu", rel, lineno,
                 "blocking pipeline wait while holding state_mu_; the "
                 "committer needs the store lock to make progress — release "
-                "the guard before get()/drain()/submit()"))
+                "the guard before get()/drain()/claim_slot()"))
         depth = end_depth
         while state_guards and depth < state_guards[-1]:
             state_guards.pop()
