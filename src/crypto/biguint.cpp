@@ -364,12 +364,45 @@ BigUInt BigUInt::mod_inverse(const BigUInt& a, const BigUInt& m) {
 // ---------------------------------------------------------------------------
 
 namespace {
+__extension__ typedef unsigned __int128 u128;
+
+// x * y + z + carry as one 128-bit value: returns the low limb and leaves
+// the high limb in carry (the sum cannot overflow 128 bits).
+std::uint64_t mul_add(std::uint64_t x, std::uint64_t y, std::uint64_t z,
+                      std::uint64_t& carry) {
+  const u128 p = static_cast<u128>(x) * y + z + carry;
+  carry = static_cast<std::uint64_t>(p >> 64);
+  return static_cast<std::uint64_t>(p);
+}
+
 // -m^-1 mod 2^32 for odd m, via Newton–Hensel lifting.
 std::uint32_t neg_inv_u32(std::uint32_t m) {
   std::uint32_t x = m;  // correct mod 2^3 already (m odd)
   for (int i = 0; i < 5; ++i) x *= 2u - m * x;
   return ~x + 1u;  // -(m^-1)
 }
+
+// -m^-1 mod 2^64 for odd m; each Newton step doubles the correct low bits.
+std::uint64_t neg_inv_u64(std::uint64_t m) {
+  std::uint64_t x = m;  // correct mod 2^3 already (m odd)
+  for (int i = 0; i < 6; ++i) x *= 2u - m * x;
+  return ~x + 1u;  // -(m^-1)
+}
+
+// Packs v (< 2^(64 * k64)) into k64 64-bit little-endian limbs.
+void pack_limbs64(const std::vector<std::uint32_t>& v,
+                  std::uint64_t* out, std::size_t k64) {
+  for (std::size_t j = 0; j < k64; ++j) out[j] = 0;
+  for (std::size_t j = 0; j < v.size(); ++j) {
+    out[j / 2] |= static_cast<std::uint64_t>(v[j]) << (32 * (j % 2));
+  }
+}
+
+// Sliding-window width for an exponent of `bits` bits. The 4-bit window's
+// table costs 8 products and saves about 3 per 10 exponent bits, so below
+// ~24 bits (a public exponent such as 65537) the ladder goes bit by bit and
+// never builds the table.
+std::size_t window_bits(std::size_t bits) { return bits > 23 ? 4 : 1; }
 }  // namespace
 
 MontgomeryCtx::MontgomeryCtx(const BigUInt& m) : m_(m) {
@@ -380,6 +413,15 @@ MontgomeryCtx::MontgomeryCtx(const BigUInt& m) : m_(m) {
   // R^2 mod m with R = 2^(32k): one shift + one division at setup.
   BigUInt r = (BigUInt(1) << (32 * k_)) % m;
   r2_ = (r * r) % m;
+  // The windowed kernel's R64 is R itself for even k, and R * 2^32 (the
+  // zero-padded top limb) for odd k, where R64^2 = R^2 * 2^64.
+  const std::size_t k64 = (k_ + 1) / 2;
+  n64_.resize(k64);
+  pack_limbs64(m.limbs(), n64_.data(), k64);
+  n0inv64_ = neg_inv_u64(n64_[0]);
+  const BigUInt r2_64 = k_ % 2 == 0 ? r2_ : (r2_ << 64) % m;
+  r2_64_.resize(k64);
+  pack_limbs64(r2_64.limbs(), r2_64_.data(), k64);
 }
 
 BigUInt BigUInt::mod_exp(const BigUInt& base, const BigUInt& exp,
@@ -492,70 +534,52 @@ void MontgomeryCtx::mont_mul_into(const std::uint32_t* a,
   cond_subtract(t, out);
 }
 
-void MontgomeryCtx::mont_sqr_into(const std::uint32_t* a, std::uint32_t* out,
-                                  std::uint32_t* t) const {
-  // SOS squaring: the off-diagonal products a[i]*a[j] (i < j) are computed
-  // once and doubled with a 1-bit shift, the diagonal squares added after,
-  // then a separate k-pass Montgomery reduction — ~25% fewer limb products
-  // than pushing the square through the CIOS multiply.
-  const auto& n = m_.limbs();
-  const std::size_t len = 2 * k_ + 2;
-  for (std::size_t j = 0; j < len; ++j) t[j] = 0;
-
-  for (std::size_t i = 0; i < k_; ++i) {
-    std::uint64_t ai = a[i];
-    std::uint64_t carry = 0;
-    for (std::size_t j = i + 1; j < k_; ++j) {
-      std::uint64_t cur = t[i + j] + ai * a[j] + carry;
-      t[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+void MontgomeryCtx::mont_mul64_into(const std::uint64_t* a,
+                                    const std::uint64_t* b,
+                                    std::uint64_t* out,
+                                    std::uint64_t* t) const {
+  // CIOS (Coarsely Integrated Operand Scanning) with the multiply and reduce
+  // passes of each outer step fused: the a*b[i] chain carries in c1, the
+  // q*m chain in c2. t stays below 2m, so k+1 limbs hold it.
+  const std::size_t k = n64_.size();
+  const std::uint64_t* n = n64_.data();
+  const std::uint64_t n0inv = n0inv64_;
+  for (std::size_t j = 0; j <= k; ++j) t[j] = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint64_t bi = b[i];
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    const std::uint64_t lo = mul_add(a[0], bi, t[0], c1);
+    const std::uint64_t q = lo * n0inv;
+    (void)mul_add(q, n[0], lo, c2);  // low limb cancels to zero
+    for (std::size_t j = 1; j < k; ++j) {
+      t[j - 1] = mul_add(q, n[j], mul_add(a[j], bi, t[j], c1), c2);
     }
-    for (std::size_t idx = i + k_; carry != 0; ++idx) {
-      std::uint64_t cur = t[idx] + carry;
-      t[idx] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
+    const u128 top = static_cast<u128>(t[k]) + c1 + c2;
+    t[k - 1] = static_cast<std::uint64_t>(top);
+    t[k] = static_cast<std::uint64_t>(top >> 64);
   }
-  // Double the cross products.
-  std::uint32_t shift_carry = 0;
-  for (std::size_t idx = 0; idx < len; ++idx) {
-    std::uint32_t next = t[idx] >> 31;
-    t[idx] = (t[idx] << 1) | shift_carry;
-    shift_carry = next;
-  }
-  // Add the diagonal squares.
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    std::uint64_t sq = static_cast<std::uint64_t>(a[i]) * a[i];
-    std::uint64_t cur = t[2 * i] + (sq & 0xffffffffull) + carry;
-    t[2 * i] = static_cast<std::uint32_t>(cur);
-    carry = cur >> 32;
-    cur = t[2 * i + 1] + (sq >> 32) + carry;
-    t[2 * i + 1] = static_cast<std::uint32_t>(cur);
-    carry = cur >> 32;
-  }
-  for (std::size_t idx = 2 * k_; carry != 0; ++idx) {
-    std::uint64_t cur = t[idx] + carry;
-    t[idx] = static_cast<std::uint32_t>(cur);
-    carry = cur >> 32;
-  }
-  // Montgomery reduction, one limb per pass.
-  for (std::size_t i = 0; i < k_; ++i) {
-    std::uint32_t mfac = t[i] * n0inv_;
-    std::uint64_t c = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      std::uint64_t cur =
-          t[i + j] + static_cast<std::uint64_t>(mfac) * n[j] + c;
-      t[i + j] = static_cast<std::uint32_t>(cur);
-      c = cur >> 32;
-    }
-    for (std::size_t idx = i + k_; c != 0; ++idx) {
-      std::uint64_t cur = t[idx] + c;
-      t[idx] = static_cast<std::uint32_t>(cur);
-      c = cur >> 32;
+  // Final reduction: out = t - m if t >= m else t.
+  bool ge = t[k] != 0;
+  if (!ge) {
+    ge = true;  // equal counts as >=
+    for (std::size_t j = k; j-- > 0;) {
+      if (t[j] != n[j]) {
+        ge = t[j] > n[j];
+        break;
+      }
     }
   }
-  cond_subtract(t + k_, out);
+  if (!ge) {
+    for (std::size_t j = 0; j < k; ++j) out[j] = t[j];
+    return;
+  }
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1u;
+  }
 }
 
 BigUInt MontgomeryCtx::mul(const BigUInt& a, const BigUInt& b) const {
@@ -600,54 +624,70 @@ BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
   if (mod_exp_strategy() == ModExpStrategy::kBinary) {
     return mod_exp_binary(base, exp);
   }
-  // 4-bit sliding window over raw k_-limb Montgomery-form buffers: one
-  // precomputed table of the odd powers b^1, b^3, ..., b^15 (one squaring +
-  // seven multiplies of setup), then ~bits/5 table multiplies instead of the
-  // binary kernel's ~bits/2, with every squaring going through the cheaper
-  // dedicated kernel. Nothing leaves Montgomery form until the very end.
-  BigUInt base_m = to_mont(base % m_);
-  BigUInt one_m = to_mont(BigUInt(1));
-  if (exp.is_zero()) return from_mont(one_m);
+  if (exp.is_zero()) return BigUInt(1);  // m > 1
+  // Sliding window over 64-bit-limb Montgomery-form buffers: a table of the
+  // odd powers b^1, b^3, ..., b^(2^w - 1) (one squaring + 2^(w-1) - 1
+  // multiplies of setup), then one table multiply per window instead of
+  // one per set bit. The top window seeds the accumulator, and nothing
+  // leaves Montgomery form until the end. Squarings run through the same
+  // product as multiplies.
+  const std::size_t k = n64_.size();
+  const std::size_t nbits = exp.bit_length();
+  const std::size_t w = window_bits(nbits);
+  const std::size_t entries = std::size_t{1} << (w - 1);
 
-  auto copy_padded = [this](const BigUInt& v, std::uint32_t* dst) {
-    for (std::size_t j = 0; j < k_; ++j) dst[j] = 0;
-    std::copy(v.limbs().begin(), v.limbs().end(), dst);
-  };
+  // All scratch in one allocation: table[e] = b^(2e+1), then b^2 (reused
+  // as the constant 1 for the exit conversion), acc, and the product's t.
+  std::vector<std::uint64_t> buf((entries + 2) * k + k + 1);
+  std::uint64_t* table = buf.data();
+  std::uint64_t* aux = table + entries * k;
+  std::uint64_t* acc = aux + k;
+  std::uint64_t* t = acc + k;
 
-  std::vector<std::uint32_t> scratch(2 * k_ + 2);
-  std::vector<std::uint32_t> table(8 * k_);  // table[t] = b^(2t+1)
-  copy_padded(base_m, &table[0]);
-  std::vector<std::uint32_t> b2(k_);
-  mont_sqr_into(&table[0], b2.data(), scratch.data());
-  for (std::size_t tdx = 1; tdx < 8; ++tdx) {
-    mont_mul_into(&table[(tdx - 1) * k_], b2.data(), &table[tdx * k_],
-                  scratch.data());
+  pack_limbs64((base % m_).limbs(), aux, k);
+  mont_mul64_into(aux, r2_64_.data(), table, t);
+  if (entries > 1) {
+    mont_mul64_into(table, table, aux, t);
+    for (std::size_t e = 1; e < entries; ++e) {
+      mont_mul64_into(&table[(e - 1) * k], aux, &table[e * k], t);
+    }
   }
 
-  std::vector<std::uint32_t> acc(k_);
-  copy_padded(one_m, acc.data());
-
-  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(exp.bit_length()) - 1;
-  while (i >= 0) {
-    if (!exp.bit(static_cast<std::size_t>(i))) {
-      mont_sqr_into(acc.data(), acc.data(), scratch.data());
+  bool seeded = false;
+  std::size_t i = nbits;  // bits [0, i) are still to be consumed
+  while (i > 0) {
+    if (!exp.bit(i - 1)) {
+      mont_mul64_into(acc, acc, acc, t);
       --i;
       continue;
     }
-    // Window [l..i]: at most 4 bits, both ends set — its value is odd, so
+    // Window [l, i): at most w bits, both ends set — its value is odd, so
     // the odd-power table covers it.
-    std::ptrdiff_t l = i >= 3 ? i - 3 : 0;
-    while (!exp.bit(static_cast<std::size_t>(l))) ++l;
-    std::uint32_t win = 0;
-    for (std::ptrdiff_t j = i; j >= l; --j) {
-      win = (win << 1) | (exp.bit(static_cast<std::size_t>(j)) ? 1u : 0u);
-      mont_sqr_into(acc.data(), acc.data(), scratch.data());
+    std::size_t l = i > w ? i - w : 0;
+    while (!exp.bit(l)) ++l;
+    std::size_t win = 0;
+    for (std::size_t j = i; j-- > l;) win = (win << 1) | (exp.bit(j) ? 1u : 0u);
+    const std::uint64_t* power = &table[(win >> 1) * k];
+    if (!seeded) {
+      std::copy(power, power + k, acc);
+      seeded = true;
+    } else {
+      for (std::size_t j = l; j < i; ++j) mont_mul64_into(acc, acc, acc, t);
+      mont_mul64_into(acc, power, acc, t);
     }
-    mont_mul_into(acc.data(), &table[(win >> 1) * k_], acc.data(),
-                  scratch.data());
-    i = l - 1;
+    i = l;
   }
-  return from_mont(BigUInt::from_limbs(std::move(acc)));
+
+  // Out of Montgomery form (multiply by 1), then back to 32-bit limbs.
+  std::fill(aux, aux + k, 0);
+  aux[0] = 1;
+  mont_mul64_into(acc, aux, acc, t);
+  std::vector<std::uint32_t> limbs(2 * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    limbs[2 * j] = static_cast<std::uint32_t>(acc[j]);
+    limbs[2 * j + 1] = static_cast<std::uint32_t>(acc[j] >> 32);
+  }
+  return BigUInt::from_limbs(std::move(limbs));
 }
 
 }  // namespace worm::crypto

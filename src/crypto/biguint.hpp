@@ -1,7 +1,8 @@
 // Arbitrary-precision unsigned integers, written from scratch for the RSA
 // implementation (the paper's SCPU exposes RSA via the IBM CCA API; we link no
 // external crypto library). 32-bit limbs, little-endian limb order, with
-// Knuth Algorithm D division and Montgomery modular exponentiation.
+// Knuth Algorithm D division and Montgomery modular exponentiation (whose
+// windowed kernel repacks into 64-bit limbs).
 #pragma once
 
 #include <compare>
@@ -109,8 +110,8 @@ class BigUInt {
 /// windowed path is the production default; the binary path is the reference
 /// the cross-check tests and the crypto bench compare it against.
 enum class ModExpStrategy : std::uint8_t {
-  kWindowed = 0,  // 4-bit sliding window, odd-power table, dedicated squaring
-  kBinary = 1,    // bit-at-a-time square-and-multiply
+  kWindowed = 0,  // sliding window (up to 4 bits) over 64-bit limbs
+  kBinary = 1,    // bit-at-a-time square-and-multiply over 32-bit limbs
 };
 
 /// Overrides the process-wide mod_exp kernel (bench/test hook).
@@ -125,44 +126,52 @@ class MontgomeryCtx {
   /// Throws PreconditionError unless m is odd and > 1.
   explicit MontgomeryCtx(const BigUInt& m);
 
-  /// x * R mod m (into Montgomery domain). x must be < m.
+  /// x * R mod m (into Montgomery domain, R = 2^(32k) for k 32-bit limbs).
+  /// x must be < m.
   [[nodiscard]] BigUInt to_mont(const BigUInt& x) const;
 
   /// x * R^-1 mod m (out of Montgomery domain).
   [[nodiscard]] BigUInt from_mont(const BigUInt& x) const;
 
-  /// Montgomery product a*b*R^-1 mod m; operands in Montgomery domain.
+  /// Montgomery product a*b*R^-1 mod m over 32-bit limbs; operands in
+  /// Montgomery domain.
   [[nodiscard]] BigUInt mul(const BigUInt& a, const BigUInt& b) const;
 
-  /// base^exp mod m via this context; base must be < m. Dispatches on
-  /// mod_exp_strategy(); the windowed kernel stays in Montgomery form and in
-  /// raw limb buffers for the whole exponentiation.
+  /// base^exp mod m via this context (a base >= m is reduced first).
+  /// Dispatches on mod_exp_strategy(); the windowed kernel works in its own
+  /// 64-bit-limb Montgomery domain and raw limb buffers for the whole
+  /// exponentiation.
   [[nodiscard]] BigUInt mod_exp(const BigUInt& base, const BigUInt& exp) const;
 
-  /// The original bit-at-a-time kernel, kept public as the differential
-  /// reference for the windowed path.
+  /// Bit-at-a-time square-and-multiply on the 32-bit mul(), kept public as
+  /// the differential reference for the windowed path.
   [[nodiscard]] BigUInt mod_exp_binary(const BigUInt& base,
                                        const BigUInt& exp) const;
 
   [[nodiscard]] const BigUInt& modulus() const { return m_; }
 
  private:
-  // Raw-limb kernels over k_-limb little-endian buffers (no per-call
-  // allocation; out may alias an input).
-  // CIOS Montgomery product; t is k_+2 limbs of scratch.
+  // CIOS Montgomery product over k_-limb buffers (R = 2^(32k)), behind mul();
+  // t is k_+2 limbs of scratch.
   void mont_mul_into(const std::uint32_t* a, const std::uint32_t* b,
                      std::uint32_t* out, std::uint32_t* t) const;
-  // SOS squaring (halved cross products) + separate reduction; t is 2k_+2
-  // limbs of scratch.
-  void mont_sqr_into(const std::uint32_t* a, std::uint32_t* out,
-                     std::uint32_t* t) const;
   // Final reduction step: out = t - m if t >= m else t; t is k_+1 limbs.
   void cond_subtract(const std::uint32_t* t, std::uint32_t* out) const;
+  // CIOS Montgomery product over n64_.size()-limb little-endian buffers
+  // with R64 = 2^(64 * n64_.size()): out = a*b*R64^-1 mod m for a, b < m.
+  // t is n64_.size()+1 limbs of scratch; out may alias an input.
+  void mont_mul64_into(const std::uint64_t* a, const std::uint64_t* b,
+                       std::uint64_t* out, std::uint64_t* t) const;
 
   BigUInt m_;
-  BigUInt r2_;          // R^2 mod m
+  BigUInt r2_;           // R^2 mod m
   std::uint32_t n0inv_;  // -m^-1 mod 2^32
-  std::size_t k_;        // limb count of m
+  std::size_t k_;        // 32-bit limb count of m
+  // The windowed kernel's view of m: 64-bit limbs, the top one zero-padded
+  // when k_ is odd.
+  std::vector<std::uint64_t> n64_;
+  std::vector<std::uint64_t> r2_64_;  // R64^2 mod m
+  std::uint64_t n0inv64_;             // -m^-1 mod 2^64
 };
 
 }  // namespace worm::crypto

@@ -77,7 +77,13 @@ void WormServer::start() {
 
 void WormServer::stop() {
   if (!started_) return;
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the intake lock, so an idle loop cannot miss the wake-up
+    // between checking stop_ and waiting.
+    MutexLock lk(intake_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  intake_cv_.notify_all();
   loops_.reset();  // joins every loop; their Conn lists unwind with them
   listener_.reset();
   started_ = false;
@@ -126,6 +132,7 @@ void WormServer::accept_pending(std::deque<common::Socket>& local) {
       local.push_back(std::move(s));  // our own share, no second lock trip
     } else {
       intake_[target].push_back(std::move(s));
+      intake_cv_.notify_all();
     }
   }
 }
@@ -512,9 +519,15 @@ void WormServer::loop_main(std::size_t loop_idx) {
 void WormServer::loop_iteration(std::size_t loop_idx,
                                 std::vector<std::unique_ptr<Conn>>& conns,
                                 std::deque<common::Socket>& fresh) {
-  // Adopt connections dealt to this loop.
+  // Adopt connections dealt to this loop. A loop with no connection would
+  // have an empty poll set, so it sleeps here instead of spinning (loop 0
+  // always polls the listener).
   {
     MutexLock lk(intake_mu_);
+    while (loop_idx != 0 && conns.empty() && intake_[loop_idx].empty() &&
+           !stop_.load(std::memory_order_acquire)) {
+      intake_cv_.wait(lk);
+    }
     while (!intake_[loop_idx].empty()) {
       fresh.push_back(std::move(intake_[loop_idx].front()));
       intake_[loop_idx].pop_front();

@@ -4,7 +4,8 @@
 // Shape (DESIGN.md §11):
 //  * a small pool of event-loop threads over non-blocking sockets; loop 0
 //    also owns the listener and deals new connections round-robin to the
-//    others through per-loop intake queues;
+//    others through per-loop intake queues; a loop with no connection
+//    sleeps until it is dealt one;
 //  * per-connection bounded read buffer + length-prefixed frames
 //    (server/protocol.hpp); a frame larger than max_frame drops the
 //    connection before any allocation;
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -225,8 +227,11 @@ class WormServer {
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
-  // Accepted sockets awaiting adoption by a loop, dealt round-robin.
+  // Accepted sockets awaiting adoption by a loop, dealt round-robin. A loop
+  // other than 0 with no connection has nothing to poll, so it waits on
+  // intake_cv_ until a socket is dealt to it or stop() runs.
   common::AnnotatedMutex intake_mu_;
+  std::condition_variable_any intake_cv_;
   std::vector<std::deque<common::Socket>> intake_ GUARDED_BY(intake_mu_);
   std::size_t next_loop_ GUARDED_BY(intake_mu_) = 0;
   std::atomic<std::size_t> live_conns_{0};

@@ -239,11 +239,25 @@ TEST(Montgomery, RequiresOddModulus) {
   EXPECT_THROW(MontgomeryCtx(BigUInt(1)), PreconditionError);
 }
 
+// Square-and-multiply on plain (a * b) % m: shares no code with either
+// Montgomery kernel.
+BigUInt naive_mod_exp(const BigUInt& base, const BigUInt& exp,
+                      const BigUInt& m) {
+  BigUInt b = base % m;
+  BigUInt acc = BigUInt(1) % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    acc = (acc * acc) % m;
+    if (exp.bit(i)) acc = (acc * b) % m;
+  }
+  return acc;
+}
+
 TEST(Montgomery, WindowedMatchesBinaryAtRsaSizes) {
-  // The 4-bit windowed ladder and the binary square-and-multiply ladder are
-  // two implementations of the same function; cross-check them on random
-  // inputs at every RSA operand size the repo uses, including edge exponents
-  // that stress the window splitter (0, 1, and all-ones nibbles).
+  // The windowed ladder (64-bit limbs) and the binary square-and-multiply
+  // ladder (32-bit limbs) are two implementations of the same function;
+  // cross-check them on random inputs at every RSA operand size the repo
+  // uses, including edge exponents that stress the window splitter (0, 1,
+  // and all-ones nibbles).
   Drbg rng(15);
   for (std::size_t bits : {std::size_t{512}, std::size_t{1024},
                            std::size_t{2048}}) {
@@ -261,6 +275,47 @@ TEST(Montgomery, WindowedMatchesBinaryAtRsaSizes) {
     EXPECT_EQ(ctx.mod_exp(base, BigUInt(1)), ctx.mod_exp_binary(base, BigUInt(1)));
     BigUInt all_ones = (BigUInt(1) << 64) - BigUInt(1);
     EXPECT_EQ(ctx.mod_exp(base, all_ones), ctx.mod_exp_binary(base, all_ones));
+  }
+
+  // Every 32-bit limb count from 1 to 65: odd counts run the windowed
+  // kernel's zero-padded top 64-bit limb. Per count, three moduli: random,
+  // 2^(32k) - 1 (every limb full) and 2^(32k-1) + 1 (only the top bit and
+  // bit 0 set). Bases cover 0, 1, m - 1 and >= m; exponents cover 0, 1,
+  // 65537 (the one-bit window), all-ones and random up to the modulus width.
+  // The full-width exponents run on the random base only, which bounds the
+  // binary reference's cost at 65 limbs.
+  for (std::size_t k = 1; k <= 65; ++k) {
+    const std::size_t bits = 32 * k;
+    BigUInt random_m = rng.big_with_bits(bits);
+    if (random_m.is_even()) random_m = random_m + BigUInt(1);
+    for (const BigUInt& m :
+         {random_m, (BigUInt(1) << bits) - BigUInt(1),
+          (BigUInt(1) << (bits - 1)) + BigUInt(1)}) {
+      MontgomeryCtx ctx(m);
+      const BigUInt r = rng.big_below(m);
+      const BigUInt wide_ones = (BigUInt(1) << bits) - BigUInt(1);
+      const BigUInt wide_random = rng.big_with_bits(1 + rng.uniform(bits));
+      auto check = [&](const BigUInt& base, const BigUInt& exp) {
+        const BigUInt want = ctx.mod_exp_binary(base, exp);
+        EXPECT_EQ(ctx.mod_exp(base, exp), want)
+            << "limbs=" << k << " m=" << m.to_hex() << " base="
+            << base.to_hex() << " exp=" << exp.to_hex();
+        if (bits <= 128) {
+          EXPECT_EQ(naive_mod_exp(base, exp, m), want)
+              << "limbs=" << k << " m=" << m.to_hex();
+        }
+      };
+      for (const BigUInt& base :
+           {BigUInt(0), BigUInt(1), m - BigUInt(1), m + r, r}) {
+        for (const BigUInt& exp :
+             {BigUInt(0), BigUInt(1), BigUInt(65537),
+              (BigUInt(1) << 64) - BigUInt(1)}) {
+          check(base, exp);
+        }
+      }
+      check(r, wide_ones);
+      check(r, wide_random);
+    }
   }
 }
 
@@ -291,6 +346,18 @@ TEST(Prime, KnownPrimesAndComposites) {
   // Mersenne prime 2^127 - 1 and composite 2^128 + 1.
   EXPECT_TRUE(is_probable_prime((BigUInt(1) << 127) - BigUInt(1), rng));
   EXPECT_FALSE(is_probable_prime((BigUInt(1) << 128) + BigUInt(1), rng));
+  // Mersenne primes with odd 32-bit limb counts (3 and 17), which run the
+  // exponentiation kernel's zero-padded top limb, and their odd neighbours
+  // (all composite; 2^521 - 3 has no factor below 1000, so it reaches
+  // Miller-Rabin).
+  for (std::size_t e : {std::size_t{89}, std::size_t{521}}) {
+    const BigUInt mersenne = (BigUInt(1) << e) - BigUInt(1);
+    EXPECT_TRUE(is_probable_prime(mersenne, rng)) << "2^" << e << " - 1";
+    EXPECT_FALSE(is_probable_prime(mersenne - BigUInt(2), rng))
+        << "2^" << e << " - 3";
+    EXPECT_FALSE(is_probable_prime(mersenne + BigUInt(2), rng))
+        << "2^" << e << " + 1";
+  }
 }
 
 TEST(Prime, GeneratedPrimeShape) {

@@ -15,9 +15,15 @@ void pinned_backend() {
   crypto::Sha256::force_backend(crypto::Sha256Backend::kScalar);
 }
 
-void hand_rolled_mont(crypto::MontgomeryCtx& ctx, const std::uint32_t* a,
-                      const std::uint32_t* b, std::uint32_t* out,
-                      std::uint32_t* scratch) {
+void hand_rolled_mont(crypto::MontgomeryCtx& ctx, const std::uint64_t* a,
+                      const std::uint64_t* b, std::uint64_t* out,
+                      std::uint64_t* scratch) {
+  ctx.mont_mul64_into(a, b, out, scratch);
+}
+
+void hand_rolled_reference(crypto::MontgomeryCtx& ctx,
+                           const std::uint32_t* a, const std::uint32_t* b,
+                           std::uint32_t* out, std::uint32_t* scratch) {
   ctx.mont_mul_into(a, b, out, scratch);
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "crypto/drbg.hpp"
@@ -17,12 +19,13 @@ namespace {
 using common::Bytes;
 using common::to_bytes;
 
-const RsaPrivateKey& cached_key(std::size_t bits) {
-  static std::map<std::size_t, RsaPrivateKey> cache;
-  auto it = cache.find(bits);
+/// Key `variant` of a strength; variant 0 is the key most tests share.
+const RsaPrivateKey& cached_key(std::size_t bits, std::uint64_t variant = 0) {
+  static std::map<std::pair<std::size_t, std::uint64_t>, RsaPrivateKey> cache;
+  auto it = cache.find({bits, variant});
   if (it == cache.end()) {
-    Drbg rng(0x5157ull + bits);
-    it = cache.emplace(bits, rsa_generate(rng, bits)).first;
+    Drbg rng(0x5157ull + bits + (variant << 32));
+    it = cache.emplace(std::pair{bits, variant}, rsa_generate(rng, bits)).first;
   }
   return it->second;
 }
@@ -102,6 +105,31 @@ TEST(Rsa, SignaturesAreDeterministic) {
   const RsaPrivateKey& k = cached_key(512);
   Bytes msg = to_bytes("same message");
   EXPECT_EQ(rsa_sign(k, msg), rsa_sign(k, msg));
+}
+
+TEST(Rsa, WindowedAndBinaryKernelsSignByteIdentically) {
+  // Signing is deterministic, so the production kernel (sliding window over
+  // 64-bit limbs) and the binary reference (32-bit limbs) must produce the
+  // same bytes for every key and message: witnesses, journals and disk
+  // images do not depend on which kernel ran.
+  const std::string long_text(1000, 'w');
+  for (std::size_t bits : {std::size_t{512}, std::size_t{1024},
+                           std::size_t{2048}}) {
+    for (std::uint64_t variant : {0u, 1u}) {
+      const RsaPrivateKey& k = cached_key(bits, variant);
+      for (const std::string& text :
+           {std::string(), std::string("compliance record #42"), long_text}) {
+        const Bytes msg = to_bytes(text);
+        set_mod_exp_strategy(ModExpStrategy::kBinary);
+        const Bytes reference = rsa_sign(k, msg);
+        set_mod_exp_strategy(ModExpStrategy::kWindowed);
+        EXPECT_EQ(rsa_sign(k, msg), reference)
+            << "bits=" << bits << " variant=" << variant
+            << " len=" << text.size();
+        EXPECT_TRUE(rsa_verify(k.public_key(), msg, reference));
+      }
+    }
+  }
 }
 
 TEST(Rsa, DistinctMessagesDistinctSignatures) {

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <poll.h>
 #include <string>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -856,6 +858,38 @@ TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
       rig_a.store.counters_snapshot(core::CounterFlush::kSettled).writes, 10u);
   EXPECT_EQ(
       rig_b.store.counters_snapshot(core::CounterFlush::kSettled).writes, 13u);
+}
+
+/// User + system CPU this process has used so far, in seconds.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+}
+
+TEST(WormServer, IdleLoopsDoNotSpin) {
+  // Loops 1..3 have no connection and so nothing to poll; they must sleep
+  // until they are dealt one. Loop 0 wakes once per poll_interval on the
+  // listener, which costs far less than the 25 ms budget.
+  ServerConfig cfg;
+  cfg.loops = 4;
+  ServerRig srv(pipelined(), cfg);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double used = process_cpu_seconds() - before;
+  EXPECT_LT(used, 0.025) << "idle server used " << used * 1e3
+                         << " ms of CPU in 500 ms";
+
+  // A sleeping loop adopts its share at once: one client per loop is served.
+  std::vector<std::unique_ptr<WormClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<WormClient>(
+        srv.client_config(i % 2 == 0 ? "alice" : "bob")));
+    clients.back()->ping();
+  }
+  EXPECT_EQ(srv.server->stats().accepted, 4u);
 }
 
 TEST(WormServer, ConnectionCapRefusesTheOverflow) {
