@@ -30,8 +30,9 @@ inline const crypto::RsaPrivateKey& regulator_key() {
 struct BenchRig {
   BenchRig(core::FirmwareConfig fw_cfg, core::StoreConfig st_cfg,
            storage::LatencyModel disk_latency = storage::LatencyModel::none(),
-           std::size_t disk_block = 65536)
-      : device(clock, scpu::CostModel::ibm4764()),
+           std::size_t disk_block = 65536,
+           scpu::CostModel device_model = scpu::CostModel::ibm4764())
+      : device(clock, device_model),
         firmware(device, fw_cfg, regulator_key().public_key()),
         disk(disk_block, 1024, &clock, disk_latency),
         records(disk),

@@ -71,11 +71,6 @@ class SimClock final : public TimeSource {
   /// Earliest pending alarm time, or SimTime::max() when none.
   [[nodiscard]] SimTime next_alarm() const;
 
-  [[nodiscard]] std::size_t pending_alarms() const EXCLUDES(mu_) {
-    MutexLock lk(mu_);
-    return alarms_.size();
-  }
-
   /// Total simulated compute cost accounted via charge() (benchmark metric).
   [[nodiscard]] Duration total_charged() const {
     return Duration{charged_ns_.load(std::memory_order_relaxed)};

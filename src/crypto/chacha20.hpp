@@ -1,9 +1,5 @@
-// ChaCha20 (RFC 8439), from scratch. Two roles in this repo:
-//  * record-payload encryption enabling *crypto-shredding* secure deletion
-//    (destroy the per-record key inside the SCPU and the ciphertext on disk
-//    becomes unrecoverable, the strongest of the paper's "shredding
-//    algorithm" attr choices), and
-//  * the primitive under the deterministic DRBG (see drbg.hpp).
+// ChaCha20 (RFC 8439), from scratch: the primitive under the deterministic
+// DRBG (see drbg.hpp).
 #pragma once
 
 #include <array>

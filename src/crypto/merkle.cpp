@@ -24,41 +24,12 @@ MerkleTree::Digest MerkleTree::hash_node(const Digest& l,
   return h.finalize();
 }
 
-std::size_t MerkleTree::append_leaf_digest(const Digest& leaf) {
+std::size_t MerkleTree::append(common::ByteView leaf_data) {
   if (levels_.empty()) levels_.emplace_back();
   std::size_t index = levels_[0].size();
-  levels_[0].push_back(leaf);
+  levels_[0].push_back(hash_leaf(leaf_data));
   bubble_up(index);
   return index;
-}
-
-std::size_t MerkleTree::append(common::ByteView leaf_data) {
-  return append_leaf_digest(hash_leaf(leaf_data));
-}
-
-std::size_t MerkleTree::append_many(const std::vector<common::Bytes>& leaves) {
-  WORM_REQUIRE(!leaves.empty(), "MerkleTree::append_many: no leaves");
-  std::size_t first = size();
-  // Leaf digests in batches of four; the 0x00 domain tag is prepended in a
-  // reused scratch per lane so the batched digests match hash_leaf exactly.
-  common::Bytes scratch[4];
-  std::size_t i = 0;
-  for (; i + 4 <= leaves.size(); i += 4) {
-    common::ByteView in[4];
-    for (std::size_t l = 0; l < 4; ++l) {
-      common::Bytes& buf = scratch[l];
-      buf.clear();
-      buf.push_back(0x00);
-      buf.insert(buf.end(), leaves[i + l].begin(), leaves[i + l].end());
-      in[l] = common::ByteView(buf.data(), buf.size());
-    }
-    Digest out[4];
-    Sha256::hash4(in, out);
-    hash_ops_ += 4;
-    for (std::size_t l = 0; l < 4; ++l) append_leaf_digest(out[l]);
-  }
-  for (; i < leaves.size(); ++i) append_leaf_digest(hash_leaf(leaves[i]));
-  return first;
 }
 
 void MerkleTree::update(std::size_t index, common::ByteView leaf_data) {

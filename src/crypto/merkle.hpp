@@ -28,11 +28,6 @@ class MerkleTree {
   /// Appends a leaf; returns its index. O(log n) node recomputations.
   std::size_t append(common::ByteView leaf_data);
 
-  /// Appends many leaves, hashing their leaf digests four at a time through
-  /// Sha256::hash4; returns the index of the first. Tree shape and root are
-  /// identical to appending each leaf in turn.
-  std::size_t append_many(const std::vector<common::Bytes>& leaves);
-
   /// Replaces leaf `index`. O(log n).
   void update(std::size_t index, common::ByteView leaf_data);
 
@@ -58,7 +53,6 @@ class MerkleTree {
  private:
   [[nodiscard]] Digest hash_leaf(common::ByteView data) const;
   [[nodiscard]] Digest hash_node(const Digest& l, const Digest& r) const;
-  std::size_t append_leaf_digest(const Digest& leaf);
   void bubble_up(std::size_t index);
 
   // levels_[0] = leaf hashes, levels_[k] = pairwise parents. A node with no

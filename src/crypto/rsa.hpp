@@ -19,9 +19,6 @@ struct RsaPublicKey {
   BigUInt e;
 
   [[nodiscard]] std::size_t modulus_bits() const { return n.bit_length(); }
-  [[nodiscard]] std::size_t modulus_bytes() const {
-    return (n.bit_length() + 7) / 8;
-  }
 
   [[nodiscard]] common::Bytes serialize() const;
   static RsaPublicKey deserialize(common::ByteView data);
@@ -53,10 +50,5 @@ common::Bytes rsa_sign(const RsaPrivateKey& key, common::ByteView message);
 /// [[nodiscard]]: a dropped verdict means a forged signature goes unnoticed.
 [[nodiscard]] bool rsa_verify(const RsaPublicKey& key, common::ByteView message,
                 common::ByteView signature);
-
-/// Signature size in bytes for a key (== modulus size).
-inline std::size_t rsa_signature_size(const RsaPublicKey& key) {
-  return key.modulus_bytes();
-}
 
 }  // namespace worm::crypto

@@ -46,9 +46,6 @@ class ScpuDevice {
   void alloc_secure(std::size_t bytes);
   void free_secure(std::size_t bytes);
   [[nodiscard]] std::size_t secure_memory_used() const { return used_; }
-  [[nodiscard]] std::size_t secure_memory_capacity() const {
-    return capacity_;
-  }
 
   /// Physical attack detected: the device destroys internal state and shuts
   /// down (FIPS 140-2 L4 response). Irreversible.

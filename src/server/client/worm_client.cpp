@@ -158,7 +158,7 @@ std::vector<BatchReadResult> WormClient::read_many(
       // Complete one response frame (they may land in any order — match by
       // rid, never by position).
       for (;;) {
-        if (auto body = take_frame(in_, in_off_, config_.max_frame)) {
+        if (auto body = take_frame(in_, in_off_)) {
           compact_frames(in_, in_off_);
           Response resp = decode_response(*body);
           auto it = inflight.find(resp.rid);
@@ -334,7 +334,7 @@ Response WormClient::transact(Request req) {
 
   // The response may already be buffered from a previous partial read.
   for (;;) {
-    if (auto body = take_frame(in_, in_off_, config_.max_frame)) {
+    if (auto body = take_frame(in_, in_off_)) {
       compact_frames(in_, in_off_);
       Response resp = decode_response(*body);
       if (resp.rid != req.rid || resp.op != req.op) {

@@ -36,7 +36,6 @@ struct ClientConfig {
   std::string principal;
   common::Bytes token;
 
-  std::size_t max_frame = kMaxFrameBytes;
   /// Connect attempts before giving up (each separated by backoff).
   std::uint32_t connect_attempts = 6;
   common::Backoff backoff;

@@ -48,16 +48,15 @@ Bytes encode_frame(const Bytes& body) {
   return w.take();
 }
 
-std::optional<Bytes> take_frame(const Bytes& buf, std::size_t& off,
-                                std::size_t max_body) {
+std::optional<Bytes> take_frame(const Bytes& buf, std::size_t& off) {
   if (buf.size() - off < 4) return std::nullopt;
   std::uint32_t len = static_cast<std::uint32_t>(buf[off]) |
                       (static_cast<std::uint32_t>(buf[off + 1]) << 8) |
                       (static_cast<std::uint32_t>(buf[off + 2]) << 16) |
                       (static_cast<std::uint32_t>(buf[off + 3]) << 24);
-  if (len > max_body) {
+  if (len > kMaxFrameBytes) {
     throw ParseError("frame of " + std::to_string(len) +
-                     " bytes exceeds the " + std::to_string(max_body) +
+                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
                      "-byte bound");
   }
   if (buf.size() - off < 4 + static_cast<std::size_t>(len)) {
@@ -73,13 +72,6 @@ void compact_frames(Bytes& buf, std::size_t& off) {
   if (off == 0) return;
   buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
   off = 0;
-}
-
-std::optional<Bytes> take_frame(Bytes& buf, std::size_t max_body) {
-  std::size_t off = 0;
-  auto body = take_frame(buf, off, max_body);
-  compact_frames(buf, off);
-  return body;
 }
 
 namespace {

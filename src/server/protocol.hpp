@@ -172,18 +172,13 @@ struct Response {
 /// Consumed bytes stay in place until compact_frames — callers draining a
 /// pipelined burst take frames in a loop and compact once, keeping the read
 /// path linear in buffered bytes. Throws ParseError when the declared length
-/// exceeds `max_body` — the caller must drop the connection, since the
+/// exceeds kMaxFrameBytes — the caller must drop the connection, since the
 /// stream cannot be resynchronized.
 [[nodiscard]] std::optional<common::Bytes> take_frame(const common::Bytes& buf,
-                                                      std::size_t& off,
-                                                      std::size_t max_body);
+                                                      std::size_t& off);
 
 /// Erases the `off` consumed bytes from the front of `buf` and zeroes `off`.
 void compact_frames(common::Bytes& buf, std::size_t& off);
-
-/// Single-frame convenience (tests, simple clients): take + compact.
-[[nodiscard]] std::optional<common::Bytes> take_frame(common::Bytes& buf,
-                                                      std::size_t max_body);
 
 // --- bodies ----------------------------------------------------------------
 

@@ -13,6 +13,12 @@ using common::Bytes;
 using common::IoResult;
 using common::MutexLock;
 
+namespace {
+/// Poll timeout per loop iteration; also how often admitted write tickets
+/// are re-checked.
+constexpr common::Duration kPollInterval = common::Duration::millis(1);
+}  // namespace
+
 void AuthRegistry::add(std::string principal, common::Bytes secret) {
   secrets_[std::move(principal)] = std::move(secret);
 }
@@ -44,8 +50,6 @@ WormServer::WormServer(ServerConfig config, AuthRegistry auth,
       auth_(std::move(auth)),
       sessions_(std::move(sessions)) {
   WORM_REQUIRE(config_.loops >= 1, "WormServer: loops must be >= 1");
-  WORM_REQUIRE(config_.max_frame >= 64,
-               "WormServer: max_frame too small for any request");
   WORM_REQUIRE(sessions_ != nullptr, "WormServer: null session factory");
 }
 
@@ -290,11 +294,6 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
         return;
       }
       case MsgOp::kWrite: {
-        if (!config_.allow_writes) {
-          resp.status = core::WireStatus::kBadRequest;
-          resp.message = "writes are disabled on this endpoint";
-          break;
-        }
         if (!config_.writer_principal.empty() &&
             conn.session->principal() != config_.writer_principal) {
           resp.status = core::WireStatus::kBadRequest;
@@ -505,7 +504,7 @@ void WormServer::loop_main(std::size_t loop_idx) {
         WORM_WARN("server", "loop ", loop_idx, " iteration failed (error #",
                   n, ", continuing): ", e.what());
       }
-      common::sleep_real(config_.poll_interval);  // don't spin on a hot fault
+      common::sleep_real(kPollInterval);  // don't spin on a hot fault
     }
   }
 
@@ -555,7 +554,7 @@ void WormServer::loop_iteration(std::size_t loop_idx,
     pfds.push_back({conn->sock.fd(), events, 0});
   }
   if (!pfds.empty()) {
-    (void)common::poll_fds(pfds, config_.poll_interval);
+    (void)common::poll_fds(pfds, kPollInterval);
   }
 
   std::size_t base = 0;
@@ -592,8 +591,7 @@ void WormServer::loop_iteration(std::size_t loop_idx,
         break;
       }
       try {
-        while (auto body =
-                   take_frame(conn.in, conn.in_off, config_.max_frame)) {
+        while (auto body = take_frame(conn.in, conn.in_off)) {
           handle_frame(conn, *body);
           if (conn.closing) break;
         }

@@ -6,9 +6,9 @@
 //    also owns the listener and deals new connections round-robin to the
 //    others through per-loop intake queues; a loop with no connection
 //    sleeps until it is dealt one;
-//  * per-connection bounded read buffer + length-prefixed frames
-//    (server/protocol.hpp); a frame larger than max_frame drops the
-//    connection before any allocation;
+//  * length-prefixed frames (server/protocol.hpp); a frame whose declared
+//    length exceeds kMaxFrameBytes drops the connection before any
+//    allocation;
 //  * authentication first: the opening frame must be a kHello carrying an
 //    HMAC session token; success binds the connection to a WormSession
 //    (principal + freshness watermark) minted by the session factory. This
@@ -56,14 +56,8 @@ struct ServerConfig {
   std::uint16_t tcp_port = 0;
   /// Event-loop threads. Loop 0 additionally accepts. Must be >= 1.
   std::size_t loops = 2;
-  /// Per-frame body bound; larger declared frames drop the connection.
-  std::size_t max_frame = kMaxFrameBytes;
   /// Accepted connections beyond this are closed immediately.
   std::size_t max_connections = 256;
-  /// Poll timeout per loop iteration (also the ticket re-check cadence).
-  common::Duration poll_interval = common::Duration::millis(1);
-  /// Refuse kWrite frames (auditor-only deployments).
-  bool allow_writes = true;
   /// Optional adversary: site "server.response" bit-flips an encoded
   /// response body between store and socket (kBitFlip). Not owned.
   common::FaultInjector* fault = nullptr;

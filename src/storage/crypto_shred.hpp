@@ -9,7 +9,9 @@
 // crypto-shredding here defends against adversaries who copied *ciphertext*
 // (disk images, off-site backups) but not the small, access-controlled,
 // frequently-rotated key table. Payload sealing is transparent to the WORM
-// layer — datasig simply witnesses the ciphertext.
+// layer — datasig simply witnesses the ciphertext. The store never calls
+// this helper: an application seals payloads before writing them, and an
+// attr's kCryptoShred is one zero pass.
 #pragma once
 
 #include <cstdint>

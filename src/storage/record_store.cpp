@@ -175,7 +175,7 @@ void RecordStore::shred(const RecordDescriptor& rd, ShredPolicy policy,
     case ShredPolicy::kNone:
       break;
     case ShredPolicy::kZeroFill:
-    case ShredPolicy::kCryptoShred:  // key destroyed in SCPU; one zero pass
+    case ShredPolicy::kCryptoShred:  // one zero pass; no key to destroy
       overwrite_pass(rd, zeros);
       break;
     case ShredPolicy::kNist3Pass:

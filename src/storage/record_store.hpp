@@ -19,14 +19,18 @@
 namespace worm::storage {
 
 /// Media-level destruction policy, one of the VRD attr's "shredding
-/// algorithm" choices (§4.2). CryptoShred is listed here for attr
-/// completeness; the key destruction itself happens inside the SCPU.
+/// algorithm" choices (§4.2). The byte crosses the wire in every attr, so
+/// its values are frozen in docs/wire_abi.lock. kCryptoShred does one zero
+/// pass; no per-record key exists, so key destruction is out of scope.
+/// CryptoShredder (storage/crypto_shred.hpp) is a standalone helper an
+/// application may use to seal payloads before writing; the store never
+/// calls it.
 enum class ShredPolicy : std::uint8_t {
   kNone = 0,        // free blocks, leave residual data (weakest)
   kZeroFill = 1,    // single zero pass
   kNist3Pass = 2,   // zeros, ones, random
   kRandom7Pass = 3, // seven random passes (Gutmann-style, paranoid)
-  kCryptoShred = 4, // destroy the per-record key in the SCPU, then zero once
+  kCryptoShred = 4, // single zero pass (no key is destroyed)
 };
 
 const char* to_string(ShredPolicy p);
@@ -81,10 +85,6 @@ class RecordStore {
   [[nodiscard]] std::size_t free_blocks() const EXCLUDES(alloc_mu_) {
     common::MutexLock lk(alloc_mu_);
     return free_.size();
-  }
-  [[nodiscard]] std::uint64_t records_written() const EXCLUDES(alloc_mu_) {
-    common::MutexLock lk(alloc_mu_);
-    return next_id_;
   }
 
   /// Serializes allocator state (free list, watermarks) so a host restart

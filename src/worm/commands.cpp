@@ -393,7 +393,7 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
   // bytes actually moved — charged here because only the transport knows the
   // real wire sizes. Rejected commands still crossed the boundary and still
   // pay; a zeroized device no longer accounts time (it is gone).
-  if (charge_transfer_ && !fw_.device().tampered()) {
+  if (!fw_.device().tampered()) {
     fw_.device().charge(
         fw_.device().cost().transfer_cost(request.size(), response.size()));
   }
@@ -404,8 +404,8 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
 }
 
 Bytes ScpuChannel::call(ByteView request) {
-  // Legacy raw surface: one unsequenced crossing, no retry (tests and fuzz
-  // drive hostile bytes through here).
+  // Raw surface: one unsequenced crossing, no retry (the fuzz tests drive
+  // hostile bytes through here).
   return receive(0, common::fnv1a32(request), request);
 }
 

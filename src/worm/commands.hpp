@@ -150,17 +150,13 @@ class ScpuChannel {
     common::Bytes request;
   };
 
-  /// `charge_transfer` = false restores the legacy in-process binding cost
-  /// (no per-crossing PCI-X charge); kept for A/B benchmarking. `fault`
-  /// attaches the named fault points "channel.request", "channel.response"
-  /// and "scpu.tamper" (null = quiet).
-  explicit ScpuChannel(Firmware& firmware, bool charge_transfer = true,
-                       RetryPolicy retry = RetryPolicy(),
+  /// Every crossing charges the device's CostModel::transfer_cost; a
+  /// zero-transfer model prices the in-process binding. `fault` attaches the
+  /// named fault points "channel.request", "channel.response" and
+  /// "scpu.tamper" (null = quiet).
+  explicit ScpuChannel(Firmware& firmware, RetryPolicy retry = RetryPolicy(),
                        common::FaultInjector* fault = nullptr)
-      : fw_(firmware),
-        charge_transfer_(charge_transfer),
-        retry_(retry),
-        fault_(fault) {}
+      : fw_(firmware), retry_(retry), fault_(fault) {}
 
   /// Raw entry point: one unsequenced crossing, no retry. Malformed or
   /// rejected commands produce an error *response*; this function only
@@ -221,9 +217,9 @@ class ScpuChannel {
   struct BatchAck {
     std::vector<WriteWitness> witnesses;
     Sn sn_current_after = 0;
-    // Present when the device runs epoch attestation: the newest EpochCert,
-    // carried opportunistically so steady writes keep every session's
-    // freshness cache warm with zero dedicated attestation crossings.
+    // The newest EpochCert (absent only from a zeroized device), carried
+    // opportunistically so steady writes keep every session's freshness
+    // cache warm with zero dedicated attestation crossings.
     std::optional<EpochCert> epoch_cert;
   };
   static BatchAck decode_write_batch_response(common::ByteView payload);
@@ -256,8 +252,7 @@ class ScpuChannel {
   [[nodiscard]] ScpuStatus status();
   [[nodiscard]] SignedSnCurrent heartbeat();
   /// Fetches (re-signing first if the interval elapsed) the device's
-  /// EpochCert. Unsequenced; throws ChannelError when epoch attestation is
-  /// disabled on the device.
+  /// EpochCert. Unsequenced.
   [[nodiscard]] EpochCert epoch_cert();
   [[nodiscard]] SignedSnBase sign_base();
   void audit_hash(Sn sn, const std::vector<common::Bytes>& payloads);
@@ -281,7 +276,6 @@ class ScpuChannel {
   common::Bytes invoke_ok(common::Bytes request);  // unsequenced send_ok
 
   Firmware& fw_;
-  bool charge_transfer_;
   RetryPolicy retry_;
   common::FaultInjector* fault_;
   std::uint64_t next_seq_ = 1;

@@ -2,9 +2,7 @@
 // layers (the cluster router, dashboards) can consume snapshots without
 // naming the store type. src/cluster/ is under the worm-lint
 // server-store-isolation rule — it reaches stores only through WormSession —
-// so the snapshot struct must be nameable on its own; WormStore keeps
-// member aliases (WormStore::CountersSnapshot / WormStore::CounterFlush)
-// for source compatibility.
+// so the snapshot struct must be nameable on its own.
 #pragma once
 
 #include <cstdint>

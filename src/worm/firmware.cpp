@@ -399,7 +399,6 @@ SignedSnCurrent Firmware::heartbeat() {
 }
 
 void Firmware::roll_epoch_if_due() {
-  if (!config_.epoch_attestation) return;
   if (epoch_cert_.has_value() &&
       dev_.now() - epoch_cert_->stamped_at < config_.epoch_interval) {
     return;
@@ -417,15 +416,12 @@ void Firmware::roll_epoch_if_due() {
 
 EpochCert Firmware::epoch_cert() {
   dev_.ensure_alive();
-  if (!config_.epoch_attestation) {
-    throw ScpuError("epoch_cert: epoch attestation disabled");
-  }
   roll_epoch_if_due();
   return *epoch_cert_;
 }
 
 std::optional<EpochCert> Firmware::epoch_cert_opt() {
-  if (!config_.epoch_attestation || dev_.tampered()) return std::nullopt;
+  if (dev_.tampered()) return std::nullopt;
   roll_epoch_if_due();
   return epoch_cert_;
 }

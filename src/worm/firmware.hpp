@@ -67,9 +67,6 @@ struct FirmwareConfig {
   /// sn_current_max_age so a cert riding a batch ack is always fresh enough
   /// for clients judging by that policy.
   common::Duration epoch_interval = common::Duration::seconds(30);
-  /// Master switch for epoch certificates (off = per-read/per-ping
-  /// S_s(SN_current) attestation only, the pre-epoch behavior).
-  bool epoch_attestation = true;
   /// Secure-memory budget for the VEXP (bytes); ~24 bytes/entry.
   std::size_t vexp_memory_bytes = 1u << 20;
   /// Streaming chunk for DMA + hashing of record payloads.
@@ -178,12 +175,11 @@ class Firmware {
 
   /// Latest epoch certificate, re-signed first if the epoch interval has
   /// elapsed (at most one signature per interval — the amortization).
-  /// Throws ScpuError when config().epoch_attestation is off.
   EpochCert epoch_cert();
 
-  /// Like epoch_cert() but nullopt when epoch attestation is disabled —
-  /// the form the batch-ack encoder uses so a kWriteBatch response can
-  /// carry the cert opportunistically.
+  /// Like epoch_cert() but nullopt once the device is zeroized — the form
+  /// the batch-ack encoder uses so a kWriteBatch response can carry the
+  /// cert opportunistically.
   std::optional<EpochCert> epoch_cert_opt();
 
   /// Fresh S_s(SN_base).
@@ -341,7 +337,7 @@ class Firmware {
   const ShortKey& current_short_key();
   void rotate_short_key();
   /// Re-signs the epoch cert when none exists yet or the interval elapsed;
-  /// otherwise a cheap early-out. No-op when epoch attestation is off.
+  /// otherwise a cheap early-out.
   void roll_epoch_if_due();
   void vexp_insert(common::SimTime expiry, Sn sn);
   void vexp_erase_entry(std::multimap<common::SimTime, Sn>::iterator it);

@@ -20,10 +20,6 @@
 namespace worm::core {
 
 struct MailboxConfig {
-  /// Charge the PCI-X transfer cost (command round-trip + DMA for the bytes
-  /// actually moved) once per crossing. Off restores the legacy in-process
-  /// binding; kept selectable for A/B benchmarking (bench_mailbox).
-  bool charge_transfer = true;
   /// Maximum writes witnessed per kWriteBatch crossing.
   std::size_t max_batch = 64;
   /// Retry budget for a single command: total deliveries attempted before the
@@ -77,8 +73,7 @@ class ScpuMailbox {
   /// not own the injector.
   ScpuMailbox(Firmware& firmware, MailboxConfig config,
               common::FaultInjector* fault = nullptr)
-      : channel_(firmware, config.charge_transfer, config.retry_policy(),
-                 fault),
+      : channel_(firmware, config.retry_policy(), fault),
         config_(config) {}
 
   ScpuMailbox(const ScpuMailbox&) = delete;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace worm::core {
 
-ReadCache::ReadCache(std::size_t shards, std::size_t capacity) {
-  WORM_REQUIRE(shards > 0, "ReadCache: need at least one shard");
+namespace {
+/// Shard count; sharding bounds reader contention on the shard locks.
+constexpr std::size_t kShards = 16;
+}  // namespace
+
+ReadCache::ReadCache(std::size_t capacity) {
+  std::size_t shards = kShards;
   if (capacity > 0 && capacity < shards) shards = capacity;
   // Ceil-divide so the total budget is never silently rounded down to zero.
   per_shard_cap_ = capacity == 0 ? 0 : (capacity + shards - 1) / shards;

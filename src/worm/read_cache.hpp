@@ -48,9 +48,9 @@ struct ReadCacheStats {
 
 class ReadCache {
  public:
-  /// `capacity` is the total entry budget across `shards` shards;
+  /// `capacity` is the total entry budget across the shards;
   /// capacity == 0 disables the cache entirely (every lookup misses).
-  ReadCache(std::size_t shards, std::size_t capacity);
+  explicit ReadCache(std::size_t capacity);
 
   ReadCache(const ReadCache&) = delete;
   ReadCache& operator=(const ReadCache&) = delete;

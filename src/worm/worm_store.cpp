@@ -20,10 +20,6 @@ void StoreConfig::validate() const {
                "StoreConfig.compaction_min_run must be nonzero");
   WORM_REQUIRE(idle_batch > 0 && idle_batch <= kMaxBatchItems,
                "StoreConfig.idle_batch must be in [1, 1024]");
-  WORM_REQUIRE(read_cache_shards > 0,
-               "StoreConfig.read_cache_shards must be nonzero (zero shards "
-               "cannot hold any capacity; set read_cache_capacity = 0 to "
-               "disable the cache)");
   WORM_REQUIRE(mailbox.max_batch > 0 && mailbox.max_batch <= kMaxBatchItems,
                "StoreConfig.mailbox.max_batch must be in [1, 1024]");
   WORM_REQUIRE(mailbox.retry_max_attempts > 0,
@@ -40,8 +36,6 @@ void StoreConfig::validate() const {
   WORM_REQUIRE(mailbox.retry_deadline >= mailbox.retry_initial_backoff,
                "StoreConfig.mailbox.retry_deadline is shorter than "
                "retry_initial_backoff (inverted durations)");
-  WORM_REQUIRE(strengthen_margin.ns >= 0,
-               "StoreConfig.strengthen_margin must not be negative");
   if (pipeline.enabled) {
     WORM_REQUIRE(pipeline.queue_capacity > 0,
                  "StoreConfig.pipeline.queue_capacity must be nonzero");
@@ -55,8 +49,7 @@ void StoreConfig::validate() const {
 }
 
 namespace {
-/// Validates before any member that depends on the config is constructed
-/// (the read cache would otherwise be built from a rejected shard count).
+/// Validates before any member that depends on the config is constructed.
 const StoreConfig& validated(const StoreConfig& config) {
   config.validate();
   return config;
@@ -70,7 +63,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
       records_(records),
       config_(std::move(config)),
       mailbox_(firmware, validated(config_).mailbox, config_.fault),
-      read_cache_(config_.read_cache_shards, config_.read_cache_capacity) {
+      read_cache_(config_.read_cache_capacity) {
   // Out-of-band deployment wiring: interrupt registration and policy
   // parameters a real host learns at provisioning time. Everything else —
   // including this constructor's heartbeat and status fetch — crosses the
@@ -1269,7 +1262,7 @@ EpochCert WormStore::refresh_epoch_cert() {
   return *epoch_cert_;
 }
 
-WormStore::CountersSnapshot WormStore::counters_snapshot(CounterFlush flush) {
+CountersSnapshot WormStore::counters_snapshot(CounterFlush flush) {
   // kSettled: retire every admitted write first so the write_pipeline.*
   // fields describe a quiescent pipeline (queued == flushed, batches final)
   // instead of a committer caught mid-flush.
@@ -1277,7 +1270,7 @@ WormStore::CountersSnapshot WormStore::counters_snapshot(CounterFlush flush) {
   return counters_snapshot();
 }
 
-WormStore::CountersSnapshot WormStore::counters_snapshot() const {
+CountersSnapshot WormStore::counters_snapshot() const {
   common::SharedLock lk(state_mu_);
   CountersSnapshot s;
   s.writes = ops_.writes.load();
@@ -1344,7 +1337,7 @@ void WormStore::maybe_service_deadline() {
   // §4.3: strengthening that is about to go stale preempts foreground
   // traffic. The check is mirror-only (free); the urgent duties run at most
   // until pressure clears or they run dry.
-  while (deadline_pressure_locked(config_.strengthen_margin)) {
+  while (deadline_pressure_locked(kStrengthenMargin)) {
     if (!mailbox_.service_urgent()) break;
   }
 }

@@ -65,6 +65,12 @@ struct TrustAnchors {
   common::Duration short_sig_acceptance{};  // §4.3 security lifetime
 };
 
+/// Margin for the foreground deadline check: a write that arrives with a
+/// strengthening deadline inside this margin services the urgent duties
+/// first (§4.3 — the burst must yield before witnesses go stale).
+inline constexpr common::Duration kStrengthenMargin =
+    common::Duration::minutes(10);
+
 struct StoreConfig {
   /// Witness mode for writes that don't specify one. Default kStrong: every
   /// write leaves with a full RSA witness (no deferred strengthening).
@@ -92,16 +98,8 @@ struct StoreConfig {
   /// Mailbox transport tuning (see MailboxConfig for the per-field
   /// defaults, including the retry/backoff policy).
   MailboxConfig mailbox{};
-  /// Margin for the foreground deadline check: a write that arrives with a
-  /// strengthening deadline inside this margin services the urgent duties
-  /// first (§4.3 — the burst must yield before witnesses go stale).
-  /// Default 10 minutes; must not be negative.
-  common::Duration strengthen_margin = common::Duration::minutes(10);
-  /// Read-result cache: shard count and total entry budget. Defaults
-  /// 16 shards / 4096 entries; capacity 0 disables the cache, but then the
-  /// shard count must be left nonzero (it sizes the shard vector).
-  /// Sharding bounds reader contention; see ReadCache.
-  std::size_t read_cache_shards = 16;
+  /// Read-result cache entry budget. Default 4096; 0 disables the cache.
+  /// See ReadCache.
   std::size_t read_cache_capacity = 4096;
   /// Extra worker threads for read_many (0 = serve on the caller's thread).
   /// The pool is created lazily on the first read_many call. Default 0.
@@ -244,8 +242,7 @@ class WormStore final : public HostAgent {
   /// mailbox crossing). Pinned by tests; the library cannot force a
   /// malicious host to call it (clients then see kStaleProof).
   [[nodiscard]] bool deadline_pressure(
-      common::Duration margin = common::Duration::minutes(10)) const
-      EXCLUDES(state_mu_);
+      common::Duration margin = kStrengthenMargin) const EXCLUDES(state_mu_);
 
   // --- HostAgent (SCPU -> host interrupts) ---------------------------------
 
@@ -291,8 +288,8 @@ class WormStore final : public HostAgent {
   [[nodiscard]] SignedSnCurrent refresh_heartbeat() EXCLUDES(state_mu_);
 
   /// Newest EpochCert this store has seen (riding batch acks, or fetched by
-  /// refresh_epoch_cert). nullopt before the first one or with epoch
-  /// attestation off. Returned by value: replaced concurrently by writers.
+  /// refresh_epoch_cert). nullopt before the first one. Returned by value:
+  /// replaced concurrently by writers.
   [[nodiscard]] std::optional<EpochCert> latest_epoch_cert() const
       EXCLUDES(state_mu_) {
     common::SharedLock lk(state_mu_);
@@ -300,8 +297,8 @@ class WormStore final : public HostAgent {
   }
 
   /// Forces a kEpochCert crossing and adopts (and returns) the result.
-  /// Degraded stores return the last cached cert if any; throws ChannelError
-  /// when the device never ran epoch attestation.
+  /// Degraded stores return the last cached cert; throws PreconditionError
+  /// when the device died before issuing one.
   [[nodiscard]] EpochCert refresh_epoch_cert() EXCLUDES(state_mu_);
 
   /// The deployment freshness policy (TrustAnchors::sn_current_max_age)
@@ -368,14 +365,6 @@ class WormStore final : public HostAgent {
     common::SharedLock lk(state_mu_);
     return degraded_;
   }
-
-  /// Typed counters snapshot and flush policy. Both live at namespace scope
-  /// (worm/counters.hpp) so aggregation layers that may not name the store
-  /// type — the cluster router in particular — can still consume them; the
-  /// member aliases keep existing WormStore::CountersSnapshot call sites
-  /// compiling.
-  using CountersSnapshot = core::CountersSnapshot;
-  using CounterFlush = core::CounterFlush;
 
   /// Raw-field snapshot. The kRelaxed default keeps the const, concurrent
   /// dashboard contract; kSettled (non-const: it drains the pipeline) is for

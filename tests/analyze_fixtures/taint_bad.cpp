@@ -7,7 +7,7 @@ namespace fixture {
 
 void RawServer::pump() {
   common::read_some(sock_, inbuf_, 65536);
-  auto frame = take_frame(inbuf_, off_, max_frame_);
+  auto frame = take_frame(inbuf_, off_);
   // BUG: the undecoded frame goes straight into the store.
   conn_.session->write(frame);
 }
@@ -19,7 +19,7 @@ void RawServer::relay(Bytes body) {
 
 void RawServer::pump_indirect() {
   common::read_some(sock_, inbuf_, 65536);
-  auto frame = take_frame(inbuf_, off_, max_frame_);
+  auto frame = take_frame(inbuf_, off_);
   // BUG (cross-TU shape): taint flows through relay()'s parameter.
   relay(frame);
 }

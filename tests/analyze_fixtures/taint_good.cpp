@@ -7,7 +7,7 @@ namespace fixture {
 
 void DecodingServer::pump() {
   common::read_some(sock_, inbuf_, 65536);
-  auto frame = take_frame(inbuf_, off_, max_frame_);
+  auto frame = take_frame(inbuf_, off_);
   Request req = decode_request(frame);
   conn_.session->write(req.payload);
 }

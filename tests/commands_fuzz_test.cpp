@@ -144,7 +144,7 @@ TEST(CommandsFuzz, EveryOpcodeIsCovered) {
   // (base advance without proofs, say) may be rejected by certified logic,
   // but a "malformed command" answer would mean the fuzz below starts from
   // broken bytes.
-  ScpuChannel channel(rig.firmware, /*charge_transfer=*/false);
+  ScpuChannel channel(rig.firmware);
   for (auto& [op, frame] : frames) {
     Bytes response = channel.call(frame);
     ASSERT_FALSE(response.empty());
@@ -156,7 +156,7 @@ TEST(CommandsFuzz, EveryOpcodeIsCovered) {
 
 TEST(CommandsFuzz, EveryTruncationOfEveryOpcodeIsRejected) {
   Rig rig;
-  ScpuChannel channel(rig.firmware, /*charge_transfer=*/false);
+  ScpuChannel channel(rig.firmware);
   for (auto& [op, frame] : valid_frames(rig)) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
       Bytes truncated(frame.begin(),
@@ -175,7 +175,7 @@ TEST(CommandsFuzz, EveryTruncationOfEveryOpcodeIsRejected) {
 
 TEST(CommandsFuzz, ByteMutationsNeverCrashTheDecoder) {
   Rig rig;
-  ScpuChannel channel(rig.firmware, /*charge_transfer=*/false);
+  ScpuChannel channel(rig.firmware);
   crypto::Drbg rng(0xf522);
   for (auto& [op, frame] : valid_frames(rig)) {
     for (int round = 0; round < 64; ++round) {
@@ -200,7 +200,7 @@ TEST(CommandsFuzz, ByteMutationsNeverCrashTheDecoder) {
 
 TEST(CommandsFuzz, RandomGarbageFramesAreRejected) {
   Rig rig;
-  ScpuChannel channel(rig.firmware, /*charge_transfer=*/false);
+  ScpuChannel channel(rig.firmware);
   crypto::Drbg rng(0x6a5ba6e);
   for (int round = 0; round < 512; ++round) {
     Bytes garbage = rng.bytes(rng.uniform(128));

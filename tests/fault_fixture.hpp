@@ -17,14 +17,14 @@
 
 namespace worm::testing {
 
-/// Store config for deterministic fault runs: free transport and zero retry
+/// Store config for deterministic fault runs: a free host and zero retry
 /// waits, so a faulted run and an uninjected reference advance their clocks
 /// in lockstep (signatures embed SCPU timestamps, so proof-stream
-/// equivalence needs time pinned on both sides).
+/// equivalence needs time pinned on both sides). Pair it with a
+/// CostModel::zero() device, as CrashRig does, so crossings are free too.
 inline core::StoreConfig lockstep_store_config() {
   core::StoreConfig c;
   c.host_model = scpu::CostModel::zero();
-  c.mailbox.charge_transfer = false;
   c.mailbox.retry_initial_backoff = common::Duration::nanos(0);
   c.mailbox.response_timeout = common::Duration::nanos(0);
   return c;

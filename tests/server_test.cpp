@@ -87,8 +87,9 @@ Response raw_transact(const common::Socket& sock, const Request& req) {
     }
   }
   Bytes in;
+  std::size_t in_off = 0;
   for (;;) {
-    if (auto body = take_frame(in, kMaxFrameBytes)) {
+    if (auto body = take_frame(in, in_off)) {
       return decode_response(*body);
     }
     std::vector<common::PollFd> pfds{{sock.fd(), POLLIN, 0}};
@@ -142,17 +143,53 @@ TEST(WormServer, GarbageFrameAnswersParseErrorAndDrops) {
     ASSERT_NE(common::write_some(sock, frame, off), common::IoResult::kError);
   }
   Bytes in;
+  std::size_t in_off = 0;
   std::optional<Response> resp;
   for (int i = 0; i < 10000 && !resp; ++i) {
     std::vector<common::PollFd> pfds{{sock.fd(), POLLIN, 0}};
     (void)common::poll_fds(pfds, Duration::millis(10));
     auto r = common::read_some(sock, in, 4096);
-    if (auto body = take_frame(in, kMaxFrameBytes)) resp = decode_response(*body);
+    if (auto body = take_frame(in, in_off)) resp = decode_response(*body);
     if (r == common::IoResult::kClosed) break;
   }
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, core::WireStatus::kParseError);
   EXPECT_GE(srv.server->stats().parse_errors, 1u);
+}
+
+TEST(WormServer, OversizedFrameHeaderDropsTheConnection) {
+  // A length prefix one byte past kMaxFrameBytes is refused on sight: the
+  // server counts a parse error and closes the socket without waiting for
+  // (or allocating) the body. Other connections carry on.
+  ServerRig srv;
+  common::Socket sock = common::connect_tcp_loopback(srv.server->port());
+  const auto len = static_cast<std::uint32_t>(kMaxFrameBytes + 1);
+  Bytes header = {static_cast<std::uint8_t>(len),
+                  static_cast<std::uint8_t>(len >> 8),
+                  static_cast<std::uint8_t>(len >> 16),
+                  static_cast<std::uint8_t>(len >> 24)};
+  std::size_t off = 0;
+  while (off < header.size()) {
+    ASSERT_NE(common::write_some(sock, header, off), common::IoResult::kError);
+  }
+  Bytes in;
+  common::IoResult r = common::IoResult::kWouldBlock;
+  for (int i = 0; i < 1000 && r != common::IoResult::kClosed; ++i) {
+    std::vector<common::PollFd> pfds{{sock.fd(), POLLIN, 0}};
+    if (common::poll_fds(pfds, Duration::millis(10)) == 0) continue;
+    r = common::read_some(sock, in, 4096);
+    ASSERT_NE(r, common::IoResult::kError);
+  }
+  EXPECT_EQ(r, common::IoResult::kClosed) << "server kept the connection";
+  EXPECT_TRUE(in.empty()) << "no response is owed to an unframeable stream";
+  EXPECT_EQ(srv.server->stats().parse_errors, 1u);
+
+  WormClient client = srv.connect();
+  WriteResult w = client.write(srv.record("after the oversized header"));
+  ASSERT_TRUE(w.ok()) << w.message;
+  core::ClientVerifier verifier = srv.rig.fresh_verifier();
+  core::Outcome v = verifier.verify_read(w.sn, client.read(w.sn));
+  EXPECT_EQ(v.verdict, core::Verdict::kAuthentic) << v.detail;
 }
 
 TEST(WormServer, OutOfRangeShredPolicyAnswersParseError) {
@@ -563,7 +600,7 @@ TEST(WormClient, IoTimeoutBoundsTheWholeRoundTrip) {
     // Swallow the hello.
     Bytes in;
     std::size_t in_off = 0;
-    while (!take_frame(in, in_off, kMaxFrameBytes)) {
+    while (!take_frame(in, in_off)) {
       std::vector<common::PollFd> pfds{{conn.fd(), POLLIN, 0}};
       if (common::poll_fds(pfds, Duration::seconds(5)) == 0) return;
       auto r = common::read_some(conn, in, 4096);
@@ -722,8 +759,9 @@ TEST(WormServer, PipelinedBatchBurstConvictsTamperedSlotAmidHealthy) {
 
   std::map<std::uint64_t, Response> got;
   Bytes in;
+  std::size_t in_off = 0;
   while (got.size() < 3) {
-    if (auto body = take_frame(in, kMaxFrameBytes)) {
+    if (auto body = take_frame(in, in_off)) {
       Response r = decode_response(*body);
       got[r.rid] = std::move(r);
       continue;
@@ -870,8 +908,8 @@ double process_cpu_seconds() {
 
 TEST(WormServer, IdleLoopsDoNotSpin) {
   // Loops 1..3 have no connection and so nothing to poll; they must sleep
-  // until they are dealt one. Loop 0 wakes once per poll_interval on the
-  // listener, which costs far less than the 25 ms budget.
+  // until they are dealt one. Loop 0 wakes once per 1 ms poll timeout on
+  // the listener, which costs far less than the 25 ms budget.
   ServerConfig cfg;
   cfg.loops = 4;
   ServerRig srv(pipelined(), cfg);

@@ -155,12 +155,19 @@ TEST(RecordStore, ShredRecyclesBlocks) {
 }
 
 TEST(RecordStore, ZeroFillLeavesZeros) {
-  MemBlockDevice dev(128, 8);
-  RecordStore store(dev);
-  crypto::Drbg rng(7);
-  RecordDescriptor rd = store.write(Bytes(128, 0xaa));
-  store.shred(rd, ShredPolicy::kZeroFill, rng);
-  EXPECT_EQ(dev.raw_block(rd.blocks[0]), Bytes(128, 0));
+  // kCryptoShred destroys no key; it is one zero pass, like kZeroFill.
+  for (ShredPolicy policy :
+       {ShredPolicy::kZeroFill, ShredPolicy::kCryptoShred}) {
+    MemBlockDevice dev(128, 8);
+    RecordStore store(dev);
+    crypto::Drbg rng(7);
+    RecordDescriptor rd = store.write(Bytes(300, 0xaa));  // 3 blocks
+    store.shred(rd, policy, rng);
+    for (std::uint64_t b : rd.blocks) {
+      EXPECT_EQ(dev.raw_block(b), Bytes(128, 0)) << to_string(policy);
+    }
+    EXPECT_EQ(store.free_blocks(), 3u) << to_string(policy);
+  }
 }
 
 TEST(RecordStore, RandomPassLeavesNoise) {

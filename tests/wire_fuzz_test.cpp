@@ -438,28 +438,41 @@ TEST(WireFuzz, FramingReassemblyAndOversizeCutoff) {
 
   // Byte-at-a-time arrival: no frame until the last byte lands.
   Bytes buf;
+  std::size_t off = 0;
   for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
     buf.push_back(frame[i]);
-    EXPECT_FALSE(take_frame(buf, kMaxFrameBytes).has_value());
+    EXPECT_FALSE(take_frame(buf, off).has_value());
+    EXPECT_EQ(off, 0u);
   }
   buf.push_back(frame.back());
-  auto got = take_frame(buf, kMaxFrameBytes);
+  auto got = take_frame(buf, off);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, body);
-  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(off, buf.size());
 
   // Two frames back to back come out in order.
   Bytes two = encode_frame(body);
   Bytes second_body = encode_request(sample_request(MsgOp::kPing));
   Bytes second = encode_frame(second_body);
   two.insert(two.end(), second.begin(), second.end());
-  EXPECT_EQ(*take_frame(two, kMaxFrameBytes), body);
-  EXPECT_EQ(*take_frame(two, kMaxFrameBytes), second_body);
-  EXPECT_TRUE(two.empty());
+  off = 0;
+  EXPECT_EQ(*take_frame(two, off), body);
+  EXPECT_EQ(*take_frame(two, off), second_body);
+  EXPECT_EQ(off, two.size());
 
-  // A declared length beyond the bound is rejected before the body arrives.
+  // A declared length beyond the bound is rejected before the body arrives:
+  // kMaxFrameBytes itself is legal, one byte more is not.
+  auto header = [](std::uint32_t len) {
+    return Bytes{static_cast<std::uint8_t>(len),
+                 static_cast<std::uint8_t>(len >> 8),
+                 static_cast<std::uint8_t>(len >> 16),
+                 static_cast<std::uint8_t>(len >> 24)};
+  };
+  off = 0;
+  EXPECT_FALSE(take_frame(header(kMaxFrameBytes), off).has_value());
+  EXPECT_THROW((void)take_frame(header(kMaxFrameBytes + 1), off), ParseError);
   Bytes huge = {0xff, 0xff, 0xff, 0x7f};
-  EXPECT_THROW((void)take_frame(huge, kMaxFrameBytes), ParseError);
+  EXPECT_THROW((void)take_frame(huge, off), ParseError);
 }
 
 TEST(WireFuzz, OffsetDrainConsumesAPipelinedBurstThenCompacts) {
@@ -482,11 +495,11 @@ TEST(WireFuzz, OffsetDrainConsumesAPipelinedBurstThenCompacts) {
 
   std::size_t off = 0;
   for (const Bytes& body : bodies) {
-    auto got = take_frame(burst, off, kMaxFrameBytes);
+    auto got = take_frame(burst, off);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, body);
   }
-  EXPECT_FALSE(take_frame(burst, off, kMaxFrameBytes).has_value());
+  EXPECT_FALSE(take_frame(burst, off).has_value());
 
   compact_frames(burst, off);
   EXPECT_EQ(off, 0u);
@@ -494,7 +507,7 @@ TEST(WireFuzz, OffsetDrainConsumesAPipelinedBurstThenCompacts) {
 
   // The partial frame completes after compaction and comes out intact.
   burst.insert(burst.end(), tail.end() - 3, tail.end());
-  auto got = take_frame(burst, off, kMaxFrameBytes);
+  auto got = take_frame(burst, off);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, tail_body);
   compact_frames(burst, off);

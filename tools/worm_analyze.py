@@ -33,31 +33,24 @@ compiler flag or per-file regex can prove:
                    carries an explicit `// analyze[journal-ordering]: why`
                    waiver.
 
-  wire-abi         Freezes the wire ABI: opcode/status/envelope-tag numeric
-                   values, protocol constants and serialized field order are
-                   extracted from protocol.hpp/status.hpp/envelopes.hpp/
-                   protocol.cpp and compared against docs/wire_abi.lock.
+  wire-abi         Freezes the wire ABI: opcode/status/envelope-tag/
+                   shredding-policy numeric values, protocol constants and
+                   serialized field order are extracted from protocol.hpp/
+                   status.hpp/envelopes.hpp/record_store.hpp/protocol.cpp
+                   and compared against docs/wire_abi.lock.
                    Any drift fails; regenerating the lock with --update-lock
                    refuses value changes to *existing* entries unless
                    kProtocolVersion was bumped (additions are fine). See
                    docs/PROTOCOL.md for the update procedure.
 
-Extraction backends (--backend):
-  clang   `clang++ -Xclang -ast-dump=json -fsyntax-only` per TU, driven by
-          build/compile_commands.json. Preferred when a clang is installed
-          (CI installs clang-18).
-  text    a deterministic lexical extractor producing the same fact schema;
-          no toolchain dependency. The gate of record — byte-identical
-          verdicts on any machine.
-  auto    clang when available, else text (default).
-
-Per-TU facts are cached under --cache-dir (default build/analyze_cache/),
-keyed by the SHA-256 of the file contents + backend + tool version, so
-re-analysis touches only edited files and a stale cache can never produce a
-stale verdict.
+Facts come from a deterministic lexical extractor with no toolchain
+dependency, so verdicts are byte-identical on any machine. Per-TU facts are
+cached under --cache-dir (default build/analyze_cache/), keyed by the SHA-256
+of the file contents + tool version, so re-analysis touches only edited
+files and a stale cache can never produce a stale verdict.
 
 Usage:
-  worm_analyze.py [--repo DIR] [--backend auto|clang|text]
+  worm_analyze.py [--repo DIR]
                   [--pass lock-order,wire-taint,journal-ordering,wire-abi]
                   [--files TU...] [--cache-dir DIR]
                   [--lock FILE] [--update-lock] [--verbose]
@@ -76,8 +69,6 @@ import argparse
 import hashlib
 import json
 import re
-import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -127,6 +118,7 @@ ABI_ENUMS = {
     "src/server/protocol.hpp": ("MsgOp",),
     "src/worm/status.hpp": ("WireStatus", "ErrorCode"),
     "src/worm/envelopes.hpp": ("EnvelopeTag",),
+    "src/storage/record_store.hpp": ("ShredPolicy",),
 }
 ABI_CONSTANTS = {
     "src/server/protocol.hpp": (
@@ -510,210 +502,6 @@ def normalize_lock(expr: str, cls: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Clang AST backend: same fact schema, extracted from
-# `clang++ -Xclang -ast-dump=json -fsyntax-only` output.
-# --------------------------------------------------------------------------
-
-class ClangAstExtractor:
-    """Walks a clang JSON AST dump into the shared fact schema. The walker
-    is deliberately structural (kind/name/inner) so it tolerates node-field
-    drift between clang majors."""
-
-    GUARD_QUALTYPES = tuple(GUARD_TYPES)
-
-    def __init__(self, rel: str, ast: dict):
-        self.rel = rel
-        self.ast = ast
-
-    def extract(self) -> dict:
-        functions: list[dict] = []
-        self._walk_decls(self.ast, [], functions)
-        return {"functions": functions}
-
-    def _walk_decls(self, node: dict, ctx: list[str],
-                    functions: list[dict]) -> None:
-        kind = node.get("kind", "")
-        name = node.get("name", "")
-        if kind in ("CXXMethodDecl", "FunctionDecl", "CXXConstructorDecl",
-                    "CXXDestructorDecl"):
-            body = next((c for c in node.get("inner", [])
-                         if c.get("kind") == "CompoundStmt"), None)
-            if body is not None:
-                cls = "::".join(ctx) if ctx else ""
-                qname = f"{cls}::{name}" if cls else name
-                fn = {"qname": qname, "cls": cls,
-                      "line": self._line(node), "events": [],
-                      "requires": self._requires(node, cls)}
-                self._walk_body(body, fn, 1, False)
-                functions.append(fn)
-            return
-        child_ctx = ctx
-        if kind in ("CXXRecordDecl", "NamespaceDecl") and name:
-            if kind == "CXXRecordDecl":
-                child_ctx = ctx + [name]
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                self._walk_decls(child, child_ctx, functions)
-
-    def _requires(self, node: dict, cls: str) -> list[str]:
-        out = []
-        for child in node.get("inner", []) or []:
-            if child.get("kind", "").startswith("RequiresCapability"):
-                for expr in child.get("inner", []) or []:
-                    chain = self._name_chain(expr)
-                    if chain:
-                        out.append(normalize_lock(chain, cls))
-        return out
-
-    def _walk_body(self, node: dict, fn: dict, depth: int,
-                   in_replay: bool) -> None:
-        kind = node.get("kind", "")
-        if kind == "VarDecl":
-            qual = (node.get("type") or {}).get("qualType", "")
-            if any(g in qual for g in self.GUARD_QUALTYPES):
-                lock = ""
-                ctor = self._find_kind(node, "CXXConstructExpr")
-                if ctor is not None:
-                    lock = self._name_chain(ctor)
-                fn["events"].append(
-                    {"kind": "acquire", "line": self._line(node),
-                     "depth": depth,
-                     "lock": normalize_lock(lock, fn["cls"]),
-                     "guard": node.get("name"),
-                     "shared": "SharedLock" in qual})
-                return
-        if kind in ("CXXMemberCallExpr", "CallExpr"):
-            callee, recv = self._callee(node)
-            if callee:
-                if callee == "unlock" or (callee == "lock" and recv):
-                    fn["events"].append(
-                        {"kind": "release" if callee == "unlock"
-                         else "reacquire",
-                         "line": self._line(node), "depth": depth,
-                         "guard": recv})
-                elif callee.startswith("assert_held"):
-                    fn["events"].append(
-                        {"kind": "assert", "line": self._line(node),
-                         "depth": depth,
-                         "lock": normalize_lock(recv, fn["cls"])})
-                else:
-                    if callee in SERIAL_METHODS and recv in ("w", "r"):
-                        fn["events"].append(
-                            {"kind": "serial", "line": self._line(node),
-                             "depth": depth, "method": callee})
-                    fn["events"].append(
-                        {"kind": "call", "line": self._line(node),
-                         "depth": depth, "callee": callee, "recv": recv,
-                         "args": self._args_text(node), "stmt": "",
-                         "raw": "", "in_replay": in_replay})
-        replay = in_replay
-        if kind in ("CXXForRangeStmt", "ForStmt"):
-            if "JournalRecord" in json.dumps(node.get("inner", [])[:3]):
-                replay = True
-                fn["events"].append({"kind": "replay_begin",
-                                     "line": self._line(node),
-                                     "depth": depth})
-        next_depth = depth + 1 if kind == "CompoundStmt" else depth
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                self._walk_body(child, fn, next_depth, replay)
-        if kind == "CompoundStmt":
-            for ev in reversed(fn["events"]):
-                if ev["kind"] == "acquire" and ev["depth"] > depth:
-                    pass  # scope exit is handled by depth in the passes
-                break
-        if replay and not in_replay:
-            fn["events"].append({"kind": "replay_end",
-                                 "line": self._line(node), "depth": depth})
-
-    def _callee(self, node: dict) -> tuple[str, str]:
-        inner = node.get("inner", []) or []
-        if not inner:
-            return "", ""
-        head = inner[0]
-        member = self._find_kind(head, "MemberExpr") \
-            if head.get("kind") != "MemberExpr" else head
-        if member is not None:
-            name = member.get("name", "").lstrip("->").lstrip(".")
-            recv = self._name_chain(member.get("inner", [{}])[0]
-                                    if member.get("inner") else {})
-            return name, recv
-        ref = self._find_kind(head, "DeclRefExpr")
-        if ref is not None:
-            return (ref.get("referencedDecl", {}).get("name", ""), "")
-        return "", ""
-
-    def _name_chain(self, node: dict) -> str:
-        parts: list[str] = []
-
-        def rec(n: dict) -> None:
-            if not isinstance(n, dict):
-                return
-            k = n.get("kind", "")
-            if k == "MemberExpr":
-                for c in n.get("inner", []) or []:
-                    rec(c)
-                parts.append(n.get("name", "").lstrip("->").lstrip("."))
-            elif k == "DeclRefExpr":
-                parts.append(n.get("referencedDecl", {}).get("name", ""))
-            else:
-                for c in n.get("inner", []) or []:
-                    rec(c)
-        rec(node)
-        return ".".join(p for p in parts if p)
-
-    def _find_kind(self, node: dict, kind: str) -> dict | None:
-        if node.get("kind") == kind:
-            return node
-        for child in node.get("inner", []) or []:
-            if isinstance(child, dict):
-                found = self._find_kind(child, kind)
-                if found is not None:
-                    return found
-        return None
-
-    def _args_text(self, node: dict) -> str:
-        names: list[str] = []
-        for child in (node.get("inner", []) or [])[1:]:
-            chain = self._name_chain(child)
-            if chain:
-                names.append(chain)
-        return ", ".join(names)
-
-    def _line(self, node: dict) -> int:
-        loc = node.get("loc", {}) or {}
-        if "line" in loc:
-            return loc["line"]
-        rng = node.get("range", {}) or {}
-        return (rng.get("begin", {}) or {}).get("line", 0)
-
-
-def find_clang() -> str | None:
-    for name in ("clang++-18", "clang++", "clang-18", "clang"):
-        path = shutil.which(name)
-        if path is not None:
-            return path
-    return None
-
-
-def clang_ast_dump(clang: str, tu: Path, extra_args: list[str],
-                   repo: Path) -> dict:
-    cmd = [clang, "-fsyntax-only", "-Xclang", "-ast-dump=json",
-           "-I", str(repo / "src"), "-std=c++20", *extra_args, str(tu)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.strip().split("\n")[-8:])
-        raise AnalyzeError(
-            f"{tu}: clang failed to parse the TU (exit "
-            f"{proc.returncode}); fix the syntax error before analyzing:\n"
-            f"{tail}")
-    try:
-        return json.loads(proc.stdout)
-    except json.JSONDecodeError as e:
-        raise AnalyzeError(f"{tu}: unreadable clang AST JSON: {e}") from e
-
-
-# --------------------------------------------------------------------------
 # Fact cache
 # --------------------------------------------------------------------------
 
@@ -725,10 +513,9 @@ class FactCache:
         if self.dir is not None:
             self.dir.mkdir(parents=True, exist_ok=True)
 
-    def key(self, content: bytes, backend: str) -> str:
+    def key(self, content: bytes) -> str:
         h = hashlib.sha256()
         h.update(TOOL_VERSION.encode())
-        h.update(backend.encode())
         h.update(content)
         return h.hexdigest()
 
@@ -751,20 +538,14 @@ class FactCache:
         (self.dir / f"{key}.json").write_text(json.dumps(facts))
 
 
-def extract_tu(rel: str, path: Path, backend: str, cache: FactCache,
-               clang: str | None, repo: Path) -> dict:
+def extract_tu(rel: str, path: Path, cache: FactCache) -> dict:
     content = path.read_bytes()
-    key = cache.key(content, backend)
+    key = cache.key(content)
     cached = cache.load(key)
     if cached is not None:
         return cached
     cache.misses += 1
-    if backend == "clang":
-        assert clang is not None
-        facts = ClangAstExtractor(
-            rel, clang_ast_dump(clang, path, [], repo)).extract()
-    else:
-        facts = TextExtractor(rel, content.decode(errors="replace")).extract()
+    facts = TextExtractor(rel, content.decode(errors="replace")).extract()
     cache.store(key, facts)
     return facts
 
@@ -1425,8 +1206,6 @@ def main(argv: list[str]) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repo", type=Path,
                     default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--backend", choices=("auto", "clang", "text"),
-                    default="auto")
     ap.add_argument("--pass", dest="passes", default=",".join(ALL_PASSES),
                     help="comma-separated subset of: " + ", ".join(ALL_PASSES))
     ap.add_argument("--files", nargs="+", type=Path, default=None,
@@ -1450,14 +1229,6 @@ def main(argv: list[str]) -> int:
 
     repo = args.repo
     fixture_mode = args.files is not None
-    backend = args.backend
-    clang = find_clang() if backend in ("auto", "clang") else None
-    if backend == "clang" and clang is None:
-        print("worm-analyze: --backend=clang but no clang installed",
-              file=sys.stderr)
-        return 2
-    if backend == "auto":
-        backend = "clang" if clang is not None else "text"
 
     if args.cache_dir is None:
         cache_dir = None if fixture_mode else repo / "build" / "analyze_cache"
@@ -1484,8 +1255,7 @@ def main(argv: list[str]) -> int:
                    if not fixture_mode and path.is_relative_to(repo)
                    else path.name if fixture_mode
                    else path.as_posix())
-            tus.append((rel, extract_tu(rel, path, backend, cache, clang,
-                                        repo)))
+            tus.append((rel, extract_tu(rel, path, cache)))
         prog = build_program(tus)
 
         findings: list[Finding] = []
@@ -1504,7 +1274,7 @@ def main(argv: list[str]) -> int:
         return 2
 
     if args.verbose:
-        print(f"worm-analyze: backend={backend} tus={len(tus)} "
+        print(f"worm-analyze: tus={len(tus)} "
               f"functions={len(prog.functions)} cache_hits={cache.hits} "
               f"cache_misses={cache.misses}", file=sys.stderr)
 
@@ -1513,7 +1283,7 @@ def main(argv: list[str]) -> int:
     if findings:
         print(f"worm-analyze: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"worm-analyze: clean ({', '.join(passes)}; backend={backend})")
+    print(f"worm-analyze: clean ({', '.join(passes)})")
     return 0
 
 
