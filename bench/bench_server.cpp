@@ -235,7 +235,7 @@ int main() {
   // How fast can the wire go when the client stops paying one RTT per SN?
   // Each client hammers read_many back to back (256-SN frames, 4 in
   // flight); the server coalesces each drain into one store crossing and
-  // one gather flush. The tentpole gate: this must clear 4x the ~12k ops/s
+  // one response buffer. The tentpole gate: this must clear 4x the ~12k ops/s
   // per-frame ceiling the open-loop sweep tops out at.
   {
     Deployment dep(/*queue_capacity=*/64);

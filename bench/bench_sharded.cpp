@@ -13,13 +13,14 @@
 // the owning shard. Aggregate makespan is the slowest shard's total;
 // aggregate throughput is total records over that makespan. The per-shard
 // counters come from the cluster-level aggregation
-// (ShardRouter::counters_snapshot), which also cross-checks that no record
+// (ShardRouter::counters), which also cross-checks that no record
 // was lost or double-counted.
 //
 // Exit code is a regression gate: 4-shard aggregate throughput must be
 // >= 2.5x the 1-shard baseline (ISSUE/ROADMAP acceptance), and the summed
 // cluster.store.writes counter must equal the records driven.
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -108,12 +109,12 @@ ShardedResult run_sharded(std::size_t n_shards) {
 
   ShardedResult r;
   r.throughput = static_cast<double>(kOps) / slowest.to_seconds_f();
-  cluster::ClusterCounters counters =
-      router.counters_snapshot(core::CounterFlush::kSettled);
-  r.cluster_writes = counters.as_map().at("cluster.store.writes");
+  router.drain_writes();
+  std::map<std::string, std::uint64_t> counters = router.counters();
+  r.cluster_writes = counters.at("cluster.store.writes");
   if (n_shards == 4) {
     std::printf("\n  cluster counters at 4 shards (store.* only):\n");
-    for (const auto& [name, value] : counters.as_map()) {
+    for (const auto& [name, value] : counters) {
       if (name.find("store.writes") != std::string::npos ||
           name.find("write_pipeline.batches") != std::string::npos) {
         std::printf("    %-36s %llu\n", name.c_str(),

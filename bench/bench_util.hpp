@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/shard_router.hpp"
 #include "common/sim_clock.hpp"
 #include "scpu/key_cache.hpp"
 #include "scpu/scpu_device.hpp"
@@ -159,19 +158,10 @@ inline void write_bench_json(const std::string& name,
 }
 
 /// Dumps the store's named counters (operation counts + mailbox transport
-/// metrics) in a stable two-column form, via the typed snapshot.
+/// metrics) in a stable two-column form.
 inline void print_counters(const core::WormStore& store) {
-  for (const auto& [name, value] : store.counters_snapshot().as_map()) {
+  for (const auto& [name, value] : store.counters()) {
     std::printf("  %-24s %llu\n", std::string(name).c_str(),
-                static_cast<unsigned long long>(value));
-  }
-}
-
-/// Cluster-level twin: the router's aggregated snapshot ("shard.<i>.<key>"
-/// per shard plus summed "cluster.<key>" totals).
-inline void print_cluster_counters(const cluster::ClusterCounters& counters) {
-  for (const auto& [name, value] : counters.as_map()) {
-    std::printf("  %-36s %llu\n", name.c_str(),
                 static_cast<unsigned long long>(value));
   }
 }

@@ -161,11 +161,10 @@ int main() {
     rows.push_back({"async_write", k, r.throughput, r.p50_us, r.p99_us});
     if (k == 8) {
       std::printf("\n  write-pipeline counters at 8 writers:\n");
-      // kSettled: make sure the committer retired every admitted group
-      // before sampling, so the printed counters describe a quiesced run.
-      core::CountersSnapshot snap =
-          rig.store.counters_snapshot(core::CounterFlush::kSettled);
-      for (const auto& [name, value] : snap.as_map()) {
+      // Drain first: the committer retires every admitted group before
+      // sampling, so the printed counters describe a quiesced run.
+      rig.store.drain_writes();
+      for (const auto& [name, value] : rig.store.counters()) {
         if (std::string(name).rfind("write_pipeline.", 0) == 0) {
           std::printf("    %-36s %llu\n", std::string(name).c_str(),
                       static_cast<unsigned long long>(value));

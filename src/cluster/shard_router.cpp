@@ -6,18 +6,6 @@
 
 namespace worm::cluster {
 
-std::map<std::string, std::uint64_t> ClusterCounters::as_map() const {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [shard, snap] : shards) {
-    std::string prefix = "shard." + std::to_string(shard) + ".";
-    for (const auto& [key, value] : snap.as_map()) {
-      out[prefix + std::string(key)] = value;
-      out["cluster." + std::string(key)] += value;
-    }
-  }
-  return out;
-}
-
 ShardRouter::ShardRouter(ShardMap map, const ShardSessionFactory& factory)
     : map_(std::move(map)) {
   if (map_.shard_count() == 0) {
@@ -124,12 +112,15 @@ void ShardRouter::drain_writes() {
   for (auto& session : sessions_) session->drain_writes();
 }
 
-ClusterCounters ShardRouter::counters_snapshot(core::CounterFlush flush) {
-  ClusterCounters out;
-  out.shards.reserve(sessions_.size());
+std::map<std::string, std::uint64_t> ShardRouter::counters() const {
+  std::map<std::string, std::uint64_t> out;
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    out.shards.emplace_back(map_.ranges()[i].shard,
-                            sessions_[i]->counters_snapshot(flush));
+    std::string prefix =
+        "shard." + std::to_string(map_.ranges()[i].shard) + ".";
+    for (const auto& [key, value] : sessions_[i]->counters()) {
+      out[prefix + std::string(key)] = value;
+      out["cluster." + std::string(key)] += value;
+    }
   }
   return out;
 }

@@ -30,18 +30,6 @@ namespace worm::cluster {
 using ShardSessionFactory =
     std::function<std::unique_ptr<core::WormSession>(ShardId)>;
 
-/// Cluster-wide counters: every shard's typed snapshot plus the summed
-/// view. The map form namespaces per-shard keys as "shard.<i>.<key>" and
-/// the sums as "cluster.<key>" — the cluster-level successor of the
-/// per-store dashboard map (DESIGN.md §9). Sums are straight field-wise
-/// totals; ratio-like fields (write_pipeline.batch_fill_avg) are summed
-/// too, so divide by shard count when a cluster average is wanted.
-struct ClusterCounters {
-  std::vector<std::pair<ShardId, core::CountersSnapshot>> shards;
-
-  [[nodiscard]] std::map<std::string, std::uint64_t> as_map() const;
-};
-
 /// A routed async write: wraps the owning shard's ticket and translates the
 /// acked local SN back to the global space on get().
 class RoutedTicket {
@@ -98,10 +86,12 @@ class ShardRouter {
   void poke_writes();
   void drain_writes();
 
-  /// Aggregated counters across every shard (kSettled drains each shard's
-  /// pipeline first, shard by shard).
-  [[nodiscard]] ClusterCounters counters_snapshot(
-      core::CounterFlush flush = core::CounterFlush::kRelaxed);
+  /// Every shard's store counters, keyed "shard.<i>.<key>", plus their
+  /// field-wise sums keyed "cluster.<key>". Ratio-like keys
+  /// (write_pipeline.batch_fill_avg) are summed too, so divide by the shard
+  /// count for a cluster average. Call drain_writes() first when the
+  /// write_pipeline.* numbers must be settled.
+  [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
 
   /// Direct access to one shard's session (attestation watermarks,
   /// verifier). Throws common::PreconditionError on an unknown shard.

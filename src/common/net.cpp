@@ -8,7 +8,6 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <time.h>
 #include <unistd.h>
@@ -162,43 +161,6 @@ IoResult write_some(const Socket& s, const Bytes& buf, std::size_t& offset) {
   if (offset >= buf.size()) return IoResult::kOk;
   ssize_t n = ::send(s.fd(), buf.data() + offset, buf.size() - offset,
                      MSG_NOSIGNAL);
-  if (n > 0) {
-    offset += static_cast<std::size_t>(n);
-    return IoResult::kOk;
-  }
-  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-    return IoResult::kWouldBlock;
-  }
-  if (errno == ECONNRESET || errno == EPIPE) return IoResult::kClosed;
-  return IoResult::kError;
-}
-
-IoResult write_some(const Socket& s, const std::vector<ConstBuf>& bufs,
-                    std::size_t& offset) {
-  // Skip whole bufs already flushed, then gather the rest into iovecs.
-  std::vector<iovec> iov;
-  iov.reserve(bufs.size());
-  std::size_t skip = offset;
-  for (const ConstBuf& b : bufs) {
-    if (skip >= b.len) {
-      skip -= b.len;
-      continue;
-    }
-    iovec v;
-    // sendmsg never writes through msg_iov; the const_cast is the POSIX API
-    // shape, not a mutation.
-    v.iov_base = const_cast<std::uint8_t*>(b.data + skip);
-    v.iov_len = b.len - skip;
-    skip = 0;
-    iov.push_back(v);
-  }
-  if (iov.empty()) return IoResult::kOk;
-
-  msghdr msg;
-  std::memset(&msg, 0, sizeof(msg));
-  msg.msg_iov = iov.data();
-  msg.msg_iovlen = iov.size();
-  ssize_t n = ::sendmsg(s.fd(), &msg, MSG_NOSIGNAL);
   if (n > 0) {
     offset += static_cast<std::size_t>(n);
     return IoResult::kOk;

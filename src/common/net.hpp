@@ -76,20 +76,6 @@ IoResult read_some(const Socket& s, Bytes& buf, std::size_t max_bytes);
 /// Writes from buf[offset..]; advances `offset` by what the kernel took.
 IoResult write_some(const Socket& s, const Bytes& buf, std::size_t& offset);
 
-/// One buffer view inside a gathered write.
-struct ConstBuf {
-  const std::uint8_t* data = nullptr;
-  std::size_t len = 0;
-};
-
-/// Vectored (writev-style) variant: the bufs are treated as one logical
-/// byte stream and flushed with a single sendmsg(2) gather syscall, so a
-/// pipelined burst spread over several buffers costs one syscall per poll
-/// turn instead of one per buffer. `offset` indexes the concatenation of
-/// all bufs and advances by what the kernel took.
-IoResult write_some(const Socket& s, const std::vector<ConstBuf>& bufs,
-                    std::size_t& offset);
-
 /// poll(2) with EINTR retry. Events/revents are POLLIN/POLLOUT masks.
 struct PollFd {
   int fd = -1;

@@ -224,11 +224,6 @@ std::vector<BatchReadResult> WormClient::read_many(
   return results;
 }
 
-void WormClient::fill_counters(core::CountersSnapshot& snap) const {
-  snap.client_read_window_inflight_max = window_inflight_max_;
-  snap.client_read_window_chunks = window_chunks_;
-}
-
 WriteResult WormClient::write(core::WriteRequest request,
                               core::Sn expected_sn) {
   Request req;

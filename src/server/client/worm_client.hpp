@@ -166,9 +166,14 @@ class WormClient {
     return epoch_cert_;
   }
 
-  /// Merges the client's pipelined-read counters (client.read_window.*)
-  /// into a CountersSnapshot.
-  void fill_counters(core::CountersSnapshot& snap) const;
+  /// read_many's pipelined window: kReadBatch frames sent, and the most
+  /// frames it ever had in flight at once.
+  [[nodiscard]] std::uint64_t read_window_chunks() const {
+    return window_chunks_;
+  }
+  [[nodiscard]] std::uint64_t read_window_inflight_max() const {
+    return window_inflight_max_;
+  }
 
  private:
   /// One request/response round trip; verifies the rid/op echo and captures

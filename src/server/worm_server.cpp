@@ -110,14 +110,6 @@ WormServer::StatsSnapshot WormServer::stats() const {
   return s;
 }
 
-void WormServer::fill_counters(core::CountersSnapshot& snap) const {
-  std::uint64_t frames = stats_.read_batch_frames.load();
-  std::uint64_t sns = stats_.read_batch_sns.load();
-  snap.server_read_batch_frames = frames;
-  snap.server_read_batch_sns = sns;
-  snap.server_read_batch_fill_avg = frames == 0 ? 0 : sns / frames;
-}
-
 void WormServer::accept_pending(std::deque<common::Socket>& local) {
   for (;;) {
     common::Socket s = common::accept_connection(listener_);
@@ -155,9 +147,8 @@ void WormServer::stamp_attestation(Conn& conn, Response& resp) {
   }
 }
 
-void WormServer::send_response(Conn& conn, Response resp,
-                               common::Bytes* target) {
-  Bytes& out = target != nullptr ? *target : conn.out;
+void WormServer::send_response(Conn& conn, Response resp) {
+  Bytes& out = conn.out;
   stamp_attestation(conn, resp);
   // Zero-copy: the frame is encoded straight into the connection's output
   // buffer (length prefix back-patched) — no per-response body allocation.
@@ -445,7 +436,7 @@ void WormServer::serve_reads(Conn& conn) {
       stats_.read_batch_sns.fetch_add(pr.sns.size(),
                                       std::memory_order_relaxed);
     }
-    send_response(conn, resp, &conn.batch_out);
+    send_response(conn, resp);
   }
 }
 
@@ -610,44 +601,24 @@ void WormServer::loop_iteration(std::size_t loop_idx,
     resolve_pending(conn);
     if (!conn.pending.empty()) had_writes = true;
 
-    // Flush what the kernel will take: one gather syscall covers both the
-    // inline responses (conn.out) and this drain's coalesced read burst
-    // (conn.batch_out), so a pipelined burst costs O(1) syscalls.
-    std::size_t flush_total = conn.out.size() + conn.batch_out.size();
-    if (conn.out_off < flush_total) {
-      std::vector<common::ConstBuf> bufs = {
-          {conn.out.data(), conn.out.size()},
-          {conn.batch_out.data(), conn.batch_out.size()},
-      };
-      while (conn.out_off < flush_total) {
-        IoResult r = common::write_some(conn.sock, bufs, conn.out_off);
-        if (r == IoResult::kOk) continue;
-        if (r != IoResult::kWouldBlock) {
-          // Peer reset mid-response: nothing more can be delivered. Drop
-          // the backlog too, or the reap below would wait forever for a
-          // drain that can never happen (leaking the Conn and its fd).
-          conn.closing = true;
-          conn.pending.clear();
-          conn.out.clear();
-          conn.batch_out.clear();
-          conn.out_off = 0;
-          flush_total = 0;
-        }
-        break;
+    // Flush what the kernel will take.
+    while (conn.out_off < conn.out.size()) {
+      IoResult r = common::write_some(conn.sock, conn.out, conn.out_off);
+      if (r == IoResult::kOk) continue;
+      if (r != IoResult::kWouldBlock) {
+        // Peer reset mid-response: nothing more can be delivered. Drop
+        // the backlog too, or the reap below would wait forever for a
+        // drain that can never happen (leaking the Conn and its fd).
+        conn.closing = true;
+        conn.pending.clear();
+        conn.out.clear();
+        conn.out_off = 0;
       }
+      break;
     }
-    if (conn.out_off >= flush_total) {
+    if (conn.out_off >= conn.out.size()) {
       conn.out.clear();
-      conn.batch_out.clear();
       conn.out_off = 0;
-    } else if (!conn.batch_out.empty()) {
-      // Backpressure: fold the read burst into the linear buffer so the
-      // next iteration's inline appends cannot reorder ahead of it. The
-      // invariant elsewhere (poll registration, reap) is that batch_out is
-      // empty between iterations.
-      conn.out.insert(conn.out.end(), conn.batch_out.begin(),
-                      conn.batch_out.end());
-      conn.batch_out.clear();
     }
   }
 

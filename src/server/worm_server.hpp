@@ -140,10 +140,6 @@ class WormServer {
   };
   [[nodiscard]] StatsSnapshot stats() const;
 
-  /// Merges the server's wire-side counters (server.read_batch.*) into a
-  /// CountersSnapshot, next to the store-side counters a session reports.
-  void fill_counters(core::CountersSnapshot& snap) const;
-
  private:
   struct PendingWrite {
     std::uint64_t rid = 0;
@@ -180,11 +176,6 @@ class WormServer {
     /// Read frames collected during the current drain; emptied by
     /// serve_reads before the flush.
     std::vector<PendingRead> reads;
-    /// The drain's coalesced read responses, encoded after `out` and flushed
-    /// with it in one gather syscall. Cleared (or folded into `out` under
-    /// backpressure) every iteration; reused, so its capacity behaves like a
-    /// per-connection scratch arena.
-    common::Bytes batch_out;
     /// Stamp of the last attestation forwarded on this connection.
     common::SimTime attested_at{INT64_MIN};
     /// Highest epoch-cert epoch forwarded on this connection.
@@ -202,13 +193,11 @@ class WormServer {
   /// collected into conn.reads instead — see serve_reads).
   void handle_frame(Conn& conn, const common::Bytes& body);
   /// Serves every read collected by the current drain through one
-  /// WormSession::read_many crossing and encodes the responses into
-  /// conn.batch_out.
+  /// WormSession::read_many crossing and appends the responses to conn.out.
   void serve_reads(Conn& conn);
   void resolve_pending(Conn& conn);
-  /// `target` null: append to conn.out (the default inline-response path).
-  void send_response(Conn& conn, Response resp,
-                     common::Bytes* target = nullptr);
+  /// Encodes `resp` onto the end of conn.out.
+  void send_response(Conn& conn, Response resp);
   /// Fills the attestation slot when the session watermark moved.
   void stamp_attestation(Conn& conn, Response& resp);
 

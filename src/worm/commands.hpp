@@ -129,7 +129,8 @@ struct ChannelRetryPolicy {
 
 class ScpuChannel {
  public:
-  /// Running totals for the transport itself (feeds the mailbox metrics).
+  /// Running totals for the transport itself (the transport half of the
+  /// mailbox.* keys in WormStore::counters()).
   struct WireStats {
     std::uint64_t commands = 0;       // crossings dispatched (device side)
     std::uint64_t bytes_crossed = 0;  // request + response bytes

@@ -36,17 +36,4 @@ void ScpuMailbox::note_queue_depth(std::size_t depth) {
   m_.queue_hwm = std::max<std::uint64_t>(m_.queue_hwm, depth);
 }
 
-MailboxMetrics ScpuMailbox::metrics() const {
-  MailboxMetrics m = m_;
-  const ScpuChannel::WireStats& w = channel_.wire_stats();
-  m.commands = w.commands;
-  m.bytes_crossed = w.bytes_crossed;
-  m.error_responses = w.errors;
-  m.retries = w.retries;
-  m.dedup_hits = w.dedup_hits;
-  m.transport_faults = w.transport_faults;
-  m.timeouts = w.timeouts;
-  return m;
-}
-
 }  // namespace worm::core

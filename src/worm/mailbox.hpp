@@ -22,46 +22,20 @@ namespace worm::core {
 struct MailboxConfig {
   /// Maximum writes witnessed per kWriteBatch crossing.
   std::size_t max_batch = 64;
-  /// Retry budget for a single command: total deliveries attempted before the
-  /// transport gives up with ChannelTimeoutError.
-  std::size_t retry_max_attempts = 6;
-  /// Backoff before the first resend; doubles (by retry_backoff_factor) per
-  /// further attempt. Zero is legal — the deterministic soak uses it to keep
-  /// faulted and reference clocks in lockstep.
-  common::Duration retry_initial_backoff = common::Duration::millis(1);
-  /// Multiplier applied to the backoff after every failed attempt.
-  std::uint32_t retry_backoff_factor = 2;
-  /// Wall-clock (SimClock) budget across all attempts of one command.
-  common::Duration retry_deadline = common::Duration::seconds(2);
-  /// How long the host waits for a response before declaring it lost.
-  common::Duration response_timeout = common::Duration::millis(5);
-
-  /// The retry knobs above, packaged for the transport.
-  [[nodiscard]] ScpuChannel::RetryPolicy retry_policy() const {
-    ScpuChannel::RetryPolicy p;
-    p.max_attempts = retry_max_attempts;
-    p.initial_backoff = retry_initial_backoff;
-    p.backoff_factor = retry_backoff_factor;
-    p.deadline = retry_deadline;
-    p.response_timeout = response_timeout;
-    return p;
-  }
+  /// Per-command retry and backoff policy, handed to the transport as is
+  /// (see ChannelRetryPolicy for the per-field defaults).
+  ScpuChannel::RetryPolicy retry{};
 };
 
-/// Counter snapshot surfaced through WormStore::counters().
+/// The counts the mailbox makes itself. Transport counts (crossings, bytes,
+/// retries, ...) stay in ScpuChannel::WireStats; WormStore::counters() names
+/// both.
 struct MailboxMetrics {
-  std::uint64_t commands = 0;         // mailbox crossings
-  std::uint64_t bytes_crossed = 0;    // request + response wire bytes
-  std::uint64_t error_responses = 0;  // crossings answered with error status
   std::uint64_t batches = 0;          // kWriteBatch crossings
   std::uint64_t batched_writes = 0;   // writes those crossings carried
   std::uint64_t queue_hwm = 0;        // high-water mark of queued commands
   std::uint64_t duty_runs = 0;        // idle duties that found work
   std::uint64_t urgent_services = 0;  // duty runs forced by deadline pressure
-  std::uint64_t retries = 0;          // resends after transport faults
-  std::uint64_t dedup_hits = 0;       // duplicate deliveries answered from cache
-  std::uint64_t transport_faults = 0;  // lost/damaged crossings observed
-  std::uint64_t timeouts = 0;          // commands abandoned after retry budget
 };
 
 class ScpuMailbox {
@@ -73,13 +47,14 @@ class ScpuMailbox {
   /// not own the injector.
   ScpuMailbox(Firmware& firmware, MailboxConfig config,
               common::FaultInjector* fault = nullptr)
-      : channel_(firmware, config.retry_policy(), fault),
+      : channel_(firmware, config.retry, fault),
         config_(config) {}
 
   ScpuMailbox(const ScpuMailbox&) = delete;
   ScpuMailbox& operator=(const ScpuMailbox&) = delete;
 
   [[nodiscard]] ScpuChannel& channel() { return channel_; }
+  [[nodiscard]] const ScpuChannel& channel() const { return channel_; }
   [[nodiscard]] const MailboxConfig& config() const { return config_; }
 
   /// Registers a standing duty for the idle rotation. Urgent duties are the
@@ -106,8 +81,7 @@ class ScpuMailbox {
     m_.batched_writes += writes;
   }
 
-  /// Metrics merged with the transport's own wire statistics.
-  [[nodiscard]] MailboxMetrics metrics() const;
+  [[nodiscard]] const MailboxMetrics& metrics() const { return m_; }
 
  private:
   struct DutySlot {

@@ -77,8 +77,8 @@ void WormSession::poke_writes() { store_.poke_writes(); }
 
 void WormSession::drain_writes() { store_.drain_writes(); }
 
-CountersSnapshot WormSession::counters_snapshot(CounterFlush flush) {
-  return store_.counters_snapshot(flush);
+std::map<std::string_view, std::uint64_t> WormSession::counters() const {
+  return store_.counters();
 }
 
 bool WormSession::observe(const SignedSnCurrent& current) {

@@ -21,6 +21,7 @@
 // store underneath is the thread-safe object.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,12 +79,11 @@ class WormSession {
   void poke_writes();
   void drain_writes();
 
-  /// Counters snapshot of the underlying store. This is the session-layer
-  /// (and therefore cluster-layer) path to store metrics: the shard router
-  /// aggregates per-shard snapshots through its sessions without ever
+  /// The underlying store's named counters (WormStore::counters). This is
+  /// the session-layer (and therefore cluster-layer) path to store metrics:
+  /// the shard router aggregates them through its sessions without ever
   /// naming the store type.
-  [[nodiscard]] CountersSnapshot counters_snapshot(
-      CounterFlush flush = CounterFlush::kRelaxed);
+  [[nodiscard]] std::map<std::string_view, std::uint64_t> counters() const;
 
   // --- freshness watermark -------------------------------------------------
 

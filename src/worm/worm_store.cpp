@@ -22,20 +22,21 @@ void StoreConfig::validate() const {
                "StoreConfig.idle_batch must be in [1, 1024]");
   WORM_REQUIRE(mailbox.max_batch > 0 && mailbox.max_batch <= kMaxBatchItems,
                "StoreConfig.mailbox.max_batch must be in [1, 1024]");
-  WORM_REQUIRE(mailbox.retry_max_attempts > 0,
-               "StoreConfig.mailbox.retry_max_attempts must be nonzero");
-  WORM_REQUIRE(mailbox.retry_backoff_factor > 0,
-               "StoreConfig.mailbox.retry_backoff_factor must be nonzero");
-  WORM_REQUIRE(mailbox.retry_initial_backoff.ns >= 0,
-               "StoreConfig.mailbox.retry_initial_backoff must not be "
+  WORM_REQUIRE(mailbox.retry.max_attempts > 0,
+               "StoreConfig.mailbox.retry.max_attempts must be nonzero");
+  WORM_REQUIRE(mailbox.retry.backoff_factor > 0,
+               "StoreConfig.mailbox.retry.backoff_factor must be nonzero");
+  WORM_REQUIRE(mailbox.retry.initial_backoff.ns >= 0,
+               "StoreConfig.mailbox.retry.initial_backoff must not be "
                "negative");
-  WORM_REQUIRE(mailbox.response_timeout.ns >= 0,
-               "StoreConfig.mailbox.response_timeout must not be negative");
-  WORM_REQUIRE(mailbox.retry_deadline.ns >= 0,
-               "StoreConfig.mailbox.retry_deadline must not be negative");
-  WORM_REQUIRE(mailbox.retry_deadline >= mailbox.retry_initial_backoff,
-               "StoreConfig.mailbox.retry_deadline is shorter than "
-               "retry_initial_backoff (inverted durations)");
+  WORM_REQUIRE(mailbox.retry.response_timeout.ns >= 0,
+               "StoreConfig.mailbox.retry.response_timeout must not be "
+               "negative");
+  WORM_REQUIRE(mailbox.retry.deadline.ns >= 0,
+               "StoreConfig.mailbox.retry.deadline must not be negative");
+  WORM_REQUIRE(mailbox.retry.deadline >= mailbox.retry.initial_backoff,
+               "StoreConfig.mailbox.retry.deadline is shorter than "
+               "retry.initial_backoff (inverted durations)");
   if (pipeline.enabled) {
     WORM_REQUIRE(pipeline.queue_capacity > 0,
                  "StoreConfig.pipeline.queue_capacity must be nonzero");
@@ -322,11 +323,15 @@ namespace {
 
 /// Write admission, before anything is stored or journaled. A shredding byte
 /// the device would sign but RecordStore::shred cannot honor would make a
-/// verified deletion that leaves the plaintext on the platter.
+/// verified deletion that leaves the plaintext on the platter. A retention
+/// the firmware refuses would fail every write sharing its kWriteBatch
+/// crossing and leave its own blocks allocated.
 void check_request(const WriteRequest& request) {
   WORM_REQUIRE(!request.payloads.empty(), "WormStore::write: no payloads");
   WORM_REQUIRE(request.attr.shredding <= storage::ShredPolicy::kCryptoShred,
                "WormStore::write: unknown shredding policy");
+  WORM_REQUIRE(request.attr.retention.ns > 0,
+               "WormStore::write: retention must be positive");
 }
 
 Bytes chained_hash(const std::vector<Bytes>& payloads) {
@@ -1262,45 +1267,56 @@ EpochCert WormStore::refresh_epoch_cert() {
   return *epoch_cert_;
 }
 
-CountersSnapshot WormStore::counters_snapshot(CounterFlush flush) {
-  // kSettled: retire every admitted write first so the write_pipeline.*
-  // fields describe a quiescent pipeline (queued == flushed, batches final)
-  // instead of a committer caught mid-flush.
-  if (flush == CounterFlush::kSettled) drain_writes();
-  return counters_snapshot();
-}
-
-CountersSnapshot WormStore::counters_snapshot() const {
+std::map<std::string_view, std::uint64_t> WormStore::counters() const {
   common::SharedLock lk(state_mu_);
-  CountersSnapshot s;
-  s.writes = ops_.writes.load();
-  s.reads = ops_.reads.load();
-  s.read_many_batches = ops_.read_many_batches.load();
-  s.reads_unavailable = ops_.reads_unavailable.load();
-  s.expirations = ops_.expirations.load();
-  s.compactions = ops_.compactions.load();
-  s.base_advances = ops_.base_advances.load();
-  s.dedup_hits = ops_.dedup_hits.load();
-  s.deferred_shreds = ops_.deferred_shreds.load();
-  s.degraded = degraded_ ? 1 : 0;
-  s.read_cache = read_cache_.stats();
-  s.mailbox = mailbox_.metrics();
-  s.storage_read_retries = records_.read_retries();
-  s.fault_injected =
-      config_.fault != nullptr ? config_.fault->injected_total() : 0;
-  s.recovery_replayed = recovery_replayed_;
-  s.recovery_resent = recovery_resent_;
-  s.recovery_torn_bytes = recovery_torn_bytes_;
-  if (pipeline_ != nullptr) {
-    WritePipeline::Stats ps = pipeline_->stats();
-    s.write_pipeline_queued = ps.queued;
-    s.write_pipeline_batches = ps.batches;
-    s.write_pipeline_batch_fill_avg =
-        ps.batches > 0 ? (ps.flushed_writes + ps.batches / 2) / ps.batches : 0;
-    s.write_pipeline_backpressure_stalls = ps.backpressure_stalls;
-    s.write_pipeline_busy_rejected = ps.busy_rejected;
-  }
-  return s;
+  const ReadCacheStats cache = read_cache_.stats();
+  const MailboxMetrics& mb = mailbox_.metrics();
+  const ScpuChannel::WireStats& wire = mailbox_.channel().wire_stats();
+  const WritePipeline::Stats wp =
+      pipeline_ != nullptr ? pipeline_->stats() : WritePipeline::Stats{};
+  return {
+      {"store.writes", ops_.writes.load()},
+      {"store.reads", ops_.reads.load()},
+      {"store.read_many_batches", ops_.read_many_batches.load()},
+      {"store.reads_unavailable", ops_.reads_unavailable.load()},
+      {"store.expirations", ops_.expirations.load()},
+      {"store.compactions", ops_.compactions.load()},
+      {"store.base_advances", ops_.base_advances.load()},
+      {"store.dedup_hits", ops_.dedup_hits.load()},
+      {"store.deferred_shreds", ops_.deferred_shreds.load()},
+      {"store.degraded", degraded_ ? 1 : 0},
+      {"read_cache.hits", cache.hits},
+      {"read_cache.misses", cache.misses},
+      {"read_cache.evictions", cache.evictions},
+      {"read_cache.invalidations", cache.invalidations},
+      {"mailbox.crossings", wire.commands},
+      {"mailbox.bytes_crossed", wire.bytes_crossed},
+      {"mailbox.error_responses", wire.errors},
+      {"mailbox.batches", mb.batches},
+      {"mailbox.batched_writes", mb.batched_writes},
+      {"mailbox.queue_hwm", mb.queue_hwm},
+      {"mailbox.duty_runs", mb.duty_runs},
+      {"mailbox.urgent_services", mb.urgent_services},
+      {"mailbox.retries", wire.retries},
+      {"mailbox.dedup_hits", wire.dedup_hits},
+      {"mailbox.transport_faults", wire.transport_faults},
+      {"mailbox.timeouts", wire.timeouts},
+      {"storage.read_retries", records_.read_retries()},
+      {"fault.injected",
+       config_.fault != nullptr ? config_.fault->injected_total() : 0},
+      {"recovery.replayed", recovery_replayed_},
+      {"recovery.resent", recovery_resent_},
+      {"recovery.torn_bytes", recovery_torn_bytes_},
+      // All zero with the pipeline off. batch_fill_avg is flushed writes per
+      // group, rounded to nearest.
+      {"write_pipeline.queued", wp.queued},
+      {"write_pipeline.batches", wp.batches},
+      {"write_pipeline.batch_fill_avg",
+       wp.batches > 0 ? (wp.flushed_writes + wp.batches / 2) / wp.batches
+                      : 0},
+      {"write_pipeline.backpressure_stalls", wp.backpressure_stalls},
+      {"write_pipeline.busy_rejected", wp.busy_rejected},
+  };
 }
 
 // ---------------------------------------------------------------------------

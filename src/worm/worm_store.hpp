@@ -43,7 +43,6 @@
 #include "common/thread_pool.hpp"
 #include "scpu/cost_model.hpp"
 #include "storage/record_store.hpp"
-#include "worm/counters.hpp"
 #include "worm/firmware.hpp"
 #include "worm/journal.hpp"
 #include "worm/mailbox.hpp"
@@ -125,8 +124,9 @@ struct StoreConfig {
 
 /// A write, spelled out. Designated initializers read like the operation:
 ///   store.write({.payloads = {bytes}, .attr = attr});
-/// Every write path refuses (PreconditionError) a request with no payloads
-/// or a shredding byte outside ShredPolicy before storing or journaling it.
+/// Every write path refuses (PreconditionError) a request with no payloads,
+/// a shredding byte outside ShredPolicy or a retention <= 0 before storing
+/// or journaling it.
 struct WriteRequest {
   std::vector<common::Bytes> payloads{};
   Attr attr{};
@@ -323,13 +323,6 @@ class WormStore final : public HostAgent {
   [[nodiscard]] const StoreConfig& config() const { return config_; }
   [[nodiscard]] common::SimTime now() const { return clock_.now(); }
 
-  /// The command pipeline (metrics / transport introspection). Quiescent
-  /// introspection only — the mailbox is state_mu_-serialized, and this
-  /// accessor deliberately steps outside that discipline.
-  [[nodiscard]] const ScpuMailbox& mailbox() const NO_THREAD_SAFETY_ANALYSIS {
-    return mailbox_;
-  }
-
   /// Host restart: adopts a persisted VRDT (and, with dedup enabled,
   /// rebuilds the content index and reference counts from the active VRDs).
   /// Only valid on a store that has not served writes yet.
@@ -366,22 +359,13 @@ class WormStore final : public HostAgent {
     return degraded_;
   }
 
-  /// Raw-field snapshot. The kRelaxed default keeps the const, concurrent
-  /// dashboard contract; kSettled (non-const: it drains the pipeline) is for
-  /// post-run reporting where write_pipeline.* must be stable.
-  [[nodiscard]] CountersSnapshot counters_snapshot() const EXCLUDES(state_mu_);
-  [[nodiscard]] CountersSnapshot counters_snapshot(CounterFlush flush)
-      EXCLUDES(state_mu_);
-
-  /// Named-counter map: counters_snapshot().as_map().
+  /// Every store counter by its stable `<subsystem>.<counter>` name — the
+  /// one place those names exist (DESIGN.md §6 lists them). Safe to call
+  /// concurrently with any operation; with the pipeline on and writers
+  /// active, write_pipeline.* may lag a mid-flush committer, so call
+  /// drain_writes() first when the numbers must be settled.
   [[nodiscard]] std::map<std::string_view, std::uint64_t> counters() const
-      EXCLUDES(state_mu_) {
-    return counters_snapshot().as_map();
-  }
-  [[nodiscard]] std::map<std::string_view, std::uint64_t> counters(
-      CounterFlush flush) EXCLUDES(state_mu_) {
-    return counters_snapshot(flush).as_map();
-  }
+      EXCLUDES(state_mu_);
 
  private:
   friend class InsiderHandle;

@@ -25,8 +25,8 @@ namespace worm::testing {
 inline core::StoreConfig lockstep_store_config() {
   core::StoreConfig c;
   c.host_model = scpu::CostModel::zero();
-  c.mailbox.retry_initial_backoff = common::Duration::nanos(0);
-  c.mailbox.response_timeout = common::Duration::nanos(0);
+  c.mailbox.retry.initial_backoff = common::Duration::nanos(0);
+  c.mailbox.retry.response_timeout = common::Duration::nanos(0);
   return c;
 }
 

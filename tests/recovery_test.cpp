@@ -84,7 +84,7 @@ TEST(Recovery, PendingIntentResentExactlyOnce) {
 /// queued (huge linger and batch) until the host crashes.
 StoreConfig one_attempt(bool pipelined = false) {
   StoreConfig sc = worm::testing::lockstep_store_config();
-  sc.mailbox.retry_max_attempts = 1;
+  sc.mailbox.retry.max_attempts = 1;
   sc.pipeline.enabled = pipelined;
   sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
@@ -160,11 +160,18 @@ TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
 TEST(Recovery, RejectedQueuedAdmissionIsAbandonedNotRetried) {
   CrashRig rig("recovery_rejected.wal", /*with_faults=*/false, 0x5eed,
                worm::testing::slow_timers_config(), one_attempt(true));
-  WriteTicket t = rig.store->write_async(
-      {.payloads = {common::to_bytes("no retention")},
-       .attr = rig.attr(Duration{})});  // the firmware refuses zero retention
   rig.crash();
-  EXPECT_THROW((void)t.get(), common::TransientStorageError);
+  // Admission now refuses zero retention, so journal the kQueuedWrite a
+  // store without that check wrote for it; the firmware refuses it on
+  // re-execution.
+  common::ByteWriter w;
+  w.u64(1);  // qid
+  rig.attr(Duration{}).serialize(w);
+  w.boolean(false);  // no explicit witness mode
+  w.u32(1);          // one payload
+  w.blob(common::to_bytes("no retention"));
+  HostJournal(rig.config.journal_path)
+      .append(JournalRecordType::kQueuedWrite, w.bytes());
 
   rig.boot();
   auto report = rig.store->recover();

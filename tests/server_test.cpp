@@ -207,6 +207,23 @@ TEST(WormServer, OutOfRangeShredPolicyAnswersParseError) {
   EXPECT_EQ(srv.rig.firmware.sn_current(), 0u);
 }
 
+TEST(WormServer, ZeroRetentionWriteAnswersPreconditionError) {
+  // The store refuses a zero retention at admission, so the kWrite is
+  // answered kPreconditionError and never joins another principal's group
+  // crossing, where the firmware would fail the whole batch.
+  ServerRig srv;
+  WormClient bob = srv.connect("bob");
+  core::WriteRequest bad = srv.record("no retention");
+  bad.attr.retention = Duration{};
+  EXPECT_THROW((void)bob.write(std::move(bad)), common::PreconditionError);
+  EXPECT_EQ(srv.rig.firmware.sn_current(), 0u);
+
+  WormClient alice = srv.connect("alice");
+  WriteResult w = alice.write(srv.record("fine"));
+  ASSERT_TRUE(w.ok()) << w.message;
+  EXPECT_EQ(w.sn, 1u);
+}
+
 TEST(WormServer, WriteReadVerifyAcrossTheWire) {
   ServerRig srv;
   WormClient client = srv.connect();
@@ -403,7 +420,8 @@ TEST(WormServer, ConcurrentClientsRaceWritesReadsAndHolds) {
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kClients * kWritesEach));
   std::sort(all.begin(), all.end());
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
-  EXPECT_EQ(srv.rig.store.counters_snapshot(core::CounterFlush::kSettled).writes,
+  srv.rig.store.drain_writes();
+  EXPECT_EQ(srv.rig.store.counters().at("store.writes"),
             static_cast<std::uint64_t>(kClients * kWritesEach));
 }
 
@@ -447,14 +465,14 @@ TEST(WormServer, OverloadAnswersBusyInsteadOfStalling) {
   for (auto& t : threads) t.join();
   ASSERT_EQ(failures.load(), 0);
 
-  core::CountersSnapshot counters =
-      srv.rig.store.counters_snapshot(core::CounterFlush::kSettled);
-  EXPECT_EQ(counters.write_pipeline_queued,
+  srv.rig.store.drain_writes();
+  auto counters = srv.rig.store.counters();
+  EXPECT_EQ(counters.at("write_pipeline.queued"),
             static_cast<std::uint64_t>(kClients * kWritesEach));
   EXPECT_GT(busy_seen.load(), 0u)
       << "a 1-deep queue under 6 concurrent writers must reject some";
   EXPECT_EQ(srv.server->stats().busy, busy_seen.load());
-  EXPECT_EQ(counters.write_pipeline_busy_rejected, busy_seen.load());
+  EXPECT_EQ(counters.at("write_pipeline.busy_rejected"), busy_seen.load());
 }
 
 TEST(WormServer, ThrowingSessionFactoryAnswersErrorAndSurvives) {
@@ -682,15 +700,8 @@ TEST(WormServer, BatchedReadRoundTripVerifiesPerSlotAndCounts) {
   // window high-water at its configured bound.
   EXPECT_EQ(srv.server->stats().read_batch_frames, 6u);
   EXPECT_EQ(srv.server->stats().read_batch_sns, 41u);
-  core::CountersSnapshot snap;
-  client.fill_counters(snap);
-  srv.server->fill_counters(snap);
-  EXPECT_EQ(snap.client_read_window_chunks, 6u);
-  EXPECT_EQ(snap.client_read_window_inflight_max, 2u);
-  EXPECT_EQ(snap.server_read_batch_frames, 6u);
-  EXPECT_EQ(snap.server_read_batch_sns, 41u);
-  // 41 sns over 6 frames: the rounded-down fill average is exactly 6.
-  EXPECT_EQ(snap.server_read_batch_fill_avg, 6u);
+  EXPECT_EQ(client.read_window_chunks(), 6u);
+  EXPECT_EQ(client.read_window_inflight_max(), 2u);
 }
 
 TEST(WormServer, PipelinedBatchBurstConvictsTamperedSlotAmidHealthy) {
@@ -892,10 +903,10 @@ TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   ASSERT_EQ(failures.load(), 0);
 
   // Each tenant's records landed in its OWN store.
-  EXPECT_EQ(
-      rig_a.store.counters_snapshot(core::CounterFlush::kSettled).writes, 10u);
-  EXPECT_EQ(
-      rig_b.store.counters_snapshot(core::CounterFlush::kSettled).writes, 13u);
+  rig_a.store.drain_writes();
+  rig_b.store.drain_writes();
+  EXPECT_EQ(rig_a.store.counters().at("store.writes"), 10u);
+  EXPECT_EQ(rig_b.store.counters().at("store.writes"), 13u);
 }
 
 /// User + system CPU this process has used so far, in seconds.

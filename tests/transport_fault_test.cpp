@@ -72,9 +72,9 @@ TEST(TransportFaults, DamagedRequestRefusedByFrameCheckThenRetried) {
 
 TEST(TransportFaults, BackoffIsExponentialAndChargedToTheClock) {
   StoreConfig config = lockstep_store_config();
-  config.mailbox.retry_initial_backoff = Duration::millis(1);
-  config.mailbox.retry_backoff_factor = 2;
-  config.mailbox.response_timeout = Duration::millis(5);
+  config.mailbox.retry.initial_backoff = Duration::millis(1);
+  config.mailbox.retry.backoff_factor = 2;
+  config.mailbox.retry.response_timeout = Duration::millis(5);
   CrashRig rig("", true, 0x5eed, worm::testing::slow_timers_config(), config);
   rig.fault.arm("channel.request",
                 {.kind = FaultKind::kDrop, .max_fires = 3});
@@ -106,9 +106,9 @@ TEST(TransportFaults, RetryBudgetExhaustionThrowsTimeout) {
 
 TEST(TransportFaults, DeadlineBudgetAlsoBoundsRetries) {
   StoreConfig config = lockstep_store_config();
-  config.mailbox.retry_initial_backoff = Duration::millis(10);
-  config.mailbox.retry_deadline = Duration::millis(15);
-  config.mailbox.retry_max_attempts = 100;
+  config.mailbox.retry.initial_backoff = Duration::millis(10);
+  config.mailbox.retry.deadline = Duration::millis(15);
+  config.mailbox.retry.max_attempts = 100;
   CrashRig rig("", true, 0x5eed, worm::testing::slow_timers_config(), config);
   rig.fault.arm("channel.request", {.kind = FaultKind::kDrop});
   // First wait (10ms) fits the 15ms deadline; the doubled second would not.

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "worm/session.hpp"
 #include "worm_fixture.hpp"
@@ -97,8 +99,32 @@ TEST(WormStore, EmptyStoreAnswersNotAllocated) {
 
 TEST(WormStore, RejectsZeroRetention) {
   Rig rig;
-  // Rejected by the device's admission check; surfaces as a channel error.
-  EXPECT_THROW(rig.put("r", Duration::nanos(0)), ChannelError);
+  // Refused at write admission, before a block is stored or the device is
+  // asked (the firmware would refuse it too, failing its whole crossing).
+  std::uint64_t disk_writes = rig.disk.stats().bytes_written;
+  EXPECT_THROW(rig.put("r", Duration::nanos(0)), common::PreconditionError);
+  EXPECT_THROW(rig.put("r", Duration::nanos(-1)), common::PreconditionError);
+  EXPECT_EQ(rig.disk.stats().bytes_written, disk_writes);
+  EXPECT_EQ(rig.firmware.sn_current(), 0u);
+}
+
+TEST(WormStore, RefusedRetentionDoesNotFailGroupMates) {
+  // One principal's zero retention must not fail the writes that would have
+  // shared its kWriteBatch crossing: it is refused at admission, and the
+  // group lands without it.
+  StoreConfig sc;
+  sc.pipeline.enabled = true;
+  sc.pipeline.linger = Duration::hours(1);  // one group for all three
+  Rig rig({}, sc);
+  auto admit = [&](const char* text, Duration retention) {
+    return rig.store.write_async(
+        {.payloads = {to_bytes(text)}, .attr = rig.attr(retention)});
+  };
+  WriteTicket alice = admit("alice", Duration::days(1));
+  EXPECT_THROW((void)admit("mallory", Duration{}), common::PreconditionError);
+  WriteTicket bob = admit("bob", Duration::days(1));
+  EXPECT_EQ(alice.get(), 1u);
+  EXPECT_EQ(bob.get(), 2u);
 }
 
 TEST(WormStore, HeartbeatRefreshesAutomatically) {
@@ -616,6 +642,55 @@ TEST(WormStore, WritePathsNeverTouchFirmwareDirectly) {
   (void)rig.store.read(2);
   (void)rig.store.read(99);  // not allocated — answered from the heartbeat mirror
   EXPECT_EQ(rig.store.counters().at("mailbox.crossings"), before_reads);
+}
+
+TEST(WormStore, CounterKeysAreStable) {
+  // counters() is the one place store counters are named. Dashboards, the
+  // cluster's shard.<i>.* view and the wall-clock benchmark read these
+  // keys, so adding, dropping or renaming one must change this list too.
+  Rig rig;
+  std::set<std::string> keys;
+  for (const auto& [key, value] : rig.store.counters()) keys.emplace(key);
+  const std::set<std::string> expected = {
+      "store.writes",
+      "store.reads",
+      "store.read_many_batches",
+      "store.reads_unavailable",
+      "store.expirations",
+      "store.compactions",
+      "store.base_advances",
+      "store.dedup_hits",
+      "store.deferred_shreds",
+      "store.degraded",
+      "read_cache.hits",
+      "read_cache.misses",
+      "read_cache.evictions",
+      "read_cache.invalidations",
+      "mailbox.crossings",
+      "mailbox.bytes_crossed",
+      "mailbox.error_responses",
+      "mailbox.batches",
+      "mailbox.batched_writes",
+      "mailbox.queue_hwm",
+      "mailbox.duty_runs",
+      "mailbox.urgent_services",
+      "mailbox.retries",
+      "mailbox.dedup_hits",
+      "mailbox.transport_faults",
+      "mailbox.timeouts",
+      "storage.read_retries",
+      "fault.injected",
+      "recovery.replayed",
+      "recovery.resent",
+      "recovery.torn_bytes",
+      "write_pipeline.queued",
+      "write_pipeline.batches",
+      "write_pipeline.batch_fill_avg",
+      "write_pipeline.backpressure_stalls",
+      "write_pipeline.busy_rejected",
+  };
+  EXPECT_EQ(expected.size(), 36u);
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(WormStore, RequestStructLitigationRoundTrip) {

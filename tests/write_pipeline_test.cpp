@@ -66,7 +66,7 @@ TEST(WritePipeline, GroupsFormUnderTheBatchThreshold) {
   // incidental duty crossings), never 16 write crossings.
   EXPECT_LE(counters.at("mailbox.crossings") - crossings0, 6u);
   EXPECT_EQ(counters.at("write_pipeline.batch_fill_avg"), 8u);
-  EXPECT_EQ(rig.store.counters_snapshot().writes, 16u);
+  EXPECT_EQ(counters.at("store.writes"), 16u);
 }
 
 TEST(WritePipeline, SyncWriteDelegatesToThePipeline) {
