@@ -1,8 +1,12 @@
 // wormctl — a persistent command-line WORM store over the file-backed
 // stack. Each invocation boots the whole deployment from disk (block device,
-// VRDT, record-store allocator, SCPU NVRAM, simulated clock), performs one
-// operation, and persists everything back — a miniature of how an appliance
-// built on this library would run.
+// VRDT, SCPU NVRAM, simulated clock), performs one operation, and persists
+// everything back — a miniature of how an appliance built on this library
+// would run. The block allocator is not persisted: adopting the VRDT derives
+// it.
+//
+// Every number (SN, days, hours) must be a complete decimal; anything else
+// prints the usage and exits 2.
 //
 //   wormctl <dir> init
 //   wormctl <dir> put <retention-days> <text...>
@@ -10,11 +14,14 @@
 //   wormctl <dir> status
 //   wormctl <dir> audit
 //   wormctl <dir> tick <hours>     advance simulated time (expiry, idle work)
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/sim_clock.hpp"
 #include "scpu/key_cache.hpp"
@@ -62,7 +69,6 @@ struct Deployment {
       common::ByteReader r(clk);
       clock.advance_to(common::SimTime{r.i64()});
       firmware.restore_nvram(read_file(state_dir + "/nvram.bin"));
-      records.restore_state(read_file(state_dir + "/rstore.bin"));
     }
     store = std::make_unique<core::WormStore>(clock, firmware, records,
                                               core::StoreConfig{});
@@ -83,7 +89,6 @@ struct Deployment {
     w.i64(clock.now().ns);
     write_file(state_dir + "/clock.bin", w.bytes());
     write_file(state_dir + "/nvram.bin", firmware.save_nvram());
-    write_file(state_dir + "/rstore.bin", records.save_state());
     store->vrdt().save(state_dir + "/vrdt.bin");
     disk.flush();
   }
@@ -107,6 +112,22 @@ int usage() {
                "       wormctl <dir> tick <hours>\n");
   return 2;
 }
+
+/// A complete decimal number no larger than `max`: no sign, no spaces, no
+/// trailing text. nullopt for anything else.
+std::optional<std::uint64_t> parse_number(std::string_view text,
+                                          std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end || v > max) return std::nullopt;
+  return v;
+}
+
+// Retentions and clock steps up to a century: SimTime (int64 nanoseconds,
+// about 292 years) cannot overflow adding one to the current time.
+constexpr std::uint64_t kMaxDays = 100 * 365;
+constexpr std::uint64_t kMaxHours = kMaxDays * 24;
 
 }  // namespace
 
@@ -132,8 +153,11 @@ int main(int argc, char** argv) {
     core::ClientVerifier& verifier = session.verifier();
 
     if (cmd == "put" && argc >= 5) {
+      std::optional<std::uint64_t> days = parse_number(argv[3], kMaxDays);
+      if (!days) return usage();
       core::Attr attr;
-      attr.retention = common::Duration::days(std::atoll(argv[3]));
+      attr.retention =
+          common::Duration::days(static_cast<std::int64_t>(*days));
       std::string text;
       for (int i = 4; i < argc; ++i) {
         if (i > 4) text += ' ';
@@ -144,7 +168,9 @@ int main(int argc, char** argv) {
       std::printf("stored as SN %llu (retention %s days)\n",
                   static_cast<unsigned long long>(sn), argv[3]);
     } else if (cmd == "get" && argc == 4) {
-      core::Sn sn = static_cast<core::Sn>(std::atoll(argv[3]));
+      std::optional<std::uint64_t> parsed = parse_number(argv[3], UINT64_MAX);
+      if (!parsed) return usage();
+      core::Sn sn = *parsed;
       core::ReadOutcome res = d.store->read(sn);
       core::Outcome out = verifier.verify_read(sn, res);
       std::printf("SN %llu: %s %s\n", static_cast<unsigned long long>(sn),
@@ -167,7 +193,10 @@ int main(int argc, char** argv) {
       core::AuditReport report = core::Auditor::audit_store(*d.store, verifier);
       std::printf("%s\n", core::Auditor::summarize(report).c_str());
     } else if (cmd == "tick" && argc == 4) {
-      d.clock.advance(common::Duration::hours(std::atoll(argv[3])));
+      std::optional<std::uint64_t> hours = parse_number(argv[3], kMaxHours);
+      if (!hours) return usage();
+      d.clock.advance(
+          common::Duration::hours(static_cast<std::int64_t>(*hours)));
       while (d.store->pump_idle()) {
       }
       std::printf("advanced %s h; deletions so far: %llu\n", argv[3],

@@ -129,29 +129,37 @@ Bytes RecordStore::read(const RecordDescriptor& rd) {
   }
 }
 
-common::Bytes RecordStore::save_state() const {
+std::size_t RecordStore::rebuild_allocator(
+    std::span<const RecordDescriptor> live,
+    std::span<const RecordDescriptor> orphans) {
   common::MutexLock lk(alloc_mu_);
-  common::ByteWriter w;
-  w.str("worm-recordstore-v1");
-  w.u64(next_block_);
-  w.u64(next_id_);
-  w.u32(static_cast<std::uint32_t>(free_.size()));
-  for (std::uint64_t b : free_) w.u64(b);
-  return w.take();
-}
-
-void RecordStore::restore_state(ByteView state) {
-  common::MutexLock lk(alloc_mu_);
-  common::ByteReader r(state);
-  if (r.str() != "worm-recordstore-v1") {
-    throw common::ParseError("RecordStore: bad state magic");
+  const std::uint64_t count = device_.block_count();
+  std::vector<bool> named(count, false);
+  next_block_ = 0;
+  next_id_ = 0;
+  for (const RecordDescriptor& rd : live) {
+    next_id_ = std::max(next_id_, rd.record_id + 1);
+    for (std::uint64_t b : rd.blocks) {
+      if (b >= count) continue;
+      named[b] = true;
+      next_block_ = std::max(next_block_, b + 1);
+    }
   }
-  next_block_ = r.u64();
-  next_id_ = r.u64();
   free_.clear();
-  std::uint32_t n = r.count(8);
-  for (std::uint32_t i = 0; i < n; ++i) free_.insert(r.u64());
-  r.expect_end();
+  for (std::uint64_t b = 0; b < next_block_; ++b) {
+    if (!named[b]) free_.insert(b);
+  }
+  const Bytes zeros(device_.block_size(), 0x00);
+  std::size_t zeroed = 0;
+  for (const RecordDescriptor& rd : orphans) {
+    for (std::uint64_t b : rd.blocks) {
+      if (b >= count || named[b]) continue;
+      device_.write_block(b, zeros);
+      named[b] = true;  // zero (and count) each block once
+      ++zeroed;
+    }
+  }
+  return zeroed;
 }
 
 void RecordStore::overwrite_pass(const RecordDescriptor& rd,

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -56,10 +57,10 @@ struct RecordDescriptor {
 /// append-mostly with a free list fed by shredded records.
 ///
 /// Concurrency: read() touches only the device and is safe from any number
-/// of threads; write()/shred()/restore_state() serialize on the allocator
-/// mutex (and mutate device blocks, so callers must not read a record that
-/// is concurrently being written or shredded — WormStore's reader-writer
-/// lock guarantees this).
+/// of threads; write()/shred()/rebuild_allocator() serialize on the
+/// allocator mutex (and mutate device blocks, so callers must not read a
+/// record that is concurrently being written or shredded — WormStore's
+/// reader-writer lock guarantees this).
 class RecordStore {
  public:
   explicit RecordStore(BlockDevice& device);
@@ -87,10 +88,17 @@ class RecordStore {
     return free_.size();
   }
 
-  /// Serializes allocator state (free list, watermarks) so a host restart
-  /// over a persistent device resumes without clobbering live records.
-  [[nodiscard]] common::Bytes save_state() const;
-  void restore_state(common::ByteView state);
+  /// Restart path: rebuilds the allocator from the records still in use.
+  /// The next block is one past the highest block `live` names, every
+  /// unnamed block below it is free, and the next record id is one past the
+  /// largest id named. Each block of `orphans` (records staged for a command
+  /// the device never ran) that `live` does not name is zero-filled; returns
+  /// how many. The descriptors come from untrusted host state, so a block
+  /// at or past block_count() is ignored: it is neither freed nor zeroed,
+  /// and it sizes nothing.
+  std::size_t rebuild_allocator(std::span<const RecordDescriptor> live,
+                                std::span<const RecordDescriptor> orphans)
+      EXCLUDES(alloc_mu_);
 
   [[nodiscard]] BlockDevice& device() { return device_; }
 

@@ -63,7 +63,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
       firmware_(firmware),
       records_(records),
       config_(std::move(config)),
-      mailbox_(firmware, validated(config_).mailbox, config_.fault),
+      channel_(firmware, validated(config_).mailbox.retry, config_.fault),
       read_cache_(config_.read_cache_capacity) {
   // Out-of-band deployment wiring: interrupt registration and policy
   // parameters a real host learns at provisioning time. Everything else —
@@ -76,44 +76,18 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
     journal_ = HostJournal(config_.journal_path, config_.fault);
   }
 
-  // Duty trampolines run only from pump()/service_urgent(), which the store
-  // enters exclusively; assert_held() hands that fact to the thread-safety
-  // analysis, which cannot trace a std::function back to its call sites.
-  mailbox_.add_duty("strengthen",
-                    [this] {
-                      state_mu_.assert_held();
-                      return do_strengthen_batch();
-                    },
-                    /*urgent=*/true);
-  mailbox_.add_duty("hash-audit", [this] {
-    state_mu_.assert_held();
-    return do_hash_audits();
-  });
-  mailbox_.add_duty("compact", [this] {
-    state_mu_.assert_held();
-    return do_compaction();
-  });
-  mailbox_.add_duty("advance-base", [this] {
-    state_mu_.assert_held();
-    return do_advance_base();
-  });
-  mailbox_.add_duty("vexp-rebuild", [this] {
-    state_mu_.assert_held();
-    return do_vexp_rebuild();
-  });
-
   try {
     // Seed the scheduling mirrors — non-zero when the firmware was restored
     // from battery-backed NVRAM before this store attached — and continue
     // the crossing sequence where the device last saw it, so fresh commands
     // can never collide with the dedup cache.
-    ScpuStatus st = mailbox_.channel().status();
+    ScpuStatus st = channel_.status();
     sn_current_mirror_ = st.sn_current;
     sn_base_mirror_ = st.sn_base;
     deferred_mirror_count_ = st.deferred_count;
     deferred_mirror_earliest_ = st.earliest_deadline;
-    mailbox_.channel().set_next_seq(st.last_seq + 1);
-    heartbeat_ = mailbox_.channel().heartbeat();
+    channel_.set_next_seq(st.last_seq + 1);
+    heartbeat_ = channel_.heartbeat();
   } catch (const ScpuDeadError&) {
     // Booting over a zeroized device: come up in read-only verified mode —
     // reads are served from whatever proofs the host still holds.
@@ -136,13 +110,6 @@ WormStore::~WormStore() {
   // flush touches can go away.
   if (pipeline_ != nullptr) pipeline_->shutdown_drop();
   firmware_.set_host_agent(nullptr);
-}
-
-common::ThreadPool& WormStore::read_pool() {
-  std::call_once(read_pool_once_, [this] {
-    read_pool_ = std::make_unique<common::ThreadPool>(config_.read_workers);
-  });
-  return *read_pool_;
 }
 
 void WormStore::require_mutable() const {
@@ -181,7 +148,7 @@ Bytes intent_record(std::uint64_t seq, ByteView frame,
 
 WormStore::Sequenced WormStore::sequenced(
     Bytes frame, const std::vector<std::uint64_t>& qids) {
-  ScpuChannel::Prepared cmd = mailbox_.channel().prepare(std::move(frame));
+  ScpuChannel::Prepared cmd = channel_.prepare(std::move(frame));
   if (journal_.enabled()) {
     // One record both journals the intent AND supersedes the admissions it
     // carries: after it, recovery resends this exact frame (the device's
@@ -194,7 +161,7 @@ WormStore::Sequenced WormStore::sequenced(
   }
   Bytes payload;
   try {
-    payload = mailbox_.channel().send_ok(cmd);
+    payload = channel_.send_ok(cmd);
   } catch (const ScpuDeadError&) {
     throw;
   } catch (const ChannelTimeoutError&) {
@@ -383,7 +350,8 @@ WormStore::StagedWrite WormStore::stage(WritePipeline::Pending& p) {
 
 void WormStore::commit_locked(std::vector<StagedWrite>& writes,
                               const Landed& landed) {
-  mailbox_.note_queue_depth(writes.size());
+  mailbox_.queue_hwm =
+      std::max<std::uint64_t>(mailbox_.queue_hwm, writes.size());
   const std::size_t max_batch = config_.mailbox.max_batch;
   std::size_t first = 0;
   while (first < writes.size()) {
@@ -414,14 +382,21 @@ void WormStore::commit_locked(std::vector<StagedWrite>& writes,
       throw;
     } catch (const ChannelError&) {
       // Definitive rejection: nothing in the chunk ran, and the completed
-      // intent consumed its admissions.
+      // intent consumed its admissions. What it staged holds plaintext no
+      // VRD governs.
       std::exception_ptr rejected = std::current_exception();
+      for (const Firmware::BatchItem& item : items) {
+        for (const auto& rd : item.rdl) {
+          release_rd(rd, storage::ShredPolicy::kZeroFill);
+        }
+      }
       for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, rejected);
       first = end;
       continue;
     }
     std::vector<Sn> sns = apply_write_ack_locked(sq.payload, items, mode);
-    mailbox_.note_batch(sns.size());
+    ++mailbox_.batches;
+    mailbox_.batched_writes += sns.size();
     complete_intent(sq.seq);
     for (std::size_t k = 0; k < sns.size(); ++k) {
       landed(first + k, sns[k], nullptr);
@@ -624,7 +599,7 @@ std::vector<Bytes> WormStore::read_payloads(const Vrd& vrd) {
 
 SignedSnBase& WormStore::fresh_base() {
   if (!base_.has_value() || clock_.now() >= base_->expires_at) {
-    base_ = mailbox_.channel().sign_base();  // rare crossing; cached to expiry
+    base_ = channel_.sign_base();  // rare crossing; cached to expiry
     sn_base_mirror_ = base_->sn_base;
   }
   return *base_;
@@ -777,9 +752,9 @@ ReadOutcome WormStore::read(Sn sn) {
 
 std::vector<ReadOutcome> WormStore::read_many(const std::vector<Sn>& sns) {
   ++ops_.read_many_batches;
-  std::vector<ReadOutcome> out(sns.size());
-  read_pool().parallel_for(sns.size(),
-                           [&](std::size_t i) { out[i] = read(sns[i]); });
+  std::vector<ReadOutcome> out;
+  out.reserve(sns.size());
+  for (Sn sn : sns) out.push_back(read(sn));
   return out;
 }
 
@@ -867,22 +842,53 @@ void WormStore::on_heartbeat(SignedSnCurrent current) {
   sn_current_mirror_ = std::max(sn_current_mirror_, heartbeat_.sn_current);
 }
 
-void WormStore::rebuild_dedup_index_locked() {
-  // Rebuild the content index: payloads hashed once per referenced record.
-  content_index_.clear();
-  rd_refs_.clear();
+namespace {
+/// Appends the records a journaled kWriteBatch frame names. Other opcodes
+/// stage nothing; a frame that does not parse names nothing to trust.
+void append_frame_rdls(ByteView frame,
+                       std::vector<storage::RecordDescriptor>& out) {
+  try {
+    if (ScpuChannel::request_opcode(frame) != OpCode::kWriteBatch) return;
+    ScpuChannel::ParsedWriteBatch batch =
+        ScpuChannel::decode_write_batch_request(frame);
+    for (Firmware::BatchItem& item : batch.items) {
+      for (storage::RecordDescriptor& rd : item.rdl) {
+        out.push_back(std::move(rd));
+      }
+    }
+  } catch (const common::ParseError&) {
+    // The device parses with the same decoder, so it never ran this frame.
+  }
+}
+}  // namespace
+
+void WormStore::derive_host_state_locked(const Intents& live,
+                                         const Intents& abandoned) {
+  std::vector<storage::RecordDescriptor> named;
   for (Sn sn : vrdt_.active_sns()) {
     const Vrdt::Entry* e = vrdt_.find(sn);
-    for (const auto& rd : e->vrd.rdl) {
-      auto [it, fresh] = rd_refs_.try_emplace(rd.record_id, 0);
-      ++it->second;
-      if (fresh) {
+    named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
+  }
+  for (const auto& [seq, frame] : live) append_frame_rdls(frame, named);
+  if (config_.dedup) {
+    // Every naming is a reference; each record's payload is hashed once.
+    content_index_.clear();
+    rd_refs_.clear();
+    for (const storage::RecordDescriptor& rd : named) {
+      if (++rd_refs_[rd.record_id] > 1) continue;
+      try {
         Bytes payload = records_.read(rd);
         charge_host(config_.host_model.hash_cost(payload.size()));
         content_index_[crypto::Sha256::hash_bytes(payload)] = rd;
+      } catch (const common::StorageError&) {
+        // Unreadable (damaged, or named past the device): nothing dedups
+        // against it, and the reference still keeps it from being shredded.
       }
     }
   }
+  std::vector<storage::RecordDescriptor> orphans;
+  for (const auto& [seq, frame] : abandoned) append_frame_rdls(frame, orphans);
+  recovery_orphan_blocks_ += records_.rebuild_allocator(named, orphans);
 }
 
 void WormStore::adopt_vrdt(Vrdt vrdt) {
@@ -897,7 +903,7 @@ void WormStore::adopt_vrdt(Vrdt vrdt) {
     fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
     journal_.rewrite(fresh);
   }
-  if (config_.dedup) rebuild_dedup_index_locked();
+  derive_host_state_locked({}, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -913,22 +919,25 @@ WormStore::RecoveryReport WormStore::recover() {
 
   RecoveryReport report;
   Replayed replayed = replay_journal_locked(report);
-  Intents unresolved;
+  Resent resent;
   bool rewrite_safe = true;
   try {
-    unresolved = resend_intents_locked(replayed, report);
-    reconcile_with_device_locked(replayed.journaled_base, unresolved);
+    resent = resend_intents_locked(replayed, report);
+    // Host state is now what the journal and the device agree on; derive
+    // the rest from it before re-executed admissions allocate.
+    derive_host_state_locked(resent.unresolved, resent.abandoned);
+    reconcile_with_device_locked(replayed.journaled_base, resent.unresolved);
     rewrite_safe = reexecute_queued_locked(replayed.queued, report);
   } catch (const ScpuDeadError&) {
     // Dead device: keep pending intents on the books (reads of possibly
     // in-flight SNs answer unavailable, not failure) and serve read-only.
     degraded_ = true;
     for (const auto& [seq, frame] : replayed.pending) pending_seqs_.insert(seq);
+    derive_host_state_locked(replayed.pending, {});
   }
 
-  if (config_.dedup) rebuild_dedup_index_locked();
   read_cache_.clear();
-  if (!degraded_ && rewrite_safe) checkpoint_locked(unresolved);
+  if (!degraded_ && rewrite_safe) checkpoint_locked(resent.unresolved);
   return report;
 }
 
@@ -1042,26 +1051,26 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
   return out;
 }
 
-WormStore::Intents WormStore::resend_intents_locked(
-    Replayed& replayed, RecoveryReport& report) {
+WormStore::Resent WormStore::resend_intents_locked(Replayed& replayed,
+                                                  RecoveryReport& report) {
   // Continue the crossing sequence past everything the device or the
   // journal has seen, then resend every pending intent verbatim. The
   // device's per-(seq, crc) response cache turns each resend into
   // exactly-once: already-executed commands answer from the cache without
   // re-executing.
-  std::uint64_t next = mailbox_.channel().status().last_seq;
+  std::uint64_t next = channel_.status().last_seq;
   if (!replayed.pending.empty()) {
     next = std::max(next, replayed.pending.rbegin()->first);
   }
-  mailbox_.channel().set_next_seq(next + 1);
+  channel_.set_next_seq(next + 1);
 
-  Intents unresolved;
+  Resent out;
   for (const auto& [seq, frame] : replayed.pending) {
     ++report.resent;
     ++recovery_resent_;
     Bytes payload;
     try {
-      payload = mailbox_.channel().send_ok(ScpuChannel::Prepared{seq, frame});
+      payload = channel_.send_ok(ScpuChannel::Prepared{seq, frame});
     } catch (const ScpuDeadError&) {
       throw;
     } catch (const ChannelTimeoutError&) {
@@ -1070,19 +1079,20 @@ WormStore::Intents WormStore::resend_intents_locked(
       // of possibly-allocated SNs keep answering unavailable, and a later
       // recover() retries the resend through the dedup cache.
       ++report.unresolved;
-      unresolved.emplace(seq, frame);
+      out.unresolved.emplace(seq, frame);
       continue;
     } catch (const ChannelError&) {
       // Rejected: deterministic, so the original delivery (if any) was
       // rejected too. Nothing executed; abandon the intent.
       ++report.abandoned;
       complete_intent(seq);
+      out.abandoned.emplace(seq, frame);
       continue;
     }
     apply_resent_locked(frame, payload, replayed, report);
     complete_intent(seq);
   }
-  return unresolved;
+  return out;
 }
 
 void WormStore::apply_resent_locked(ByteView frame, ByteView payload,
@@ -1138,7 +1148,7 @@ void WormStore::apply_resent_locked(ByteView frame, ByteView payload,
 void WormStore::reconcile_with_device_locked(Sn journaled_base,
                                              const Intents& unresolved) {
   // Post-resend reconciliation with the device's signed view.
-  ScpuStatus st = mailbox_.channel().status();
+  ScpuStatus st = channel_.status();
   sn_current_mirror_ = st.sn_current;
   if (st.sn_base > journaled_base) {
     // The device advanced sn_base past anything the journal has recorded —
@@ -1151,7 +1161,7 @@ void WormStore::reconcile_with_device_locked(Sn journaled_base,
   sn_base_mirror_ = st.sn_base;
   deferred_mirror_count_ = st.deferred_count;
   deferred_mirror_earliest_ = st.earliest_deadline;
-  heartbeat_ = mailbox_.channel().heartbeat();
+  heartbeat_ = channel_.heartbeat();
   pending_seqs_.clear();
   for (const auto& [seq, frame] : unresolved) pending_seqs_.insert(seq);
 }
@@ -1207,7 +1217,7 @@ void WormStore::checkpoint_locked(const Intents& unresolved) {
 
 TrustAnchors WormStore::anchors() {
   common::ExclusiveLock lk(state_mu_);
-  CertificateBundle bundle = mailbox_.channel().get_certificates();
+  CertificateBundle bundle = channel_.get_certificates();
   TrustAnchors a;
   a.meta_key = crypto::RsaPublicKey::deserialize(bundle.meta_pub);
   a.deletion_key = crypto::RsaPublicKey::deserialize(bundle.deletion_pub);
@@ -1223,7 +1233,7 @@ MigrationAttestation WormStore::sign_migration(ByteView manifest_hash,
   common::ExclusiveLock lk(state_mu_);
   require_mutable();
   try {
-    return mailbox_.channel().sign_migration(manifest_hash, config_.store_id,
+    return channel_.sign_migration(manifest_hash, config_.store_id,
                                              dest_store_id);
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
@@ -1234,7 +1244,7 @@ SignedSnCurrent WormStore::refresh_heartbeat() {
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) return heartbeat_;  // no keys left to stamp a fresher one
   try {
-    heartbeat_ = mailbox_.channel().heartbeat();
+    heartbeat_ = channel_.heartbeat();
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
   }
@@ -1258,7 +1268,7 @@ EpochCert WormStore::refresh_epoch_cert() {
     return *epoch_cert_;
   }
   try {
-    adopt_epoch_cert_locked(mailbox_.channel().epoch_cert());
+    adopt_epoch_cert_locked(channel_.epoch_cert());
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
   }
@@ -1270,8 +1280,7 @@ EpochCert WormStore::refresh_epoch_cert() {
 std::map<std::string_view, std::uint64_t> WormStore::counters() const {
   common::SharedLock lk(state_mu_);
   const ReadCacheStats cache = read_cache_.stats();
-  const MailboxMetrics& mb = mailbox_.metrics();
-  const ScpuChannel::WireStats& wire = mailbox_.channel().wire_stats();
+  const ScpuChannel::WireStats& wire = channel_.wire_stats();
   const WritePipeline::Stats wp =
       pipeline_ != nullptr ? pipeline_->stats() : WritePipeline::Stats{};
   return {
@@ -1292,11 +1301,11 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
       {"mailbox.crossings", wire.commands},
       {"mailbox.bytes_crossed", wire.bytes_crossed},
       {"mailbox.error_responses", wire.errors},
-      {"mailbox.batches", mb.batches},
-      {"mailbox.batched_writes", mb.batched_writes},
-      {"mailbox.queue_hwm", mb.queue_hwm},
-      {"mailbox.duty_runs", mb.duty_runs},
-      {"mailbox.urgent_services", mb.urgent_services},
+      {"mailbox.batches", mailbox_.batches},
+      {"mailbox.batched_writes", mailbox_.batched_writes},
+      {"mailbox.queue_hwm", mailbox_.queue_hwm},
+      {"mailbox.duty_runs", mailbox_.duty_runs},
+      {"mailbox.urgent_services", mailbox_.urgent_services},
       {"mailbox.retries", wire.retries},
       {"mailbox.dedup_hits", wire.dedup_hits},
       {"mailbox.transport_faults", wire.transport_faults},
@@ -1307,6 +1316,7 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
       {"recovery.replayed", recovery_replayed_},
       {"recovery.resent", recovery_resent_},
       {"recovery.torn_bytes", recovery_torn_bytes_},
+      {"recovery.orphan_blocks", recovery_orphan_blocks_},
       // All zero with the pipeline off. batch_fill_avg is flushed writes per
       // group, rounded to nearest.
       {"write_pipeline.queued", wp.queued},
@@ -1321,7 +1331,7 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
 
 // ---------------------------------------------------------------------------
 // Deadline-aware scheduling + idle-period duties (all under the exclusive
-// lock: duty callbacks run inside pump_idle / maybe_service_deadline)
+// lock: the duties run inside pump_idle / maybe_service_deadline)
 // ---------------------------------------------------------------------------
 
 void WormStore::note_deferred_witness(SimTime creation_time) {
@@ -1333,7 +1343,7 @@ void WormStore::note_deferred_witness(SimTime creation_time) {
 }
 
 void WormStore::sync_deferred_mirror() {
-  ScpuStatus st = mailbox_.channel().status();
+  ScpuStatus st = channel_.status();
   deferred_mirror_count_ = st.deferred_count;
   deferred_mirror_earliest_ = st.earliest_deadline;
 }
@@ -1351,10 +1361,12 @@ bool WormStore::deadline_pressure(common::Duration margin) const {
 
 void WormStore::maybe_service_deadline() {
   // §4.3: strengthening that is about to go stale preempts foreground
-  // traffic. The check is mirror-only (free); the urgent duties run at most
-  // until pressure clears or they run dry.
-  while (deadline_pressure_locked(kStrengthenMargin)) {
-    if (!mailbox_.service_urgent()) break;
+  // traffic. The check is mirror-only (free); strengthening runs until
+  // pressure clears or it runs dry.
+  while (deadline_pressure_locked(kStrengthenMargin) &&
+         do_strengthen_batch()) {
+    ++mailbox_.duty_runs;
+    ++mailbox_.urgent_services;
   }
 }
 
@@ -1372,7 +1384,7 @@ void WormStore::apply_strengthen_results(
 }
 
 bool WormStore::do_strengthen_batch() {
-  std::vector<Sn> pending = mailbox_.channel().deferred_pending(
+  std::vector<Sn> pending = channel_.deferred_pending(
       static_cast<std::uint32_t>(config_.idle_batch));
   if (pending.empty()) {
     // Keep the mirror honest: records can leave the device-side queue
@@ -1384,7 +1396,7 @@ bool WormStore::do_strengthen_batch() {
   std::vector<Vrd> vrds;
   std::vector<std::vector<Bytes>> payloads;
   std::vector<Sn> audits =
-      mailbox_.channel().hash_audits_pending(UINT32_MAX);
+      channel_.hash_audits_pending(UINT32_MAX);
   std::set<Sn> audit_set(audits.begin(), audits.end());
 
   for (Sn sn : pending) {
@@ -1410,13 +1422,13 @@ bool WormStore::do_strengthen_batch() {
 }
 
 bool WormStore::do_hash_audits() {
-  std::vector<Sn> audits = mailbox_.channel().hash_audits_pending(
+  std::vector<Sn> audits = channel_.hash_audits_pending(
       static_cast<std::uint32_t>(config_.idle_batch));
   bool any = false;
   for (Sn sn : audits) {
     const Vrdt::Entry* e = vrdt_.find(sn);
     if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-    mailbox_.channel().audit_hash(sn, read_payloads(e->vrd));
+    channel_.audit_hash(sn, read_payloads(e->vrd));
     any = true;
   }
   return any;
@@ -1490,13 +1502,13 @@ bool WormStore::do_advance_base() {
 }
 
 bool WormStore::do_vexp_rebuild() {
-  if (!mailbox_.channel().status().vexp_incomplete) return false;
-  mailbox_.channel().vexp_rebuild_begin();
+  if (!channel_.status().vexp_incomplete) return false;
+  channel_.vexp_rebuild_begin();
   for (Sn sn : vrdt_.active_sns()) {
     const Vrdt::Entry* e = vrdt_.find(sn);
-    mailbox_.channel().vexp_rebuild_add(e->vrd);
+    channel_.vexp_rebuild_add(e->vrd);
   }
-  mailbox_.channel().vexp_rebuild_end();
+  channel_.vexp_rebuild_end();
   return true;
 }
 
@@ -1508,8 +1520,15 @@ bool WormStore::pump_idle() {
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) return false;  // nothing to pump into a dead device
   try {
-    mailbox_.channel().process_idle();
-    return mailbox_.pump();
+    channel_.process_idle();
+    std::uint64_t ran = 0;
+    if (do_strengthen_batch()) ++ran;
+    if (do_hash_audits()) ++ran;
+    if (do_compaction()) ++ran;
+    if (do_advance_base()) ++ran;
+    if (do_vexp_rebuild()) ++ran;
+    mailbox_.duty_runs += ran;
+    return ran > 0;
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
   }

@@ -1,10 +1,10 @@
 // Host-side (untrusted main CPU) orchestration of the Strong WORM protocol:
 // the component a storage server embeds. It persists data records and the
-// VRDT, crosses the SCPU mailbox (ScpuMailbox -> ScpuChannel, the serialized
-// CCA-style transport) for every regulated update, serves reads entirely
-// from its own (fast, untrusted) resources, and runs the idle-time duties:
-// strengthening deferred witnesses, auditing host-claimed hashes, compacting
-// deleted windows and advancing the window base.
+// VRDT, crosses the SCPU mailbox (ScpuChannel, the serialized CCA-style
+// transport) for every regulated update, serves reads entirely from its own
+// (fast, untrusted) resources, and runs the idle-time duties: strengthening
+// deferred witnesses, auditing host-claimed hashes, compacting deleted
+// windows and advancing the window base.
 //
 // Nothing here is trusted by clients — their assurance comes from verifying
 // the SCPU signatures carried in the results (client_verifier.hpp).
@@ -30,7 +30,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>  // std::once_flag (locks themselves are annotated wrappers)
 #include <optional>
 #include <set>
 #include <span>
@@ -40,12 +39,11 @@
 
 #include "common/annotations.hpp"
 #include "common/sim_clock.hpp"
-#include "common/thread_pool.hpp"
 #include "scpu/cost_model.hpp"
 #include "storage/record_store.hpp"
+#include "worm/commands.hpp"
 #include "worm/firmware.hpp"
 #include "worm/journal.hpp"
-#include "worm/mailbox.hpp"
 #include "worm/proofs.hpp"
 #include "worm/read_cache.hpp"
 #include "worm/vrdt.hpp"
@@ -69,6 +67,15 @@ struct TrustAnchors {
 /// first (§4.3 — the burst must yield before witnesses go stale).
 inline constexpr common::Duration kStrengthenMargin =
     common::Duration::minutes(10);
+
+/// How the store uses the SCPU mailbox.
+struct MailboxConfig {
+  /// Maximum writes witnessed per kWriteBatch crossing.
+  std::size_t max_batch = 64;
+  /// Per-command retry and backoff policy, handed to the transport as is
+  /// (see ChannelRetryPolicy for the per-field defaults).
+  ScpuChannel::RetryPolicy retry{};
+};
 
 struct StoreConfig {
   /// Witness mode for writes that don't specify one. Default kStrong: every
@@ -100,9 +107,6 @@ struct StoreConfig {
   /// Read-result cache entry budget. Default 4096; 0 disables the cache.
   /// See ReadCache.
   std::size_t read_cache_capacity = 4096;
-  /// Extra worker threads for read_many (0 = serve on the caller's thread).
-  /// The pool is created lazily on the first read_many call. Default 0.
-  std::size_t read_workers = 0;
   /// Write-ahead journal for host soft state (VRDT + in-flight sequenced
   /// commands). Empty (the default) disables journaling — the store then
   /// restarts only via adopt_vrdt(). See journal.hpp and recover().
@@ -219,9 +223,8 @@ class WormStore final : public HostAgent {
   /// threads concurrently with writes and idle duties.
   [[nodiscard]] ReadOutcome read(Sn sn) EXCLUDES(state_mu_);
 
-  /// Reads many SNs, fanning the work across the read pool (plus the
-  /// caller's thread) when StoreConfig::read_workers > 0. Results parallel
-  /// `sns`; each element is exactly what read() would have returned.
+  /// Reads many SNs on the caller's thread. Results parallel `sns`; each
+  /// element is exactly what read() would have returned.
   [[nodiscard]] std::vector<ReadOutcome> read_many(const std::vector<Sn>& sns)
       EXCLUDES(state_mu_);
 
@@ -231,8 +234,8 @@ class WormStore final : public HostAgent {
 
   /// Idle-period duties (§4.1, §4.3): strengthen deferred witnesses, audit
   /// host-claimed hashes, compact expired windows, advance the base, rebuild
-  /// the VEXP if it overflowed — one rotation of the mailbox duty queue.
-  /// Returns true if any work was done.
+  /// the VEXP if it overflowed — each at most once, in that order. Returns
+  /// true if any work was done.
   bool pump_idle() EXCLUDES(state_mu_);
 
   /// True when the earliest strengthening deadline is within `margin` — the
@@ -323,9 +326,10 @@ class WormStore final : public HostAgent {
   [[nodiscard]] const StoreConfig& config() const { return config_; }
   [[nodiscard]] common::SimTime now() const { return clock_.now(); }
 
-  /// Host restart: adopts a persisted VRDT (and, with dedup enabled,
-  /// rebuilds the content index and reference counts from the active VRDs).
-  /// Only valid on a store that has not served writes yet.
+  /// Host restart: adopts a persisted VRDT and derives the rest of host
+  /// state from its active VRDs — the block allocator and, with dedup
+  /// enabled, the content index and reference counts. Only valid on a store
+  /// that has not served writes yet.
   void adopt_vrdt(Vrdt vrdt) EXCLUDES(state_mu_);
 
   /// What recover() did, for logs and tests.
@@ -345,10 +349,12 @@ class WormStore final : public HostAgent {
   /// Crash recovery (journaled stores): replays the write-ahead journal into
   /// the VRDT, resends every journaled intent whose completion never landed
   /// (the device's per-sequence response cache makes the resend
-  /// exactly-once), reconciles with the device's signed status, and rewrites
-  /// the journal as a fresh checkpoint. Only valid on a store that has not
-  /// served writes yet. If the device turns out to be zeroized, the store
-  /// comes up in degraded read-only mode instead of failing.
+  /// exactly-once), derives the block allocator and dedup index from the
+  /// result (zeroing what rejected resends staged), reconciles with the
+  /// device's signed status, and rewrites the journal as a fresh checkpoint.
+  /// Only valid on a store that has not served writes yet. If the device
+  /// turns out to be zeroized, the store comes up in degraded read-only mode
+  /// instead of failing.
   RecoveryReport recover() EXCLUDES(state_mu_);
 
   /// True once the SCPU zeroized (tamper response) — the store then serves
@@ -436,9 +442,10 @@ class WormStore final : public HostAgent {
   using Landed = std::function<void(std::size_t index, Sn sn,
                                     const std::exception_ptr& rejected)>;
   /// The one write committer: consecutive same-mode writes, chunked at
-  /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk. After
-  /// a rejected chunk committing goes on unless `landed` throws; timeouts,
-  /// device death and host faults propagate.
+  /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk. A
+  /// rejected chunk's staged records are released (zero-filled unless a
+  /// live record shares them); committing goes on unless `landed` throws.
+  /// Timeouts, device death and host faults propagate.
   void commit_locked(std::vector<StagedWrite>& writes, const Landed& landed)
       REQUIRES(state_mu_);
   /// Applies a kWriteBatch ack (VRDs around `items`' RDLs, SN mirror, epoch
@@ -468,8 +475,18 @@ class WormStore final : public HostAgent {
     Sn journaled_base = 1;  // highest SN_base the journal recorded
   };
   Replayed replay_journal_locked(RecoveryReport& report) REQUIRES(state_mu_);
-  /// Returns the intents whose resend timed out.
-  Intents resend_intents_locked(Replayed& replayed, RecoveryReport& report)
+  struct Resent {
+    Intents unresolved;  // resend timed out: still pending
+    Intents abandoned;   // device rejected the frame: it never ran
+  };
+  Resent resend_intents_locked(Replayed& replayed, RecoveryReport& report)
+      REQUIRES(state_mu_);
+  /// Derives the host state nothing persists from the state that is: the
+  /// records named by active VRDs and by the kWriteBatch frames of `live`
+  /// intents rebuild the dedup index, the reference counts and the block
+  /// allocator. Blocks staged for `abandoned` frames that nothing live
+  /// names are zero-filled (recovery.orphan_blocks).
+  void derive_host_state_locked(const Intents& live, const Intents& abandoned)
       REQUIRES(state_mu_);
   void apply_resent_locked(common::ByteView frame, common::ByteView payload,
                            Replayed& replayed, RecoveryReport& report)
@@ -498,9 +515,6 @@ class WormStore final : public HostAgent {
   /// Applies (and journals) strengthen results.
   void apply_strengthen_results(std::vector<StrengthenResult> results)
       REQUIRES(state_mu_);
-  /// Rebuilds the dedup content index from the active VRDs (restart paths).
-  void rebuild_dedup_index_locked() REQUIRES(state_mu_);
-  common::ThreadPool& read_pool();
   void note_deferred_witness(common::SimTime creation_time)
       REQUIRES(state_mu_);
   void sync_deferred_mirror() REQUIRES(state_mu_);
@@ -515,7 +529,7 @@ class WormStore final : public HostAgent {
 
   common::SimClock& clock_;
   // Held only for host-agent (interrupt) registration and out-of-band
-  // deployment parameters; every operation crosses mailbox_.channel().
+  // deployment parameters; every operation crosses channel_.
   Firmware& firmware_;
   storage::RecordStore& records_;
   StoreConfig config_;
@@ -524,7 +538,17 @@ class WormStore final : public HostAgent {
   mutable common::AnnotatedSharedMutex state_mu_;
   // The mailbox is not internally synchronized (DESIGN.md §6): guarding it
   // with state_mu_ makes "no crossing without the store lock" compile-time.
-  ScpuMailbox mailbox_ GUARDED_BY(state_mu_);
+  ScpuChannel channel_ GUARDED_BY(state_mu_);
+  // The mailbox.* counts the store makes itself; the transport's are in
+  // channel_.wire_stats().
+  struct MailboxCounts {
+    std::uint64_t batches = 0;          // kWriteBatch crossings
+    std::uint64_t batched_writes = 0;   // writes those crossings carried
+    std::uint64_t queue_hwm = 0;        // most writes handed to one commit
+    std::uint64_t duty_runs = 0;        // idle duties that found work
+    std::uint64_t urgent_services = 0;  // duty runs forced by deadline pressure
+  };
+  MailboxCounts mailbox_ GUARDED_BY(state_mu_);
   Vrdt vrdt_ GUARDED_BY(state_mu_);
   // Write-ahead journal; a pathless journal is a no-op sink.
   HostJournal journal_ GUARDED_BY(state_mu_);
@@ -537,6 +561,7 @@ class WormStore final : public HostAgent {
   std::uint64_t recovery_replayed_ GUARDED_BY(state_mu_) = 0;
   std::uint64_t recovery_resent_ GUARDED_BY(state_mu_) = 0;
   std::uint64_t recovery_torn_bytes_ GUARDED_BY(state_mu_) = 0;
+  std::uint64_t recovery_orphan_blocks_ GUARDED_BY(state_mu_) = 0;
   // Internally sharded/locked; held only to shared-lock ordering rules (see
   // maybe_cache_locked), which GUARDED_BY cannot express.
   ReadCache read_cache_;
@@ -548,8 +573,6 @@ class WormStore final : public HostAgent {
   // Reusable encode buffer for the write committer's batch frames: steady
   // state builds each mailbox frame with zero buffer growth once warm.
   common::ScratchArena encode_scratch_ GUARDED_BY(state_mu_);
-  std::once_flag read_pool_once_;
-  std::unique_ptr<common::ThreadPool> read_pool_;
   // Admission ids for journaled queued writes (kQueuedWrite / kIntent).
   std::uint64_t next_qid_ GUARDED_BY(state_mu_) = 0;
 

@@ -106,7 +106,7 @@ TEST(Restart, FullPowerCycleOverFileBackedDevice) {
   core::FirmwareConfig cfg = worm::testing::slow_timers_config();
 
   common::SimClock clock;
-  Bytes nvram, rs_state;
+  Bytes nvram;
   Sn live = 0, dying = 0;
 
   {  // --- first boot: ingest, then shut down cleanly ---
@@ -126,7 +126,6 @@ TEST(Restart, FullPowerCycleOverFileBackedDevice) {
         {.payloads = {to_bytes("expires after the reboot")}, .attr = brief});
 
     store.vrdt().save(vrdt_path);
-    rs_state = records.save_state();
     nvram = fw.save_nvram();
     disk.flush();
   }
@@ -137,7 +136,6 @@ TEST(Restart, FullPowerCycleOverFileBackedDevice) {
     fw.restore_nvram(nvram);
     storage::FileBlockDevice disk(disk_path, 4096, 256);
     storage::RecordStore records(disk);
-    records.restore_state(rs_state);
     WormStore store(clock, fw, records, StoreConfig{});
     store.adopt_vrdt(Vrdt::load(vrdt_path));
     ClientVerifier verifier(store.anchors(), clock);
@@ -158,7 +156,8 @@ TEST(Restart, FullPowerCycleOverFileBackedDevice) {
         {.payloads = {to_bytes("post-reboot record")}, .attr = keep});
     EXPECT_EQ(next, dying + 1);
 
-    // Allocator state survived: the new record did not overwrite live data.
+    // The allocator was derived from the adopted VRDT: the new record did
+    // not overwrite live data.
     EXPECT_EQ(common::to_string(
                   store.read(live).get<ReadOk>().payloads.at(0)),
               "survives the reboot");

@@ -248,9 +248,7 @@ TEST(ConcurrentRead, ProofStreamMatchesUncachedStore) {
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrentRead, ReadManyMatchesSequentialReads) {
-  StoreConfig sc;
-  sc.read_workers = 3;
-  Rig rig(slow_timers_config(), sc);
+  Rig rig(slow_timers_config());
   std::vector<Sn> sns;
   for (int i = 0; i < 40; ++i) {
     sns.push_back(rig.put("batch " + std::to_string(i),

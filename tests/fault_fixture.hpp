@@ -1,8 +1,8 @@
 // Shared rig for the fault-injection and crash-recovery suites: one full
-// deployment whose WormStore can be torn down and rebooted over persistent
-// firmware / device / record store / journal (the host process dying, not
-// the machine room), with a FaultInjector threaded through every untrusted
-// layer's fault points.
+// deployment whose host process (WormStore and RecordStore) can be torn down
+// and rebooted over persistent firmware / device / disk / journal (the host
+// process dying, not the machine room), with a FaultInjector threaded
+// through every untrusted layer's fault points.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -30,9 +30,10 @@ inline core::StoreConfig lockstep_store_config() {
   return c;
 }
 
-/// One deployment whose store lives in std::optional so tests can crash it
-/// (destroy — all host soft state gone) and reboot it (reconstruct +
-/// recover()) while everything below the host process persists.
+/// One deployment whose store and record store live in std::optional so
+/// tests can crash them (destroy — all host soft state, the block allocator
+/// included, gone) and reboot them (reconstruct + recover()) while everything
+/// below the host process persists.
 ///
 /// `journal_name` empty disables journaling; otherwise the journal file
 /// lives under the gtest temp dir and is removed up front so reruns start
@@ -47,7 +48,6 @@ struct CrashRig {
         device(clock, scpu::CostModel::zero(), 32u << 20),
         firmware(device, fw_config, regulator_key().public_key()),
         disk(4096, 4096, &clock, storage::LatencyModel::none()),
-        records(disk),
         config(std::move(store_config)) {
     if (!journal_name.empty()) {
       config.journal_path = ::testing::TempDir() + journal_name;
@@ -60,13 +60,21 @@ struct CrashRig {
     boot();
   }
 
-  /// (Re)constructs the store over the persistent lower layers. After a
-  /// crash the caller decides whether to recover() (journaled rigs).
-  void boot() { store.emplace(clock, firmware, records, config); }
+  /// (Re)constructs the record store and the store over the persistent
+  /// lower layers. After a crash the caller decides whether to recover()
+  /// (journaled rigs).
+  void boot() {
+    records.emplace(disk);
+    store.emplace(clock, firmware, *records, config);
+  }
 
-  /// The host process dies: every bit of soft state (VRDT, mirrors, caches,
-  /// pending intents) is gone. The device, disk and journal survive.
-  void crash() { store.reset(); }
+  /// The host process dies: every bit of soft state (VRDT, allocator,
+  /// mirrors, caches, pending intents) is gone. The device, disk and journal
+  /// survive.
+  void crash() {
+    store.reset();
+    records.reset();
+  }
 
   core::WormStore::RecoveryReport crash_and_recover() {
     crash();
@@ -98,8 +106,8 @@ struct CrashRig {
   scpu::ScpuDevice device;
   core::Firmware firmware;
   storage::MemBlockDevice disk;
-  storage::RecordStore records;
   core::StoreConfig config;
+  std::optional<storage::RecordStore> records;
   std::optional<core::WormStore> store;
 };
 

@@ -144,7 +144,7 @@ TEST(StorageFaults, ReadBusGlitchRetriedViaChecksum) {
   ASSERT_NE(ok, nullptr);
   EXPECT_EQ(common::to_string(ok->payloads.at(0)), big);
   EXPECT_EQ(rig.verifier().verify_read(sn, res).verdict, Verdict::kAuthentic);
-  EXPECT_GT(rig.records.read_retries(), 0u);
+  EXPECT_GT(rig.records->read_retries(), 0u);
 }
 
 TEST(StorageFaults, PersistentReadFaultBecomesReadUnavailable) {

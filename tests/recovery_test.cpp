@@ -1,10 +1,11 @@
 // Crash-consistent host recovery: the write-ahead journal replays host soft
 // state after the process dies, pending intents are resent exactly-once
-// through the device's (seq, crc) response cache, torn tails are tolerated,
-// and a store rebooting against a zeroized SCPU comes up degraded instead of
-// failing.
+// through the device's (seq, crc) response cache, the block allocator is
+// derived from what the journal names, torn tails are tolerated, and a store
+// rebooting against a zeroized SCPU comes up degraded instead of failing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "fault_fixture.hpp"
@@ -126,6 +127,74 @@ TEST(Recovery, ResendLostAgainStaysPendingThroughTheCheckpoint) {
             Verdict::kAuthentic);
 }
 
+TEST(Recovery, DerivedAllocatorNeverReusesALiveBlock) {
+  // The crash drops the record store with the rest of the host process, so
+  // recovery must derive the allocator from the replayed VRDT before a
+  // re-executed admission or a new write allocates. Handing either a live
+  // record's block would make an honest host convict itself.
+  CrashRig rig("recovery_allocator.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt(true));
+  for (const char* text : {"first", "second", "third"}) {
+    (void)rig.put(text, Duration::days(30));
+  }
+  WriteTicket queued = rig.store->write_async(
+      {.payloads = {common::to_bytes("queued")},
+       .attr = rig.attr(Duration::days(30))});
+  rig.crash();  // journaled, never grouped
+  EXPECT_THROW((void)queued.get(), common::TransientStorageError);
+  // Untrusted input: a journaled VRD naming a block far past the device
+  // must neither size the free list nor be handed out.
+  const std::uint64_t bogus = rig.disk.block_count() + 1000;
+  Vrd forged;
+  forged.sn = 99;
+  forged.rdl = {{.record_id = 42, .size = 1, .blocks = {bogus}}};
+  common::ByteWriter w;
+  forged.serialize(w);
+  HostJournal(rig.config.journal_path)
+      .append(JournalRecordType::kPutActive, w.bytes());
+
+  rig.boot();
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.queued_replayed, 1u);
+  EXPECT_EQ(rig.records->free_blocks(), 0u);
+
+  Sn fifth = rig.put("fifth", Duration::days(30));
+  EXPECT_EQ(fifth, 5u);
+  EXPECT_EQ(rig.store->vrdt().find(fifth)->vrd.rdl.at(0).blocks,
+            std::vector<std::uint64_t>{4});
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn = 1; sn <= 5; ++sn) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
+}
+
+TEST(Recovery, UnresolvedIntentKeepsItsStagedBlocks) {
+  // The device may yet have run an intent whose resend timed out, so the
+  // blocks its frame names stay allocated until a later recover() lands it.
+  CrashRig rig("recovery_unresolved_blocks.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt());
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
+  EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
+               ChannelTimeoutError);
+  rig.crash();
+  rig.boot();
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 2);
+  ASSERT_EQ(rig.store->recover().unresolved, 1u);
+
+  Sn after = rig.put("after", Duration::days(30));
+  EXPECT_EQ(after, 2u);
+  auto second = rig.crash_and_recover();
+  EXPECT_EQ(second.recovered_sns, std::vector<Sn>{1});
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn : {Sn{1}, after}) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
+}
+
 TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
   CrashRig rig("recovery_requeued.wal", /*with_faults=*/true, 0x5eed,
                worm::testing::slow_timers_config(), one_attempt(true));
@@ -179,12 +248,94 @@ TEST(Recovery, RejectedQueuedAdmissionIsAbandonedNotRetried) {
   EXPECT_EQ(report.queued_replayed, 0u);
   EXPECT_TRUE(report.recovered_sns.empty());
   EXPECT_EQ(rig.firmware.sn_current(), 0u);
+  // The refused admission staged its payload on block 0; the rejection
+  // zero-filled it.
+  EXPECT_EQ(rig.disk.raw_block(0), common::Bytes(rig.disk.block_size(), 0));
 
   auto second = rig.crash_and_recover();
   EXPECT_EQ(second.abandoned, 0u);
   EXPECT_EQ(second.resent, 0u);
   EXPECT_EQ(second.queued_replayed, 0u);
   EXPECT_EQ(rig.put("next", Duration::days(30)), 1u);
+  EXPECT_EQ(rig.store->vrdt().find(1)->vrd.rdl.at(0).blocks,
+            std::vector<std::uint64_t>{0});
+}
+
+/// Journals the intent of a one-write kWriteBatch naming `rd`, as a store
+/// does just before the crossing, with a seq the device has not seen. The
+/// write has zero retention, so the device refuses it; admission refuses
+/// that now, so this stands in for an older store that sent it.
+void journal_refused_intent(CrashRig& rig, const storage::RecordDescriptor& rd,
+                            const common::Bytes& payload) {
+  Firmware::BatchItem item;
+  item.attr = rig.attr(Duration{});
+  item.rdl = {rd};
+  item.payloads = {payload};
+  common::ByteWriter frame;
+  ScpuChannel::encode_write_batch_into(frame, {item}, WitnessMode::kStrong,
+                                       HashMode::kScpuHash);
+  common::ByteWriter w;
+  w.u64(rig.firmware.transport_last_seq() + 1);
+  w.blob(frame.bytes());
+  w.u32(0);  // supersedes no admissions
+  HostJournal(rig.config.journal_path)
+      .append(JournalRecordType::kIntent, w.bytes());
+}
+
+TEST(Recovery, RefusedResendZeroesTheBlocksItStaged) {
+  CrashRig rig("recovery_orphan.wal");
+  Sn live = rig.put("live", Duration::days(30));
+  const std::size_t free_before = rig.records->free_blocks();
+  // A write staged its payload and journaled its intent; the host died
+  // before the crossing.
+  common::Bytes payload = common::to_bytes("orphaned plaintext");
+  storage::RecordDescriptor rd = rig.records->write(payload);
+  rig.crash();
+  journal_refused_intent(rig, rd, payload);
+
+  rig.boot();
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.resent, 1u);
+  EXPECT_EQ(report.abandoned, 1u);
+  EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"),
+            rd.blocks.size());
+  EXPECT_EQ(rig.records->free_blocks(), free_before);
+  for (std::uint64_t b : rd.blocks) {
+    EXPECT_EQ(rig.disk.raw_block(b), common::Bytes(rig.disk.block_size(), 0))
+        << "block " << b;
+  }
+
+  // The orphan's blocks go to the next write; the live record is untouched.
+  Sn next = rig.put("next", Duration::days(30));
+  EXPECT_EQ(rig.store->vrdt().find(next)->vrd.rdl.at(0).blocks, rd.blocks);
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn : {live, next}) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
+}
+
+TEST(Recovery, RefusedResendNeverZeroesASharedLiveRecord) {
+  // With dedup on, a staged write can name a live record's descriptor. The
+  // refused frame then names blocks a VRD still governs.
+  StoreConfig sc = worm::testing::lockstep_store_config();
+  sc.dedup = true;
+  CrashRig rig("recovery_orphan_dedup.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), sc);
+  common::Bytes payload = common::to_bytes("popular attachment");
+  Sn live = rig.store->write(
+      {.payloads = {payload}, .attr = rig.attr(Duration::days(30))});
+  storage::RecordDescriptor rd = rig.store->vrdt().find(live)->vrd.rdl.at(0);
+  rig.crash();
+  journal_refused_intent(rig, rd, payload);
+
+  rig.boot();
+  auto report = rig.store->recover();
+  EXPECT_EQ(report.abandoned, 1u);
+  EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"), 0u);
+  EXPECT_EQ(rig.verifier().verify_read(live, rig.store->read(live)).verdict,
+            Verdict::kAuthentic);
 }
 
 TEST(Recovery, TornJournalTailIsDiscardedNotFatal) {

@@ -683,13 +683,14 @@ TEST(WormStore, CounterKeysAreStable) {
       "recovery.replayed",
       "recovery.resent",
       "recovery.torn_bytes",
+      "recovery.orphan_blocks",
       "write_pipeline.queued",
       "write_pipeline.batches",
       "write_pipeline.batch_fill_avg",
       "write_pipeline.backpressure_stalls",
       "write_pipeline.busy_rejected",
   };
-  EXPECT_EQ(expected.size(), 36u);
+  EXPECT_EQ(expected.size(), 37u);
   EXPECT_EQ(keys, expected);
 }
 
