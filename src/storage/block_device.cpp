@@ -1,6 +1,7 @@
 #include "storage/block_device.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -119,7 +120,17 @@ FileBlockDevice::FileBlockDevice(const std::string& path,
     throw StorageError("FileBlockDevice: cannot open " + path + ": " +
                        std::strerror(errno));
   }
-  if (::ftruncate(fd_, static_cast<off_t>(block_size * block_count)) != 0) {
+  // Never shrink: a store that grew past the count it is reopened with
+  // keeps every block it wrote.
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    ::close(fd_);
+    throw StorageError("FileBlockDevice: cannot stat " + path);
+  }
+  const auto existing = static_cast<std::size_t>(st.st_size);
+  block_count_ =
+      std::max(block_count, (existing + block_size - 1) / block_size);
+  if (::ftruncate(fd_, static_cast<off_t>(block_size * block_count_)) != 0) {
     ::close(fd_);
     throw StorageError("FileBlockDevice: cannot size " + path);
   }

@@ -156,7 +156,9 @@ class MemBlockDevice final : public BlockDevice {
 /// File-backed device (one flat file, block i at offset i*block_size).
 class FileBlockDevice final : public BlockDevice {
  public:
-  /// Opens (creating if needed) the backing file sized to block_count blocks.
+  /// Opens (creating if needed) the backing file sized to at least
+  /// block_count blocks. A larger existing file keeps its size, and
+  /// block_count() reports it: reopening never truncates written blocks.
   FileBlockDevice(const std::string& path, std::size_t block_size,
                   std::size_t block_count);
   ~FileBlockDevice() override;

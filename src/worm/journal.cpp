@@ -28,7 +28,8 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
 
 HostJournal::HostJournal(std::string path, common::FaultInjector* fault)
     : path_(std::move(path)), fault_(fault) {
-  WORM_REQUIRE(!path_.empty(), "journal path must not be empty");
+  if (!enabled()) return;
+  common::MutexLock lk(mu_);
   open_for_append();
 }
 
@@ -42,6 +43,7 @@ void HostJournal::open_for_append() {
 void HostJournal::append(JournalRecordType type, ByteView payload) {
   if (!enabled()) return;
   Bytes frame = encode_frame(type, payload);
+  common::MutexLock lk(mu_);
   switch (WORM_FAULT_POINT(fault_, "journal.append")) {
     case FaultKind::kTransient:
       // The write never reached the disk at all.
@@ -68,6 +70,7 @@ void HostJournal::append(JournalRecordType type, ByteView payload) {
 HostJournal::ReplayResult HostJournal::replay() const {
   ReplayResult result;
   if (!enabled()) return result;
+  common::MutexLock lk(mu_);
   std::ifstream in(path_, std::ios::binary);
   if (!in) return result;  // no journal yet: clean empty store
   Bytes data((std::istreambuf_iterator<char>(in)),
@@ -108,6 +111,7 @@ HostJournal::ReplayResult HostJournal::replay() const {
 
 void HostJournal::rewrite(const std::vector<JournalRecord>& records) {
   if (!enabled()) return;
+  common::MutexLock lk(mu_);
   out_.close();
   const std::string tmp = path_ + ".tmp";
   {

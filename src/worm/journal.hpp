@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/fault.hpp"
 
@@ -63,31 +64,30 @@ struct JournalRecord {
 };
 
 /// Append-only journal file with checksummed frames and torn-tail-tolerant
-/// replay. Not internally synchronized: WormStore serializes access under its
-/// state lock. A default-constructed (pathless) journal is a no-op sink so
-/// callers never need to branch on "journaling enabled".
+/// replay. Internally synchronized: every call takes the journal's own
+/// mutex, so write_async admissions append without the store lock. That
+/// mutex is a leaf (DESIGN.md §7): nothing else is acquired under it but the
+/// fault injector's. A pathless journal is a no-op sink so callers never
+/// need to branch on "journaling enabled".
 class HostJournal {
  public:
-  HostJournal() = default;
-
-  /// Opens (creating if absent) the journal at `path` for appending.
-  /// `fault` (not owned, may be nullptr) arms the "journal.append" site:
-  /// kTransient fails the append cleanly, kTorn writes a half frame first —
-  /// exactly what a power cut mid-write leaves behind.
-  explicit HostJournal(std::string path,
+  /// Opens (creating if absent) the journal at `path` for appending; an
+  /// empty path makes the no-op sink. `fault` (not owned, may be nullptr)
+  /// arms the "journal.append" site: kTransient fails the append cleanly,
+  /// kTorn writes a half frame first — exactly what a power cut mid-write
+  /// leaves behind.
+  explicit HostJournal(std::string path = {},
                        common::FaultInjector* fault = nullptr);
 
   HostJournal(const HostJournal&) = delete;
   HostJournal& operator=(const HostJournal&) = delete;
-  HostJournal(HostJournal&&) = default;
-  HostJournal& operator=(HostJournal&&) = default;
 
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// Appends one frame and flushes it to the OS. Throws TransientStorageError
   /// when the injected fault fires; the frame may then be torn on disk.
-  void append(JournalRecordType type, common::ByteView payload);
+  void append(JournalRecordType type, common::ByteView payload) EXCLUDES(mu_);
 
   struct ReplayResult {
     std::vector<JournalRecord> records;  // the clean prefix, in append order
@@ -97,18 +97,19 @@ class HostJournal {
 
   /// Parses the on-disk frames. Never throws on damage — a torn or corrupt
   /// frame ends the replay and is reported, matching crash semantics.
-  [[nodiscard]] ReplayResult replay() const;
+  [[nodiscard]] ReplayResult replay() const EXCLUDES(mu_);
 
   /// Atomically replaces the journal contents (write temp + rename), used to
   /// truncate history after recovery folds it into a checkpoint.
-  void rewrite(const std::vector<JournalRecord>& records);
+  void rewrite(const std::vector<JournalRecord>& records) EXCLUDES(mu_);
 
  private:
-  void open_for_append();
+  void open_for_append() REQUIRES(mu_);
 
-  std::string path_;
-  common::FaultInjector* fault_ = nullptr;
-  std::ofstream out_;
+  const std::string path_;
+  common::FaultInjector* const fault_;
+  mutable common::AnnotatedMutex mu_;
+  std::ofstream out_ GUARDED_BY(mu_);
 };
 
 }  // namespace worm::core

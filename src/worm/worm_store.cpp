@@ -64,6 +64,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
       records_(records),
       config_(std::move(config)),
       channel_(firmware, validated(config_).mailbox.retry, config_.fault),
+      journal_(config_.journal_path, config_.fault),
       read_cache_(config_.read_cache_capacity) {
   // Out-of-band deployment wiring: interrupt registration and policy
   // parameters a real host learns at provisioning time. Everything else —
@@ -72,9 +73,6 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
   firmware_.set_host_agent(this);
   short_sig_lifetime_ = firmware_.config().short_sig_lifetime;
   records_.set_fault_injector(config_.fault);
-  if (!config_.journal_path.empty()) {
-    journal_ = HostJournal(config_.journal_path, config_.fault);
-  }
 
   try {
     // Seed the scheduling mirrors — non-zero when the firmware was restored
@@ -144,9 +142,27 @@ Bytes intent_record(std::uint64_t seq, ByteView frame,
   for (std::uint64_t qid : qids) w.u64(qid);
   return w.take();
 }
+
+/// True when a crossing failed because the device answered with a refusal:
+/// it did NOT execute the command. A timeout may have executed it (its
+/// intent stays pending for recover() to reconcile through the device-side
+/// dedup); device death and host faults are not answers at all.
+bool device_rejected(const std::exception_ptr& failure) {
+  try {
+    std::rethrow_exception(failure);
+  } catch (const ScpuDeadError&) {
+    return false;
+  } catch (const ChannelTimeoutError&) {
+    return false;
+  } catch (const ChannelError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
 }  // namespace
 
-WormStore::Sequenced WormStore::sequenced(
+ScpuChannel::Prepared WormStore::journal_intent(
     Bytes frame, const std::vector<std::uint64_t>& qids) {
   ScpuChannel::Prepared cmd = channel_.prepare(std::move(frame));
   if (journal_.enabled()) {
@@ -159,21 +175,17 @@ WormStore::Sequenced WormStore::sequenced(
                     intent_record(cmd.seq, cmd.request, qids));
     pending_seqs_.insert(cmd.seq);
   }
-  Bytes payload;
+  return cmd;
+}
+
+WormStore::Sequenced WormStore::sequenced(Bytes frame) {
+  ScpuChannel::Prepared cmd = journal_intent(std::move(frame));
   try {
-    payload = channel_.send_ok(cmd);
-  } catch (const ScpuDeadError&) {
-    throw;
-  } catch (const ChannelTimeoutError&) {
-    // The command may or may not have executed; the intent stays pending and
-    // recover() reconciles it (the device-side dedup makes that safe).
-    throw;
-  } catch (const ChannelError&) {
-    // Definitive rejection: the device answered, so it did NOT execute.
-    complete_intent(cmd.seq);
+    return {channel_.send_ok(cmd), cmd.seq};
+  } catch (...) {
+    if (device_rejected(std::current_exception())) complete_intent(cmd.seq);
     throw;
   }
-  return {std::move(payload), cmd.seq};
 }
 
 void WormStore::complete_intent(std::uint64_t seq) {
@@ -283,7 +295,7 @@ void WormStore::release_rd(const storage::RecordDescriptor& rd,
 }
 
 // ---------------------------------------------------------------------------
-// Writes: every path stages its writes and hands them to commit_locked()
+// Writes: every path hands its writes to commit_writes()
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -309,15 +321,14 @@ Bytes chained_hash(const std::vector<Bytes>& payloads) {
 
 }  // namespace
 
-WormStore::StagedWrite WormStore::stage(const WriteRequest& request) {
+Firmware::BatchItem WormStore::stage(const WriteRequest& request) {
   // 1. Main CPU writes the actual data to disk (§4.2.2 "Write").
-  StagedWrite s;
-  s.mode = request.mode.value_or(config_.default_mode);
-  s.item.attr = request.attr;
-  s.item.rdl.reserve(request.payloads.size());
+  Firmware::BatchItem item;
+  item.attr = request.attr;
+  item.rdl.reserve(request.payloads.size());
   std::size_t total = 0;
   for (const auto& p : request.payloads) {
-    s.item.rdl.push_back(store_payload(p));
+    item.rdl.push_back(store_payload(p));
     total += p.size();
   }
 
@@ -326,80 +337,110 @@ WormStore::StagedWrite WormStore::stage(const WriteRequest& request) {
   //    hash crosses the device boundary, not the data.
   if (config_.hash_mode == HashMode::kHostHash) {
     charge_host(config_.host_model.hash_cost(total));
-    s.item.claimed_hash = chained_hash(request.payloads);
+    item.claimed_hash = chained_hash(request.payloads);
   } else {
-    s.item.payloads = request.payloads;
+    item.payloads = request.payloads;
   }
-  return s;
+  return item;
 }
 
-WormStore::StagedWrite WormStore::stage(WritePipeline::Pending& p) {
-  StagedWrite s;
-  s.mode = p.mode.value_or(config_.default_mode);
-  s.qid = p.qid;
-  s.item.attr = p.attr;
-  s.item.rdl.reserve(p.payloads.size());
-  for (const auto& b : p.payloads) s.item.rdl.push_back(store_payload(b));
+Firmware::BatchItem WormStore::stage(WritePipeline::Pending& p) {
+  Firmware::BatchItem item;
+  item.attr = p.attr;
+  item.rdl.reserve(p.payloads.size());
+  for (const auto& b : p.payloads) item.rdl.push_back(store_payload(b));
   if (config_.hash_mode == HashMode::kHostHash) {
-    s.item.claimed_hash = p.claimed_hash;  // hashed on the admitting thread
+    item.claimed_hash = p.claimed_hash;  // hashed on the admitting thread
   } else {
-    s.item.payloads = std::move(p.payloads);
+    item.payloads = std::move(p.payloads);
   }
-  return s;
+  return item;
 }
 
-void WormStore::commit_locked(std::vector<StagedWrite>& writes,
+Bytes WormStore::cross_write_batch(const ScpuChannel::Prepared& cmd) {
+  return channel_.send_ok(cmd);
+}
+
+void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
                               const Landed& landed) {
-  mailbox_.queue_hwm =
-      std::max<std::uint64_t>(mailbox_.queue_hwm, writes.size());
+  auto mode_of = [this](const UnstagedWrite& w) {
+    const std::optional<WitnessMode>& mode =
+        w.admitted != nullptr ? w.admitted->mode : w.request->mode;
+    return mode.value_or(config_.default_mode);
+  };
   const std::size_t max_batch = config_.mailbox.max_batch;
   std::size_t first = 0;
   while (first < writes.size()) {
     // Consecutive same-mode writes share a crossing (the wire command
     // carries one mode), at most max_batch of them.
-    const WitnessMode mode = writes[first].mode;
-    std::vector<Firmware::BatchItem> items;
-    std::vector<std::uint64_t> qids;
-    std::size_t end = first;
-    for (; end < writes.size() && end - first < max_batch &&
-           writes[end].mode == mode;
-         ++end) {
-      items.push_back(std::move(writes[end].item));
-      if (writes[end].qid != 0) qids.push_back(writes[end].qid);
+    const WitnessMode mode = mode_of(writes[first]);
+    std::size_t end = first + 1;
+    while (end < writes.size() && end - first < max_batch &&
+           mode_of(writes[end]) == mode) {
+      ++end;
     }
 
-    // Encode into the store's reusable arena (no buffer growth once warm),
-    // then take one exact-size copy for the journal/retry owner.
-    common::ByteWriter w = encode_scratch_.writer();
-    ScpuChannel::encode_write_batch_into(w, items, mode, config_.hash_mode);
-    common::ByteView encoded = w.written();
-    Sequenced sq;
+    // 1. Stage the chunk and journal its intent. Later chunks stay unstaged
+    //    until their turn, so a rejection that stops the caller leaves no
+    //    plaintext behind.
+    std::vector<Firmware::BatchItem> items;
+    ScpuChannel::Prepared cmd;
+    {
+      common::ExclusiveLock lk(state_mu_);
+      mailbox_.queue_hwm =
+          std::max<std::uint64_t>(mailbox_.queue_hwm, writes.size());
+      std::vector<std::uint64_t> qids;
+      items.reserve(end - first);
+      for (std::size_t k = first; k < end; ++k) {
+        const UnstagedWrite& w = writes[k];
+        items.push_back(w.admitted != nullptr ? stage(*w.admitted)
+                                              : stage(*w.request));
+        if (w.qid != 0) qids.push_back(w.qid);
+      }
+      // Encode into the store's reusable arena (no buffer growth once
+      // warm), then take one exact-size copy for the journal/retry owner.
+      common::ByteWriter w = encode_scratch_.writer();
+      ScpuChannel::encode_write_batch_into(w, items, mode, config_.hash_mode);
+      common::ByteView encoded = w.written();
+      cmd = journal_intent(Bytes(encoded.begin(), encoded.end()), qids);
+      writes_in_flight_ = true;
+    }
+
+    // 2. Cross with the store lock released: reads and admissions go on
+    //    while the SCPU signs.
+    Bytes payload;
+    std::exception_ptr failure;
     try {
-      sq = sequenced(Bytes(encoded.begin(), encoded.end()), qids);
-    } catch (const ScpuDeadError&) {
-      throw;
-    } catch (const ChannelTimeoutError&) {
-      throw;
-    } catch (const ChannelError&) {
+      payload = cross_write_batch(cmd);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+
+    // 3. Apply the ack, complete the intent and resolve the chunk.
+    common::ExclusiveLock lk(state_mu_);
+    writes_in_flight_ = false;
+    if (failure != nullptr) {
+      // Timeouts (the intent stays pending), device death and host faults
+      // stop the commit.
+      if (!device_rejected(failure)) std::rethrow_exception(failure);
       // Definitive rejection: nothing in the chunk ran, and the completed
-      // intent consumed its admissions. What it staged holds plaintext no
+      // intent consumes its admissions. What it staged holds plaintext no
       // VRD governs.
-      std::exception_ptr rejected = std::current_exception();
+      complete_intent(cmd.seq);
       for (const Firmware::BatchItem& item : items) {
         for (const auto& rd : item.rdl) {
           release_rd(rd, storage::ShredPolicy::kZeroFill);
         }
       }
-      for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, rejected);
-      first = end;
-      continue;
-    }
-    std::vector<Sn> sns = apply_write_ack_locked(sq.payload, items, mode);
-    ++mailbox_.batches;
-    mailbox_.batched_writes += sns.size();
-    complete_intent(sq.seq);
-    for (std::size_t k = 0; k < sns.size(); ++k) {
-      landed(first + k, sns[k], nullptr);
+      for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, failure);
+    } else {
+      std::vector<Sn> sns = apply_write_ack_locked(payload, items, mode);
+      ++mailbox_.batches;
+      mailbox_.batched_writes += sns.size();
+      complete_intent(cmd.seq);
+      for (std::size_t k = 0; k < sns.size(); ++k) {
+        landed(first + k, sns[k], nullptr);
+      }
     }
     first = end;
   }
@@ -453,16 +494,19 @@ std::vector<Sn> WormStore::write_batch(
     std::span<const WriteRequest> requests) {
   for (const WriteRequest& r : requests) check_request(r);
   if (requests.empty()) return {};
+  std::vector<UnstagedWrite> writes;
+  writes.reserve(requests.size());
+  for (const WriteRequest& r : requests) writes.push_back({.request = &r});
   std::vector<Sn> sns;
   sns.reserve(requests.size());
-  common::ExclusiveLock lk(state_mu_);
+  common::MutexLock commit(commit_mu_);
   require_mutable();
   try {
-    maybe_service_deadline();
-    std::vector<StagedWrite> writes;
-    writes.reserve(requests.size());
-    for (const WriteRequest& r : requests) writes.push_back(stage(r));
-    commit_locked(writes, [&sns](std::size_t, Sn sn,
+    {
+      common::ExclusiveLock lk(state_mu_);
+      maybe_service_deadline();
+    }
+    commit_writes(writes, [&sns](std::size_t, Sn sn,
                                  const std::exception_ptr& rejected) {
       // The caller gets one answer: a rejection stops the whole call.
       if (rejected) std::rethrow_exception(rejected);
@@ -513,11 +557,12 @@ std::optional<WriteTicket> WormStore::admit(WriteRequest request,
   }
 
   try {
-    common::ExclusiveLock lk(state_mu_);
     require_mutable();
     p.qid = ++next_qid_;
     // Durability before ack: the admission hits the WAL before the ticket
-    // exists, so a resolved ticket always implies a recoverable write.
+    // exists, so a resolved ticket always implies a recoverable write. The
+    // journal's own lock serializes the append; no store lock is taken, so
+    // an admission never waits behind a crossing.
     journal_queued_write(p.qid, request);
   } catch (...) {
     pipeline_->release_reservation();
@@ -549,16 +594,21 @@ void WormStore::close() {
 }
 
 void WormStore::flush_group(std::vector<WritePipeline::Pending>&& group) {
-  common::ExclusiveLock lk(state_mu_);
+  common::MutexLock commit(commit_mu_);
   std::size_t next = 0;  // first unresolved ticket
   std::exception_ptr err;  // what every unresolved ticket fails with
   try {
     require_mutable();
-    maybe_service_deadline();
-    std::vector<StagedWrite> writes;
+    {
+      common::ExclusiveLock lk(state_mu_);
+      maybe_service_deadline();
+    }
+    std::vector<UnstagedWrite> writes;
     writes.reserve(group.size());
-    for (WritePipeline::Pending& p : group) writes.push_back(stage(p));
-    commit_locked(writes, [&](std::size_t k, Sn sn,
+    for (WritePipeline::Pending& p : group) {
+      writes.push_back({.admitted = &p, .qid = p.qid});
+    }
+    commit_writes(writes, [&](std::size_t k, Sn sn,
                               const std::exception_ptr& rejected) {
       // A rejected chunk fails only its own tickets: the intent it completed
       // consumed exactly their admissions, and later chunks still cross.
@@ -638,13 +688,17 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
     }
     return std::nullopt;  // expired base: refreshing needs a mailbox crossing
   }
-  if (!pending_seqs_.empty() && sn > sn_current_mirror_) {
-    // An unreconciled intent may have allocated this SN on the device: a
-    // "never existed" answer from the pre-intent heartbeat would be a lie
-    // the host knows it cannot stand behind. Unavailable until recover().
+  if ((writes_in_flight_ || !pending_seqs_.empty()) &&
+      sn > sn_current_mirror_) {
+    // A write crossing in flight, or an unreconciled intent, may have
+    // allocated this SN on the device: a "never existed" answer from an
+    // older heartbeat would be a lie the host knows it cannot stand behind,
+    // and a heartbeat that already counts it finds no entry to serve.
+    // Unavailable until the ack is applied (or recover() reconciles).
     return ReadOutcome{ReadUnavailable{
-        "host journal holds unreconciled intents; SN " + std::to_string(sn) +
-            " may be in flight",
+        "SN " + std::to_string(sn) +
+            " may be in flight: a write crossing or an unreconciled intent "
+            "is pending",
         /*retryable=*/true}};
   }
   if (pipeline_ != nullptr && pipeline_->unsettled() > 0 &&
@@ -729,8 +783,9 @@ ReadOutcome WormStore::read(Sn sn) {
         }
       }
       // The base proof expired; refreshing it crosses the mailbox, which
-      // only the exclusive path may do. State may have moved while the
-      // shared lock was dropped, so answer again from scratch.
+      // takes the commit lock before the store lock. State may have moved
+      // while the shared lock was dropped, so answer again from scratch.
+      common::MutexLock commit(commit_mu_);
       common::ExclusiveLock lk(state_mu_);
       if (auto r = read_locked(sn)) {
         maybe_cache_locked(sn, *r);
@@ -772,6 +827,7 @@ void WormStore::apply_lit_update(Sn sn, Firmware::LitUpdate up) {
 }
 
 void WormStore::lit_hold(const LitigationRequest& request) {
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   require_mutable();
   Vrdt::Entry* e = vrdt_.mutable_entry(request.sn);
@@ -790,6 +846,7 @@ void WormStore::lit_hold(const LitigationRequest& request) {
 }
 
 void WormStore::lit_release(const LitigationRequest& request) {
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   require_mutable();
   Vrdt::Entry* e = vrdt_.mutable_entry(request.sn);
@@ -839,7 +896,12 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
 void WormStore::on_heartbeat(SignedSnCurrent current) {
   common::ExclusiveLock lk(state_mu_);
   heartbeat_ = std::move(current);
-  sn_current_mirror_ = std::max(sn_current_mirror_, heartbeat_.sn_current);
+  // Mid-crossing, the heartbeat may count SNs whose VRDs are not applied
+  // yet; next_sn() and read-your-writes need the mirror to stay at what the
+  // host holds. The ack moves it once they are applied.
+  if (!writes_in_flight_) {
+    sn_current_mirror_ = std::max(sn_current_mirror_, heartbeat_.sn_current);
+  }
 }
 
 namespace {
@@ -911,31 +973,37 @@ void WormStore::adopt_vrdt(Vrdt vrdt) {
 // ---------------------------------------------------------------------------
 
 WormStore::RecoveryReport WormStore::recover() {
-  common::ExclusiveLock lk(state_mu_);
+  common::MutexLock commit(commit_mu_);
   WORM_REQUIRE(journal_.enabled(),
                "recover: store has no journal configured (journal_path)");
-  WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
-               "recover: store already in service");
 
   RecoveryReport report;
-  Replayed replayed = replay_journal_locked(report);
+  Replayed replayed;
   Resent resent;
   bool rewrite_safe = true;
   try {
-    resent = resend_intents_locked(replayed, report);
-    // Host state is now what the journal and the device agree on; derive
-    // the rest from it before re-executed admissions allocate.
-    derive_host_state_locked(resent.unresolved, resent.abandoned);
-    reconcile_with_device_locked(replayed.journaled_base, resent.unresolved);
-    rewrite_safe = reexecute_queued_locked(replayed.queued, report);
+    {
+      common::ExclusiveLock lk(state_mu_);
+      WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
+                   "recover: store already in service");
+      replayed = replay_journal_locked(report);
+      resent = resend_intents_locked(replayed, report);
+      // Host state is now what the journal and the device agree on; derive
+      // the rest from it before re-executed admissions allocate.
+      derive_host_state_locked(resent.unresolved, resent.abandoned);
+      reconcile_with_device_locked(replayed.journaled_base, resent.unresolved);
+    }
+    rewrite_safe = reexecute_queued(replayed.queued, report);
   } catch (const ScpuDeadError&) {
     // Dead device: keep pending intents on the books (reads of possibly
     // in-flight SNs answer unavailable, not failure) and serve read-only.
+    common::ExclusiveLock lk(state_mu_);
     degraded_ = true;
     for (const auto& [seq, frame] : replayed.pending) pending_seqs_.insert(seq);
     derive_host_state_locked(replayed.pending, {});
   }
 
+  common::ExclusiveLock lk(state_mu_);
   read_cache_.clear();
   if (!degraded_ && rewrite_safe) checkpoint_locked(resent.unresolved);
   return report;
@@ -1033,7 +1101,7 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
           for (std::uint32_t k = 0; k < n; ++k) req.payloads.push_back(r.blob());
           r.expect_end();
           out.queued[qid] = std::move(req);
-          next_qid_ = std::max(next_qid_, qid);
+          if (qid > next_qid_) next_qid_ = qid;
           break;
         }
       }
@@ -1166,21 +1234,20 @@ void WormStore::reconcile_with_device_locked(Sn journaled_base,
   for (const auto& [seq, frame] : unresolved) pending_seqs_.insert(seq);
 }
 
-bool WormStore::reexecute_queued_locked(
+bool WormStore::reexecute_queued(
     const std::map<std::uint64_t, WriteRequest>& queued,
     RecoveryReport& report) {
   // Pipeline admissions no intent ever superseded were journaled before
   // their tickets could resolve, so they are owed to whoever was told
   // "queued". They cross now in qid (= admission order) through the write
   // committer, whose intents supersede them exactly like a live flush.
-  std::vector<StagedWrite> writes;
+  std::vector<UnstagedWrite> writes;
   writes.reserve(queued.size());
   for (const auto& [qid, request] : queued) {
-    writes.push_back(stage(request));
-    writes.back().qid = qid;
+    writes.push_back({.request = &request, .qid = qid});
   }
   try {
-    commit_locked(writes, [&report](std::size_t, Sn sn,
+    commit_writes(writes, [&report](std::size_t, Sn sn,
                                     const std::exception_ptr& rejected) {
       if (rejected) {
         ++report.abandoned;  // never ran, and its admission is consumed
@@ -1216,7 +1283,7 @@ void WormStore::checkpoint_locked(const Intents& unresolved) {
 // ---------------------------------------------------------------------------
 
 TrustAnchors WormStore::anchors() {
-  common::ExclusiveLock lk(state_mu_);
+  common::MutexLock commit(commit_mu_);
   CertificateBundle bundle = channel_.get_certificates();
   TrustAnchors a;
   a.meta_key = crypto::RsaPublicKey::deserialize(bundle.meta_pub);
@@ -1230,7 +1297,7 @@ TrustAnchors WormStore::anchors() {
 
 MigrationAttestation WormStore::sign_migration(ByteView manifest_hash,
                                                std::uint64_t dest_store_id) {
-  common::ExclusiveLock lk(state_mu_);
+  common::MutexLock commit(commit_mu_);
   require_mutable();
   try {
     return channel_.sign_migration(manifest_hash, config_.store_id,
@@ -1241,6 +1308,7 @@ MigrationAttestation WormStore::sign_migration(ByteView manifest_hash,
 }
 
 SignedSnCurrent WormStore::refresh_heartbeat() {
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) return heartbeat_;  // no keys left to stamp a fresher one
   try {
@@ -1259,6 +1327,7 @@ void WormStore::adopt_epoch_cert_locked(const std::optional<EpochCert>& cert) {
 }
 
 EpochCert WormStore::refresh_epoch_cert() {
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) {
     // No keys left; the newest cached cert is the freshest statement that
@@ -1278,6 +1347,7 @@ EpochCert WormStore::refresh_epoch_cert() {
 }
 
 std::map<std::string_view, std::uint64_t> WormStore::counters() const {
+  common::MutexLock commit(commit_mu_);
   common::SharedLock lk(state_mu_);
   const ReadCacheStats cache = read_cache_.stats();
   const ScpuChannel::WireStats& wire = channel_.wire_stats();
@@ -1330,8 +1400,9 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-aware scheduling + idle-period duties (all under the exclusive
-// lock: the duties run inside pump_idle / maybe_service_deadline)
+// Deadline-aware scheduling + idle-period duties (under the commit lock and
+// the exclusive store lock: the duties run inside pump_idle /
+// maybe_service_deadline)
 // ---------------------------------------------------------------------------
 
 void WormStore::note_deferred_witness(SimTime creation_time) {
@@ -1517,6 +1588,7 @@ bool WormStore::pump_idle() {
   // stand-in for a linger timer, so an idle rotation re-evaluates whether the
   // oldest queued admission has lingered past its deadline.
   if (pipeline_ != nullptr) pipeline_->poke();
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) return false;  // nothing to pump into a dead device
   try {

@@ -12,16 +12,22 @@
 // Threading model: the read path (read/read_many/deadline_pressure) runs
 // under a shared lock, so any number of reader threads proceed in parallel
 // (§4.2.2 — reads are main-CPU-only and must scale with host resources).
-// Everything that mutates host state or crosses the SCPU mailbox — writes,
-// litigation, idle duties, interrupts, anchors — takes the lock exclusively;
-// the mailbox itself stays strictly serialized. Mutators invalidate exactly
-// the read-cache entries they touch, so a read issued after a mutation
-// returns never sees the pre-mutation result. See DESIGN.md §7.
+// Everything that mutates host state takes that lock (state_mu_)
+// exclusively. Every mailbox crossing takes commit_mu_ first, which keeps
+// the mailbox strictly serialized and journal order equal to sequence order.
+// A write crosses with state_mu_ released, so reads and write_async
+// admissions run while the SCPU signs; litigation, idle duties, refreshes
+// and recovery hold both, and anchors and migration signing, which touch no
+// host state, hold only commit_mu_. Lock order: commit_mu_ -> state_mu_ ->
+// ReadCache shard, with the journal's own mutex a leaf. Mutators invalidate
+// exactly the read-cache entries they touch, so a read issued after a
+// mutation returns never sees the pre-mutation result. See DESIGN.md §7.
 //
 // The discipline is machine-checked (DESIGN.md §8): every piece of host soft
-// state is GUARDED_BY(state_mu_), every locked helper declares REQUIRES /
-// REQUIRES_SHARED, and a clang build under -Werror=thread-safety refuses to
-// compile an access that breaks the model.
+// state is GUARDED_BY(state_mu_), the mailbox is GUARDED_BY(commit_mu_),
+// every locked helper declares REQUIRES / REQUIRES_SHARED, the write
+// crossing is EXCLUDES(state_mu_), and a clang build under
+// -Werror=thread-safety refuses to compile an access that breaks the model.
 #pragma once
 
 #include <atomic>
@@ -172,8 +178,9 @@ class WormStore final : public HostAgent {
   /// Witnesses many pending writes with as few mailbox crossings as possible
   /// (kWriteBatch, at most StoreConfig::mailbox.max_batch per crossing).
   /// Requests with the same effective witness mode share crossings; returned
-  /// SNs parallel `requests`. Crosses inline under the store lock, pipeline
-  /// or not; a device rejection throws and leaves later chunks uncrossed.
+  /// SNs parallel `requests`. Crosses inline on the caller's thread,
+  /// pipeline or not; a device rejection throws and leaves later chunks
+  /// unstaged and uncrossed.
   [[nodiscard]] std::vector<Sn> write_batch(
       std::span<const WriteRequest> requests) EXCLUDES(state_mu_);
 
@@ -185,7 +192,8 @@ class WormStore final : public HostAgent {
   /// get() blocks until the group lands and yields the issued Sn; with the
   /// pipeline on, write() is exactly write_async(request).get(). Safe to call
   /// from many threads concurrently (admission-side hashing runs in parallel;
-  /// only the journal append serializes under the state lock).
+  /// only the journal append serializes, under the journal's own lock — an
+  /// admission never waits for the store lock or a crossing).
   [[nodiscard]] WriteTicket write_async(WriteRequest request)
       EXCLUDES(state_mu_);
 
@@ -274,8 +282,9 @@ class WormStore final : public HostAgent {
   /// Both terms are read under the state lock, and the pipeline decrements
   /// unassigned() inside the flush's exclusive hold of that same lock right
   /// after the mirror absorbs the commit — so the sum never double-counts a
-  /// write the mirror already reflects. Writes admitted concurrently with
-  /// this read are inherently unordered against it.
+  /// write the mirror already reflects (a heartbeat that lands mid-crossing
+  /// does not move the mirror, see on_heartbeat). Writes admitted
+  /// concurrently with this read are inherently unordered against it.
   [[nodiscard]] Sn next_sn() const EXCLUDES(state_mu_) {
     common::SharedLock lk(state_mu_);
     std::size_t pending = pipeline_ != nullptr ? pipeline_->unassigned() : 0;
@@ -360,18 +369,16 @@ class WormStore final : public HostAgent {
   /// True once the SCPU zeroized (tamper response) — the store then serves
   /// reads from existing proofs and rejects every mutation with
   /// ReadOnlyStoreError. There is no way back: the keys are gone.
-  [[nodiscard]] bool degraded() const EXCLUDES(state_mu_) {
-    common::SharedLock lk(state_mu_);
-    return degraded_;
-  }
+  [[nodiscard]] bool degraded() const { return degraded_; }
 
   /// Every store counter by its stable `<subsystem>.<counter>` name — the
   /// one place those names exist (DESIGN.md §6 lists them). Safe to call
-  /// concurrently with any operation; with the pipeline on and writers
-  /// active, write_pipeline.* may lag a mid-flush committer, so call
-  /// drain_writes() first when the numbers must be settled.
+  /// concurrently with any operation (it waits out a crossing in flight, to
+  /// read the transport's counts); with the pipeline on and writers active,
+  /// write_pipeline.* may lag a mid-flush committer, so call drain_writes()
+  /// first when the numbers must be settled.
   [[nodiscard]] std::map<std::string_view, std::uint64_t> counters() const
-      EXCLUDES(state_mu_);
+      EXCLUDES(commit_mu_, state_mu_);
 
  private:
   friend class InsiderHandle;
@@ -380,14 +387,14 @@ class WormStore final : public HostAgent {
       REQUIRES(state_mu_);
   void release_rd(const storage::RecordDescriptor& rd,
                   storage::ShredPolicy policy) REQUIRES(state_mu_);
-  SignedSnBase& fresh_base() REQUIRES(state_mu_);
+  SignedSnBase& fresh_base() REQUIRES(commit_mu_, state_mu_);
   void charge_host(common::Duration d) { clock_.charge(d); }
   std::vector<common::Bytes> read_payloads(const Vrd& vrd);
   /// Answers the read from host state under the caller's lock, or nullopt
   /// when the answer needs a mailbox crossing (expired base proof) — which
   /// only the exclusive-lock path may perform.
   std::optional<ReadOutcome> read_locked(Sn sn) REQUIRES_SHARED(state_mu_);
-  ReadOutcome read_below_base_locked(Sn sn) REQUIRES(state_mu_);
+  ReadOutcome read_below_base_locked(Sn sn) REQUIRES(commit_mu_, state_mu_);
   /// Caches `r` for sn if its kind is time-invariant. Must run under the
   /// state lock (shared suffices): that orders the insert against exclusive
   /// mutators, so a stale result can never be inserted after the
@@ -397,57 +404,72 @@ class WormStore final : public HostAgent {
 
   /// Throws ReadOnlyStoreError when the store is degraded (mutation entry
   /// guard).
-  void require_mutable() const REQUIRES_SHARED(state_mu_);
+  void require_mutable() const;
   /// Flips to degraded read-only mode and rethrows as ReadOnlyStoreError.
-  [[noreturn]] void enter_degraded(const ScpuDeadError& cause)
-      REQUIRES(state_mu_);
+  [[noreturn]] void enter_degraded(const ScpuDeadError& cause);
 
-  /// One journaled sequenced crossing: assigns a sequence number, journals
-  /// the intent (exact wire frame), sends with retry, returns the ok
-  /// payload + the seq the caller must complete_intent() after applying.
-  struct Sequenced {
-    common::Bytes payload;
-    std::uint64_t seq = 0;
-  };
   /// Adopts a batch-ack (or refreshed) epoch cert when its epoch is newer
   /// than the cached one.
   void adopt_epoch_cert_locked(const std::optional<EpochCert>& cert)
       REQUIRES(state_mu_);
 
-  /// `qids` names the pipeline admissions (kQueuedWrite records) a write
-  /// crossing carries: the intent record atomically supersedes them, so
-  /// recovery resends the frame (dedup-exact) instead of re-executing them
-  /// and a crash between journal and ack can never apply a write twice.
-  Sequenced sequenced(common::Bytes frame,
-                      const std::vector<std::uint64_t>& qids = {})
-      REQUIRES(state_mu_);
+  /// Frames `frame` with the next sequence number and journals it as an
+  /// intent (the exact wire frame) before it crosses. `qids` names the
+  /// pipeline admissions (kQueuedWrite records) a write crossing carries:
+  /// the intent record atomically supersedes them, so recovery resends the
+  /// frame (dedup-exact) instead of re-executing them and a crash between
+  /// journal and ack can never apply a write twice. commit_mu_ makes journal
+  /// order sequence order.
+  ScpuChannel::Prepared journal_intent(
+      common::Bytes frame, const std::vector<std::uint64_t>& qids = {})
+      REQUIRES(commit_mu_, state_mu_);
+  /// One journaled sequenced crossing with the store lock held: journals the
+  /// intent, sends with retry, returns the ok payload + the seq the caller
+  /// must complete_intent() after applying.
+  struct Sequenced {
+    common::Bytes payload;
+    std::uint64_t seq = 0;
+  };
+  Sequenced sequenced(common::Bytes frame) REQUIRES(commit_mu_, state_mu_);
   void complete_intent(std::uint64_t seq) REQUIRES(state_mu_);
 
   // --- the write path -------------------------------------------------------
 
-  /// One write on its way to the committer: payloads stored, hash taken (or
-  /// payloads carried for the device to hash).
-  struct StagedWrite {
-    Firmware::BatchItem item;
-    WitnessMode mode = WitnessMode::kStrong;
+  /// One write the committer has not staged yet. Exactly one of `request`
+  /// (synchronous and recovered writes) and `admitted` (pipeline
+  /// admissions) is set.
+  struct UnstagedWrite {
+    const WriteRequest* request = nullptr;
+    WritePipeline::Pending* admitted = nullptr;
     std::uint64_t qid = 0;  // journaled admission it completes; 0 = none
   };
-  /// Synchronous and recovered writes hash on the serialized clock (charged);
-  /// admitted ones reuse their admitting thread's hash and MOVE their
-  /// payloads into the frame, so multi-MB payloads are never copied.
-  StagedWrite stage(const WriteRequest& request) REQUIRES(state_mu_);
-  StagedWrite stage(WritePipeline::Pending& p) REQUIRES(state_mu_);
+  /// Stores the payloads and takes the hash (or carries the payloads for
+  /// the device to hash). Synchronous and recovered writes hash on the
+  /// serialized clock (charged); admitted ones reuse their admitting
+  /// thread's hash and MOVE their payloads into the frame, so multi-MB
+  /// payloads are never copied.
+  Firmware::BatchItem stage(const WriteRequest& request) REQUIRES(state_mu_);
+  Firmware::BatchItem stage(WritePipeline::Pending& p) REQUIRES(state_mu_);
   /// Each committed write's fate, in order: its SN, or the device rejection
-  /// of its chunk (nothing in that chunk ran).
+  /// of its chunk (nothing in that chunk ran). Called under state_mu_.
   using Landed = std::function<void(std::size_t index, Sn sn,
                                     const std::exception_ptr& rejected)>;
   /// The one write committer: consecutive same-mode writes, chunked at
-  /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk. A
-  /// rejected chunk's staged records are released (zero-filled unless a
-  /// live record shares them); committing goes on unless `landed` throws.
-  /// Timeouts, device death and host faults propagate.
-  void commit_locked(std::vector<StagedWrite>& writes, const Landed& landed)
-      REQUIRES(state_mu_);
+  /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk, in
+  /// three steps: stage the chunk and journal its intent under state_mu_,
+  /// cross with state_mu_ released, then apply the ack under state_mu_
+  /// again. A chunk is staged only when its turn comes. A rejected chunk's
+  /// staged records are released (zero-filled unless a live record shares
+  /// them); committing goes on unless `landed` throws. Timeouts, device
+  /// death and host faults propagate.
+  void commit_writes(std::span<const UnstagedWrite> writes,
+                     const Landed& landed) REQUIRES(commit_mu_)
+      EXCLUDES(state_mu_);
+  /// The write crossing: sends a journaled kWriteBatch frame. Never with the
+  /// store lock held (worm-analyze flags a call that holds it), so reads
+  /// and admissions proceed while the SCPU signs.
+  common::Bytes cross_write_batch(const ScpuChannel::Prepared& cmd)
+      REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// Applies a kWriteBatch ack (VRDs around `items`' RDLs, SN mirror, epoch
   /// cert); returns the issued SNs.
   std::vector<Sn> apply_write_ack_locked(
@@ -457,14 +479,14 @@ class WormStore final : public HostAgent {
   /// try_write_async (blocking = false) answers nullopt.
   std::optional<WriteTicket> admit(WriteRequest request, bool blocking)
       EXCLUDES(state_mu_);
-  /// Journals a write_async admission (kQueuedWrite) before the ticket exists.
-  void journal_queued_write(std::uint64_t qid, const WriteRequest& request)
-      REQUIRES(state_mu_);
-  /// Committer callback: applies one pipeline group under the exclusive lock,
-  /// in admission order, resolving every ticket (success or error). Never
-  /// throws — errors land in the tickets.
+  /// Journals a write_async admission (kQueuedWrite) before the ticket
+  /// exists, under the journal's own lock.
+  void journal_queued_write(std::uint64_t qid, const WriteRequest& request);
+  /// Committer callback: commits one pipeline group in admission order,
+  /// resolving every ticket (success or error). Never throws — errors land
+  /// in the tickets.
   void flush_group(std::vector<WritePipeline::Pending>&& group)
-      EXCLUDES(state_mu_);
+      EXCLUDES(commit_mu_, state_mu_);
 
   // --- recover() phases, in order ------------------------------------------
 
@@ -480,7 +502,7 @@ class WormStore final : public HostAgent {
     Intents abandoned;   // device rejected the frame: it never ran
   };
   Resent resend_intents_locked(Replayed& replayed, RecoveryReport& report)
-      REQUIRES(state_mu_);
+      REQUIRES(commit_mu_, state_mu_);
   /// Derives the host state nothing persists from the state that is: the
   /// records named by active VRDs and by the kWriteBatch frames of `live`
   /// intents rebuild the dedup index, the reference counts and the block
@@ -493,12 +515,12 @@ class WormStore final : public HostAgent {
       REQUIRES(state_mu_);
   void reconcile_with_device_locked(Sn journaled_base,
                                     const Intents& unresolved)
-      REQUIRES(state_mu_);
+      REQUIRES(commit_mu_, state_mu_);
   /// False when a timeout left an intent only the appended-to journal
   /// knows, so the checkpoint rewrite must be skipped.
-  bool reexecute_queued_locked(
-      const std::map<std::uint64_t, WriteRequest>& queued,
-      RecoveryReport& report) REQUIRES(state_mu_);
+  bool reexecute_queued(const std::map<std::uint64_t, WriteRequest>& queued,
+                        RecoveryReport& report) REQUIRES(commit_mu_)
+      EXCLUDES(state_mu_);
   void checkpoint_locked(const Intents& unresolved) REQUIRES(state_mu_);
 
   // WAL appends for host soft-state mutations; each runs BEFORE the
@@ -517,15 +539,15 @@ class WormStore final : public HostAgent {
       REQUIRES(state_mu_);
   void note_deferred_witness(common::SimTime creation_time)
       REQUIRES(state_mu_);
-  void sync_deferred_mirror() REQUIRES(state_mu_);
+  void sync_deferred_mirror() REQUIRES(commit_mu_, state_mu_);
   [[nodiscard]] bool deadline_pressure_locked(common::Duration margin) const
       REQUIRES_SHARED(state_mu_);
-  void maybe_service_deadline() REQUIRES(state_mu_);
-  bool do_strengthen_batch() REQUIRES(state_mu_);
-  bool do_hash_audits() REQUIRES(state_mu_);
-  bool do_compaction() REQUIRES(state_mu_);
-  bool do_advance_base() REQUIRES(state_mu_);
-  bool do_vexp_rebuild() REQUIRES(state_mu_);
+  void maybe_service_deadline() REQUIRES(commit_mu_, state_mu_);
+  bool do_strengthen_batch() REQUIRES(commit_mu_, state_mu_);
+  bool do_hash_audits() REQUIRES(commit_mu_, state_mu_);
+  bool do_compaction() REQUIRES(commit_mu_, state_mu_);
+  bool do_advance_base() REQUIRES(commit_mu_, state_mu_);
+  bool do_vexp_rebuild() REQUIRES(commit_mu_, state_mu_);
 
   common::SimClock& clock_;
   // Held only for host-agent (interrupt) registration and out-of-band
@@ -533,12 +555,16 @@ class WormStore final : public HostAgent {
   Firmware& firmware_;
   storage::RecordStore& records_;
   StoreConfig config_;
-  // Readers shared; every mutation and every mailbox crossing exclusive.
-  // Lock order: state_mu_ before any ReadCache shard mutex.
+  // Orders every mailbox crossing. Lock order: commit_mu_, then state_mu_,
+  // then any ReadCache shard mutex; the journal's mutex is a leaf.
+  mutable common::AnnotatedMutex commit_mu_;
+  // Readers shared; every mutation exclusive. Write crossings run without
+  // it; every other crossing holds it too.
   mutable common::AnnotatedSharedMutex state_mu_;
   // The mailbox is not internally synchronized (DESIGN.md §6): guarding it
-  // with state_mu_ makes "no crossing without the store lock" compile-time.
-  ScpuChannel channel_ GUARDED_BY(state_mu_);
+  // with commit_mu_ makes "no crossing without the commit lock"
+  // compile-time.
+  ScpuChannel channel_ GUARDED_BY(commit_mu_);
   // The mailbox.* counts the store makes itself; the transport's are in
   // channel_.wire_stats().
   struct MailboxCounts {
@@ -550,13 +576,18 @@ class WormStore final : public HostAgent {
   };
   MailboxCounts mailbox_ GUARDED_BY(state_mu_);
   Vrdt vrdt_ GUARDED_BY(state_mu_);
-  // Write-ahead journal; a pathless journal is a no-op sink.
-  HostJournal journal_ GUARDED_BY(state_mu_);
+  // Write-ahead journal; a pathless journal is a no-op sink. Internally
+  // synchronized, so admissions append without state_mu_.
+  HostJournal journal_;
   // Sequence numbers journaled as intents but not yet completed. Non-empty
   // means host soft state may lag the device until recover() reconciles.
   std::set<std::uint64_t> pending_seqs_ GUARDED_BY(state_mu_);
-  // Degraded read-only mode: set when the SCPU reports zeroization.
-  bool degraded_ GUARDED_BY(state_mu_) = false;
+  // True from a write chunk's intent to its applied ack: the device may hold
+  // SNs above sn_current_mirror_ that the host has not applied yet.
+  bool writes_in_flight_ GUARDED_BY(state_mu_) = false;
+  // Degraded read-only mode: set when the SCPU reports zeroization. Atomic
+  // so admissions check it without state_mu_.
+  std::atomic<bool> degraded_{false};
   // Cumulative recovery statistics (recovery.* counters).
   std::uint64_t recovery_replayed_ GUARDED_BY(state_mu_) = 0;
   std::uint64_t recovery_resent_ GUARDED_BY(state_mu_) = 0;
@@ -573,8 +604,9 @@ class WormStore final : public HostAgent {
   // Reusable encode buffer for the write committer's batch frames: steady
   // state builds each mailbox frame with zero buffer growth once warm.
   common::ScratchArena encode_scratch_ GUARDED_BY(state_mu_);
-  // Admission ids for journaled queued writes (kQueuedWrite / kIntent).
-  std::uint64_t next_qid_ GUARDED_BY(state_mu_) = 0;
+  // Admission ids for journaled queued writes (kQueuedWrite / kIntent);
+  // atomic so admissions take one without state_mu_.
+  std::atomic<std::uint64_t> next_qid_{0};
 
   // Host-side mirrors of device scheduling state, maintained from command
   // results so the read path and deadline_pressure() never cross the

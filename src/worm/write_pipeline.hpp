@@ -16,12 +16,14 @@
 // waits; there is no timer thread, matching the discrete-event model where
 // only the simulation driver moves time.
 //
-// Lock discipline (DESIGN.md §8): everything below lives under mu_, the
-// committer calls the FlushFn with NO pipeline lock held (the flush takes the
-// store's state_mu_), and admission never holds state_mu_ while blocked on
-// backpressure — the committer needs state_mu_ to free queue space. worm_lint
-// rule blocking-under-state-mu keeps the inverse direction (blocking on the
-// pipeline while holding state_mu_) out of the tree.
+// Lock discipline (DESIGN.md §7, §8): everything below lives under mu_, and
+// the committer calls the FlushFn with NO pipeline lock held. The flush
+// takes the store's commit_mu_ for the whole group and its state_mu_ around
+// each chunk's staging and ack, never across the mailbox crossing.
+// Admission takes no store lock at all: it claims a slot, then journals
+// under the journal's own lock. The committer needs state_mu_ to free queue
+// space, so worm_lint rule blocking-under-state-mu keeps blocking on the
+// pipeline while holding state_mu_ out of the tree.
 #pragma once
 
 #include <atomic>
@@ -180,7 +182,8 @@ class WritePipeline {
   /// Admitted writes whose SN is not yet assigned. Unlike unsettled() —
   /// which is decremented only after the whole flush round returns — this
   /// counter is decremented at ticket-resolve time, inside the store's
-  /// exclusive flush lock, right after the SN mirror absorbed the commit.
+  /// exclusive state-lock hold that applies the chunk's ack, right after
+  /// the SN mirror absorbed it.
   /// A state-lock reader computing the store's next SN (mirror + unassigned
   /// + 1) therefore never double-counts a write the mirror already covers.
   [[nodiscard]] std::size_t unassigned() const {

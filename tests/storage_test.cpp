@@ -1,5 +1,7 @@
 // Storage-substrate unit tests: block devices (memory + file-backed), the
 // latency model, record allocation/recycling, and shredding policies.
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "common/sim_clock.hpp"
@@ -81,6 +83,7 @@ TEST(MemBlockDevice, ChargesLatencyToClock) {
 
 TEST(FileBlockDevice, PersistsAcrossReopen) {
   std::string path = ::testing::TempDir() + "/fbd.bin";
+  std::remove(path.c_str());
   Bytes block(128, 0x7e);
   {
     FileBlockDevice dev(path, 128, 8);
@@ -93,10 +96,28 @@ TEST(FileBlockDevice, PersistsAcrossReopen) {
     dev.read_block(5, out);
     EXPECT_EQ(out, block);
   }
+  // A store that grew past the count it is reopened with keeps its blocks.
+  Bytes last(128, 0x3c);
+  {
+    FileBlockDevice dev(path, 128, 8);
+    dev.grow(4);
+    dev.write_block(11, last);
+    dev.flush();
+  }
+  {
+    FileBlockDevice dev(path, 128, 8);
+    EXPECT_EQ(dev.block_count(), 12u);
+    Bytes out;
+    dev.read_block(11, out);
+    EXPECT_EQ(out, last);
+    dev.read_block(5, out);
+    EXPECT_EQ(out, block);
+  }
 }
 
 TEST(FileBlockDevice, GrowAndBounds) {
   std::string path = ::testing::TempDir() + "/fbd2.bin";
+  std::remove(path.c_str());
   FileBlockDevice dev(path, 128, 2);
   Bytes out;
   EXPECT_THROW(dev.read_block(2, out), common::StorageError);

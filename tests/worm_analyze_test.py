@@ -2,12 +2,13 @@
 """Tests for tools/worm_analyze.py.
 
 Asserts (a) the real tree analyzes clean on all four passes, (b) each pass
-flags its known-bad fixture and accepts its known-good twin, (c) a fixture
-that fails to parse yields a diagnostic and exit 2 — not a crash and not a
-clean verdict, (d) the per-TU fact cache hits on a second run and is
-invalidated when the file changes, and (e) mutating a frozen wire value in a
-scratch tree fails the wire-abi pass and --update-lock refuses to bless it
-until kProtocolVersion is bumped.
+flags its known-bad fixture and accepts its known-good twin (lock-order has
+two pairs: a cross-TU cycle, and the store's write crossing reached with
+state_mu_ held), (c) a fixture that fails to parse yields a diagnostic and
+exit 2 — not a crash and not a clean verdict, (d) the per-TU fact cache hits
+on a second run and is invalidated when the file changes, and (e) mutating a
+frozen wire value in a scratch tree fails the wire-abi pass and
+--update-lock refuses to bless it until kProtocolVersion is bumped.
 
 Run directly or via ctest (registered as WormAnalyze.Suite).
 """
@@ -70,6 +71,17 @@ def main():
           f"rc={r.returncode}\n{r.stdout}")
     r = fixture_run("lock-order", "lock_order_good.cpp")
     check("lock-order:good-clean", r.returncode == 0,
+          f"rc={r.returncode}\n{r.stdout}")
+    # The write crossing reached with state_mu_ held, directly and through
+    # a helper; the three-step commit (closed scope or unlock window) is not.
+    r = fixture_run("lock-order", "crossing_bad.cpp")
+    check("lock-order:crossing-under-state-mu-flagged",
+          r.returncode == 1 and r.stdout.count("reaches cross_write_batch") == 2
+          and "crossing_bad.cpp:13:" in r.stdout
+          and "(via Store::send_chunk)" in r.stdout,
+          f"rc={r.returncode}\n{r.stdout}")
+    r = fixture_run("lock-order", "crossing_good.cpp")
+    check("lock-order:crossing-released-clean", r.returncode == 0,
           f"rc={r.returncode}\n{r.stdout}")
 
     r = fixture_run("wire-taint", "taint_bad.cpp")

@@ -557,6 +557,42 @@ TEST(WormStore, WriteBatchChunksAtMaxBatch) {
   EXPECT_EQ(rig.store.counters().at("mailbox.batches"), 3u);
 }
 
+TEST(WormStore, RefusedFirstChunkLeavesNoPlaintextStaged) {
+  // A write_batch of three chunks whose first chunk the device refuses: a
+  // witness mode it does not know (nothing on the host range-checks the
+  // mode, so the refusal comes from the device's decoder). The call throws,
+  // and no block holds plaintext that no VRD governs.
+  StoreConfig sc;
+  sc.mailbox.max_batch = 2;
+  Rig rig({}, sc);
+  const Attr attr = rig.attr(Duration::days(1));
+  const WitnessMode unknown = static_cast<WitnessMode>(3);
+  std::vector<WriteRequest> requests = {
+      {.payloads = {to_bytes("refused A")}, .attr = attr, .mode = unknown},
+      {.payloads = {to_bytes("refused B")}, .attr = attr, .mode = unknown},
+      {.payloads = {to_bytes("later C")}, .attr = attr},
+      {.payloads = {to_bytes("later D")}, .attr = attr},
+      {.payloads = {to_bytes("later E")}, .attr = attr},
+  };
+  EXPECT_THROW((void)rig.store.write_batch(requests), ChannelError);
+  EXPECT_EQ(rig.firmware.sn_current(), 0u);
+  for (std::uint64_t b = 0; b < 5; ++b) {
+    EXPECT_EQ(rig.disk.raw_block(b), common::Bytes(rig.disk.block_size(), 0))
+        << "block " << b;
+  }
+  // Every staged block is free: the next three writes take blocks 0 to 2.
+  std::vector<Sn> sns =
+      rig.store.write_batch(std::span(requests).subspan(2, 3));
+  ASSERT_EQ(sns.size(), 3u);
+  std::set<std::uint64_t> used;
+  for (Sn sn : sns) {
+    for (std::uint64_t b : rig.store.vrdt().find(sn)->vrd.rdl.at(0).blocks) {
+      used.insert(b);
+    }
+  }
+  EXPECT_EQ(used, (std::set<std::uint64_t>{0, 1, 2}));
+}
+
 TEST(WormStore, WriteIsABatchOfOne) {
   // With the pipeline off, write() goes through the same committer as
   // write_batch(): one kWriteBatch crossing carrying one write.

@@ -1,10 +1,15 @@
 // Group-commit write pipeline: write_async tickets, group formation,
 // backpressure, read-your-writes across the queue, graceful close vs crash
-// shutdown, and lockstep proof-stream equivalence against a synchronous
-// uncached reference.
+// shutdown, lockstep proof-stream equivalence against a synchronous
+// uncached reference, and what reads, admissions and heartbeats see while
+// the committer is mid-crossing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -240,6 +245,206 @@ TEST(WritePipeline, ProofStreamEquivalentToSynchronousUncachedReference) {
               outcome_fingerprint(ref_rig.store.read(sn)))
         << "proof streams diverge at sn " << sn;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The committer crosses the mailbox with the store lock released
+// ---------------------------------------------------------------------------
+
+// How long a call that must not wait for the crossing may take. Generous:
+// passing calls return in microseconds, and a call stuck behind the
+// committer fails the test instead of hanging it.
+constexpr auto kPatience = std::chrono::seconds(2);
+
+/// Turns a fault site into a breakpoint. A FaultInjector reads its
+/// TimeSource at each evaluation of a site armed with a spec, so a spec
+/// whose window never opens (never_fires) makes the site read the time
+/// without ever firing. Once armed, that read parks the evaluating thread
+/// until release(). The parked thread holds the injector's mutex: nothing
+/// else may evaluate a site on the same injector meanwhile, which is why
+/// these tests detach it from the record store.
+class Breakpoint final : public common::TimeSource {
+ public:
+  common::SimTime now() const override {
+    std::unique_lock lk(mu_);
+    if (armed_) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lk, [this] { return !armed_; });
+    }
+    return common::SimTime::epoch();
+  }
+  void arm() {
+    std::lock_guard lk(mu_);
+    armed_ = true;
+    parked_ = false;
+  }
+  [[nodiscard]] bool wait_parked() {
+    std::unique_lock lk(mu_);
+    return cv_.wait_for(lk, kPatience, [this] { return parked_; });
+  }
+  void release() {
+    std::lock_guard lk(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  static common::FaultSpec never_fires() {
+    common::FaultSpec spec;
+    spec.kind = common::FaultKind::kDrop;
+    spec.not_before = common::SimTime::max();
+    return spec;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool armed_ = false;
+  mutable bool parked_ = false;
+};
+
+/// Releases the breakpoint on scope exit, so a failed expectation never
+/// leaves the committer parked while a future or the rig waits for it.
+/// Declared after the futures, it releases before they wait.
+struct ReleaseOnExit {
+  Breakpoint& bp;
+  ~ReleaseOnExit() { bp.release(); }
+};
+
+template <typename T>
+bool returned(std::future<T>& f) {
+  return f.wait_for(kPatience) == std::future_status::ready;
+}
+
+/// A store whose committer parks at `site` once the breakpoint is armed.
+struct ParkableRig {
+  ParkableRig(const char* site, StoreConfig sc)
+      : fault(0xb0b, &bp), rig({}, with_fault(std::move(sc), fault, site)) {
+    rig.records.set_fault_injector(nullptr);
+  }
+  static StoreConfig with_fault(StoreConfig sc, common::FaultInjector& fault,
+                                const char* site) {
+    fault.arm(site, Breakpoint::never_fires());
+    sc.fault = &fault;
+    return sc;
+  }
+  WriteRequest request(const std::string& text) const {
+    return {.payloads = {common::to_bytes(text)},
+            .attr = rig.attr(Duration::days(30))};
+  }
+
+  Breakpoint bp;
+  common::FaultInjector fault;
+  Rig rig;
+};
+
+TEST(WritePipeline, ReadsAndAdmissionsProceedWhileTheCommitterCrosses) {
+  ParkableRig p("channel.request", pipelined());
+  Sn committed = p.rig.put("committed", Duration::days(30));
+
+  std::future<ReadOutcome> read;
+  std::future<std::optional<WriteTicket>> admission;
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  WriteTicket crossing = p.rig.store.write_async(p.request("crossing"));
+  p.rig.store.poke_writes();
+  ASSERT_TRUE(p.bp.wait_parked());
+
+  // The committer has journaled its intent and is crossing: neither a read
+  // nor an admission may wait for the SCPU.
+  read = std::async(std::launch::async,
+                    [&] { return p.rig.store.read(committed); });
+  admission = std::async(std::launch::async, [&] {
+    return p.rig.store.try_write_async(p.request("admitted"));
+  });
+  EXPECT_TRUE(returned(read)) << "read waited for the crossing";
+  EXPECT_TRUE(returned(admission)) << "admission waited for the crossing";
+  p.bp.release();
+
+  EXPECT_EQ(p.rig.verifier.verify_read(committed, read.get()).verdict,
+            Verdict::kAuthentic);
+  std::optional<WriteTicket> admitted = admission.get();
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_EQ(crossing.get(), committed + 1);
+  EXPECT_EQ(admitted->get(), committed + 2);
+}
+
+TEST(WritePipeline, HeartbeatMidCrossingKeepsNextSnExact) {
+  StoreConfig sc = pipelined();
+  sc.pipeline.linger = Duration::hours(1);  // one group for all three
+  ParkableRig p("channel.response", sc);
+  Sn committed = p.rig.put("committed", Duration::days(30));
+
+  std::future<void> heartbeat;
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  std::vector<WriteTicket> group;
+  for (int i = 0; i < 3; ++i) {
+    group.push_back(p.rig.store.write_async(p.request("in flight")));
+  }
+  p.rig.store.poke_writes();
+  ASSERT_TRUE(p.bp.wait_parked());
+
+  // The device has witnessed the group; the host has not applied the ack.
+  // Its heartbeat counts the in-flight SNs, and arrives now.
+  SignedSnCurrent hb = p.rig.firmware.heartbeat();
+  ASSERT_EQ(hb.sn_current, committed + 3);
+  heartbeat = std::async(std::launch::async,
+                         [&] { p.rig.store.on_heartbeat(hb); });
+  ASSERT_TRUE(returned(heartbeat)) << "on_heartbeat waited for the crossing";
+
+  EXPECT_EQ(p.rig.store.next_sn(), committed + 4);
+  for (Sn sn = committed + 1; sn <= committed + 3; ++sn) {
+    ReadOutcome r = p.rig.store.read(sn);
+    auto* unavailable = r.get_if<ReadUnavailable>();
+    ASSERT_NE(unavailable, nullptr) << "sn " << sn << ": "
+                                    << to_string(r.status());
+    EXPECT_TRUE(unavailable->retryable);
+  }
+  p.bp.release();
+
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    EXPECT_EQ(group[k].get(), committed + 1 + k);
+  }
+  EXPECT_EQ(p.rig.store.next_sn(), committed + 4);
+  for (Sn sn = committed + 1; sn <= committed + 3; ++sn) {
+    EXPECT_EQ(p.rig.verifier.verify_read(sn, p.rig.store.read(sn)).verdict,
+              Verdict::kAuthentic);
+  }
+}
+
+TEST(WritePipeline, WriteBatchInFlightSnsAnswerUnavailableNotFailure) {
+  // The synchronous committer too: with no pipeline and no journal, only
+  // the in-flight crossing stands between a heartbeat that counts an SN and
+  // a read that finds no entry for it — which would read as data loss.
+  ParkableRig p("channel.response", StoreConfig{});
+  Sn committed = p.rig.put("committed", Duration::days(30));
+
+  std::future<std::vector<Sn>> batch;
+  std::future<void> heartbeat;
+  std::vector<WriteRequest> requests(2, p.request("in flight"));
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  batch = std::async(std::launch::async,
+                     [&] { return p.rig.store.write_batch(requests); });
+  ASSERT_TRUE(p.bp.wait_parked());
+
+  SignedSnCurrent hb = p.rig.firmware.heartbeat();
+  ASSERT_EQ(hb.sn_current, committed + 2);
+  heartbeat = std::async(std::launch::async,
+                         [&] { p.rig.store.on_heartbeat(hb); });
+  ASSERT_TRUE(returned(heartbeat)) << "on_heartbeat waited for the crossing";
+  for (Sn sn = committed + 1; sn <= committed + 2; ++sn) {
+    ReadOutcome r = p.rig.store.read(sn);
+    auto* unavailable = r.get_if<ReadUnavailable>();
+    ASSERT_NE(unavailable, nullptr) << "sn " << sn << ": "
+                                    << to_string(r.status());
+    EXPECT_TRUE(unavailable->retryable);
+  }
+  p.bp.release();
+
+  EXPECT_EQ(batch.get(), (std::vector<Sn>{committed + 1, committed + 2}));
+  EXPECT_EQ(p.rig.store.next_sn(), committed + 3);
 }
 
 TEST(WritePipeline, ConfigValidationRejectsBrokenKnobs) {

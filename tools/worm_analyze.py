@@ -13,7 +13,11 @@ compiler flag or per-file regex can prove:
                    call graph, and fails on any cycle in the resulting global
                    lock-order graph. An acyclic graph means no schedule of
                    the annotated locks can deadlock; a cycle names the exact
-                   acquisition chain that can.
+                   acquisition chain that can. The same held sets flag a
+                   call that reaches the store's write crossing
+                   (cross_write_batch) with state_mu_ held: that crossing
+                   must run with the store lock released, or every reader
+                   and admission waits for the SCPU again.
 
   wire-taint       Bytes read from the network (common/net read_some) are
                    untrusted until they pass a strict protocol:: decoder or
@@ -72,7 +76,7 @@ import re
 import sys
 from pathlib import Path
 
-TOOL_VERSION = "1"
+TOOL_VERSION = "2"
 
 ALL_PASSES = ("lock-order", "wire-taint", "journal-ordering", "wire-abi")
 
@@ -86,6 +90,11 @@ LOCK_ALIASES = {
     "ticket.mu": "detail::TicketState::mu",
     "state_.mu": "detail::TicketState::mu",
 }
+
+# The store's write crossing runs with state_mu_ released, so reads and
+# admissions proceed while the SCPU signs (DESIGN.md §7).
+WRITE_CROSSING = "cross_write_batch"
+STORE_LOCK = "state_mu_"
 
 # Durable-state mutations (receiver `vrdt_`) and the journal events that
 # must dominate them.
@@ -217,6 +226,7 @@ def normalize_chain(chain: str) -> str:
 #     call      +"callee", +"recv" (normalized receiver chain), +"args"
 #               (raw argument text), +"stmt" (whole statement text)
 #     serial    ByteWriter call inside the function: +"method"
+#     scope_end a brace closed a scope on this line (its guards are dead)
 #     replay_begin / replay_end   journal-replay fold scope markers
 #   requires  locks the function's declaration REQUIRES (seeds held set)
 # --------------------------------------------------------------------------
@@ -396,6 +406,16 @@ class TextExtractor:
         lineno = span["body_start_line"]
         for raw_chunk in body.split("\n"):
             end_depth = depth + raw_chunk.count("{") - raw_chunk.count("}")
+            low = depth
+            running = depth
+            for ch in raw_chunk:
+                running += (ch == "{") - (ch == "}")
+                low = min(low, running)
+            if low < depth:
+                # A scope closed on this line: the guards it held are gone,
+                # even if the next event sits in a sibling scope.
+                fn["events"].append(
+                    {"kind": "scope_end", "line": lineno, "depth": low})
             self._scan_line(fn, lineno, raw_chunk, end_depth, replay_stack)
             if REPLAY_FOR_RE.search(raw_chunk):
                 replay_stack.append(end_depth)
@@ -573,15 +593,15 @@ class Program:
             self.files[qname] = rel
             self.by_name.setdefault(qname.split("::")[-1], []).append(qname)
 
-    # Method names std containers share: matching one to an in-tree class
-    # by name-uniqueness alone would wire e.g. by_sn_.insert() (a std::map)
-    # to ReadCache::insert and invent call-graph edges, so these also need
-    # the receiver to plausibly name the candidate's class.
+    # Method names std containers and streams share: matching one to an
+    # in-tree class by name-uniqueness alone would wire e.g. by_sn_.insert()
+    # (a std::map) to ReadCache::insert and invent call-graph edges, so these
+    # also need the receiver to plausibly name the candidate's class.
     GENERIC_METHODS = frozenset((
         "insert", "erase", "clear", "find", "push_back", "emplace",
         "emplace_back", "pop_back", "reserve", "resize", "at", "count",
         "swap", "assign", "append", "get", "reset", "release", "store",
-        "load", "put", "add", "remove", "merge", "contains",
+        "load", "put", "add", "remove", "merge", "contains", "close", "flush",
     ))
 
     def resolve(self, caller: dict, callee: str, recv: str = "") -> str | None:
@@ -589,7 +609,9 @@ class Program:
         if callee in self.functions:
             return callee
         cls = caller.get("cls", "")
-        if cls:
+        # A call through a member object (records_.write) names that
+        # object's method, not the caller's class's namesake.
+        if cls and recv in ("", "this", cls.split("::")[-1]):
             cand = f"{cls}::{callee}"
             if cand in self.functions:
                 return cand
@@ -719,6 +741,37 @@ def pass_lock_order(prog: Program) -> list[Finding]:
                         edges.setdefault(
                             (a, b),
                             f"{rel}:{ev['line']} (via call to {callee})")
+
+    # Calls that reach the write crossing, directly or through the call
+    # graph, while the store lock is held.
+    def reaches_crossing(fn: dict, ev: dict) -> bool:
+        callee = prog.resolve(fn, ev["callee"], ev.get("recv", ""))
+        return (ev["callee"] == WRITE_CROSSING or
+                (callee is not None and callee in crossers))
+
+    crossers = {q for q in prog.functions
+                if q.split("::")[-1] == WRITE_CROSSING}
+    changed = True
+    while changed:
+        changed = False
+        for qname, fn in prog.functions.items():
+            if qname not in crossers and any(
+                    reaches_crossing(fn, ev) for _, ev in fn_calls[qname]):
+                crossers.add(qname)
+                changed = True
+    for qname, fn in prog.functions.items():
+        for held, ev in fn_calls[qname]:
+            lock = next((h for h in held
+                         if h.split("::")[-1] == STORE_LOCK), None)
+            if lock is None or not reaches_crossing(fn, ev):
+                continue
+            via = "" if ev["callee"] == WRITE_CROSSING else (
+                f" (via {prog.resolve(fn, ev['callee'], ev.get('recv', ''))})")
+            findings.append(Finding(
+                "lock-order", prog.files[qname], ev["line"],
+                f"reaches {WRITE_CROSSING}{via} while holding {lock}: the "
+                "write crossing must run with the store lock released, or "
+                "reads and admissions wait for the SCPU"))
 
     # Cycle detection over the lock graph.
     graph: dict[str, set[str]] = {}
