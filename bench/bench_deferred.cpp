@@ -26,7 +26,6 @@ int main() {
     core::StoreConfig sc;
     sc.default_mode = core::WitnessMode::kDeferred;
     sc.hash_mode = core::HashMode::kHostHash;
-    sc.idle_batch = 64;
     bench::BenchRig rig(fw, sc);
 
     const std::size_t n = 256;
@@ -34,7 +33,7 @@ int main() {
         bench::measure_writes(rig, 1024, n, core::WitnessMode::kDeferred);
 
     // Drain the strengthening backlog and measure the idle-time rate. Bounded
-    // (one idle_batch-sized crossing per iteration, plus slack for audit and
+    // (one kIdleBatch-sized crossing per iteration, plus slack for audit and
     // compaction rotations): a backlog that fails to shrink is a liveness bug
     // this bench must crash on, not spin through.
     common::SimTime t0 = rig.clock.now();
@@ -44,7 +43,7 @@ int main() {
           rig.store.pump_idle();
           return rig.firmware.deferred_count() > 0;
         },
-        n / sc.idle_batch + 64);
+        n / core::kIdleBatch + 64);
     WORM_CHECK(drained, "bench_deferred: strengthening backlog never drained");
     double drain_sec = (rig.clock.now() - t0).to_seconds_f();
     double strengthen_rate = static_cast<double>(n) / drain_sec;

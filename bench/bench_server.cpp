@@ -234,9 +234,10 @@ int main() {
   // --- closed-loop saturation: pipelined kReadBatch windows ----------------
   // How fast can the wire go when the client stops paying one RTT per SN?
   // Each client hammers read_many back to back (256-SN frames, 4 in
-  // flight); the server coalesces each drain into one store crossing and
-  // one response buffer. The tentpole gate: this must clear 4x the ~12k ops/s
-  // per-frame ceiling the open-loop sweep tops out at.
+  // flight); the server answers each frame with one read_many over its SNs
+  // and appends the answers, in arrival order, to one response buffer. The
+  // gate: this must clear 4x the ~12k ops/s per-frame ceiling the open-loop
+  // sweep tops out at.
   {
     Deployment dep(/*queue_capacity=*/64);
     {

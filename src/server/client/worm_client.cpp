@@ -35,6 +35,17 @@ common::Socket connect_with_backoff(const ClientConfig& config) {
                  " attempts: " + last_error);
 }
 
+/// Time left before `deadline`; throws NetError naming `stage` past it.
+common::Duration time_left(common::Duration deadline, const char* stage,
+                           MsgOp op) {
+  common::Duration left = deadline - common::now_real();
+  if (left.ns <= 0) {
+    throw NetError("WormClient: io_timeout exceeded while " +
+                   std::string(stage) + " " + to_string(op));
+  }
+  return left;
+}
+
 }  // namespace
 
 WormClient::WormClient(ClientConfig config) : config_(std::move(config)) {
@@ -109,14 +120,6 @@ std::vector<BatchReadResult> WormClient::read_many(
   // every completed chunk, so a burst is bounded by chunks x io_timeout
   // while a trickling server still cannot pin one chunk indefinitely.
   common::Duration deadline = common::now_real() + config_.io_timeout;
-  auto remaining = [&](const char* stage) {
-    common::Duration left = deadline - common::now_real();
-    if (left.ns <= 0) {
-      throw NetError("WormClient: io_timeout exceeded while " +
-                     std::string(stage) + " a read batch");
-    }
-    return left;
-  };
 
   while (done < chunks.size()) {
     try {
@@ -142,67 +145,41 @@ std::vector<BatchReadResult> WormClient::read_many(
         window_inflight_max_ =
             std::max<std::uint64_t>(window_inflight_max_, inflight.size());
       }
-      const Bytes& burst = out_.buffer();
-      std::size_t off = 0;
-      while (off < burst.size()) {
-        IoResult r = common::write_some(sock_, burst, off);
-        if (r == IoResult::kOk) continue;
-        if (r == IoResult::kWouldBlock) {
-          std::vector<common::PollFd> pfds{{sock_.fd(), POLLOUT, 0}};
-          (void)common::poll_fds(pfds, remaining("sending"));
-          continue;
-        }
-        throw NetError("WormClient: connection lost while sending a read batch");
-      }
+      send_all(out_.buffer(), deadline, MsgOp::kReadBatch);
 
       // Complete one response frame (they may land in any order — match by
       // rid, never by position).
-      for (;;) {
-        if (auto body = take_frame(in_, in_off_)) {
-          compact_frames(in_, in_off_);
-          Response resp = decode_response(*body);
-          auto it = inflight.find(resp.rid);
-          if (it == inflight.end() || resp.op != MsgOp::kReadBatch) {
-            throw common::ParseError(
-                "WormClient: read-batch echo mismatch (got " +
-                std::string(to_string(resp.op)) + " rid " +
-                std::to_string(resp.rid) + ")");
-          }
-          Chunk& c = chunks[it->second];
-          inflight.erase(it);
-          adopt_attestations(resp);
-          if (resp.status != core::WireStatus::kOk) {
-            // Frame-level rejection (auth/bad request): nothing per-SN to
-            // salvage — surface it as the typed exception a solo call would
-            // raise.
-            core::throw_wire_error(resp.status, resp.message);
-          }
-          if (resp.slots.size() != c.end - c.begin) {
-            throw common::ParseError(
-                "WormClient: read batch answered " +
-                std::to_string(resp.slots.size()) + " slots for " +
-                std::to_string(c.end - c.begin) + " SNs");
-          }
-          for (std::size_t i = 0; i < resp.slots.size(); ++i) {
-            BatchReadResult& out = results[c.begin + i];
-            out.status = resp.slots[i].status;
-            out.outcome = std::move(resp.slots[i].outcome);
-            out.message = std::move(resp.slots[i].message);
-          }
-          c.state = ChunkState::kDone;
-          ++done;
-          deadline = common::now_real() + config_.io_timeout;  // progress
-          break;
-        }
-        std::vector<common::PollFd> pfds{{sock_.fd(), POLLIN, 0}};
-        if (common::poll_fds(pfds, remaining("awaiting")) == 0) {
-          continue;  // the next remaining() call settles whether time is left
-        }
-        IoResult r = common::read_some(sock_, in_, 64 * 1024);
-        if (r == IoResult::kClosed || r == IoResult::kError) {
-          throw NetError("WormClient: connection closed mid-read-batch");
-        }
+      Response resp = next_response(deadline, MsgOp::kReadBatch);
+      auto it = inflight.find(resp.rid);
+      if (it == inflight.end() || resp.op != MsgOp::kReadBatch) {
+        throw common::ParseError("WormClient: read-batch echo mismatch (got " +
+                                 std::string(to_string(resp.op)) + " rid " +
+                                 std::to_string(resp.rid) + ")");
       }
+      Chunk& c = chunks[it->second];
+      inflight.erase(it);
+      adopt_attestations(resp);
+      if (resp.status != core::WireStatus::kOk) {
+        // Frame-level rejection (auth/bad request): nothing per-SN to
+        // salvage — surface it as the typed exception a solo call would
+        // raise.
+        core::throw_wire_error(resp.status, resp.message);
+      }
+      if (resp.slots.size() != c.end - c.begin) {
+        throw common::ParseError("WormClient: read batch answered " +
+                                 std::to_string(resp.slots.size()) +
+                                 " slots for " +
+                                 std::to_string(c.end - c.begin) + " SNs");
+      }
+      for (std::size_t i = 0; i < resp.slots.size(); ++i) {
+        BatchReadResult& out = results[c.begin + i];
+        out.status = resp.slots[i].status;
+        out.outcome = std::move(resp.slots[i].outcome);
+        out.message = std::move(resp.slots[i].message);
+      }
+      c.state = ChunkState::kDone;
+      ++done;
+      deadline = common::now_real() + config_.io_timeout;  // progress
     } catch (const NetError&) {
       // Per-chunk retry on reconnect: answered chunks keep their results;
       // everything in flight is resent on the fresh connection. Reads are
@@ -296,61 +273,58 @@ Response WormClient::transact(Request req) {
   // nothing once the arena is warm.
   out_.buffer().clear();
   append_request_frame(out_.buffer(), req);
-  const Bytes& frame = out_.buffer();
 
   // io_timeout bounds the whole round trip against an absolute deadline — a
   // server that trickles one byte per poll wakeup cannot keep resetting the
   // window and pin the caller indefinitely.
   const common::Duration deadline = common::now_real() + config_.io_timeout;
-  auto remaining = [&](const char* stage) {
-    common::Duration left = deadline - common::now_real();
-    if (left.ns <= 0) {
-      throw NetError("WormClient: io_timeout exceeded while " +
-                     std::string(stage) + " " +
-                     std::string(to_string(req.op)));
-    }
-    return left;
-  };
-
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    IoResult r = common::write_some(sock_, frame, off);
-    if (r == IoResult::kOk) continue;
-    if (r == IoResult::kWouldBlock) {
-      // Blocking socket, but be safe: wait for writability. remaining()
-      // throws once the deadline passes, bounding a stalled send.
-      std::vector<common::PollFd> pfds{{sock_.fd(), POLLOUT, 0}};
-      (void)common::poll_fds(pfds, remaining("sending"));
-      continue;
-    }
-    throw NetError("WormClient: connection lost while sending " +
-                   std::string(to_string(req.op)));
+  send_all(out_.buffer(), deadline, req.op);
+  Response resp = next_response(deadline, req.op);
+  if (resp.rid != req.rid || resp.op != req.op) {
+    throw common::ParseError(
+        "WormClient: response echo mismatch (sent " +
+        std::string(to_string(req.op)) + " rid " + std::to_string(req.rid) +
+        ", got " + std::string(to_string(resp.op)) + " rid " +
+        std::to_string(resp.rid) + ")");
   }
+  adopt_attestations(resp);
+  return resp;
+}
 
+void WormClient::send_all(const Bytes& frames, common::Duration deadline,
+                          MsgOp op) {
+  std::size_t off = 0;
+  while (off < frames.size()) {
+    IoResult r = common::write_some(sock_, frames, off);
+    if (r == IoResult::kOk) continue;
+    if (r != IoResult::kWouldBlock) {
+      throw NetError("WormClient: connection lost while sending " +
+                     std::string(to_string(op)));
+    }
+    // The kernel buffer is full: wait for writability. time_left() throws
+    // once the deadline passes, bounding a stalled send.
+    std::vector<common::PollFd> pfds{{sock_.fd(), POLLOUT, 0}};
+    (void)common::poll_fds(pfds, time_left(deadline, "sending", op));
+  }
+}
+
+Response WormClient::next_response(common::Duration deadline, MsgOp op) {
   // The response may already be buffered from a previous partial read.
   for (;;) {
     if (auto body = take_frame(in_, in_off_)) {
       compact_frames(in_, in_off_);
-      Response resp = decode_response(*body);
-      if (resp.rid != req.rid || resp.op != req.op) {
-        throw common::ParseError(
-            "WormClient: response echo mismatch (sent " +
-            std::string(to_string(req.op)) + " rid " +
-            std::to_string(req.rid) + ", got " +
-            std::string(to_string(resp.op)) + " rid " +
-            std::to_string(resp.rid) + ")");
-      }
-      adopt_attestations(resp);
-      return resp;
+      return decode_response(*body);
     }
     std::vector<common::PollFd> pfds{{sock_.fd(), POLLIN, 0}};
-    if (common::poll_fds(pfds, remaining("awaiting a response to")) == 0) {
-      continue;  // the next remaining() call settles whether time is left
+    if (common::poll_fds(pfds, time_left(deadline, "awaiting the answer to",
+                                         op)) == 0) {
+      continue;  // the next time_left() call settles whether time is left
     }
     IoResult r = common::read_some(sock_, in_, 64 * 1024);
     if (r == IoResult::kClosed || r == IoResult::kError) {
-      throw NetError("WormClient: connection closed mid-" +
-                     std::string(to_string(req.op)));
+      throw NetError(
+          "WormClient: connection closed while awaiting the answer to " +
+          std::string(to_string(op)));
     }
   }
 }

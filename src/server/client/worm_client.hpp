@@ -179,6 +179,14 @@ class WormClient {
   /// One request/response round trip; verifies the rid/op echo and captures
   /// any forwarded attestation.
   [[nodiscard]] Response transact(Request req);
+  /// Writes every byte of `frames`, waiting for POLLOUT while the kernel
+  /// buffer is full. Throws NetError on a lost connection or once the
+  /// absolute `deadline` passes; `op` names the request in the message.
+  void send_all(const common::Bytes& frames, common::Duration deadline,
+                MsgOp op);
+  /// Decodes the next response frame, reading and polling until one is
+  /// buffered. Throws NetError on a closed connection or a passed deadline.
+  [[nodiscard]] Response next_response(common::Duration deadline, MsgOp op);
   /// kHello handshake on a fresh socket (constructor + reconnect path).
   void handshake();
   /// Adopts a response's forwarded attestation/epoch cert (unverified —

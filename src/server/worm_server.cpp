@@ -202,7 +202,7 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
   resp.rid = req.rid;
 
   if (req.op == MsgOp::kHello) {
-    if (conn.authed) {
+    if (conn.session != nullptr) {
       resp.status = core::WireStatus::kBadRequest;
       resp.message = "already authenticated";
     } else if (req.version != kProtocolVersion) {
@@ -220,7 +220,6 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
       // here must become a wire error, not escape past loop_main.
       try {
         conn.session = sessions_(req.principal);
-        conn.authed = true;
         resp.status = core::WireStatus::kOk;
       } catch (const std::exception& e) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
@@ -233,7 +232,7 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
     return;
   }
 
-  if (!conn.authed) {
+  if (conn.session == nullptr) {
     resp.status = core::WireStatus::kAuthRequired;
     resp.message = "first frame must be a hello";
     send_response(conn, resp);
@@ -264,25 +263,38 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
   try {
     switch (req.op) {
       case MsgOp::kRead:
-        // Collected, not answered: the drain loop batches every read frame
-        // of this poll iteration into one store crossing (serve_reads).
-        conn.reads.push_back(
-            PendingRead{req.rid, MsgOp::kRead, {req.sn},
-                        core::WireStatus::kOk, {}});
-        return;
+        resp.outcome = conn.session->read(req.sn);
+        resp.status = core::to_wire(resp.outcome.status());
+        break;
       case MsgOp::kReadBatch: {
-        PendingRead pr;
-        pr.rid = req.rid;
-        pr.op = MsgOp::kReadBatch;
-        pr.sns = std::move(req.sns);
+        // Count-preserving: status kOk and one slot per requested SN. A
+        // frame-wide failure (stale route, a sweep that throws) repeats in
+        // every slot, so the client's rid-matched reassembly never sees a
+        // short batch. The frame's one attestation slot covers every answer.
+        stats_.read_batch_frames.fetch_add(1, std::memory_order_relaxed);
+        stats_.read_batch_sns.fetch_add(req.sns.size(),
+                                        std::memory_order_relaxed);
+        resp.status = core::WireStatus::kOk;
         if (route_stale) {
-          // Count-preserving rejection: every slot answers kStaleRoute, so
-          // the client's rid-matched reassembly never sees a short batch.
-          pr.reject = core::WireStatus::kStaleRoute;
-          pr.reject_message = stale_message();
+          resp.slots.assign(req.sns.size(),
+                            BatchSlot{core::WireStatus::kStaleRoute, {},
+                                      stale_message()});
+          break;
         }
-        conn.reads.push_back(std::move(pr));
-        return;
+        resp.slots.reserve(req.sns.size());
+        try {
+          for (core::ReadOutcome& outcome : conn.session->read_many(req.sns)) {
+            BatchSlot& slot = resp.slots.emplace_back();
+            slot.status = core::to_wire(outcome.status());
+            slot.outcome = std::move(outcome);
+          }
+        } catch (const std::exception& e) {
+          stats_.errors.fetch_add(1, std::memory_order_relaxed);
+          resp.slots.assign(req.sns.size(),
+                            BatchSlot{core::to_wire(core::classify(e)), {},
+                                      e.what()});
+        }
+        break;
       }
       case MsgOp::kWrite: {
         if (!config_.writer_principal.empty() &&
@@ -367,77 +379,6 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
     resp.message = e.what();
   }
   send_response(conn, resp);
-}
-
-void WormServer::serve_reads(Conn& conn) {
-  if (conn.reads.empty()) return;
-  std::vector<PendingRead> reads = std::move(conn.reads);
-  conn.reads.clear();
-
-  // One store crossing for the whole drain: every SN from every collected
-  // frame rides a single read_many sweep (one shared-lock pass, one cache
-  // sweep, one thread-pool fan-out) instead of a crossing per frame.
-  std::vector<core::Sn> sns;
-  for (const PendingRead& pr : reads) {
-    if (pr.reject == core::WireStatus::kOk) {
-      sns.insert(sns.end(), pr.sns.begin(), pr.sns.end());
-    }
-  }
-  std::vector<core::ReadOutcome> outcomes;
-  core::WireStatus sweep_status = core::WireStatus::kOk;
-  std::string sweep_message;
-  if (!sns.empty()) {
-    try {
-      outcomes = conn.session->read_many(sns);
-    } catch (const std::exception& e) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      sweep_status = core::to_wire(core::classify(e));
-      sweep_message = e.what();
-    }
-  }
-
-  std::size_t next = 0;
-  for (PendingRead& pr : reads) {
-    Response resp;
-    resp.op = pr.op;
-    resp.rid = pr.rid;
-    core::WireStatus reject = pr.reject != core::WireStatus::kOk
-                                  ? pr.reject
-                                  : sweep_status;
-    const std::string& reject_msg = pr.reject != core::WireStatus::kOk
-                                        ? pr.reject_message
-                                        : sweep_message;
-    if (pr.op == MsgOp::kRead) {
-      if (reject != core::WireStatus::kOk) {
-        resp.status = reject;
-        resp.message = reject_msg;
-      } else {
-        resp.outcome = std::move(outcomes[next++]);
-        resp.status = core::to_wire(resp.outcome.status());
-      }
-    } else {
-      // kReadBatch answers are always count-preserving: status kOk with one
-      // slot per requested SN (frame-wide rejections repeat per slot). The
-      // frame's single attestation slot covers every answer in it.
-      resp.status = core::WireStatus::kOk;
-      resp.slots.reserve(pr.sns.size());
-      for (std::size_t i = 0; i < pr.sns.size(); ++i) {
-        BatchSlot slot;
-        if (reject != core::WireStatus::kOk) {
-          slot.status = reject;
-          slot.message = reject_msg;
-        } else {
-          slot.outcome = std::move(outcomes[next++]);
-          slot.status = core::to_wire(slot.outcome.status());
-        }
-        resp.slots.push_back(std::move(slot));
-      }
-      stats_.read_batch_frames.fetch_add(1, std::memory_order_relaxed);
-      stats_.read_batch_sns.fetch_add(pr.sns.size(),
-                                      std::memory_order_relaxed);
-    }
-    send_response(conn, resp);
-  }
 }
 
 void WormServer::resolve_pending(Conn& conn) {
@@ -594,8 +535,6 @@ void WormServer::loop_iteration(std::size_t loop_idx,
       // One compaction per drain, so a pipelined burst is linear in the
       // bytes buffered instead of quadratic (per-frame front erase).
       compact_frames(conn.in, conn.in_off);
-      // Answer every read the drain collected through one store crossing.
-      serve_reads(conn);
     }
 
     resolve_pending(conn);

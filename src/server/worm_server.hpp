@@ -18,6 +18,8 @@
 //  * writes go through the session's non-blocking try_write_async: a full
 //    pipeline answers kBusy on the wire instead of stalling the loop, and
 //    resolved tickets are polled each iteration so admissions never block;
+//  * each frame is answered as it is decoded, so responses leave in arrival
+//    order: a kRead is one WormSession::read, a kReadBatch one read_many;
 //  * reads stream the record+proof envelope verbatim; the server is
 //    untrusted for integrity and clients verify with ClientVerifier. The
 //    optional fault injector's "server.response" site models exactly that
@@ -149,33 +151,16 @@ class WormServer {
     core::WriteTicket ticket;
   };
 
-  /// One collected-but-unanswered read frame (kRead or kReadBatch). The
-  /// drain loop gathers these instead of answering inline; serve_reads then
-  /// crosses into the store once per drain for all of them.
-  struct PendingRead {
-    std::uint64_t rid = 0;
-    MsgOp op = MsgOp::kRead;
-    std::vector<core::Sn> sns;  // exactly 1 for kRead
-    /// != kOk: a frame-wide rejection that applies to every SN (stale
-    /// route). Answered count-preserving — per-slot for kReadBatch — so
-    /// rid-matched completion always sees exactly count slots.
-    core::WireStatus reject = core::WireStatus::kOk;
-    std::string reject_message;
-  };
-
   struct Conn {
     common::Socket sock;
     common::Bytes in;
     std::size_t in_off = 0;  // consumed-frame offset; see compact_frames
     common::Bytes out;
     std::size_t out_off = 0;
-    bool authed = false;
     bool closing = false;  // flush out, then close
+    /// Set by a successful kHello; null until then.
     std::unique_ptr<core::WormSession> session;
     std::vector<PendingWrite> pending;
-    /// Read frames collected during the current drain; emptied by
-    /// serve_reads before the flush.
-    std::vector<PendingRead> reads;
     /// Stamp of the last attestation forwarded on this connection.
     common::SimTime attested_at{INT64_MIN};
     /// Highest epoch-cert epoch forwarded on this connection.
@@ -189,12 +174,10 @@ class WormServer {
                       std::vector<std::unique_ptr<Conn>>& conns,
                       std::deque<common::Socket>& fresh);
   void accept_pending(std::deque<common::Socket>& local);
-  /// Handles one decoded frame; appends the response to conn.out (reads are
-  /// collected into conn.reads instead — see serve_reads).
+  /// Handles one decoded frame and appends its response to conn.out, so
+  /// answers leave in arrival order. A kWrite is the exception: its ack
+  /// waits for the ticket (resolve_pending).
   void handle_frame(Conn& conn, const common::Bytes& body);
-  /// Serves every read collected by the current drain through one
-  /// WormSession::read_many crossing and appends the responses to conn.out.
-  void serve_reads(Conn& conn);
   void resolve_pending(Conn& conn);
   /// Encodes `resp` onto the end of conn.out.
   void send_response(Conn& conn, Response resp);

@@ -49,34 +49,6 @@ WormBlockDevice::BlockRead WormBlockDevice::read_block(
   return out;
 }
 
-std::vector<WormBlockDevice::BlockRead> WormBlockDevice::read_blocks(
-    const std::vector<std::size_t>& lbns, const ClientVerifier& verifier) {
-  std::vector<BlockRead> out(lbns.size());
-  std::vector<Sn> sns;
-  std::vector<std::size_t> positions;  // out[] slots the batch maps to
-  sns.reserve(lbns.size());
-  positions.reserve(lbns.size());
-  for (std::size_t i = 0; i < lbns.size(); ++i) {
-    std::size_t lbn = lbns[i];
-    WORM_REQUIRE(lbn < map_.size(), "WormBlockDevice: LBN out of range");
-    if (map_[lbn] == kInvalidSn) {
-      out[i].outcome = {Verdict::kTampered, "block never written"};
-      continue;
-    }
-    sns.push_back(map_[lbn]);
-    positions.push_back(i);
-  }
-  std::vector<ReadOutcome> results = store_.read_many(sns);
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    BlockRead& br = out[positions[k]];
-    br.outcome = verifier.verify_read(sns[k], results[k]);
-    if (br.outcome.verdict == Verdict::kAuthentic) {
-      br.data = results[k].get<ReadOk>().payloads.at(0);
-    }
-  }
-  return out;
-}
-
 std::optional<Sn> WormBlockDevice::sn_of(std::size_t lbn) const {
   WORM_REQUIRE(lbn < map_.size(), "WormBlockDevice: LBN out of range");
   if (map_[lbn] == kInvalidSn) return std::nullopt;

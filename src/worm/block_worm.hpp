@@ -43,12 +43,6 @@ class WormBlockDevice {
   };
   BlockRead read_block(std::size_t lbn, const ClientVerifier& verifier);
 
-  /// Batched verified read: fetches all requested blocks through the
-  /// store's read_many (parallel fan-out + cache warm), then verifies each.
-  /// Results parallel `lbns`.
-  std::vector<BlockRead> read_blocks(const std::vector<std::size_t>& lbns,
-                                     const ClientVerifier& verifier);
-
   /// Underlying serial number of a written block (audit plumbing).
   [[nodiscard]] std::optional<Sn> sn_of(std::size_t lbn) const;
 

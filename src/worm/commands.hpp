@@ -181,7 +181,6 @@ class ScpuChannel {
   void set_next_seq(std::uint64_t next) { next_seq_ = next; }
 
   [[nodiscard]] const WireStats& wire_stats() const { return wire_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
 
   // --- request/response codecs --------------------------------------------
   // Public and static so WormStore can journal an encoded intent before the

@@ -83,7 +83,6 @@ class HostJournal {
   HostJournal& operator=(const HostJournal&) = delete;
 
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
   /// Appends one frame and flushes it to the OS. Throws TransientStorageError
   /// when the injected fault fires; the frame may then be torn on disk.

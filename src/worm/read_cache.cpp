@@ -120,13 +120,4 @@ ReadCacheStats ReadCache::stats() const {
           invalidations_.load(std::memory_order_relaxed)};
 }
 
-std::size_t ReadCache::entry_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    common::SharedLock lk(shard->mu);
-    n += shard->map.size();
-  }
-  return n;
-}
-
 }  // namespace worm::core

@@ -70,7 +70,6 @@ class ReadCache {
   void clear();
 
   [[nodiscard]] ReadCacheStats stats() const;
-  [[nodiscard]] std::size_t entry_count() const;
 
  private:
   struct Entry {

@@ -114,38 +114,6 @@ std::vector<Sn> Vrdt::active_sns() const {
   return out;
 }
 
-std::optional<std::pair<Sn, Sn>> Vrdt::find_compaction_run(
-    std::size_t min_len) const {
-  Sn run_start = kInvalidSn;
-  Sn prev = kInvalidSn;
-  std::optional<std::pair<Sn, Sn>> best;
-  std::size_t best_len = 0;
-  auto flush = [&](Sn run_end) {
-    if (run_start == kInvalidSn) return;
-    std::size_t len = static_cast<std::size_t>(run_end - run_start + 1);
-    if (len >= min_len && len > best_len) {
-      best = {run_start, run_end};
-      best_len = len;
-    }
-  };
-  for (const auto& [sn, e] : entries_) {
-    bool deleted = e.kind == Entry::Kind::kDeleted;
-    bool contiguous = run_start != kInvalidSn && sn == prev + 1;
-    if (deleted) {
-      if (!contiguous) {
-        flush(prev);
-        run_start = sn;
-      }
-      prev = sn;
-    } else if (run_start != kInvalidSn) {
-      flush(prev);
-      run_start = kInvalidSn;
-    }
-  }
-  flush(prev);
-  return best;
-}
-
 std::optional<Vrdt::DeadSpan> Vrdt::find_dead_span(std::size_t min_len) const {
   // Collect dead intervals (deletion-proof entries and certified windows),
   // merge contiguous ones, and return the longest reducible span.

@@ -71,11 +71,6 @@ class Vrdt {
     return windows_;
   }
 
-  /// Longest run of contiguous deletion-proof entries with length >= min_len,
-  /// if any — compaction candidate search.
-  [[nodiscard]] std::optional<std::pair<Sn, Sn>> find_compaction_run(
-      std::size_t min_len) const;
-
   /// A maximal contiguous span of proven-deleted SNs (deletion-proof entries
   /// and/or already-certified windows), for merge-compaction.
   struct DeadSpan {

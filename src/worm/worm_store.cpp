@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -15,11 +16,17 @@ using common::Bytes;
 using common::ByteView;
 using common::SimTime;
 
+namespace {
+/// Pattern source for the random shredding passes.
+crypto::Drbg& shred_rng() {
+  static thread_local crypto::Drbg rng(0xdead5eed);
+  return rng;
+}
+}  // namespace
+
 void StoreConfig::validate() const {
   WORM_REQUIRE(compaction_min_run > 0,
                "StoreConfig.compaction_min_run must be nonzero");
-  WORM_REQUIRE(idle_batch > 0 && idle_batch <= kMaxBatchItems,
-               "StoreConfig.idle_batch must be in [1, 1024]");
   WORM_REQUIRE(mailbox.max_batch > 0 && mailbox.max_batch <= kMaxBatchItems,
                "StoreConfig.mailbox.max_batch must be in [1, 1024]");
   WORM_REQUIRE(mailbox.retry.max_attempts > 0,
@@ -42,8 +49,6 @@ void StoreConfig::validate() const {
                  "StoreConfig.pipeline.queue_capacity must be nonzero");
     WORM_REQUIRE(pipeline.max_batch > 0 && pipeline.max_batch <= kMaxBatchItems,
                  "StoreConfig.pipeline.max_batch must be in [1, 1024]");
-    WORM_REQUIRE(pipeline.max_bytes > 0,
-                 "StoreConfig.pipeline.max_bytes must be nonzero");
     WORM_REQUIRE(pipeline.linger.ns >= 0,
                  "StoreConfig.pipeline.linger must not be negative");
   }
@@ -275,9 +280,8 @@ storage::RecordDescriptor WormStore::store_payload(const Bytes& payload) {
 
 void WormStore::release_rd(const storage::RecordDescriptor& rd,
                            storage::ShredPolicy policy) {
-  static thread_local crypto::Drbg shred_rng(0xdead5eed);
   if (!config_.dedup) {
-    records_.shred(rd, policy, shred_rng);
+    records_.shred(rd, policy, shred_rng());
     return;
   }
   auto it = rd_refs_.find(rd.record_id);
@@ -291,7 +295,7 @@ void WormStore::release_rd(const storage::RecordDescriptor& rd,
   std::erase_if(content_index_, [&](const auto& kv) {
     return kv.second.record_id == rd.record_id;
   });
-  records_.shred(rd, policy, shred_rng);
+  records_.shred(rd, policy, shred_rng());
 }
 
 // ---------------------------------------------------------------------------
@@ -688,28 +692,20 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
     }
     return std::nullopt;  // expired base: refreshing needs a mailbox crossing
   }
-  if ((writes_in_flight_ || !pending_seqs_.empty()) &&
-      sn > sn_current_mirror_) {
-    // A write crossing in flight, or an unreconciled intent, may have
-    // allocated this SN on the device: a "never existed" answer from an
-    // older heartbeat would be a lie the host knows it cannot stand behind,
-    // and a heartbeat that already counts it finds no entry to serve.
-    // Unavailable until the ack is applied (or recover() reconciles).
+  if (sn > sn_current_mirror_ &&
+      (writes_in_flight_ || !pending_seqs_.empty() ||
+       (pipeline_ != nullptr && pipeline_->unassigned() > 0))) {
+    // A write crossing in flight or an unreconciled intent may have
+    // allocated this SN on the device, and an admitted write the mirror
+    // does not cover yet may be about to claim it: a "never existed" answer
+    // from an older heartbeat would be a lie the host knows it cannot stand
+    // behind (or one the next flush contradicts), and a heartbeat that
+    // already counts it finds no entry to serve. Unavailable until the ack
+    // is applied (or recover() reconciles). Never cached.
     return ReadOutcome{ReadUnavailable{
         "SN " + std::to_string(sn) +
-            " may be in flight: a write crossing or an unreconciled intent "
-            "is pending",
-        /*retryable=*/true}};
-  }
-  if (pipeline_ != nullptr && pipeline_->unsettled() > 0 &&
-      sn > sn_current_mirror_) {
-    // Read-your-writes across the async pipeline: a queued-but-unflushed
-    // admission may be about to claim this SN, so a signed "not allocated"
-    // would go stale the moment the committer flushes. Retry (or drain) and
-    // the answer becomes definite. Never cached (unavailability is not).
-    return ReadOutcome{ReadUnavailable{
-        "write pipeline holds queued admissions; SN " + std::to_string(sn) +
-            " may be about to be written",
+            " may be in flight: a write crossing, an unreconciled intent or "
+            "an admitted write is pending",
         /*retryable=*/true}};
   }
   if (sn > heartbeat_.sn_current) {
@@ -925,13 +921,28 @@ void append_frame_rdls(ByteView frame,
 }  // namespace
 
 void WormStore::derive_host_state_locked(const Intents& live,
-                                         const Intents& abandoned) {
+                                         const Intents& abandoned,
+                                         std::vector<Expired> expired) {
   std::vector<storage::RecordDescriptor> named;
   for (Sn sn : vrdt_.active_sns()) {
     const Vrdt::Entry* e = vrdt_.find(sn);
     named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
   }
   for (const auto& [seq, frame] : live) append_frame_rdls(frame, named);
+  if (!expired.empty()) {
+    std::set<std::uint64_t> keep;
+    for (const storage::RecordDescriptor& rd : named) {
+      keep.insert(rd.blocks.begin(), rd.blocks.end());
+    }
+    // Journaled descriptors are untrusted: never write past the device.
+    const std::uint64_t count = records_.device().block_count();
+    for (Expired& x : expired) {
+      std::erase_if(x.rd.blocks, [&](std::uint64_t b) {
+        return b >= count || keep.contains(b);
+      });
+      records_.shred(x.rd, x.policy, shred_rng());
+    }
+  }
   if (config_.dedup) {
     // Every naming is a reference; each record's payload is hashed once.
     content_index_.clear();
@@ -990,7 +1001,8 @@ WormStore::RecoveryReport WormStore::recover() {
       resent = resend_intents_locked(replayed, report);
       // Host state is now what the journal and the device agree on; derive
       // the rest from it before re-executed admissions allocate.
-      derive_host_state_locked(resent.unresolved, resent.abandoned);
+      derive_host_state_locked(resent.unresolved, resent.abandoned,
+                               std::exchange(replayed.expired, {}));
       reconcile_with_device_locked(replayed.journaled_base, resent.unresolved);
     }
     rewrite_safe = reexecute_queued(replayed.queued, report);
@@ -1000,7 +1012,10 @@ WormStore::RecoveryReport WormStore::recover() {
     common::ExclusiveLock lk(state_mu_);
     degraded_ = true;
     for (const auto& [seq, frame] : replayed.pending) pending_seqs_.insert(seq);
-    derive_host_state_locked(replayed.pending, {});
+    // Shreds what the try block did not get to (the exchange leaves the
+    // list empty once it has run).
+    derive_host_state_locked(replayed.pending, {},
+                             std::exchange(replayed.expired, {}));
   }
 
   common::ExclusiveLock lk(state_mu_);
@@ -1034,6 +1049,12 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
         case JournalRecordType::kPutDeleted: {
           DeletionProof proof = DeletionProof::deserialize(r);
           r.expect_end();
+          if (const Vrdt::Entry* e = vrdt_.find(proof.sn);
+              e != nullptr && e->kind == Vrdt::Entry::Kind::kActive) {
+            for (const storage::RecordDescriptor& rd : e->vrd.rdl) {
+              out.expired.push_back({rd, e->vrd.attr.shredding});
+            }
+          }
           vrdt_.put_deleted(std::move(proof));
           break;
         }
@@ -1456,7 +1477,7 @@ void WormStore::apply_strengthen_results(
 
 bool WormStore::do_strengthen_batch() {
   std::vector<Sn> pending = channel_.deferred_pending(
-      static_cast<std::uint32_t>(config_.idle_batch));
+      static_cast<std::uint32_t>(kIdleBatch));
   if (pending.empty()) {
     // Keep the mirror honest: records can leave the device-side queue
     // without host action (expiry before strengthening).
@@ -1494,7 +1515,7 @@ bool WormStore::do_strengthen_batch() {
 
 bool WormStore::do_hash_audits() {
   std::vector<Sn> audits = channel_.hash_audits_pending(
-      static_cast<std::uint32_t>(config_.idle_batch));
+      static_cast<std::uint32_t>(kIdleBatch));
   bool any = false;
   for (Sn sn : audits) {
     const Vrdt::Entry* e = vrdt_.find(sn);

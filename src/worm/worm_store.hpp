@@ -74,6 +74,10 @@ struct TrustAnchors {
 inline constexpr common::Duration kStrengthenMargin =
     common::Duration::minutes(10);
 
+/// Records one pump_idle duty strengthens or hash-audits: one mailbox
+/// crossing's worth, inside the wire batch bound (kMaxBatchItems).
+inline constexpr std::size_t kIdleBatch = 64;
+
 /// How the store uses the SCPU mailbox.
 struct MailboxConfig {
   /// Maximum writes witnessed per kWriteBatch crossing.
@@ -96,9 +100,6 @@ struct StoreConfig {
   /// Minimum contiguous expired run for window compaction. Default 3, the
   /// paper's break-even run length; must be nonzero.
   std::size_t compaction_min_run = 3;
-  /// Per-pump_idle strengthening batch size. Default 64 — one mailbox
-  /// crossing's worth; must be in [1, 1024] (the wire batch bound).
-  std::size_t idle_batch = 64;
   /// Identity of this store in migration manifests. Default 1.
   std::uint64_t store_id = 1;
   /// Content-addressed data-record sharing (§4.2: VRs may overlap, letting
@@ -491,9 +492,17 @@ class WormStore final : public HostAgent {
   // --- recover() phases, in order ------------------------------------------
 
   using Intents = std::map<std::uint64_t, common::Bytes>;  // seq -> frame
+  /// A record whose expiry (kPutDeleted) replay folded over an active VRD.
+  /// on_expire journals the proof before it shreds, so a crash may have cut
+  /// the shred short.
+  struct Expired {
+    storage::RecordDescriptor rd;
+    storage::ShredPolicy policy = storage::ShredPolicy::kNone;
+  };
   struct Replayed {
     Intents pending;                               // no completion journaled
     std::map<std::uint64_t, WriteRequest> queued;  // qid -> admission
+    std::vector<Expired> expired;                  // to shred again
     Sn journaled_base = 1;  // highest SN_base the journal recorded
   };
   Replayed replay_journal_locked(RecoveryReport& report) REQUIRES(state_mu_);
@@ -507,8 +516,11 @@ class WormStore final : public HostAgent {
   /// records named by active VRDs and by the kWriteBatch frames of `live`
   /// intents rebuild the dedup index, the reference counts and the block
   /// allocator. Blocks staged for `abandoned` frames that nothing live
-  /// names are zero-filled (recovery.orphan_blocks).
-  void derive_host_state_locked(const Intents& live, const Intents& abandoned)
+  /// names are zero-filled (recovery.orphan_blocks). Each `expired` record
+  /// is shredded again by its own policy first, except the blocks something
+  /// live names (a dedup-shared record, or a block a later write reused).
+  void derive_host_state_locked(const Intents& live, const Intents& abandoned,
+                                std::vector<Expired> expired = {})
       REQUIRES(state_mu_);
   void apply_resent_locked(common::ByteView frame, common::ByteView payload,
                            Replayed& replayed, RecoveryReport& report)
@@ -641,8 +653,8 @@ class WormStore final : public HostAgent {
 
   // Group-commit pipeline; null unless config_.pipeline.enabled. Declared
   // last so it is destroyed — and its committer thread joined — before any
-  // member that thread's flush touches. Its unsettled() count is read by the
-  // read path (under the shared lock) for read-your-writes.
+  // member that thread's flush touches. Its unassigned() count is read by
+  // the read path (under the shared lock) for read-your-writes.
   std::unique_ptr<WritePipeline> pipeline_;
 };
 

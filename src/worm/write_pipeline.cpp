@@ -45,7 +45,7 @@ bool WritePipeline::flush_due_locked() const {
   if (stop_ || flush_requested_) return true;
   if (queue_.empty()) return false;
   if (queue_.size() >= config_.max_batch) return true;
-  if (queued_bytes_ >= config_.max_bytes) return true;
+  if (queued_bytes_ >= kFlushBytes) return true;
   return clock_.now() >= queue_.front().admit_time + config_.linger;
 }
 
@@ -86,7 +86,6 @@ WriteTicket WritePipeline::submit_reserved(Pending p) {
     queued_bytes_ += p.bytes;
     // Visible to readers before the queue can assign the record an Sn:
     // read-your-writes needs "queued" observable no later than "flushable".
-    unsettled_.fetch_add(1, std::memory_order_release);
     unassigned_.fetch_add(1, std::memory_order_release);
     queue_.push_back(std::move(p));
   }
@@ -158,7 +157,6 @@ void WritePipeline::shutdown_drop() {
                          "write pipeline shut down before the queued write "
                          "crossed the mailbox; its journaled admission will "
                          "be re-executed by recover()")));
-    unsettled_.fetch_sub(1, std::memory_order_release);
   }
   cv_done_.notify_all();
 }
@@ -226,13 +224,11 @@ void WritePipeline::committer_loop() {
 
     const std::size_t n = group.size();
     // Count the group before its tickets can resolve: a caller sampling
-    // stats right after ticket.get() must see this batch, and drain()
-    // (which gates counters(kSettled)) only waits on unsettled_ below.
+    // stats right after ticket.get() must see this batch.
     stat_batches_.fetch_add(1, std::memory_order_relaxed);
     stat_flushed_.fetch_add(n, std::memory_order_relaxed);
     flush_(std::move(group));  // resolves every ticket, success or failure
 
-    unsettled_.fetch_sub(n, std::memory_order_release);
     {
       common::MutexLock lk(mu_);
       inflight_ = 0;

@@ -10,11 +10,11 @@
 // honest.
 //
 // Group-commit policy: a flush becomes due when the queue holds max_batch
-// records, max_bytes of payload, or the oldest admission has lingered past
-// `linger` on the SimClock (no wall-clock anywhere — worm_lint enforces it).
-// The linger deadline is evaluated at admission, pump (poke()), and ticket
-// waits; there is no timer thread, matching the discrete-event model where
-// only the simulation driver moves time.
+// records, kFlushBytes (1 MiB) of payload, or the oldest admission has
+// lingered past `linger` on the SimClock (no wall-clock anywhere — worm_lint
+// enforces it). The linger deadline is evaluated at admission, pump
+// (poke()), and ticket waits; there is no timer thread, matching the
+// discrete-event model where only the simulation driver moves time.
 //
 // Lock discipline (DESIGN.md §7, §8): everything below lives under mu_, and
 // the committer calls the FlushFn with NO pipeline lock held. The flush
@@ -44,6 +44,9 @@
 
 namespace worm::core {
 
+/// Queued payload bytes that make a flush due, whatever the group size.
+inline constexpr std::size_t kFlushBytes = 1u << 20;
+
 struct WritePipelineConfig {
   /// Off (the default) keeps the store fully synchronous: write() crosses
   /// the mailbox inline and write_async() is rejected. Existing deterministic
@@ -56,8 +59,6 @@ struct WritePipelineConfig {
   /// (kMaxBatchItems); a group larger than mailbox.max_batch still crosses
   /// in max_batch-sized chunks.
   std::size_t max_batch = 16;
-  /// Flush when the queued payload bytes reach this threshold.
-  std::size_t max_bytes = 1u << 20;
   /// Flush when the oldest queued admission is this old (SimClock time).
   common::Duration linger = common::Duration::millis(1);
 };
@@ -173,19 +174,13 @@ class WritePipeline {
   /// WormStore::close() is the graceful (drain-first) path. Idempotent.
   void shutdown_drop() EXCLUDES(mu_);
 
-  /// Queued + in-flight writes whose effects are not yet applied to host
-  /// state. Read by the read path (any thread) for read-your-writes.
-  [[nodiscard]] std::size_t unsettled() const {
-    return unsettled_.load(std::memory_order_acquire);
-  }
-
-  /// Admitted writes whose SN is not yet assigned. Unlike unsettled() —
-  /// which is decremented only after the whole flush round returns — this
-  /// counter is decremented at ticket-resolve time, inside the store's
-  /// exclusive state-lock hold that applies the chunk's ack, right after
-  /// the SN mirror absorbed it.
-  /// A state-lock reader computing the store's next SN (mirror + unassigned
-  /// + 1) therefore never double-counts a write the mirror already covers.
+  /// Admitted writes whose SN is not yet assigned. Incremented before the
+  /// queue can hand the write to a flush, and decremented at ticket-resolve
+  /// time, inside the store's exclusive state-lock hold that applies the
+  /// chunk's ack, right after the SN mirror absorbed it. A state-lock reader
+  /// therefore never double-counts a write the mirror already covers: the
+  /// store's next SN is mirror + unassigned + 1, and a read above the mirror
+  /// while this is nonzero answers unavailable (read-your-writes).
   [[nodiscard]] std::size_t unassigned() const {
     return unassigned_.load(std::memory_order_acquire);
   }
@@ -224,7 +219,6 @@ class WritePipeline {
   bool flush_requested_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;
 
-  std::atomic<std::size_t> unsettled_{0};
   std::atomic<std::size_t> unassigned_{0};
   std::atomic<std::uint64_t> stat_queued_{0};
   std::atomic<std::uint64_t> stat_batches_{0};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fault_fixture.hpp"
@@ -388,6 +389,55 @@ TEST(Recovery, ExpirationProofsSurviveTheCrash) {
   ReadOutcome res = rig.store->read(sn);
   ASSERT_TRUE(res.is<ReadDeleted>()) << to_string(res.status());
   EXPECT_EQ(verifier.verify_read(sn, res).verdict, Verdict::kDeletedVerified);
+}
+
+TEST(Recovery, InterruptedExpiryShredIsRedoneOnReplay) {
+  // on_expire journals the deletion proof, then shreds. A crash between the
+  // two leaves blocks holding plaintext that no VRD governs any more: replay
+  // sees the proof land on an active VRD and shreds that record again.
+  CrashRig rig("recovery_reshred.wal");
+  const common::Bytes zeros(rig.disk.block_size(), 0);
+  Sn sn = rig.put(std::string(3 * rig.disk.block_size(), 'p'),
+                  Duration::hours(1));
+  const std::vector<std::uint64_t> blocks =
+      rig.store->vrdt().find(sn)->vrd.rdl.at(0).blocks;
+  ASSERT_EQ(blocks.size(), 3u);
+  // The zero pass dies on its second block.
+  rig.fault.schedule("device.write", FaultKind::kTransient, 2);
+  EXPECT_THROW(rig.clock.advance(Duration::hours(2)),
+               common::TransientStorageError);
+  rig.fault.disarm_all();
+  EXPECT_EQ(rig.disk.raw_block(blocks[0]), zeros);
+  EXPECT_NE(rig.disk.raw_block(blocks[1]), zeros);
+
+  (void)rig.crash_and_recover();
+  for (std::uint64_t b : blocks) {
+    EXPECT_EQ(rig.disk.raw_block(b), zeros) << "block " << b;
+  }
+  ReadOutcome res = rig.store->read(sn);
+  ASSERT_TRUE(res.is<ReadDeleted>()) << to_string(res.status());
+  EXPECT_EQ(rig.verifier().verify_read(sn, res).verdict,
+            Verdict::kDeletedVerified);
+}
+
+TEST(Recovery, ReplayedExpiryNeverShredsAReusedBlock) {
+  // The shred completed and a later write took the freed block. Replay
+  // still folds the expiry over an active VRD, but a live record names the
+  // block, so the re-shred must leave it alone.
+  CrashRig rig("recovery_reshred_reuse.wal");
+  Sn expired = rig.put("short-lived", Duration::hours(1));
+  const std::vector<std::uint64_t> blocks =
+      rig.store->vrdt().find(expired)->vrd.rdl.at(0).blocks;
+  rig.clock.advance(Duration::hours(2));
+  Sn later = rig.put("reuses the block", Duration::days(30));
+  ASSERT_EQ(rig.store->vrdt().find(later)->vrd.rdl.at(0).blocks, blocks);
+
+  (void)rig.crash_and_recover();
+  ClientVerifier verifier = rig.verifier();
+  EXPECT_EQ(verifier.verify_read(later, rig.store->read(later)).verdict,
+            Verdict::kAuthentic);
+  EXPECT_EQ(verifier.verify_read(expired, rig.store->read(expired)).verdict,
+            Verdict::kDeletedVerified);
 }
 
 TEST(Recovery, LitigationHoldSurvivesTheCrash) {

@@ -823,6 +823,82 @@ TEST(WormServer, PipelinedBatchBurstConvictsTamperedSlotAmidHealthy) {
             core::Verdict::kAuthentic);
 }
 
+TEST(WormServer, PipelinedFramesAnswerInArrivalOrder) {
+  // Each frame is answered as it is decoded: a burst that mixes reads and
+  // pings comes back in the order it was sent, and a stale-routed batch
+  // still answers every slot.
+  ServerRig srv;
+  {
+    WormClient writer = srv.connect();
+    ASSERT_TRUE(writer.write(srv.record("ordered")).ok());
+  }
+  common::Socket sock = common::connect_tcp_loopback(srv.server->port());
+  Request hello;
+  hello.op = MsgOp::kHello;
+  hello.rid = 1;
+  hello.version = kProtocolVersion;
+  hello.principal = "alice";
+  hello.token = srv.auth.mint("alice");
+  ASSERT_EQ(raw_transact(sock, hello).status, core::WireStatus::kOk);
+
+  Request read;
+  read.op = MsgOp::kRead;
+  read.rid = 2;
+  read.sn = 1;
+  Request ping;
+  ping.op = MsgOp::kPing;
+  ping.rid = 3;
+  Request stale;
+  stale.op = MsgOp::kReadBatch;
+  stale.rid = 4;
+  stale.route_version = 7;  // this replica is standalone: route v0
+  stale.sns = {1, 2, 3};
+  Request ping2 = ping;
+  ping2.rid = 5;
+  Bytes burst;
+  for (const Request* req : {&read, &ping, &stale, &ping2}) {
+    append_request_frame(burst, *req);
+  }
+  std::size_t off = 0;
+  while (off < burst.size()) {
+    ASSERT_NE(common::write_some(sock, burst, off), common::IoResult::kError);
+  }
+
+  std::vector<Response> got;
+  Bytes in;
+  std::size_t in_off = 0;
+  while (got.size() < 4) {
+    if (auto body = take_frame(in, in_off)) {
+      got.push_back(decode_response(*body));
+      continue;
+    }
+    std::vector<common::PollFd> pfds{{sock.fd(), POLLIN, 0}};
+    ASSERT_GT(common::poll_fds(pfds, Duration::seconds(10)), 0)
+        << "timed out waiting for the burst's responses";
+    auto r = common::read_some(sock, in, 4096);
+    ASSERT_NE(r, common::IoResult::kClosed);
+    ASSERT_NE(r, common::IoResult::kError);
+  }
+
+  const std::vector<std::pair<MsgOp, std::uint64_t>> sent = {
+      {MsgOp::kRead, 2}, {MsgOp::kPing, 3}, {MsgOp::kReadBatch, 4},
+      {MsgOp::kPing, 5}};
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].op, sent[i].first) << "response " << i;
+    EXPECT_EQ(got[i].rid, sent[i].second) << "response " << i;
+  }
+  core::ClientVerifier verifier = srv.rig.fresh_verifier();
+  EXPECT_EQ(verifier.verify_read(1, got[0].outcome).verdict,
+            core::Verdict::kAuthentic);
+  EXPECT_EQ(got[1].status, core::WireStatus::kOk);
+  ASSERT_EQ(got[2].status, core::WireStatus::kOk);
+  ASSERT_EQ(got[2].slots.size(), 3u);
+  for (const BatchSlot& slot : got[2].slots) {
+    EXPECT_EQ(slot.status, core::WireStatus::kStaleRoute);
+  }
+  EXPECT_EQ(got[3].status, core::WireStatus::kOk);
+}
+
 TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   // Two tenants, two INDEPENDENT stores behind one server, one event loop.
   // The pipelines linger on the SimClock — which nothing in a server

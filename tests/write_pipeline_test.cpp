@@ -457,9 +457,6 @@ TEST(WritePipeline, ConfigValidationRejectsBrokenKnobs) {
   bad = pipelined();
   bad.pipeline.max_batch = 4096;  // beyond the wire bound
   EXPECT_THROW(bad.validate(), common::PreconditionError);
-  bad = pipelined();
-  bad.pipeline.max_bytes = 0;
-  EXPECT_THROW(bad.validate(), common::PreconditionError);
   // Off means the knobs are inert: a zeroed config still validates.
   StoreConfig off;
   off.pipeline.queue_capacity = 0;

@@ -175,7 +175,7 @@ RAW_MUTEX_ALLOWLIST = re.compile(r"^src/common/annotations\.hpp$")
 # (paren or brace init). The guard's scope is tracked by brace depth; while
 # one is live, blocking pipeline waits are banned — the committer thread
 # needs state_mu_ to retire admissions, so waiting on it under the lock is a
-# deadlock. `poke()` and `unsettled()` are non-blocking and stay legal.
+# deadlock. `poke()` and `unassigned()` are non-blocking and stay legal.
 STATE_LOCK_PATTERN = re.compile(
     r"\b(?:MutexLock|ExclusiveLock|SharedLock)\s+\w+\s*[({]\s*state_mu_\b"
 )
