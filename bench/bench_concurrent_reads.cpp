@@ -1,12 +1,12 @@
 // Read-path concurrency: §4.2.2 serves reads entirely from the untrusted
 // main CPU, so read throughput must scale with host parallelism — the SCPU
 // is not on the path at all. This bench races N client threads over a warm
-// store (verification on, read cache + signature memo populated) and
-// reports aggregate throughput.
+// store (verification on, signature memo populated) and reports aggregate
+// throughput.
 //
 // Methodology (same convention as bench_scaling): threads execute the REAL
-// concurrent code path — shared-lock reads, sharded cache hits, block-device
-// copies, memoized client verification — so races are exercised (and
+// concurrent code path — shared-lock VRDT reads, block-device copies,
+// memoized client verification — so races are exercised (and
 // caught under -fsanitize=thread), while throughput is computed from the
 // calibrated cost models rather than container wall-clock. Each thread
 // accumulates the modeled host cost of the ops it served (client-side
@@ -106,7 +106,7 @@ int main() {
   // of the same witnesses collapse to lookups (the read-path hot loop).
   auto memo = std::make_shared<core::SigVerifyMemo>();
   core::ClientVerifier verifier(rig.store.anchors(), rig.clock, memo);
-  // Warm-up: populate the read cache and the signature memo.
+  // Warm-up: populate the signature memo.
   for (core::Sn sn : sns) (void)verifier.verify_read(sn, rig.store.read(sn));
 
   std::vector<bench::BenchRow> rows;
@@ -140,7 +140,7 @@ int main() {
       run_sweep(cold_rig, cold_ver, cold_sns, 8, kRecords * 2, kPayload);
   std::printf(
       "\ncold 8-thread disk-bound row: %.0f ops/s — seek latency, not the\n"
-      "WORM layer, is the bottleneck once the cache is out of the picture.\n",
+      "WORM layer, is the bottleneck once nothing is warm.\n",
       cold.throughput);
   rows.push_back({"cold_disk_bound_read", 8, cold.throughput, cold.p50_us,
                   cold.p99_us});

@@ -38,8 +38,8 @@ int main() {
                              .mode = core::WitnessMode::kDeferred});
     }
     // Warm-up: touch every seeded record once so the measured loop sees a
-    // steady state (read cache populated, short-term keys generated) instead
-    // of first-access costs.
+    // steady state (short-term keys generated) instead of first-access
+    // costs.
     for (core::Sn sn = 1; sn <= 50; ++sn) (void)rig.store.read(sn);
 
     const std::size_t ops = 2000;

@@ -64,7 +64,6 @@ class MerkleWormStore {
                                    const crypto::RsaPublicKey& pub);
 
   [[nodiscard]] crypto::RsaPublicKey public_key() const;
-  [[nodiscard]] const SignedRoot& latest_root() const { return root_; }
   [[nodiscard]] std::uint64_t scpu_hash_ops() const { return tree_.hash_ops(); }
 
  private:

@@ -91,7 +91,7 @@ class CAPABILITY("mutex") AnnotatedMutex {
 };
 
 /// std::shared_mutex the analysis can see (readers shared, writers
-/// exclusive — the WormStore / ReadCache / SigVerifyMemo discipline).
+/// exclusive — the WormStore / SigVerifyMemo discipline).
 class CAPABILITY("shared_mutex") AnnotatedSharedMutex {
  public:
   AnnotatedSharedMutex() = default;

@@ -699,14 +699,6 @@ SignedSnBase ScpuChannel::sign_base() {
   return SignedSnBase::deserialize(r);
 }
 
-EpochCert ScpuChannel::epoch_cert() {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(OpCode::kEpochCert));
-  Bytes payload_bytes = invoke_ok(w.take());
-  ByteReader r(payload_bytes);
-  return EpochCert::deserialize(r);
-}
-
 void ScpuChannel::audit_hash(Sn sn, const std::vector<Bytes>& payloads) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(OpCode::kAuditHash));

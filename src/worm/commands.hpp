@@ -251,9 +251,6 @@ class ScpuChannel {
 
   [[nodiscard]] ScpuStatus status();
   [[nodiscard]] SignedSnCurrent heartbeat();
-  /// Fetches (re-signing first if the interval elapsed) the device's
-  /// EpochCert. Unsequenced.
-  [[nodiscard]] EpochCert epoch_cert();
   [[nodiscard]] SignedSnBase sign_base();
   void audit_hash(Sn sn, const std::vector<common::Bytes>& payloads);
   [[nodiscard]] CertificateBundle get_certificates();

@@ -340,7 +340,6 @@ class Firmware {
   /// otherwise a cheap early-out.
   void roll_epoch_if_due();
   void vexp_insert(common::SimTime expiry, Sn sn);
-  void vexp_erase_entry(std::multimap<common::SimTime, Sn>::iterator it);
   void reschedule_rm();
   void rm_fire();
   void heartbeat_fire();

@@ -4,14 +4,8 @@
 
 namespace worm::core {
 
-SigVerifyMemo::SigVerifyMemo(std::size_t capacity)
-    : per_shard_cap_(capacity == 0 ? 0 : (capacity + kShards - 1) / kShards) {}
-
 bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
                            common::ByteView message, common::ByteView sig) {
-  if (per_shard_cap_ == 0) {
-    return crypto::rsa_verify(key, message, sig);
-  }
   common::Bytes key_bytes = key.serialize();
 
   // Length-prefix each field so (key, m1||m2, sig) and (key, m1, m2||sig)
@@ -44,7 +38,7 @@ bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
   bool ok = crypto::rsa_verify(key, message, sig);
   {
     common::ExclusiveLock lk(s.mu);
-    if (s.map.size() >= per_shard_cap_ && !s.map.contains(k)) {
+    if (s.map.size() >= kShardCapacity && !s.map.contains(k)) {
       // Bound memory without LRU bookkeeping: drop an arbitrary entry.
       // Re-verification of the dropped signature is correct, just slower.
       s.map.erase(s.map.begin());
@@ -57,13 +51,6 @@ bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
 SigMemoStats SigVerifyMemo::stats() const {
   return {hits_.load(std::memory_order_relaxed),
           misses_.load(std::memory_order_relaxed)};
-}
-
-void SigVerifyMemo::clear() {
-  for (auto& s : shards_) {
-    common::ExclusiveLock lk(s.mu);
-    s.map.clear();
-  }
 }
 
 }  // namespace worm::core

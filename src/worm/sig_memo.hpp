@@ -36,9 +36,7 @@ struct SigMemoStats {
 
 class SigVerifyMemo {
  public:
-  /// `capacity` bounds the number of memoized results per shard group;
-  /// 0 disables memoization (every call verifies).
-  explicit SigVerifyMemo(std::size_t capacity = 8192);
+  SigVerifyMemo() = default;
 
   SigVerifyMemo(const SigVerifyMemo&) = delete;
   SigVerifyMemo& operator=(const SigVerifyMemo&) = delete;
@@ -48,7 +46,6 @@ class SigVerifyMemo {
                             common::ByteView message, common::ByteView sig);
 
   [[nodiscard]] SigMemoStats stats() const;
-  void clear();
 
  private:
   struct Key {
@@ -64,12 +61,13 @@ class SigVerifyMemo {
     }
   };
   static constexpr std::size_t kShards = 8;
+  /// Memoized results per shard: 8192 across the shards.
+  static constexpr std::size_t kShardCapacity = 8192 / kShards;
   struct Shard {
     mutable common::AnnotatedSharedMutex mu;
     std::unordered_map<Key, bool, KeyHash> map GUARDED_BY(mu);
   };
 
-  std::size_t per_shard_cap_;
   std::array<Shard, kShards> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

@@ -69,8 +69,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
       records_(records),
       config_(std::move(config)),
       channel_(firmware, validated(config_).mailbox.retry, config_.fault),
-      journal_(config_.journal_path, config_.fault),
-      read_cache_(config_.read_cache_capacity) {
+      journal_(config_.journal_path, config_.fault) {
   // Out-of-band deployment wiring: interrupt registration and policy
   // parameters a real host learns at provisioning time. Everything else —
   // including this constructor's heartbeat and status fetch — crosses the
@@ -659,20 +658,6 @@ SignedSnBase& WormStore::fresh_base() {
   return *base_;
 }
 
-void WormStore::maybe_cache_locked(Sn sn, const ReadOutcome& r) {
-  // Cacheability policy lives with ReadCache's header comment: VRDs and
-  // time-invariant absence proofs only — no payload bytes, no
-  // freshness-stamped proofs, no failures or unavailability notices.
-  if (const ReadOk* ok = r.get_if<ReadOk>()) {
-    ReadOk skeleton;
-    skeleton.vrd = ok->vrd;  // payloads re-read from the device on each hit
-    read_cache_.insert(
-        sn, std::make_shared<const ReadOutcome>(std::move(skeleton)));
-  } else if (r.is<ReadDeleted>() || r.is<ReadInDeletedWindow>()) {
-    read_cache_.insert(sn, std::make_shared<const ReadOutcome>(r));
-  }
-}
-
 std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
   if (const Vrdt::Entry* e = vrdt_.find(sn); e != nullptr) {
     if (e->kind == Vrdt::Entry::Kind::kActive) {
@@ -701,7 +686,7 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
     // from an older heartbeat would be a lie the host knows it cannot stand
     // behind (or one the next flush contradicts), and a heartbeat that
     // already counts it finds no entry to serve. Unavailable until the ack
-    // is applied (or recover() reconciles). Never cached.
+    // is applied (or recover() reconciles).
     return ReadOutcome{ReadUnavailable{
         "SN " + std::to_string(sn) +
             " may be in flight: a write crossing, an unreconciled intent or "
@@ -760,33 +745,14 @@ ReadOutcome WormStore::read(Sn sn) {
     try {
       {
         common::SharedLock lk(state_mu_);
-        if (auto cached = read_cache_.lookup(sn)) {
-          if (const ReadOk* ok = cached->get_if<ReadOk>()) {
-            // Cached entries hold no payload bytes; fetch them from the
-            // device so platter-level tampering is never masked by host
-            // memory. The shared lock orders this against expiry-time
-            // shredding.
-            ReadOk full;
-            full.vrd = ok->vrd;
-            full.payloads = read_payloads(full.vrd);
-            return ReadOutcome{std::move(full)};
-          }
-          return *cached;
-        }
-        if (auto r = read_locked(sn)) {
-          maybe_cache_locked(sn, *r);
-          return std::move(*r);
-        }
+        if (auto r = read_locked(sn)) return std::move(*r);
       }
       // The base proof expired; refreshing it crosses the mailbox, which
       // takes the commit lock before the store lock. State may have moved
       // while the shared lock was dropped, so answer again from scratch.
       common::MutexLock commit(commit_mu_);
       common::ExclusiveLock lk(state_mu_);
-      if (auto r = read_locked(sn)) {
-        maybe_cache_locked(sn, *r);
-        return std::move(*r);
-      }
+      if (auto r = read_locked(sn)) return std::move(*r);
       return read_below_base_locked(sn);
     } catch (const common::TransientStorageError& e) {
       // Payload read kept failing past the device retry budget: transient
@@ -819,7 +785,6 @@ void WormStore::apply_lit_update(Sn sn, Firmware::LitUpdate up) {
   journal_sig_update(sn, &up.attr, up.metasig, nullptr);
   e->vrd.attr = std::move(up.attr);
   e->vrd.metasig = std::move(up.metasig);
-  read_cache_.invalidate(sn);
 }
 
 void WormStore::lit_hold(const LitigationRequest& request) {
@@ -875,7 +840,6 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
     // Already gone (e.g. duplicate expiration after a lit-release); the
     // proof is still the authoritative record of deletion.
     vrdt_.put_deleted(std::move(proof));
-    read_cache_.invalidate(sn);
     return;
   }
   // Shred the data per the record's own policy, then replace the VRDT entry
@@ -885,7 +849,6 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
     release_rd(rd, e->vrd.attr.shredding);
   }
   vrdt_.put_deleted(std::move(proof));
-  read_cache_.invalidate(sn);
   ++ops_.expirations;
 }
 
@@ -969,7 +932,6 @@ void WormStore::adopt_vrdt(Vrdt vrdt) {
   WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
                "adopt_vrdt: store already in service");
   vrdt_ = std::move(vrdt);
-  read_cache_.clear();
   if (journal_.enabled()) {
     // The adopted snapshot becomes the journal's new baseline.
     std::vector<JournalRecord> fresh;
@@ -1019,7 +981,6 @@ WormStore::RecoveryReport WormStore::recover() {
   }
 
   common::ExclusiveLock lk(state_mu_);
-  read_cache_.clear();
   if (!degraded_ && rewrite_safe) checkpoint_locked(resent.unresolved);
   return report;
 }
@@ -1347,30 +1308,9 @@ void WormStore::adopt_epoch_cert_locked(const std::optional<EpochCert>& cert) {
   }
 }
 
-EpochCert WormStore::refresh_epoch_cert() {
-  common::MutexLock commit(commit_mu_);
-  common::ExclusiveLock lk(state_mu_);
-  if (degraded_) {
-    // No keys left; the newest cached cert is the freshest statement that
-    // will ever exist.
-    WORM_REQUIRE(epoch_cert_.has_value(),
-                 "refresh_epoch_cert: degraded store never saw an EpochCert");
-    return *epoch_cert_;
-  }
-  try {
-    adopt_epoch_cert_locked(channel_.epoch_cert());
-  } catch (const ScpuDeadError& e) {
-    enter_degraded(e);
-  }
-  WORM_REQUIRE(epoch_cert_.has_value(),
-               "refresh_epoch_cert: device died before issuing an EpochCert");
-  return *epoch_cert_;
-}
-
 std::map<std::string_view, std::uint64_t> WormStore::counters() const {
   common::MutexLock commit(commit_mu_);
   common::SharedLock lk(state_mu_);
-  const ReadCacheStats cache = read_cache_.stats();
   const ScpuChannel::WireStats& wire = channel_.wire_stats();
   const WritePipeline::Stats wp =
       pipeline_ != nullptr ? pipeline_->stats() : WritePipeline::Stats{};
@@ -1385,10 +1325,6 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
       {"store.dedup_hits", ops_.dedup_hits.load()},
       {"store.deferred_shreds", ops_.deferred_shreds.load()},
       {"store.degraded", degraded_ ? 1 : 0},
-      {"read_cache.hits", cache.hits},
-      {"read_cache.misses", cache.misses},
-      {"read_cache.evictions", cache.evictions},
-      {"read_cache.invalidations", cache.invalidations},
       {"mailbox.crossings", wire.commands},
       {"mailbox.bytes_crossed", wire.bytes_crossed},
       {"mailbox.error_responses", wire.errors},
@@ -1470,8 +1406,6 @@ void WormStore::apply_strengthen_results(
     journal_sig_update(r.sn, nullptr, r.metasig, &r.datasig);
     e->vrd.metasig = std::move(r.metasig);
     e->vrd.datasig = std::move(r.datasig);
-    // A cached ReadOk still carries the short-lived signatures.
-    read_cache_.invalidate(r.sn);
   }
 }
 
@@ -1550,9 +1484,6 @@ bool WormStore::do_compaction() {
   DeletedWindow merged = ScpuChannel::decode_window_response(sq.payload);
   journal_apply_window(merged);
   vrdt_.apply_window(merged);
-  // Every SN the merged window covers was answered by an individual proof
-  // or a narrower window before; those answers are superseded.
-  read_cache_.invalidate_range(merged.lo, merged.hi);
   ++ops_.compactions;
   complete_intent(sq.seq);
   return true;
@@ -1585,9 +1516,6 @@ bool WormStore::do_advance_base() {
   sn_base_mirror_ = base_->sn_base;
   journal_trim_below(new_base);
   vrdt_.trim_below(new_base);
-  // Trimmed SNs now answer ReadBelowBase (never cached) instead of their
-  // cached per-SN proofs.
-  read_cache_.invalidate_below(new_base);
   ++ops_.base_advances;
   complete_intent(sq.seq);
   return true;

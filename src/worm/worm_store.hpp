@@ -18,10 +18,10 @@
 // A write crosses with state_mu_ released, so reads and write_async
 // admissions run while the SCPU signs; litigation, idle duties, refreshes
 // and recovery hold both, and anchors and migration signing, which touch no
-// host state, hold only commit_mu_. Lock order: commit_mu_ -> state_mu_ ->
-// ReadCache shard, with the journal's own mutex a leaf. Mutators invalidate
-// exactly the read-cache entries they touch, so a read issued after a
-// mutation returns never sees the pre-mutation result. See DESIGN.md §7.
+// host state, hold only commit_mu_. Lock order: commit_mu_ -> state_mu_,
+// with the journal's own mutex a leaf. Every read answers from the VRDT
+// itself under state_mu_, so a read issued after a mutation returns never
+// sees the pre-mutation result. See DESIGN.md §7.
 //
 // The discipline is machine-checked (DESIGN.md §8): every piece of host soft
 // state is GUARDED_BY(state_mu_), the mailbox is GUARDED_BY(commit_mu_),
@@ -51,7 +51,6 @@
 #include "worm/firmware.hpp"
 #include "worm/journal.hpp"
 #include "worm/proofs.hpp"
-#include "worm/read_cache.hpp"
 #include "worm/vrdt.hpp"
 #include "worm/write_pipeline.hpp"
 
@@ -111,9 +110,6 @@ struct StoreConfig {
   /// Mailbox transport tuning (see MailboxConfig for the per-field
   /// defaults, including the retry/backoff policy).
   MailboxConfig mailbox{};
-  /// Read-result cache entry budget. Default 4096; 0 disables the cache.
-  /// See ReadCache.
-  std::size_t read_cache_capacity = 4096;
   /// Write-ahead journal for host soft state (VRDT + in-flight sequenced
   /// commands). Empty (the default) disables journaling — the store then
   /// restarts only via adopt_vrdt(). See journal.hpp and recover().
@@ -300,19 +296,14 @@ class WormStore final : public HostAgent {
   /// gone, no fresher statement can exist.
   [[nodiscard]] SignedSnCurrent refresh_heartbeat() EXCLUDES(state_mu_);
 
-  /// Newest EpochCert this store has seen (riding batch acks, or fetched by
-  /// refresh_epoch_cert). nullopt before the first one. Returned by value:
-  /// replaced concurrently by writers.
+  /// Newest EpochCert this store has seen (riding batch acks). nullopt
+  /// before the first one. Returned by value: replaced concurrently by
+  /// writers.
   [[nodiscard]] std::optional<EpochCert> latest_epoch_cert() const
       EXCLUDES(state_mu_) {
     common::SharedLock lk(state_mu_);
     return epoch_cert_;
   }
-
-  /// Forces a kEpochCert crossing and adopts (and returns) the result.
-  /// Degraded stores return the last cached cert; throws PreconditionError
-  /// when the device died before issuing one.
-  [[nodiscard]] EpochCert refresh_epoch_cert() EXCLUDES(state_mu_);
 
   /// The deployment freshness policy (TrustAnchors::sn_current_max_age)
   /// without an anchors() mailbox crossing — what the server's ping gate and
@@ -396,12 +387,6 @@ class WormStore final : public HostAgent {
   /// only the exclusive-lock path may perform.
   std::optional<ReadOutcome> read_locked(Sn sn) REQUIRES_SHARED(state_mu_);
   ReadOutcome read_below_base_locked(Sn sn) REQUIRES(commit_mu_, state_mu_);
-  /// Caches `r` for sn if its kind is time-invariant. Must run under the
-  /// state lock (shared suffices): that orders the insert against exclusive
-  /// mutators, so a stale result can never be inserted after the
-  /// invalidation that should have killed it.
-  void maybe_cache_locked(Sn sn, const ReadOutcome& r)
-      REQUIRES_SHARED(state_mu_);
 
   /// Throws ReadOnlyStoreError when the store is degraded (mutation entry
   /// guard).
@@ -409,8 +394,8 @@ class WormStore final : public HostAgent {
   /// Flips to degraded read-only mode and rethrows as ReadOnlyStoreError.
   [[noreturn]] void enter_degraded(const ScpuDeadError& cause);
 
-  /// Adopts a batch-ack (or refreshed) epoch cert when its epoch is newer
-  /// than the cached one.
+  /// Adopts a batch-ack epoch cert when its epoch is newer than the cached
+  /// one.
   void adopt_epoch_cert_locked(const std::optional<EpochCert>& cert)
       REQUIRES(state_mu_);
 
@@ -567,8 +552,8 @@ class WormStore final : public HostAgent {
   Firmware& firmware_;
   storage::RecordStore& records_;
   StoreConfig config_;
-  // Orders every mailbox crossing. Lock order: commit_mu_, then state_mu_,
-  // then any ReadCache shard mutex; the journal's mutex is a leaf.
+  // Orders every mailbox crossing. Lock order: commit_mu_, then state_mu_;
+  // the journal's mutex is a leaf.
   mutable common::AnnotatedMutex commit_mu_;
   // Readers shared; every mutation exclusive. Write crossings run without
   // it; every other crossing holds it too.
@@ -605,11 +590,8 @@ class WormStore final : public HostAgent {
   std::uint64_t recovery_resent_ GUARDED_BY(state_mu_) = 0;
   std::uint64_t recovery_torn_bytes_ GUARDED_BY(state_mu_) = 0;
   std::uint64_t recovery_orphan_blocks_ GUARDED_BY(state_mu_) = 0;
-  // Internally sharded/locked; held only to shared-lock ordering rules (see
-  // maybe_cache_locked), which GUARDED_BY cannot express.
-  ReadCache read_cache_;
   SignedSnCurrent heartbeat_ GUARDED_BY(state_mu_);
-  // Newest epoch cert seen (batch acks / explicit refresh); adoption is
+  // Newest epoch cert seen (batch acks); adoption is
   // monotone in the epoch number.
   std::optional<EpochCert> epoch_cert_ GUARDED_BY(state_mu_);
   std::optional<SignedSnBase> base_ GUARDED_BY(state_mu_);
@@ -668,14 +650,12 @@ class InsiderHandle {
   explicit InsiderHandle(WormStore& store) : store_(store) {}
 
   /// Mutable access to the host's VRDT — the soft state an insider can
-  /// rewrite at will (and the SCPU witnesses exist to catch). Drops the
-  /// read cache first: Mallory controls host RAM too, and a cache that kept
-  /// serving pre-tamper answers would only hide her own edits from her.
+  /// rewrite at will (and the SCPU witnesses exist to catch). Reads answer
+  /// from this table itself, so the next read serves whatever she wrote.
   /// Bypasses the store's locks, like any insider write to host memory —
   /// the one deliberate hole in the lock discipline, hence the analysis
   /// opt-out (worm-lint keeps its constructor greppable instead).
   [[nodiscard]] Vrdt& vrdt() NO_THREAD_SAFETY_ANALYSIS {
-    store_.read_cache_.clear();
     return store_.vrdt_;
   }
 

@@ -176,6 +176,21 @@ TEST(Theorem2, HiddenRecordYieldsNoAcceptableAnswer) {
   EXPECT_FALSE(out.trustworthy());
 }
 
+TEST(Theorem2, HiddenRecordIsExposedAfterAWarmRead) {
+  // Mallory holds the VRDT from before the record was read, then erases it
+  // after a read has verified. Nothing host-side may keep serving the
+  // pre-tamper answer: the next read must expose the edit.
+  Rig rig;
+  Sn sn = rig.put("read before it is hidden", Duration::days(30));
+  rig.clock.advance(Duration::minutes(3));  // one heartbeat covers the write
+  core::Vrdt& v = core::InsiderHandle(rig.store).vrdt();
+  ASSERT_EQ(rig.verifier.verify_read(sn, rig.store.read(sn)).verdict,
+            Verdict::kAuthentic);
+  ASSERT_TRUE(v.force_erase(sn));
+  Outcome out = rig.verifier.verify_read(sn, rig.store.read(sn));
+  EXPECT_EQ(out.verdict, Verdict::kTampered) << out.detail;
+}
+
 TEST(Theorem2, HeartbeatWindowIsTheOnlyHidingSlack) {
   // Documented protocol boundary: within ONE heartbeat period of a write,
   // a pre-write stamp is still "fresh" and can deny the newest records —

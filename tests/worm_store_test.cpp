@@ -698,10 +698,6 @@ TEST(WormStore, CounterKeysAreStable) {
       "store.dedup_hits",
       "store.deferred_shreds",
       "store.degraded",
-      "read_cache.hits",
-      "read_cache.misses",
-      "read_cache.evictions",
-      "read_cache.invalidations",
       "mailbox.crossings",
       "mailbox.bytes_crossed",
       "mailbox.error_responses",
@@ -726,7 +722,7 @@ TEST(WormStore, CounterKeysAreStable) {
       "write_pipeline.backpressure_stalls",
       "write_pipeline.busy_rejected",
   };
-  EXPECT_EQ(expected.size(), 37u);
+  EXPECT_EQ(expected.size(), 33u);
   EXPECT_EQ(keys, expected);
 }
 

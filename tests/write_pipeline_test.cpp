@@ -217,14 +217,13 @@ TEST(WritePipeline, ProofStreamEquivalentToSynchronousUncachedReference) {
   // Lockstep configs (zero cost models, no transfer charges) pin both clocks
   // at zero, so signatures embed identical timestamps: the pipelined store
   // must produce byte-for-byte the proof stream of a synchronous store with
-  // no read cache and no batching.
+  // no batching.
   StoreConfig async_cfg = pipelined(lockstep_store_config());
   async_cfg.pipeline.max_batch = 4;
   Rig pipelined_rig({}, async_cfg, 32u << 20, scpu::CostModel::zero());
 
-  StoreConfig ref_cfg = lockstep_store_config();
-  ref_cfg.read_cache_capacity = 0;  // uncached, unbatched reference
-  Rig ref_rig({}, ref_cfg, 32u << 20, scpu::CostModel::zero());
+  Rig ref_rig({}, lockstep_store_config(), 32u << 20,
+              scpu::CostModel::zero());
 
   constexpr std::size_t kRecords = 10;
   std::vector<WriteTicket> tickets;

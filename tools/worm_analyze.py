@@ -594,8 +594,8 @@ class Program:
             self.by_name.setdefault(qname.split("::")[-1], []).append(qname)
 
     # Method names std containers and streams share: matching one to an
-    # in-tree class by name-uniqueness alone would wire e.g. by_sn_.insert()
-    # (a std::map) to ReadCache::insert and invent call-graph edges, so these
+    # in-tree class by name-uniqueness alone would wire e.g. a std::map's
+    # insert() to an in-tree insert() and invent call-graph edges, so these
     # also need the receiver to plausibly name the candidate's class.
     GENERIC_METHODS = frozenset((
         "insert", "erase", "clear", "find", "push_back", "emplace",
