@@ -104,10 +104,6 @@ core::Sn ShardRouter::write(core::WriteRequest request) {
   return ticket.get();
 }
 
-void ShardRouter::poke_writes() {
-  for (auto& session : sessions_) session->poke_writes();
-}
-
 void ShardRouter::drain_writes() {
   for (auto& session : sessions_) session->drain_writes();
 }

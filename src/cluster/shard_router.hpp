@@ -37,7 +37,6 @@ class RoutedTicket {
   RoutedTicket(core::WriteTicket ticket, ShardId shard, const ShardMap& map)
       : ticket_(std::move(ticket)), shard_(shard), map_(&map) {}
 
-  [[nodiscard]] bool ready() const { return ticket_.ready(); }
   [[nodiscard]] ShardId shard() const { return shard_; }
 
   /// Blocks until the shard's committer resolves the ticket; returns the
@@ -82,8 +81,7 @@ class ShardRouter {
   /// Synchronous convenience: write_async + get.
   [[nodiscard]] core::Sn write(core::WriteRequest request);
 
-  /// Forwarded pipeline nudge/drain, fanned to every shard.
-  void poke_writes();
+  /// Forwarded pipeline drain, fanned to every shard.
   void drain_writes();
 
   /// Every shard's store counters, keyed "shard.<i>.<key>", plus their

@@ -16,11 +16,17 @@ using common::NetError;
 
 namespace {
 
+/// Wait between connect attempts.
+constexpr common::Backoff kConnectBackoff{
+    .initial = common::Duration::millis(1),
+    .factor = 2,
+    .cap = common::Duration::millis(250)};
+
 common::Socket connect_with_backoff(const ClientConfig& config) {
   std::string last_error = "no attempts made";
   for (std::uint32_t attempt = 0; attempt < config.connect_attempts;
        ++attempt) {
-    if (attempt > 0) common::sleep_real(config.backoff.delay(attempt - 1));
+    if (attempt > 0) common::sleep_real(kConnectBackoff.delay(attempt - 1));
     try {
       if (!config.unix_path.empty()) {
         return common::connect_unix(config.unix_path);

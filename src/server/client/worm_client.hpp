@@ -36,9 +36,9 @@ struct ClientConfig {
   std::string principal;
   common::Bytes token;
 
-  /// Connect attempts before giving up (each separated by backoff).
+  /// Connect attempts before giving up (each separated by an exponential
+  /// backoff: 1 ms, doubling, capped at 250 ms).
   std::uint32_t connect_attempts = 6;
-  common::Backoff backoff;
   /// Absolute bound on one whole request/response round trip (send + wait,
   /// measured against a monotonic deadline — a trickling server cannot reset
   /// it). read_many renews the same bound on every completed chunk, so a

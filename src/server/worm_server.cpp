@@ -507,7 +507,6 @@ void WormServer::loop_iteration(std::size_t loop_idx,
     }
   }
 
-  bool had_writes = false;
   for (std::size_t i = 0; i < conns.size(); ++i) {
     Conn& conn = *conns[i];
     short rev = pfds[base + i].revents;
@@ -536,9 +535,15 @@ void WormServer::loop_iteration(std::size_t loop_idx,
       // bytes buffered instead of quadratic (per-frame front erase).
       compact_frames(conn.in, conn.in_off);
     }
+  }
 
+  // Every connection's frames of this iteration are handled, so a group
+  // can form from all of their admissions: only now ask the tickets.
+  // Asking an unresolved one makes its group due in its own store's
+  // pipeline (sessions may sit on distinct stores).
+  for (const auto& c : conns) {
+    Conn& conn = *c;
     resolve_pending(conn);
-    if (!conn.pending.empty()) had_writes = true;
 
     // Flush what the kernel will take.
     while (conn.out_off < conn.out.size()) {
@@ -558,22 +563,6 @@ void WormServer::loop_iteration(std::size_t loop_idx,
     if (conn.out_off >= conn.out.size()) {
       conn.out.clear();
       conn.out_off = 0;
-    }
-  }
-
-  // Keep the committer moving while any admission is unresolved: groups
-  // form from whatever arrived this iteration instead of waiting out the
-  // simulated linger window (which nothing advances in a server process).
-  // Every connection with unresolved admissions gets its session poked:
-  // SessionFactory may mint sessions over *distinct* stores (multi-tenant
-  // deployments), so one nudge does NOT necessarily reach every pipeline —
-  // stopping at the first would stall the other tenants' groups forever.
-  // A redundant poke on a shared store is a cheap no-op.
-  if (had_writes) {
-    for (const auto& conn : conns) {
-      if (conn->session != nullptr && !conn->pending.empty()) {
-        conn->session->poke_writes();
-      }
     }
   }
 

@@ -16,8 +16,11 @@
 //    server-store-isolation keeps every store touch inside the session
 //    layer;
 //  * writes go through the session's non-blocking try_write_async: a full
-//    pipeline answers kBusy on the wire instead of stalling the loop, and
-//    resolved tickets are polled each iteration so admissions never block;
+//    pipeline answers kBusy on the wire instead of stalling the loop. Once
+//    every connection's frames of an iteration are handled, the loop asks
+//    each pending ticket: that makes its group due in its own store's
+//    pipeline, and the resolved ones are answered, so admissions never
+//    block;
 //  * each frame is answered as it is decoded, so responses leave in arrival
 //    order: a kRead is one WormSession::read, a kReadBatch one read_many;
 //  * reads stream the record+proof envelope verbatim; the server is
@@ -178,6 +181,8 @@ class WormServer {
   /// answers leave in arrival order. A kWrite is the exception: its ack
   /// waits for the ticket (resolve_pending).
   void handle_frame(Conn& conn, const common::Bytes& body);
+  /// Asks each of conn's pending tickets (an unresolved one's group becomes
+  /// due) and answers the resolved ones.
   void resolve_pending(Conn& conn);
   /// Encodes `resp` onto the end of conn.out.
   void send_response(Conn& conn, Response resp);

@@ -32,9 +32,9 @@ Firmware::Firmware(scpu::ScpuDevice& device, FirmwareConfig config,
   // Long-term keys are installed at deployment time (the 4764 ships with
   // pre-generated key material), so construction charges no simulated time.
   strong_key_ =
-      &scpu::cached_rsa_key(config_.seed ^ kStrongKeyTweak, config_.strong_bits);
+      &scpu::cached_rsa_key(config_.seed ^ kStrongKeyTweak, kStrongBits);
   deletion_key_ = &scpu::cached_rsa_key(config_.seed ^ kDeletionKeyTweak,
-                                        config_.deletion_bits);
+                                        kDeletionBits);
   hmac_key_ = drbg_.bytes(32);
 
   // First short-term key epoch.
@@ -80,7 +80,7 @@ std::vector<ShortKeyCert> Firmware::short_key_certs() const {
   std::vector<ShortKeyCert> certs;
   // Each certificate is a fresh strong signature (rare: clients fetch
   // anchors at session setup, not per read).
-  dev_.charge(dev_.cost().sign_cost(config_.strong_bits) *
+  dev_.charge(dev_.cost().sign_cost(kStrongBits) *
               static_cast<std::int64_t>(short_keys_.size()));
   for (const auto& [id, sk] : short_keys_) {
     ShortKeyCert c;
@@ -102,7 +102,7 @@ Bytes Firmware::compute_chained_hash(const std::vector<Bytes>& payloads,
   std::size_t total = 0;
   for (const auto& p : payloads) total += p.size();
   if (charge) {
-    dev_.charge(dev_.cost().hash_cost(total, config_.data_chunk));
+    dev_.charge(dev_.cost().hash_cost(total, kDataChunk));
   }
   crypto::ChainedHash chain;
   for (const auto& p : payloads) chain.add(p);
@@ -171,7 +171,7 @@ WriteWitness Firmware::write_impl(
       // was shared across the batch's 4-lane hashing.
       std::size_t total = 0;
       for (const auto& p : payloads) total += p.size();
-      dev_.charge(dev_.cost().hash_cost(total, config_.data_chunk));
+      dev_.charge(dev_.cost().hash_cost(total, kDataChunk));
       out.data_hash = *precomputed_hash;
     } else {
       out.data_hash = compute_chained_hash(payloads, /*charge=*/true);
@@ -189,9 +189,9 @@ WriteWitness Firmware::write_impl(
   switch (mode) {
     case WitnessMode::kStrong: {
       out.metasig = {SigKind::kStrong, 0,
-                     sign_with(*strong_key_, meta_payload, config_.strong_bits)};
+                     sign_with(*strong_key_, meta_payload, kStrongBits)};
       out.datasig = {SigKind::kStrong, 0,
-                     sign_with(*strong_key_, data_payload, config_.strong_bits)};
+                     sign_with(*strong_key_, data_payload, kStrongBits)};
       break;
     }
     case WitnessMode::kDeferred: {
@@ -280,7 +280,7 @@ std::vector<WriteWitness> Firmware::write_batch(
 bool Firmware::verify_sigbox(const SigBox& box, ByteView payload) {
   switch (box.kind) {
     case SigKind::kStrong:
-      dev_.charge(dev_.cost().verify_cost(config_.strong_bits));
+      dev_.charge(dev_.cost().verify_cost(kStrongBits));
       return crypto::rsa_verify(strong_key_->public_key(), payload, box.value);
     case SigKind::kShortTerm: {
       auto it = short_keys_.find(box.key_id);
@@ -316,7 +316,7 @@ void Firmware::verify_lit_credential(Sn sn, std::uint64_t lit_id,
   if (issued_at > dev_.now()) {
     throw ScpuError("lit credential issued in the future");
   }
-  if (dev_.now() - issued_at > config_.lit_credential_max_age) {
+  if (dev_.now() - issued_at > kLitCredentialMaxAge) {
     throw ScpuError("lit credential expired");
   }
   dev_.charge(dev_.cost().verify_cost(regulator_pub_.modulus_bits()));
@@ -346,7 +346,7 @@ Firmware::LitUpdate Firmware::lit_hold(const Vrd& vrd, SimTime hold_until,
   up.attr.lit_credential = common::to_bytes(credential);
   up.metasig = {SigKind::kStrong, 0,
                 sign_with(*strong_key_, metasig_payload(vrd.sn, up.attr),
-                          config_.strong_bits)};
+                          kStrongBits)};
   lit_holds_[vrd.sn] = hold_until;
   ++counters_.lit_ops;
   return up;
@@ -372,7 +372,7 @@ Firmware::LitUpdate Firmware::lit_release(const Vrd& vrd, std::uint64_t lit_id,
   up.attr.lit_credential.clear();
   up.metasig = {SigKind::kStrong, 0,
                 sign_with(*strong_key_, metasig_payload(vrd.sn, up.attr),
-                          config_.strong_bits)};
+                          kStrongBits)};
   lit_holds_.erase(vrd.sn);
   // Requeue for deletion: immediately if retention already lapsed.
   SimTime due = std::max(dev_.now(), up.attr.expiry());
@@ -392,7 +392,7 @@ SignedSnCurrent Firmware::heartbeat() {
   s.stamped_at = dev_.now();
   s.sig = sign_with(*strong_key_,
                     sn_current_payload(s.sn_current, s.stamped_at),
-                    config_.strong_bits);
+                    kStrongBits);
   ++counters_.heartbeats;
   roll_epoch_if_due();
   return s;
@@ -400,7 +400,7 @@ SignedSnCurrent Firmware::heartbeat() {
 
 void Firmware::roll_epoch_if_due() {
   if (epoch_cert_.has_value() &&
-      dev_.now() - epoch_cert_->stamped_at < config_.epoch_interval) {
+      dev_.now() - epoch_cert_->stamped_at < kEpochInterval) {
     return;
   }
   EpochCert c;
@@ -409,7 +409,7 @@ void Firmware::roll_epoch_if_due() {
   c.stamped_at = dev_.now();
   c.sig = sign_with(*strong_key_,
                     epoch_cert_payload(c.epoch, c.sn_current, c.stamped_at),
-                    config_.strong_bits);
+                    kStrongBits);
   epoch_cert_ = std::move(c);
   ++counters_.epoch_certs;
 }
@@ -442,7 +442,7 @@ SignedSnBase Firmware::sign_base() {
   s.expires_at = dev_.now() + config_.sn_base_validity;
   s.sig = sign_with(*strong_key_,
                     sn_base_payload(s.sn_base, s.stamped_at, s.expires_at),
-                    config_.strong_bits);
+                    kStrongBits);
   return s;
 }
 
@@ -459,7 +459,7 @@ SignedSnBase Firmware::advance_base(Sn new_base,
 
   // Verify window signatures once, then use their ranges for coverage.
   for (const auto& w : windows) {
-    dev_.charge(dev_.cost().verify_cost(config_.strong_bits) * 2);
+    dev_.charge(dev_.cost().verify_cost(kStrongBits) * 2);
     bool ok =
         crypto::rsa_verify(
             strong_key_->public_key(),
@@ -475,7 +475,7 @@ SignedSnBase Firmware::advance_base(Sn new_base,
   for (Sn sn = sn_base_; sn < new_base; ++sn) {
     bool covered = false;
     if (auto it = by_sn.find(sn); it != by_sn.end()) {
-      dev_.charge(dev_.cost().verify_cost(config_.deletion_bits));
+      dev_.charge(dev_.cost().verify_cost(kDeletionBits));
       if (!crypto::rsa_verify(
               deletion_key_->public_key(),
               deletion_proof_payload(sn, it->second->deleted_at),
@@ -513,7 +513,7 @@ DeletedWindow Firmware::certify_window(Sn lo, Sn hi,
 
   // Prior windows count as evidence once their (correlated) bounds verify.
   for (const auto& w : windows) {
-    dev_.charge(dev_.cost().verify_cost(config_.strong_bits) * 2);
+    dev_.charge(dev_.cost().verify_cost(kStrongBits) * 2);
     bool ok =
         crypto::rsa_verify(
             strong_key_->public_key(),
@@ -542,7 +542,7 @@ DeletedWindow Firmware::certify_window(Sn lo, Sn hi,
       throw ScpuError("certify_window: missing deletion evidence for SN " +
                       std::to_string(sn));
     }
-    dev_.charge(dev_.cost().verify_cost(config_.deletion_bits));
+    dev_.charge(dev_.cost().verify_cost(kDeletionBits));
     if (!crypto::rsa_verify(deletion_key_->public_key(),
                             deletion_proof_payload(sn, it->second->deleted_at),
                             it->second->sig)) {
@@ -557,10 +557,10 @@ DeletedWindow Firmware::certify_window(Sn lo, Sn hi,
   w.created_at = dev_.now();
   w.sig_lo = sign_with(*strong_key_,
                        window_bound_payload(false, w.window_id, lo, w.created_at),
-                       config_.strong_bits);
+                       kStrongBits);
   w.sig_hi = sign_with(*strong_key_,
                        window_bound_payload(true, w.window_id, hi, w.created_at),
-                       config_.strong_bits);
+                       kStrongBits);
   return w;
 }
 
@@ -599,11 +599,11 @@ std::vector<StrengthenResult> Firmware::strengthen(
     r.sn = vrd.sn;
     r.metasig = {SigKind::kStrong, 0,
                  sign_with(*strong_key_, metasig_payload(vrd.sn, vrd.attr),
-                           config_.strong_bits)};
+                           kStrongBits)};
     r.datasig = {SigKind::kStrong, 0,
                  sign_with(*strong_key_,
                            datasig_payload(vrd.sn, vrd.data_hash),
-                           config_.strong_bits)};
+                           kStrongBits)};
     deferred_sns_.erase(vrd.sn);
     ++counters_.strengthened;
     out.push_back(std::move(r));
@@ -628,7 +628,7 @@ MigrationAttestation Firmware::sign_migration(ByteView manifest_hash,
   a.sig = sign_with(*strong_key_,
                     migration_payload(a.manifest_hash, source_store_id,
                                       dest_store_id, a.signed_at),
-                    config_.strong_bits);
+                    kStrongBits);
   return a;
 }
 
@@ -738,7 +738,7 @@ DeletionProof Firmware::make_deletion_proof(Sn sn) {
   p.deleted_at = dev_.now();
   p.sig = sign_with(*deletion_key_,
                     deletion_proof_payload(sn, p.deleted_at),
-                    config_.deletion_bits);
+                    kDeletionBits);
   return p;
 }
 

@@ -42,10 +42,24 @@ enum class HashMode : std::uint8_t {
   kHostHash = 1,
 };
 
+/// Key strengths: the paper's strong reference strength (keys s and d).
+inline constexpr std::size_t kStrongBits = 1024;
+inline constexpr std::size_t kDeletionBits = 1024;
+/// Litigation credentials older than this are refused.
+inline constexpr common::Duration kLitCredentialMaxAge =
+    common::Duration::hours(24);
+/// Epoch attestation (O(1)-amortized freshness): at most one EpochCert
+/// signature per interval, refreshed lazily whenever any command enters the
+/// device with the current cert older than this. Well below the default
+/// sn_current_max_age, so a cert riding a batch ack is always fresh enough
+/// for clients judging by that policy.
+inline constexpr common::Duration kEpochInterval =
+    common::Duration::seconds(30);
+/// Streaming chunk for DMA + hashing of record payloads.
+inline constexpr std::size_t kDataChunk = 65536;
+
 struct FirmwareConfig {
-  std::size_t strong_bits = 1024;    // the paper's strong reference strength
-  std::size_t deletion_bits = 1024;  // key d
-  std::size_t short_bits = 512;      // §4.3 short-lived baseline
+  std::size_t short_bits = 512;  // §4.3 short-lived baseline
   /// Security lifetime of a short-lived construct: it must be strengthened
   /// this soon after creation (paper: 512-bit resists "60-180 mins").
   common::Duration short_sig_lifetime = common::Duration::minutes(60);
@@ -59,18 +73,8 @@ struct FirmwareConfig {
   common::Duration sn_current_max_age = common::Duration::minutes(5);
   /// Validity horizon written into S_s(SN_base) (anti-replay).
   common::Duration sn_base_validity = common::Duration::minutes(10);
-  /// Litigation credentials older than this are refused.
-  common::Duration lit_credential_max_age = common::Duration::hours(24);
-  /// Epoch attestation (O(1)-amortized freshness): at most one EpochCert
-  /// signature per interval, refreshed lazily whenever any command enters
-  /// the device with the current cert older than this. Should be well below
-  /// sn_current_max_age so a cert riding a batch ack is always fresh enough
-  /// for clients judging by that policy.
-  common::Duration epoch_interval = common::Duration::seconds(30);
   /// Secure-memory budget for the VEXP (bytes); ~24 bytes/entry.
   std::size_t vexp_memory_bytes = 1u << 20;
-  /// Streaming chunk for DMA + hashing of record payloads.
-  std::size_t data_chunk = 65536;
   /// Deterministic seed for this device's key material and window ids.
   std::uint64_t seed = 0x574f524d;  // "WORM"
 };

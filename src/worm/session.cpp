@@ -73,8 +73,6 @@ bool WormSession::async_capable() const {
 
 Sn WormSession::next_sn() const { return store_.next_sn(); }
 
-void WormSession::poke_writes() { store_.poke_writes(); }
-
 void WormSession::drain_writes() { store_.drain_writes(); }
 
 std::map<std::string_view, std::uint64_t> WormSession::counters() const {

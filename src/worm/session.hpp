@@ -75,8 +75,7 @@ class WormSession {
   /// server checks a v4 sequenced write's expected_sn against. See
   /// WormStore::next_sn for the (benign) snapshot caveat.
   [[nodiscard]] Sn next_sn() const;
-  /// Forwarded pipeline nudge/drain (see WormStore).
-  void poke_writes();
+  /// Forwarded pipeline drain (see WormStore).
   void drain_writes();
 
   /// The underlying store's named counters (WormStore::counters). This is

@@ -145,18 +145,6 @@ FsAuditReport WormFs::audit(const ClientVerifier& verifier) {
   FsAuditReport report;
   report.files = index_.size();
 
-  // Prefetch every indexed version in one batch: read_many fans the reads
-  // across the store's read pool and leaves the results in its read cache,
-  // so the sequential chain walk below is served from memory. Chain hops
-  // are data-dependent (each header names its predecessor) and cannot
-  // themselves be batched.
-  std::vector<Sn> all_sns;
-  for (const auto& [path, state] : index_) {
-    for (const FsVersionInfo& v : state.chain) all_sns.push_back(v.sn);
-  }
-  // Results deliberately dropped: this call is pure cache warm-up.
-  (void)store_.read_many(all_sns);
-
   for (const auto& [path, state] : index_) {
     bool chain_ok = true;
     // Walk the latest version's prev-chain back to version 1; every hop must

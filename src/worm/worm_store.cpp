@@ -49,8 +49,6 @@ void StoreConfig::validate() const {
                  "StoreConfig.pipeline.queue_capacity must be nonzero");
     WORM_REQUIRE(pipeline.max_batch > 0 && pipeline.max_batch <= kMaxBatchItems,
                  "StoreConfig.pipeline.max_batch must be in [1, 1024]");
-    WORM_REQUIRE(pipeline.linger.ns >= 0,
-                 "StoreConfig.pipeline.linger must not be negative");
   }
 }
 
@@ -98,8 +96,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
 
   if (config_.pipeline.enabled) {
     pipeline_ = std::make_unique<WritePipeline>(
-        clock_, config_.pipeline,
-        [this](std::vector<WritePipeline::Pending>&& group) {
+        config_.pipeline, [this](std::vector<WritePipeline::Pending>&& group) {
           flush_group(std::move(group));
         });
   }
@@ -324,9 +321,8 @@ Bytes chained_hash(const std::vector<Bytes>& payloads) {
 
 }  // namespace
 
-Firmware::BatchItem WormStore::stage(const WriteRequest& request) {
+void WormStore::stage(const WriteRequest& request, Firmware::BatchItem& item) {
   // 1. Main CPU writes the actual data to disk (§4.2.2 "Write").
-  Firmware::BatchItem item;
   item.attr = request.attr;
   item.rdl.reserve(request.payloads.size());
   std::size_t total = 0;
@@ -344,11 +340,9 @@ Firmware::BatchItem WormStore::stage(const WriteRequest& request) {
   } else {
     item.payloads = request.payloads;
   }
-  return item;
 }
 
-Firmware::BatchItem WormStore::stage(WritePipeline::Pending& p) {
-  Firmware::BatchItem item;
+void WormStore::stage(WritePipeline::Pending& p, Firmware::BatchItem& item) {
   item.attr = p.attr;
   item.rdl.reserve(p.payloads.size());
   for (const auto& b : p.payloads) item.rdl.push_back(store_payload(b));
@@ -357,7 +351,18 @@ Firmware::BatchItem WormStore::stage(WritePipeline::Pending& p) {
   } else {
     item.payloads = std::move(p.payloads);
   }
-  return item;
+}
+
+void WormStore::release_staged(const std::vector<Firmware::BatchItem>& items) {
+  for (const Firmware::BatchItem& item : items) {
+    for (const auto& rd : item.rdl) {
+      try {
+        release_rd(rd, storage::ShredPolicy::kZeroFill);
+      } catch (const common::StorageError&) {
+        // Best effort: the caller's own error is the one that stands.
+      }
+    }
+  }
 }
 
 Bytes WormStore::cross_write_batch(const ScpuChannel::Prepared& cmd) {
@@ -394,18 +399,30 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
           std::max<std::uint64_t>(mailbox_.queue_hwm, writes.size());
       std::vector<std::uint64_t> qids;
       items.reserve(end - first);
-      for (std::size_t k = first; k < end; ++k) {
-        const UnstagedWrite& w = writes[k];
-        items.push_back(w.admitted != nullptr ? stage(*w.admitted)
-                                              : stage(*w.request));
-        if (w.qid != 0) qids.push_back(w.qid);
+      try {
+        for (std::size_t k = first; k < end; ++k) {
+          const UnstagedWrite& w = writes[k];
+          Firmware::BatchItem& item = items.emplace_back();
+          if (w.admitted != nullptr) {
+            stage(*w.admitted, item);
+          } else {
+            stage(*w.request, item);
+          }
+          if (w.qid != 0) qids.push_back(w.qid);
+        }
+        // Encode into the store's reusable arena (no buffer growth once
+        // warm), then take one exact-size copy for the journal/retry owner.
+        common::ByteWriter w = encode_scratch_.writer();
+        ScpuChannel::encode_write_batch_into(w, items, mode,
+                                             config_.hash_mode);
+        common::ByteView encoded = w.written();
+        cmd = journal_intent(Bytes(encoded.begin(), encoded.end()), qids);
+      } catch (...) {
+        // No intent names what the chunk staged, so no later boot would
+        // zero it: release it now, as a rejected chunk does.
+        release_staged(items);
+        throw;
       }
-      // Encode into the store's reusable arena (no buffer growth once
-      // warm), then take one exact-size copy for the journal/retry owner.
-      common::ByteWriter w = encode_scratch_.writer();
-      ScpuChannel::encode_write_batch_into(w, items, mode, config_.hash_mode);
-      common::ByteView encoded = w.written();
-      cmd = journal_intent(Bytes(encoded.begin(), encoded.end()), qids);
       writes_in_flight_ = true;
     }
 
@@ -430,11 +447,7 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
       // intent consumes its admissions. What it staged holds plaintext no
       // VRD governs.
       complete_intent(cmd.seq);
-      for (const Firmware::BatchItem& item : items) {
-        for (const auto& rd : item.rdl) {
-          release_rd(rd, storage::ShredPolicy::kZeroFill);
-        }
-      }
+      release_staged(items);
       for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, failure);
     } else {
       std::vector<Sn> sns = apply_write_ack_locked(payload, items, mode);
@@ -473,9 +486,9 @@ std::vector<Sn> WormStore::apply_write_ack_locked(
     if (mode != WitnessMode::kStrong) {
       note_deferred_witness(witness.attr.creation_time);
     }
-    ++ops_.writes;
     sns.push_back(witness.sn);
   }
+  ops_.writes += sns.size();
   // The ack's trailing attestation can only run ahead of the per-witness
   // maximum (other writes may have landed on the device since), never behind.
   sn_current_mirror_ = std::max(sn_current_mirror_, ack.sn_current_after);
@@ -486,8 +499,7 @@ std::vector<Sn> WormStore::apply_write_ack_locked(
 Sn WormStore::write(const WriteRequest& request) {
   if (pipeline_ != nullptr) {
     // With the pipeline on, synchronous write is an admission plus an
-    // immediate ticket wait (which forces the flush due, so a lone caller
-    // never sleeps out the linger window).
+    // immediate ticket wait, which makes the group due.
     return write_async(request).get();
   }
   return write_batch(std::span(&request, 1)).front();
@@ -573,10 +585,6 @@ std::optional<WriteTicket> WormStore::admit(WriteRequest request,
   }
   p.payloads = std::move(request.payloads);
   return pipeline_->submit_reserved(std::move(p));
-}
-
-void WormStore::poke_writes() {
-  if (pipeline_ != nullptr) pipeline_->request_flush();
 }
 
 void WormStore::drain_writes() {
@@ -864,6 +872,10 @@ void WormStore::on_heartbeat(SignedSnCurrent current) {
 }
 
 namespace {
+/// Tries recovery gives each journaled step of a resent command before a
+/// transient journal fault fails recover().
+constexpr int kResendJournalAttempts = 3;
+
 /// Appends the records a journaled kWriteBatch frame names. Other opcodes
 /// stage nothing; a frame that does not parse names nothing to trust.
 void append_frame_rdls(ByteView frame,
@@ -1114,6 +1126,17 @@ WormStore::Resent WormStore::resend_intents_locked(Replayed& replayed,
   }
   channel_.set_next_seq(next + 1);
 
+  // A transient journal fault fails its append cleanly, as a crash just
+  // before it would.
+  auto retried = [](auto&& step) {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        return step();
+      } catch (const common::TransientStorageError&) {
+        if (attempt == kResendJournalAttempts) throw;
+      }
+    }
+  };
   Resent out;
   for (const auto& [seq, frame] : replayed.pending) {
     ++report.resent;
@@ -1135,28 +1158,29 @@ WormStore::Resent WormStore::resend_intents_locked(Replayed& replayed,
       // Rejected: deterministic, so the original delivery (if any) was
       // rejected too. Nothing executed; abandon the intent.
       ++report.abandoned;
-      complete_intent(seq);
+      retried([&] { complete_intent(seq); });
       out.abandoned.emplace(seq, frame);
       continue;
     }
-    apply_resent_locked(frame, payload, replayed, report);
-    complete_intent(seq);
+    // The command has run: retry a step a transient journal fault failed
+    // rather than leave the answer to the next boot.
+    std::vector<Sn> sns =
+        retried([&] { return apply_resent_locked(frame, payload, replayed); });
+    retried([&] { complete_intent(seq); });
+    report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
+                                sns.end());
   }
   return out;
 }
 
-void WormStore::apply_resent_locked(ByteView frame, ByteView payload,
-                                    Replayed& replayed,
-                                    RecoveryReport& report) {
+std::vector<Sn> WormStore::apply_resent_locked(ByteView frame,
+                                               ByteView payload,
+                                               Replayed& replayed) {
   switch (ScpuChannel::request_opcode(frame)) {
     case OpCode::kWriteBatch: {
       ScpuChannel::ParsedWriteBatch parsed =
           ScpuChannel::decode_write_batch_request(frame);
-      std::vector<Sn> sns =
-          apply_write_ack_locked(payload, parsed.items, parsed.mode);
-      report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
-                                  sns.end());
-      break;
+      return apply_write_ack_locked(payload, parsed.items, parsed.mode);
     }
     case OpCode::kLitHold:
     case OpCode::kLitRelease:
@@ -1193,6 +1217,7 @@ void WormStore::apply_resent_locked(ByteView frame, ByteView payload,
     default:
       break;  // unsequenced opcodes are never journaled
   }
+  return {};
 }
 
 void WormStore::reconcile_with_device_locked(Sn journaled_base,
@@ -1533,10 +1558,6 @@ bool WormStore::do_vexp_rebuild() {
 }
 
 bool WormStore::pump_idle() {
-  // Before the state lock (poke never needs it): pump is the discrete-event
-  // stand-in for a linger timer, so an idle rotation re-evaluates whether the
-  // oldest queued admission has lingered past its deadline.
-  if (pipeline_ != nullptr) pipeline_->poke();
   common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   if (degraded_) return false;  // nothing to pump into a dead device

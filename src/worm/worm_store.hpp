@@ -185,12 +185,14 @@ class WormStore final : public HostAgent {
   /// StoreConfig::pipeline.enabled). Waits for a queue slot (backpressure),
   /// journals the admission — the write is durable before the ticket can
   /// resolve — then enqueues it for the committer thread, which crosses the
-  /// mailbox once per group. The ticket's
-  /// get() blocks until the group lands and yields the issued Sn; with the
-  /// pipeline on, write() is exactly write_async(request).get(). Safe to call
-  /// from many threads concurrently (admission-side hashing runs in parallel;
-  /// only the journal append serializes, under the journal's own lock — an
-  /// admission never waits for the store lock or a crossing).
+  /// mailbox once per group: when the group fills, or when one of its
+  /// tickets is asked (WriteTicket::ready() makes it due without blocking).
+  /// The ticket's get() blocks until the group lands and yields the issued
+  /// Sn; with the pipeline on, write() is exactly write_async(request).get().
+  /// Safe to call from many threads concurrently (admission-side hashing
+  /// runs in parallel; only the journal append serializes, under the
+  /// journal's own lock — an admission never waits for the store lock or a
+  /// crossing).
   [[nodiscard]] WriteTicket write_async(WriteRequest request)
       EXCLUDES(state_mu_);
 
@@ -202,12 +204,6 @@ class WormStore final : public HostAgent {
   /// for recover() to re-execute. Same preconditions as write_async.
   [[nodiscard]] std::optional<WriteTicket> try_write_async(WriteRequest request)
       EXCLUDES(state_mu_);
-
-  /// Nudges the committer: makes a pipeline flush due now without waiting
-  /// for linger/size thresholds or blocking the caller. The server's event
-  /// loop calls this after a burst of admissions so groups form from
-  /// per-iteration arrivals. No-op without the pipeline.
-  void poke_writes();
 
   /// Flushes every queued write and waits for the committer to apply them.
   /// No-op without the pipeline. Never call while holding state_mu_ (lint
@@ -434,8 +430,19 @@ class WormStore final : public HostAgent {
   /// serialized clock (charged); admitted ones reuse their admitting
   /// thread's hash and MOVE their payloads into the frame, so multi-MB
   /// payloads are never copied.
-  Firmware::BatchItem stage(const WriteRequest& request) REQUIRES(state_mu_);
-  Firmware::BatchItem stage(WritePipeline::Pending& p) REQUIRES(state_mu_);
+  /// Each stored record lands in `item` as soon as it is written, so a
+  /// throw mid-stage leaves nothing the caller cannot release.
+  void stage(const WriteRequest& request, Firmware::BatchItem& item)
+      REQUIRES(state_mu_);
+  void stage(WritePipeline::Pending& p, Firmware::BatchItem& item)
+      REQUIRES(state_mu_);
+  /// Releases what a chunk staged when no VRD will ever name it (the device
+  /// rejected the chunk, or its intent never reached the journal): each
+  /// record is zero-filled unless a live record shares it. Never throws a
+  /// storage error: a record whose zero-fill fails keeps its blocks, and
+  /// what they hold, until the next boot frees them; the rest still go.
+  void release_staged(const std::vector<Firmware::BatchItem>& items)
+      REQUIRES(state_mu_);
   /// Each committed write's fate, in order: its SN, or the device rejection
   /// of its chunk (nothing in that chunk ran). Called under state_mu_.
   using Landed = std::function<void(std::size_t index, Sn sn,
@@ -445,9 +452,10 @@ class WormStore final : public HostAgent {
   /// three steps: stage the chunk and journal its intent under state_mu_,
   /// cross with state_mu_ released, then apply the ack under state_mu_
   /// again. A chunk is staged only when its turn comes. A rejected chunk's
-  /// staged records are released (zero-filled unless a live record shares
-  /// them); committing goes on unless `landed` throws. Timeouts, device
-  /// death and host faults propagate.
+  /// staged records are released (release_staged); committing goes on
+  /// unless `landed` throws. Timeouts, device death and host faults
+  /// propagate; one that strikes before the intent is journaled releases
+  /// the chunk's staged records first.
   void commit_writes(std::span<const UnstagedWrite> writes,
                      const Landed& landed) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
@@ -507,9 +515,11 @@ class WormStore final : public HostAgent {
   void derive_host_state_locked(const Intents& live, const Intents& abandoned,
                                 std::vector<Expired> expired = {})
       REQUIRES(state_mu_);
-  void apply_resent_locked(common::ByteView frame, common::ByteView payload,
-                           Replayed& replayed, RecoveryReport& report)
-      REQUIRES(state_mu_);
+  /// Applies a resent command's answer; returns the SNs a kWriteBatch landed.
+  /// Every record it journals replays idempotently, so it may run again.
+  std::vector<Sn> apply_resent_locked(common::ByteView frame,
+                                      common::ByteView payload,
+                                      Replayed& replayed) REQUIRES(state_mu_);
   void reconcile_with_device_locked(Sn journaled_base,
                                     const Intents& unresolved)
       REQUIRES(commit_mu_, state_mu_);

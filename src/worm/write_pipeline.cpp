@@ -9,31 +9,23 @@ namespace worm::core {
 bool WriteTicket::ready() const {
   WORM_REQUIRE(state_ != nullptr, "WriteTicket::ready: empty ticket");
   common::MutexLock lk(state_->mu);
+  // Asked and unresolved: make the group due. Under the ticket's lock, the
+  // pipeline is alive — its shutdown resolves every ticket first.
+  if (!state_->done) pipeline_->request_flush();
   return state_->done;
 }
 
 Sn WriteTicket::get() {
   WORM_REQUIRE(state_ != nullptr, "WriteTicket::get: empty ticket");
-  {
-    common::MutexLock lk(state_->mu);
-    if (state_->done) {
-      if (state_->error) std::rethrow_exception(state_->error);
-      return state_->sn;
-    }
-  }
-  // Unresolved: the pipeline is still alive (shutdown resolves every ticket
-  // before it returns). Make the flush due so this wait never rides out the
-  // linger window.
-  pipeline_->request_flush();
   common::MutexLock lk(state_->mu);
+  if (!state_->done) pipeline_->request_flush();  // as in ready()
   while (!state_->done) state_->cv.wait(lk);
   if (state_->error) std::rethrow_exception(state_->error);
   return state_->sn;
 }
 
-WritePipeline::WritePipeline(common::SimClock& clock,
-                             WritePipelineConfig config, FlushFn flush)
-    : clock_(clock), config_(config), flush_(std::move(flush)) {
+WritePipeline::WritePipeline(WritePipelineConfig config, FlushFn flush)
+    : config_(config), flush_(std::move(flush)) {
   WORM_REQUIRE(flush_ != nullptr, "WritePipeline: null flush function");
   committer_ = std::make_unique<common::ThreadPool>(1);
   committer_->submit([this] { committer_loop(); });
@@ -45,8 +37,7 @@ bool WritePipeline::flush_due_locked() const {
   if (stop_ || flush_requested_) return true;
   if (queue_.empty()) return false;
   if (queue_.size() >= config_.max_batch) return true;
-  if (queued_bytes_ >= kFlushBytes) return true;
-  return clock_.now() >= queue_.front().admit_time + config_.linger;
+  return queued_bytes_ >= kFlushBytes;
 }
 
 bool WritePipeline::claim_slot(bool block) {
@@ -54,7 +45,7 @@ bool WritePipeline::claim_slot(bool block) {
   WORM_REQUIRE(!stop_, "WritePipeline::claim_slot: pipeline is shut down");
   if (queue_.size() + reserved_ >= config_.queue_capacity) {
     // A full queue is itself a flush trigger: neither a stalled caller nor a
-    // rejected one (who will retry) may depend on linger expiry for space.
+    // rejected one (who will retry) may depend on a ticket ask for space.
     flush_requested_ = true;
     cv_work_.notify_all();
     if (!block) {
@@ -82,7 +73,6 @@ WriteTicket WritePipeline::submit_reserved(Pending p) {
     --reserved_;
     WORM_REQUIRE(!stop_,
                  "WritePipeline::submit_reserved: pipeline is shut down");
-    p.admit_time = clock_.now();
     queued_bytes_ += p.bytes;
     // Visible to readers before the queue can assign the record an Sn:
     // read-your-writes needs "queued" observable no later than "flushable".
@@ -110,15 +100,6 @@ void WritePipeline::request_flush() {
     flush_requested_ = true;
   }
   cv_work_.notify_all();
-}
-
-void WritePipeline::poke() {
-  bool due = false;
-  {
-    common::MutexLock lk(mu_);
-    due = flush_due_locked();
-  }
-  if (due) cv_work_.notify_all();
 }
 
 bool WritePipeline::drain(std::size_t max_iters) {

@@ -9,12 +9,13 @@
 // FlushFn; the pipeline decides when groups form and keeps the backpressure
 // honest.
 //
-// Group-commit policy: a flush becomes due when the queue holds max_batch
-// records, kFlushBytes (1 MiB) of payload, or the oldest admission has
-// lingered past `linger` on the SimClock (no wall-clock anywhere — worm_lint
-// enforces it). The linger deadline is evaluated at admission, pump
-// (poke()), and ticket waits; there is no timer thread, matching the
-// discrete-event model where only the simulation driver moves time.
+// Group-commit policy: this file is the only code that decides when queued
+// writes cross. A group is due when the queue holds max_batch records or
+// kFlushBytes (1 MiB) of payload, when the queue is full, when drain()
+// runs, or when one of its tickets is asked: get() makes it due and waits,
+// ready() makes it due without blocking. There is no timer and no age
+// threshold, so a write whose ticket nobody asks stays queued until its
+// group fills or the store drains.
 //
 // Lock discipline (DESIGN.md §7, §8): everything below lives under mu_, and
 // the committer calls the FlushFn with NO pipeline lock held. The flush
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/sim_clock.hpp"
 #include "common/thread_pool.hpp"
 #include "worm/firmware.hpp"
 #include "worm/types.hpp"
@@ -59,8 +59,6 @@ struct WritePipelineConfig {
   /// (kMaxBatchItems); a group larger than mailbox.max_batch still crosses
   /// in max_batch-sized chunks.
   std::size_t max_batch = 16;
-  /// Flush when the oldest queued admission is this old (SimClock time).
-  common::Duration linger = common::Duration::millis(1);
 };
 
 class WritePipeline;
@@ -76,15 +74,17 @@ struct TicketState {
 };
 }  // namespace detail
 
-/// Completion handle for one write_async admission. get() blocks until the
-/// committer resolves the write (forcing a flush first, so a lone caller
-/// never waits out the linger window) and returns the issued Sn or rethrows
+/// Completion handle for one write_async admission. Asking an unresolved
+/// ticket makes its group due: ready() returns at once, get() blocks until
+/// the committer resolves the write and returns the issued Sn or rethrows
 /// the flush error. Copyable: any number of waiters may hold the ticket.
 class WriteTicket {
  public:
   WriteTicket() = default;
 
   /// True once the ticket holds an Sn or an error (get() will not block).
+  /// False otherwise, and the ticket's group is then due: it crosses
+  /// without waiting to fill.
   [[nodiscard]] bool ready() const;
   /// True when this ticket came from a write_async call (not default-made).
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
@@ -117,7 +117,6 @@ class WritePipeline {
     std::optional<WitnessMode> mode;
     common::Bytes claimed_hash;
     std::size_t bytes = 0;
-    common::SimTime admit_time{};
     std::shared_ptr<detail::TicketState> ticket;
   };
 
@@ -127,8 +126,7 @@ class WritePipeline {
   /// lock held.
   using FlushFn = std::function<void(std::vector<Pending>&&)>;
 
-  WritePipeline(common::SimClock& clock, WritePipelineConfig config,
-                FlushFn flush);
+  WritePipeline(WritePipelineConfig config, FlushFn flush);
   ~WritePipeline();
 
   WritePipeline(const WritePipeline&) = delete;
@@ -156,12 +154,8 @@ class WritePipeline {
   /// enqueue failed, e.g. the journal append threw).
   void release_reservation() EXCLUDES(mu_);
 
-  /// Makes a flush due now (ticket waits, drains) regardless of thresholds.
+  /// Makes a flush due now (ticket asks, drains) regardless of thresholds.
   void request_flush() EXCLUDES(mu_);
-
-  /// Re-evaluates the linger deadline (called from pump_idle — the
-  /// discrete-event stand-in for a linger timer).
-  void poke() EXCLUDES(mu_);
 
   /// Flushes until queue and in-flight group are empty. Bounded (each
   /// iteration waits for one committer round); returns false if the bound
@@ -204,7 +198,6 @@ class WritePipeline {
   void committer_loop() EXCLUDES(mu_);
   [[nodiscard]] bool flush_due_locked() const REQUIRES(mu_);
 
-  common::SimClock& clock_;
   const WritePipelineConfig config_;
   const FlushFn flush_;
 

@@ -65,11 +65,10 @@ TEST(PipelineFault, CrashMidFlushResendsTheGroupExactlyOnce) {
 }
 
 TEST(PipelineFault, CrashWithQueuedAdmissionsReExecutesThem) {
-  // Admissions journaled but never grouped (huge linger, fat batch): the
+  // Admissions journaled but never grouped (fat batch, no ticket asked): the
   // host dies with them queued. Their tickets fail fast at shutdown, and
   // recovery re-executes the journaled admissions in order.
   StoreConfig sc = pipelined_lockstep();
-  sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
   CrashRig rig("pipeline_queued.wal", /*with_faults=*/false, 0x5eed,
                worm::testing::slow_timers_config(), sc);

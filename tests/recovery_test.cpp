@@ -81,14 +81,50 @@ TEST(Recovery, PendingIntentResentExactlyOnce) {
   EXPECT_GT(rig.store->counters().at("recovery.resent"), 0u);
 }
 
+TEST(Recovery, ResendRetriesATransientJournalFault) {
+  // Recovery applies the resent write's answer with faults still live. A
+  // transient fault on its kPutActive (evaluation 1) or on its kComplete
+  // (evaluation 2) fails that append cleanly; recovery takes the step again
+  // instead of failing.
+  for (std::uint64_t nth : {1u, 2u}) {
+    SCOPED_TRACE("journal.append fault on evaluation " + std::to_string(nth));
+    CrashRig rig("recovery_resend_journal.wal");
+    rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
+    EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
+                 ChannelTimeoutError);
+    rig.fault.disarm_all();
+    const std::uint64_t executed = rig.firmware.counters().writes;
+
+    rig.crash();
+    rig.boot();
+    const std::uint64_t fired_before = rig.fault.injected_total();
+    rig.fault.schedule("journal.append", FaultKind::kTransient, nth);
+    auto report = rig.store->recover();
+    EXPECT_EQ(rig.fault.injected_total(), fired_before + 1);
+    EXPECT_EQ(report.resent, 1u);
+    EXPECT_EQ(report.unresolved, 0u);
+    EXPECT_EQ(report.recovered_sns, std::vector<Sn>{1});
+    EXPECT_EQ(rig.store->counters().at("store.writes"), 1u);
+    EXPECT_EQ(rig.firmware.counters().writes, executed);
+    EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+              Verdict::kAuthentic);
+
+    // The next boot has nothing left to resend and still holds the record.
+    report = rig.crash_and_recover();
+    EXPECT_EQ(report.resent, 0u);
+    EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+              Verdict::kAuthentic);
+  }
+}
+
 /// Lockstep store with one delivery attempt per command, so a single
 /// scheduled drop of an answer is a timeout; `pipelined` holds admissions
-/// queued (huge linger and batch) until the host crashes.
+/// queued (a batch bound nothing reaches, no ticket asked) until the host
+/// crashes.
 StoreConfig one_attempt(bool pipelined = false) {
   StoreConfig sc = worm::testing::lockstep_store_config();
   sc.mailbox.retry.max_attempts = 1;
   sc.pipeline.enabled = pipelined;
-  sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
   return sc;
 }
@@ -337,6 +373,89 @@ TEST(Recovery, RefusedResendNeverZeroesASharedLiveRecord) {
   EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"), 0u);
   EXPECT_EQ(rig.verifier().verify_read(live, rig.store->read(live)).verdict,
             Verdict::kAuthentic);
+}
+
+TEST(Recovery, UnjournaledIntentZeroesTheBlocksItStaged) {
+  // A chunk staged its payloads, then its intent never reached the journal.
+  // Nothing will ever name those blocks, so the chunk zeroes and frees them
+  // before the error reaches the caller. When zero-filling the first record
+  // fails too, only that record keeps its block: the other is still zeroed
+  // and freed, and the caller sees the journal's error, not the device's.
+  for (bool zero_fill_fails : {false, true}) {
+    SCOPED_TRACE(zero_fill_fails ? "the first zero-fill fails" : "no refault");
+    CrashRig rig("recovery_unjournaled.wal");
+    const common::Bytes zeros(rig.disk.block_size(), 0);
+    Sn expired = rig.put(std::string(2 * rig.disk.block_size(), 'e'),
+                         Duration::hours(1));
+    const std::vector<std::uint64_t> blocks =
+        rig.store->vrdt().find(expired)->vrd.rdl.at(0).blocks;
+    rig.clock.advance(Duration::hours(2));  // the expiry frees both blocks
+    const std::size_t free_before = rig.records->free_blocks();
+    ASSERT_EQ(free_before, blocks.size());
+
+    rig.fault.schedule("journal.append", FaultKind::kTransient, 1);
+    // device.write evaluations 1-2 stage the two records; 3 zero-fills the
+    // first one.
+    if (zero_fill_fails) {
+      rig.fault.schedule("device.write", FaultKind::kTransient, 3);
+    }
+    const std::vector<WriteRequest> requests = {
+        {.payloads = {common::to_bytes("staged A")},
+         .attr = rig.attr(Duration::days(30))},
+        {.payloads = {common::to_bytes("staged B")},
+         .attr = rig.attr(Duration::days(30))},
+    };
+    try {
+      (void)rig.store->write_batch(requests);
+      ADD_FAILURE() << "write_batch landed despite the journal fault";
+    } catch (const common::TransientStorageError& e) {
+      EXPECT_NE(std::string(e.what()).find("journal"), std::string::npos)
+          << e.what();
+    }
+    const std::size_t kept = zero_fill_fails ? 1 : 0;
+    EXPECT_EQ(rig.records->free_blocks(), free_before - kept);
+    std::size_t zeroed = 0;
+    for (std::uint64_t b : blocks) zeroed += rig.disk.raw_block(b) == zeros;
+    EXPECT_EQ(zeroed, blocks.size() - kept);
+
+    // The store goes on: the same writes land.
+    std::vector<Sn> sns = rig.store->write_batch(requests);
+    ClientVerifier verifier = rig.verifier();
+    for (Sn sn : sns) {
+      EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+                Verdict::kAuthentic)
+          << "sn " << sn;
+    }
+  }
+}
+
+TEST(Recovery, UnjournaledIntentDropsItsDedupReference) {
+  // With dedup on, staging a payload a live record already holds takes a
+  // reference on that record. A chunk whose intent never lands must drop
+  // it, or the live record is never shredded when it expires.
+  StoreConfig sc = worm::testing::lockstep_store_config();
+  sc.dedup = true;
+  CrashRig rig("recovery_unjournaled_dedup.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), sc);
+  const common::Bytes payload = common::to_bytes("popular attachment");
+  Sn live = rig.store->write(
+      {.payloads = {payload}, .attr = rig.attr(Duration::hours(1))});
+  const std::vector<std::uint64_t> blocks =
+      rig.store->vrdt().find(live)->vrd.rdl.at(0).blocks;
+
+  rig.fault.schedule("journal.append", FaultKind::kTransient, 1);
+  EXPECT_THROW((void)rig.store->write({.payloads = {payload},
+                                       .attr = rig.attr(Duration::days(30))}),
+               common::TransientStorageError);
+  EXPECT_EQ(rig.verifier().verify_read(live, rig.store->read(live)).verdict,
+            Verdict::kAuthentic)
+      << "the live record it shares is untouched";
+
+  rig.clock.advance(Duration::hours(2));  // the live record expires
+  for (std::uint64_t b : blocks) {
+    EXPECT_EQ(rig.disk.raw_block(b), common::Bytes(rig.disk.block_size(), 0))
+        << "block " << b;
+  }
 }
 
 TEST(Recovery, TornJournalTailIsDiscardedNotFatal) {

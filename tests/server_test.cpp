@@ -276,8 +276,7 @@ TEST(WormServer, AttestationForwardingCarriesFreshWatermark) {
   // the ack forwards the newer one.
   ASSERT_TRUE(client.epoch_cert().has_value());
   const std::uint64_t first_epoch = client.epoch_cert()->epoch;
-  srv.rig.clock.advance(srv.rig.firmware.config().epoch_interval +
-                        Duration::seconds(1));
+  srv.rig.clock.advance(core::kEpochInterval + Duration::seconds(1));
   ASSERT_TRUE(client.write(srv.record("second")).ok());
   ASSERT_TRUE(client.epoch_cert().has_value());
   EXPECT_GT(client.epoch_cert()->epoch, first_epoch);
@@ -901,14 +900,12 @@ TEST(WormServer, PipelinedFramesAnswerInArrivalOrder) {
 
 TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   // Two tenants, two INDEPENDENT stores behind one server, one event loop.
-  // The pipelines linger on the SimClock — which nothing in a server
-  // process advances — and the group bound far exceeds the writes below, so
-  // a write commits ONLY when the server pokes that tenant's own pipeline.
-  // A poke pass that stops at the first connection with pending writes
-  // would stall every other tenant's store.
+  // The group bound far exceeds the writes below, so a write commits ONLY
+  // when the server asks its ticket, which makes the group due in that
+  // tenant's own pipeline. A loop that asked only the first connection's
+  // tickets would stall every other tenant's store.
   core::StoreConfig sc = pipelined();
   sc.pipeline.max_batch = 64;
-  sc.pipeline.linger = Duration::days(1);
   Rig rig_a({}, sc);
   Rig rig_b({}, sc);
   AuthRegistry auth;
@@ -941,7 +938,7 @@ TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   };
 
   // Alice's connection holds the loop's first roster slot and stays idle;
-  // bob's writes on the second slot must still get their store poked.
+  // bob's tickets on the second slot must still be asked.
   WormClient alice = connect("alice");
   WormClient bob = connect("bob");
   for (int i = 0; i < 3; ++i) {
@@ -950,7 +947,8 @@ TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   }
 
   // Now both tenants keep pending writes racing in the same iterations:
-  // every write must land, which requires per-store pokes each pass.
+  // every write must land, which requires every connection's tickets to be
+  // asked each pass.
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.emplace_back([&] {

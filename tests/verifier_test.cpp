@@ -164,8 +164,7 @@ TEST(Verifier, EpochCertReplayOfOlderEpochIsRejected) {
   Rig rig;
   rig.put("a", Duration::days(1));
   EpochCert older = rig.firmware.epoch_cert();
-  rig.clock.advance(rig.firmware.config().epoch_interval +
-                    Duration::seconds(1));
+  rig.clock.advance(kEpochInterval + Duration::seconds(1));
   rig.put("b", Duration::days(1));
   EpochCert newer = rig.firmware.epoch_cert();
   ASSERT_GT(newer.epoch, older.epoch);
@@ -183,14 +182,12 @@ TEST(Verifier, EpochCertReplayOfOlderEpochIsRejected) {
 TEST(Verifier, EpochCertSnRollbackIsConvicted) {
   Rig rig;
   for (int i = 0; i < 5; ++i) rig.put("early", Duration::days(1));
-  rig.clock.advance(rig.firmware.config().epoch_interval +
-                    Duration::seconds(1));
+  rig.clock.advance(kEpochInterval + Duration::seconds(1));
   rig.put("roll", Duration::days(1));
   common::Bytes nvram = rig.firmware.save_nvram();
   Sn sn_at_save = rig.firmware.sn_current();
 
-  rig.clock.advance(rig.firmware.config().epoch_interval +
-                    Duration::seconds(1));
+  rig.clock.advance(kEpochInterval + Duration::seconds(1));
   for (int i = 0; i < 4; ++i) rig.put("late", Duration::days(1));
   EpochCert latest = rig.firmware.epoch_cert();
   ASSERT_GT(latest.sn_current, sn_at_save);
@@ -207,8 +204,7 @@ TEST(Verifier, EpochCertSnRollbackIsConvicted) {
   stale.firmware.restore_nvram(nvram);
   EpochCert rolled = stale.firmware.epoch_cert();
   while (rolled.epoch < latest.epoch) {
-    stale.clock.advance(stale.firmware.config().epoch_interval +
-                        Duration::seconds(1));
+    stale.clock.advance(kEpochInterval + Duration::seconds(1));
     rolled = stale.firmware.epoch_cert();
   }
   ASSERT_GE(rolled.epoch, latest.epoch);

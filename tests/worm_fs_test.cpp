@@ -124,6 +124,23 @@ TEST(WormFs, AuditPassesOnHonestStore) {
   EXPECT_EQ(report.versions, 6u);
 }
 
+TEST(WormFs, AuditReadsEachVersionOnce) {
+  FsRig rig;
+  for (int i = 0; i < 3; ++i) {
+    rig.fs.write_file("/doc", to_bytes("rev " + std::to_string(i)),
+                      rig.attr(Duration::years(1)));
+  }
+  rig.fs.write_file("/other", to_bytes("x"), rig.attr(Duration::years(1)));
+  auto before = rig.store.counters();
+  FsAuditReport report = rig.fs.audit(rig.verifier);
+  auto after = rig.store.counters();
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(after.at("store.reads") - before.at("store.reads"),
+            report.versions);
+  EXPECT_EQ(after.at("store.read_many_batches"),
+            before.at("store.read_many_batches"));
+}
+
 TEST(WormFs, AuditDetectsHiddenIntermediateVersion) {
   // The incriminating revision 2 of /doc is hidden by the insider; the
   // version chain from revision 3 breaks and the audit flags the file.

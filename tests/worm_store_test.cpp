@@ -114,7 +114,6 @@ TEST(WormStore, RefusedRetentionDoesNotFailGroupMates) {
   // group lands without it.
   StoreConfig sc;
   sc.pipeline.enabled = true;
-  sc.pipeline.linger = Duration::hours(1);  // one group for all three
   Rig rig({}, sc);
   auto admit = [&](const char* text, Duration retention) {
     return rig.store.write_async(
@@ -977,8 +976,7 @@ TEST(WormStore, SteadyStateReadsNeedNoAttestationCrossings) {
   const std::uint64_t hb0 = rig.firmware.counters().heartbeats;
   const std::uint64_t certs0 = rig.firmware.counters().epoch_certs;
   for (int round = 0; round < 6; ++round) {
-    rig.clock.advance(rig.firmware.config().epoch_interval +
-                      Duration::seconds(1));
+    rig.clock.advance(kEpochInterval + Duration::seconds(1));
     rig.put("tick", Duration::days(30));  // ack piggybacks the rolled cert
     session.sync();
     for (int r = 0; r < 25; ++r) {
@@ -1006,8 +1004,7 @@ TEST(WormStore, EpochCertAdoptedFromWriteAcks) {
 
   // Monotone adoption: after the interval elapses, the next write's ack
   // carries a higher epoch and the store's cache moves with it.
-  rig.clock.advance(rig.firmware.config().epoch_interval +
-                    Duration::seconds(1));
+  rig.clock.advance(kEpochInterval + Duration::seconds(1));
   rig.put("second", Duration::days(1));
   std::optional<EpochCert> newer = rig.store.latest_epoch_cert();
   ASSERT_TRUE(newer.has_value());

@@ -56,7 +56,6 @@ TEST(WritePipeline, GroupsFormUnderTheBatchThreshold) {
   // as max_batch-sized groups, so crossings are amortized.
   StoreConfig sc = pipelined();
   sc.pipeline.max_batch = 8;
-  sc.pipeline.linger = Duration::hours(1);  // only the size threshold fires
   Rig rig({}, sc);
   std::uint64_t crossings0 = rig.store.counters().at("mailbox.crossings");
   std::vector<WriteTicket> tickets;
@@ -92,9 +91,9 @@ TEST(WritePipeline, WriteAsyncRequiresThePipeline) {
 }
 
 TEST(WritePipeline, ReadYourWritesAnswersUnavailableWhileQueued) {
-  // Huge linger + batch thresholds: admissions stay queued until drained.
+  // A batch threshold nothing reaches and no ticket asked: admissions stay
+  // queued until drained.
   StoreConfig sc = pipelined();
-  sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
   Rig rig({}, sc);
   WriteTicket t = rig.store.write_async(
@@ -119,7 +118,6 @@ TEST(WritePipeline, BackpressureStallsAreCountedAndRecover) {
   StoreConfig sc = pipelined();
   sc.pipeline.queue_capacity = 2;
   sc.pipeline.max_batch = 2;
-  sc.pipeline.linger = Duration::hours(1);
   Rig rig({}, sc);
   std::vector<WriteTicket> tickets;
   for (int i = 0; i < 12; ++i) {
@@ -137,7 +135,6 @@ TEST(WritePipeline, BackpressureStallsAreCountedAndRecover) {
 
 TEST(WritePipeline, CloseDrainsThenRejectsNewWrites) {
   StoreConfig sc = pipelined();
-  sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
   Rig rig({}, sc);
   WriteTicket t = rig.store.write_async(
@@ -155,7 +152,6 @@ TEST(WritePipeline, DestructionFailsQueuedTicketsWithTransientError) {
   // Destroying the store without close() is the crash path: queued tickets
   // fail, they do not hang.
   StoreConfig sc = pipelined();
-  sc.pipeline.linger = Duration::hours(1);
   sc.pipeline.max_batch = 1024;
   auto rig = std::make_unique<Rig>(core::FirmwareConfig{}, sc);
   WriteTicket t = rig->store.write_async(
@@ -346,7 +342,7 @@ TEST(WritePipeline, ReadsAndAdmissionsProceedWhileTheCommitterCrosses) {
   p.bp.arm();
   ReleaseOnExit release{p.bp};
   WriteTicket crossing = p.rig.store.write_async(p.request("crossing"));
-  p.rig.store.poke_writes();
+  (void)crossing.ready();  // asking makes its group due
   ASSERT_TRUE(p.bp.wait_parked());
 
   // The committer has journaled its intent and is crossing: neither a read
@@ -370,7 +366,6 @@ TEST(WritePipeline, ReadsAndAdmissionsProceedWhileTheCommitterCrosses) {
 
 TEST(WritePipeline, HeartbeatMidCrossingKeepsNextSnExact) {
   StoreConfig sc = pipelined();
-  sc.pipeline.linger = Duration::hours(1);  // one group for all three
   ParkableRig p("channel.response", sc);
   Sn committed = p.rig.put("committed", Duration::days(30));
 
@@ -381,7 +376,7 @@ TEST(WritePipeline, HeartbeatMidCrossingKeepsNextSnExact) {
   for (int i = 0; i < 3; ++i) {
     group.push_back(p.rig.store.write_async(p.request("in flight")));
   }
-  p.rig.store.poke_writes();
+  (void)group.front().ready();  // asking makes the group due
   ASSERT_TRUE(p.bp.wait_parked());
 
   // The device has witnessed the group; the host has not applied the ack.
@@ -444,6 +439,37 @@ TEST(WritePipeline, WriteBatchInFlightSnsAnswerUnavailableNotFailure) {
 
   EXPECT_EQ(batch.get(), (std::vector<Sn>{committed + 1, committed + 2}));
   EXPECT_EQ(p.rig.store.next_sn(), committed + 3);
+}
+
+TEST(WritePipeline, AskingOneTicketSendsItsWholeGroup) {
+  // Below max_batch, admissions stay queued until a ticket is asked. ready()
+  // answers at once and makes the group due; the committer then crosses all
+  // three writes as one group, with nobody waiting on a ticket.
+  Rig rig({}, pipelined());
+  auto count = [&rig](const char* key) {
+    return rig.store.counters().at(key);
+  };
+  const std::uint64_t batches0 = count("write_pipeline.batches");
+  const std::uint64_t writes0 = count("store.writes");
+  std::vector<WriteTicket> tickets;
+  for (int i = 0; i < 3; ++i) {
+    tickets.push_back(rig.store.write_async(
+        {.payloads = {common::to_bytes("asked " + std::to_string(i))},
+         .attr = rig.attr(Duration::days(30))}));
+  }
+  EXPECT_EQ(count("store.writes"), writes0) << "nothing asked, nothing due";
+  EXPECT_FALSE(tickets[1].ready());
+
+  const auto deadline = std::chrono::steady_clock::now() + kPatience;
+  while (count("store.writes") < writes0 + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_TRUE(tickets[i].ready()) << "ticket " << i;
+    EXPECT_EQ(tickets[i].get(), i + 1);
+  }
+  EXPECT_EQ(count("write_pipeline.batches"), batches0 + 1);
 }
 
 TEST(WritePipeline, ConfigValidationRejectsBrokenKnobs) {

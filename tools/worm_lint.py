@@ -44,8 +44,8 @@ enforces the architectural invariants that no single-TU analysis can see:
                       claim_slot()/drain()/shutdown_drop()) is a deadlock
                       waiting for its schedule. Inside a scope that
                       constructed a MutexLock/ExclusiveLock/SharedLock on
-                      state_mu_, those calls are banned; non-blocking pokes
-                      are fine.
+                      state_mu_, those calls are banned; non-blocking
+                      ticket asks (ready()) are fine.
 
   server-store-isolation
                       The network front-end (src/server/) and the cluster
@@ -175,7 +175,7 @@ RAW_MUTEX_ALLOWLIST = re.compile(r"^src/common/annotations\.hpp$")
 # (paren or brace init). The guard's scope is tracked by brace depth; while
 # one is live, blocking pipeline waits are banned — the committer thread
 # needs state_mu_ to retire admissions, so waiting on it under the lock is a
-# deadlock. `poke()` and `unassigned()` are non-blocking and stay legal.
+# deadlock. `ready()` and `unassigned()` are non-blocking and stay legal.
 STATE_LOCK_PATTERN = re.compile(
     r"\b(?:MutexLock|ExclusiveLock|SharedLock)\s+\w+\s*[({]\s*state_mu_\b"
 )
