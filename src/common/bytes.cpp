@@ -61,13 +61,4 @@ void append(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-std::uint32_t fnv1a32(ByteView v) {
-  std::uint32_t h = 0x811c9dc5u;
-  for (std::uint8_t b : v) {
-    h ^= b;
-    h *= 0x01000193u;
-  }
-  return h;
-}
-
 }  // namespace worm::common

@@ -38,10 +38,4 @@ bool ct_equal(ByteView a, ByteView b);
 /// Appends `src` to `dst`.
 void append(Bytes& dst, ByteView src);
 
-/// FNV-1a 32-bit checksum. NOT cryptographic — used to detect accidental
-/// (or injected) corruption on untrusted paths: mailbox frames, on-platter
-/// record payloads, journal records. Integrity against an adversary comes
-/// from the SCPU signatures, never from this.
-std::uint32_t fnv1a32(ByteView v);
-
 }  // namespace worm::common

@@ -119,15 +119,25 @@ Bytes rsa_sign(const RsaPrivateKey& key, ByteView message) {
   return s.to_be_bytes_padded(k);
 }
 
-bool rsa_verify(const RsaPublicKey& key, ByteView message,
-                ByteView signature) {
-  std::size_t k = (key.n.bit_length() + 7) / 8;
+PreparedRsaKey::PreparedRsaKey(RsaPublicKey key)
+    : key_(std::move(key)), encoding_(key_.serialize()) {
+  if (key_.n.is_odd() && key_.n > BigUInt(1)) mont_.emplace(key_.n);
+}
+
+bool PreparedRsaKey::verify(ByteView message, ByteView signature) const {
+  std::size_t k = (key_.n.bit_length() + 7) / 8;
   if (signature.size() != k) return false;
   BigUInt s = BigUInt::from_be_bytes(signature);
-  if (s >= key.n) return false;
-  BigUInt m = BigUInt::mod_exp(s, key.e, key.n);
+  if (s >= key_.n) return false;
+  BigUInt m = mont_ ? mont_->mod_exp(s, key_.e)
+                    : BigUInt::mod_exp(s, key_.e, key_.n);
   Bytes expected = emsa_encode(message, k);
   return common::ct_equal(m.to_be_bytes_padded(k), expected);
+}
+
+bool rsa_verify(const RsaPublicKey& key, ByteView message,
+                ByteView signature) {
+  return PreparedRsaKey(key).verify(message, signature);
 }
 
 }  // namespace worm::crypto

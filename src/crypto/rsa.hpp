@@ -45,8 +45,33 @@ RsaPrivateKey rsa_generate(Drbg& rng, std::size_t bits);
 /// modulus length. Uses CRT for ~4x speedup.
 common::Bytes rsa_sign(const RsaPrivateKey& key, common::ByteView message);
 
-/// Verifies an rsa_sign() signature. Returns false on any mismatch
-/// (never throws for bad signatures — hostile input is an expected outcome).
+/// A public key made ready for repeated verification: its serialized
+/// encoding and its Montgomery context are built once, here, rather than on
+/// every verify. A verifier that checks many signatures under one key holds
+/// one of these; rsa_verify() builds one per call.
+class PreparedRsaKey {
+ public:
+  explicit PreparedRsaKey(RsaPublicKey key);
+
+  /// Verifies an rsa_sign() signature. Returns false on any mismatch
+  /// (never throws for bad signatures — hostile input is an expected
+  /// outcome). [[nodiscard]]: a dropped verdict means a forged signature
+  /// goes unnoticed.
+  [[nodiscard]] bool verify(common::ByteView message,
+                            common::ByteView signature) const;
+
+  /// RsaPublicKey::serialize() of the key, computed once.
+  [[nodiscard]] common::ByteView encoding() const { return encoding_; }
+
+ private:
+  RsaPublicKey key_;
+  common::Bytes encoding_;
+  // Absent when the modulus is even or below 2, which no RSA key has; such a
+  // key still verifies through BigUInt::mod_exp, as it always did.
+  std::optional<MontgomeryCtx> mont_;
+};
+
+/// One-shot PreparedRsaKey(key).verify(message, signature).
 /// [[nodiscard]]: a dropped verdict means a forged signature goes unnoticed.
 [[nodiscard]] bool rsa_verify(const RsaPublicKey& key, common::ByteView message,
                 common::ByteView signature);

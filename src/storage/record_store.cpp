@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 
 namespace worm::storage {
@@ -69,22 +70,39 @@ RecordDescriptor RecordStore::write(ByteView data) {
   RecordDescriptor rd;
   rd.record_id = next_id_++;
   rd.size = data.size();
-  rd.checksum = common::fnv1a32(data);
+  rd.checksum = common::crc32c(data);
   std::size_t nblocks = (data.size() + bs - 1) / bs;
   if (nblocks == 0) nblocks = 1;  // empty records still own one block
   Bytes block(bs, 0);
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    std::uint64_t idx = allocate_block();
-    rd.blocks.push_back(idx);
-    std::size_t off = i * bs;
-    std::size_t take = std::min(bs, data.size() - std::min(data.size(), off));
-    std::fill(block.begin(), block.end(), 0);
-    if (take > 0) {
-      std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
-                data.begin() + static_cast<std::ptrdiff_t>(off + take),
-                block.begin());
+  try {
+    for (std::size_t i = 0; i < nblocks; ++i) {
+      std::uint64_t idx = allocate_block();
+      rd.blocks.push_back(idx);
+      std::size_t off = i * bs;
+      std::size_t take =
+          std::min(bs, data.size() - std::min(data.size(), off));
+      std::fill(block.begin(), block.end(), 0);
+      if (take > 0) {
+        std::copy(data.begin() + static_cast<std::ptrdiff_t>(off),
+                  data.begin() + static_cast<std::ptrdiff_t>(off + take),
+                  block.begin());
+      }
+      device_.write_block(idx, block);
     }
-    device_.write_block(idx, block);
+  } catch (...) {
+    // No descriptor will ever name these blocks: zero and free each one
+    // now. Best effort per block, so a block whose own zero-fill fails
+    // stays allocated (and keeps what it holds) while the rest are freed.
+    std::fill(block.begin(), block.end(), 0);
+    for (std::uint64_t idx : rd.blocks) {
+      try {
+        device_.write_block(idx, block);
+        free_.insert(idx);
+      } catch (const common::StorageError&) {
+        // Best effort: the caller's own error is the one that stands.
+      }
+    }
+    throw;
   }
   return rd;
 }
@@ -115,7 +133,7 @@ Bytes RecordStore::read(const RecordDescriptor& rd) {
   for (int attempt = 1;; ++attempt) {
     try {
       Bytes out = read_once(rd);
-      if (rd.checksum == 0 || common::fnv1a32(out) == rd.checksum ||
+      if (rd.checksum == 0 || common::crc32c(out) == rd.checksum ||
           attempt >= kAttempts) {
         // A mismatch that survives the retries is medium damage, not a
         // glitch: serve the bytes — platter tampering must reach the client

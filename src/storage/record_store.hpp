@@ -41,10 +41,11 @@ struct RecordDescriptor {
   std::uint64_t record_id = 0;
   std::uint64_t size = 0;            // payload bytes
   std::vector<std::uint64_t> blocks; // device block indices, in order
-  // FNV-1a of the payload, set at write time. Purely a *fault* detector:
-  // it distinguishes a transient read glitch (retry) from persistent medium
-  // damage (serve the bytes anyway — the datasig is what convicts
-  // tampering at the client). 0 == no checksum (legacy descriptor).
+  // CRC-32C of the payload (common/crc32c.hpp), set at write time and
+  // re-checked on every read. Purely a *fault* detector: it distinguishes a
+  // transient read glitch (retry) from persistent medium damage (serve the
+  // bytes anyway — the datasig is what convicts tampering at the client).
+  // 0 == no checksum (a legacy descriptor, or a payload whose CRC is 0).
   std::uint32_t checksum = 0;
 
   void serialize(common::ByteWriter& w) const;
@@ -67,7 +68,9 @@ class RecordStore {
 
   /// Writes a record; allocates blocks (growing the device when supported).
   /// The descriptor is the only handle to the record — dropping it leaks
-  /// the blocks.
+  /// the blocks. When a block's write (or the growth) throws, the blocks
+  /// this call took are zero-filled and freed before the error propagates;
+  /// a block whose own zero-fill fails stays allocated until the next boot.
   [[nodiscard]] RecordDescriptor write(common::ByteView data);
 
   /// Reads a record's payload back. Throws StorageError on a descriptor that

@@ -1,5 +1,6 @@
 #include "worm/client_verifier.hpp"
 
+#include "common/error.hpp"
 #include "crypto/chained_hash.hpp"
 #include "crypto/rsa.hpp"
 #include "worm/envelopes.hpp"
@@ -32,14 +33,30 @@ const char* to_string(Verdict v) {
 ClientVerifier::ClientVerifier(TrustAnchors anchors,
                                const common::TimeSource& trusted_time,
                                std::shared_ptr<SigVerifyMemo> memo)
-    : anchors_(std::move(anchors)),
-      time_(trusted_time),
+    : time_(trusted_time),
       memo_(memo != nullptr ? std::move(memo)
-                            : std::make_shared<SigVerifyMemo>()) {}
+                            : std::make_shared<SigVerifyMemo>()),
+      meta_key_(std::move(anchors.meta_key)),
+      deletion_key_(std::move(anchors.deletion_key)),
+      sn_current_max_age_(anchors.sn_current_max_age),
+      short_sig_acceptance_(anchors.short_sig_acceptance) {
+  short_keys_.reserve(anchors.short_certs.size());
+  for (const ShortKeyCert& cert : anchors.short_certs) {
+    ShortKey& sk = short_keys_.emplace_back();
+    sk.key_id = cert.key_id;
+    sk.valid_until = cert.valid_until;
+    if (!verify_short_cert(cert)) continue;
+    try {
+      sk.key.emplace(crypto::RsaPublicKey::deserialize(cert.pubkey));
+    } catch (const common::ParseError&) {
+      // Left empty, like a forged certificate's.
+    }
+  }
+}
 
 bool ClientVerifier::verify_short_cert(const ShortKeyCert& cert) const {
   return memo_->verify(
-      anchors_.meta_key,
+      meta_key_,
       short_key_cert_payload(cert.key_id, cert.bits, cert.pubkey,
                              cert.valid_from, cert.valid_until),
       cert.sig);
@@ -49,25 +66,25 @@ Outcome ClientVerifier::verify_sigbox(const SigBox& box,
                                       ByteView payload) const {
   switch (box.kind) {
     case SigKind::kStrong:
-      if (memo_->verify(anchors_.meta_key, payload, box.value)) {
+      if (memo_->verify(meta_key_, payload, box.value)) {
         return {Verdict::kAuthentic, ""};
       }
       return {Verdict::kTampered, "strong signature invalid"};
     case SigKind::kShortTerm: {
-      for (const ShortKeyCert& cert : anchors_.short_certs) {
-        if (cert.key_id != box.key_id) continue;
-        if (!verify_short_cert(cert)) {
-          return {Verdict::kTampered, "short-key certificate forged"};
+      for (const ShortKey& sk : short_keys_) {
+        if (sk.key_id != box.key_id) continue;
+        if (!sk.key.has_value()) {
+          return {Verdict::kTampered,
+                  "short-key certificate forged or malformed"};
         }
         // §4.3: a short-lived construct is acceptable only within its
         // security lifetime, measured from the key's validity window.
-        if (time_.now() > cert.valid_until + anchors_.short_sig_acceptance) {
+        if (time_.now() > sk.valid_until + short_sig_acceptance_) {
           return {Verdict::kStaleProof,
                   "short-lived signature past its security lifetime and "
                   "never strengthened"};
         }
-        crypto::RsaPublicKey pk = crypto::RsaPublicKey::deserialize(cert.pubkey);
-        if (memo_->verify(pk, payload, box.value)) {
+        if (memo_->verify(*sk.key, payload, box.value)) {
           return {Verdict::kAuthentic, ""};
         }
         return {Verdict::kTampered, "short-term signature invalid"};
@@ -110,7 +127,7 @@ Outcome ClientVerifier::verify_vrd(const Vrd& vrd,
 }
 
 bool ClientVerifier::verify_deletion_proof(const DeletionProof& proof) const {
-  return memo_->verify(anchors_.deletion_key,
+  return memo_->verify(deletion_key_,
                        deletion_proof_payload(proof.sn, proof.deleted_at),
                        proof.sig);
 }
@@ -118,7 +135,7 @@ bool ClientVerifier::verify_deletion_proof(const DeletionProof& proof) const {
 Outcome ClientVerifier::verify_base(const SignedSnBase& base,
                                     Sn requested) const {
   if (!memo_->verify(
-          anchors_.meta_key,
+          meta_key_,
           sn_base_payload(base.sn_base, base.stamped_at, base.expires_at),
           base.sig)) {
     return {Verdict::kTampered, "SN_base signature invalid"};
@@ -137,14 +154,14 @@ Outcome ClientVerifier::verify_base(const SignedSnBase& base,
 Outcome ClientVerifier::verify_current(const SignedSnCurrent& current,
                                        Sn requested) const {
   if (!memo_->verify(
-          anchors_.meta_key,
+          meta_key_,
           sn_current_payload(current.sn_current, current.stamped_at),
           current.sig)) {
     return {Verdict::kTampered, "SN_current signature invalid"};
   }
   // §4.2.1 mechanism (ii): reject stamps older than a few minutes — the
   // defense against hiding recent records behind an old S_s(SN_current).
-  if (time_.now() - current.stamped_at > anchors_.sn_current_max_age) {
+  if (time_.now() - current.stamped_at > sn_current_max_age_) {
     return {Verdict::kStaleProof,
             "S_s(SN_current) stamp too old; possible record hiding"};
   }
@@ -156,7 +173,7 @@ Outcome ClientVerifier::verify_current(const SignedSnCurrent& current,
 }
 
 Outcome ClientVerifier::verify_epoch_cert(const EpochCert& cert) {
-  if (!memo_->verify(anchors_.meta_key,
+  if (!memo_->verify(meta_key_,
                      epoch_cert_payload(cert.epoch, cert.sn_current,
                                         cert.stamped_at),
                      cert.sig)) {
@@ -164,7 +181,7 @@ Outcome ClientVerifier::verify_epoch_cert(const EpochCert& cert) {
   }
   // Same freshness horizon as S_s(SN_current): an authentic-but-old cert is
   // exactly the record-hiding replay §4.2.1 (ii) defends against.
-  if (time_.now() - cert.stamped_at > anchors_.sn_current_max_age) {
+  if (time_.now() - cert.stamped_at > sn_current_max_age_) {
     return {Verdict::kStaleProof,
             "epoch cert stamp too old; possible record hiding"};
   }
@@ -190,12 +207,12 @@ Outcome ClientVerifier::verify_window(const DeletedWindow& window,
   // Both bounds must verify AND carry the same window id — the correlation
   // that stops the main CPU splicing bounds of unrelated windows (§4.2.1).
   bool lo_ok = memo_->verify(
-      anchors_.meta_key,
+      meta_key_,
       window_bound_payload(false, window.window_id, window.lo,
                            window.created_at),
       window.sig_lo);
   bool hi_ok = memo_->verify(
-      anchors_.meta_key,
+      meta_key_,
       window_bound_payload(true, window.window_id, window.hi,
                            window.created_at),
       window.sig_hi);

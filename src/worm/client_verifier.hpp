@@ -9,7 +9,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/time.hpp"
 #include "worm/proofs.hpp"
@@ -60,6 +62,14 @@ class ClientVerifier {
   /// checks on timestamped proofs. Every verifier gets its own signature
   /// memo by default; pass a shared one to pool memoized verifications
   /// across verifiers (e.g. many auditor threads over one store).
+  ///
+  /// Construction does the per-anchor work once: it prepares the meta and
+  /// deletion keys, checks each short-key certificate's signature under the
+  /// meta key, and parses and prepares each certificate's key. A
+  /// certificate whose signature fails or whose key bytes do not parse does
+  /// not make construction throw; every signature under its key id reads
+  /// kTampered. The key-id match, the certificate's validity window and
+  /// every freshness check still run on each call.
   ClientVerifier(TrustAnchors anchors, const common::TimeSource& trusted_time,
                  std::shared_ptr<SigVerifyMemo> memo = nullptr);
 
@@ -92,18 +102,31 @@ class ClientVerifier {
   /// re-verification of the cached cert costs one map lookup, not one RSA op.
   [[nodiscard]] Outcome verify_epoch_cert(const EpochCert& cert);
 
-  /// Validates a short-term key certificate chain entry.
+  /// Checks a short-term key certificate's signature under the meta key.
   [[nodiscard]] bool verify_short_cert(const ShortKeyCert& cert) const;
 
  private:
+  /// One anchored short-term key, as construction left it.
+  struct ShortKey {
+    std::uint32_t key_id = 0;
+    common::SimTime valid_until{};
+    // Empty when the meta key does not sign the certificate or its key
+    // bytes do not parse.
+    std::optional<crypto::PreparedRsaKey> key;
+  };
+
   [[nodiscard]] Outcome verify_sigbox(const SigBox& box,
                                       common::ByteView payload) const;
 
-  TrustAnchors anchors_;
   const common::TimeSource& time_;
-  // Memoizes only the pure rsa_verify() result; every time-dependent check
+  // Memoizes only the pure signature check; every time-dependent check
   // (cert validity, proof freshness) runs on each call regardless.
   std::shared_ptr<SigVerifyMemo> memo_;
+  crypto::PreparedRsaKey meta_key_;
+  crypto::PreparedRsaKey deletion_key_;
+  std::vector<ShortKey> short_keys_;  // in anchor order; the first match wins
+  common::Duration sn_current_max_age_;
+  common::Duration short_sig_acceptance_;
   // High-water marks for verify_epoch_cert's monotonicity checks.
   std::uint64_t last_epoch_ = 0;
   Sn last_epoch_sn_ = 0;

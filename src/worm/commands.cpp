@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "common/crc32c.hpp"
 #include "common/serial.hpp"
 
 namespace worm::core {
@@ -352,7 +353,7 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
   // InternalError is NOT caught — that is a bug in this codebase, not input.
   Bytes response;
   bool from_cache = false;
-  if (common::fnv1a32(request) != request_crc) {
+  if (common::crc32c(request) != request_crc) {
     // Frame damaged in transit: refuse before any certified logic runs.
     response = transport_response("frame checksum mismatch");
   } else {
@@ -406,7 +407,7 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
 Bytes ScpuChannel::call(ByteView request) {
   // Raw surface: one unsequenced crossing, no retry (the fuzz tests drive
   // hostile bytes through here).
-  return receive(0, common::fnv1a32(request), request);
+  return receive(0, common::crc32c(request), request);
 }
 
 ScpuChannel::Prepared ScpuChannel::prepare(Bytes request) {
@@ -414,7 +415,7 @@ ScpuChannel::Prepared ScpuChannel::prepare(Bytes request) {
 }
 
 Bytes ScpuChannel::send(const Prepared& cmd) {
-  const std::uint32_t req_crc = common::fnv1a32(cmd.request);
+  const std::uint32_t req_crc = common::crc32c(cmd.request);
   common::Duration waited{};
   common::Duration backoff = retry_.initial_backoff;
   for (std::size_t attempt = 1;; ++attempt) {
@@ -436,7 +437,7 @@ Bytes ScpuChannel::send(const Prepared& cmd) {
         raw = receive(cmd.seq, req_crc, wire_request);
       }
       // The response frame carries its own checksum across the wire.
-      const std::uint32_t resp_crc = common::fnv1a32(raw);
+      const std::uint32_t resp_crc = common::crc32c(raw);
       FaultKind resp_fault = WORM_FAULT_POINT(fault_, "channel.response");
       if (req_fault == FaultKind::kTimeout ||
           resp_fault == FaultKind::kDrop ||
@@ -445,7 +446,7 @@ Bytes ScpuChannel::send(const Prepared& cmd) {
         response_lost = true;
       } else {
         if (resp_fault == FaultKind::kBitFlip) flip_wire_bit(*fault_, raw);
-        if (common::fnv1a32(raw) == resp_crc) {
+        if (common::crc32c(raw) == resp_crc) {
           response = std::move(raw);
         } else {
           response_lost = true;  // damaged beyond the frame check

@@ -9,16 +9,18 @@
 // Wire format. Request: u8 opcode, then opcode-specific fields. Response:
 // u8 status, then the opcode-specific payload (ok) or a length-prefixed
 // message (all other statuses). Each crossing is framed with a per-crossing
-// sequence number and an FNV-1a checksum (modelled as out-of-band parameters
-// of the in-process boundary rather than physically concatenated bytes).
+// sequence number and a CRC-32C checksum, common::crc32c (modelled as
+// out-of-band parameters of the in-process boundary rather than physically
+// concatenated bytes).
 //
 // Reliability contract (see DESIGN.md §9):
 //  * Sequenced commands (nonzero seq — the mutating opcodes) are idempotent
 //    to resend: the device keeps a bounded cache of recent responses keyed
-//    by seq, so a duplicate delivery returns the cached response WITHOUT
-//    re-executing. send() retries transient transport faults (lost or
-//    corrupted frames) with bounded exponential backoff until the attempt
-//    or sim-time deadline budget runs out, then throws ChannelTimeoutError.
+//    by (seq, crc32c(request)), so a duplicate delivery returns the cached
+//    response WITHOUT re-executing. send() retries transient transport
+//    faults (lost or corrupted frames) with bounded exponential backoff
+//    until the attempt or sim-time deadline budget runs out, then throws
+//    ChannelTimeoutError.
 //  * Unsequenced commands (seq 0 — status, heartbeat, sign_base, the pending
 //    queries, process_idle, ...) are naturally idempotent and bypass the
 //    dedup cache; they retry the same way.

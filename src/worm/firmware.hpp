@@ -399,7 +399,7 @@ class Firmware {
   static constexpr std::size_t kTransportCacheDepth = 16;
   struct TransportEntry {
     std::uint64_t seq;
-    std::uint32_t crc;  // checksum of the request frame that produced it
+    std::uint32_t crc;  // crc32c of the request frame that produced it
     common::Bytes response;
   };
   std::uint64_t transport_last_seq_ = 0;

@@ -1,7 +1,9 @@
 #include "worm/journal.hpp"
 
 #include <cstdio>
+#include <filesystem>
 
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/serial.hpp"
 
@@ -20,7 +22,7 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.raw(payload);
-  w.u32(common::fnv1a32(payload));
+  w.u32(common::crc32c(payload));
   return w.take();
 }
 
@@ -35,21 +37,39 @@ HostJournal::HostJournal(std::string path, common::FaultInjector* fault)
 
 void HostJournal::open_for_append() {
   out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+  if (!out_ || ec) {
     throw common::StorageError("cannot open journal: " + path_);
   }
+  end_ = size;
+  torn_ = false;
+}
+
+void HostJournal::cut_torn_tail() {
+  out_.close();
+  std::error_code ec;
+  std::filesystem::resize_file(path_, end_, ec);
+  if (ec) {
+    throw common::StorageError("cannot cut journal back to its last frame: " +
+                               path_);
+  }
+  open_for_append();
 }
 
 void HostJournal::append(JournalRecordType type, ByteView payload) {
   if (!enabled()) return;
   Bytes frame = encode_frame(type, payload);
   common::MutexLock lk(mu_);
+  // A frame appended behind a partial one would be invisible to replay.
+  if (torn_) cut_torn_tail();
   switch (WORM_FAULT_POINT(fault_, "journal.append")) {
     case FaultKind::kTransient:
       // The write never reached the disk at all.
       throw common::TransientStorageError("journal append failed (injected)");
     case FaultKind::kTorn: {
       // Power cut mid-write: half a frame lands, then the host "crashes".
+      torn_ = true;
       std::size_t half = frame.size() / 2;
       out_.write(reinterpret_cast<const char*>(frame.data()),
                  static_cast<std::streamsize>(half));
@@ -63,11 +83,13 @@ void HostJournal::append(JournalRecordType type, ByteView payload) {
              static_cast<std::streamsize>(frame.size()));
   out_.flush();
   if (!out_) {
+    torn_ = true;
     throw common::StorageError("journal write failed: " + path_);
   }
+  end_ += frame.size();
 }
 
-HostJournal::ReplayResult HostJournal::replay() const {
+HostJournal::ReplayResult HostJournal::replay() {
   ReplayResult result;
   if (!enabled()) return result;
   common::MutexLock lk(mu_);
@@ -97,7 +119,7 @@ HostJournal::ReplayResult HostJournal::replay() const {
                         static_cast<std::uint32_t>(data[crc_at + 1]) << 8 |
                         static_cast<std::uint32_t>(data[crc_at + 2]) << 16 |
                         static_cast<std::uint32_t>(data[crc_at + 3]) << 24;
-    if (common::fnv1a32(payload) != crc) break;  // damaged frame
+    if (common::crc32c(payload) != crc) break;  // damaged frame
     result.records.push_back(
         {static_cast<JournalRecordType>(type), std::move(payload)});
     pos = crc_at + 4;
@@ -105,6 +127,10 @@ HostJournal::ReplayResult HostJournal::replay() const {
   if (pos < data.size()) {
     result.torn_tail = true;
     result.torn_bytes = data.size() - pos;
+    // Whatever follows the clean prefix is lost to every replay: the next
+    // append cuts it off instead of landing behind it.
+    end_ = pos;
+    torn_ = true;
   }
   return result;
 }

@@ -10,9 +10,12 @@
 // client accepts is still backed by SCPU signatures.
 //
 // On-disk format: a sequence of frames, each
-//     u8 type | u32 payload_len | payload bytes | u32 fnv1a32(payload)
-// A crash (or injected torn write) may leave a damaged tail; replay keeps
-// the longest clean prefix and reports the rest as torn.
+//     u8 type | u32 payload_len | payload bytes | u32 crc32c(payload)
+// with the integers little-endian. A crash (or injected torn write) may
+// leave a damaged tail; replay keeps the longest clean prefix and reports
+// the rest as torn. A journal that goes on after a failed append, or after
+// a replay that found a damaged tail, first cuts the file back to the end of
+// its last whole frame, so no frame lands behind one that replay stops at.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +88,9 @@ class HostJournal {
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
 
   /// Appends one frame and flushes it to the OS. Throws TransientStorageError
-  /// when the injected fault fires; the frame may then be torn on disk.
+  /// when the injected fault fires; the frame may then be torn on disk until
+  /// the next append, which first cuts the file back to the last whole frame
+  /// this journal wrote.
   void append(JournalRecordType type, common::ByteView payload) EXCLUDES(mu_);
 
   struct ReplayResult {
@@ -95,20 +100,32 @@ class HostJournal {
   };
 
   /// Parses the on-disk frames. Never throws on damage — a torn or corrupt
-  /// frame ends the replay and is reported, matching crash semantics.
-  [[nodiscard]] ReplayResult replay() const EXCLUDES(mu_);
+  /// frame ends the replay and is reported, matching crash semantics. The
+  /// next append then cuts the damaged tail off first, so a journal
+  /// reopened over a torn frame (a crash mid-append) never appends behind
+  /// it.
+  [[nodiscard]] ReplayResult replay() EXCLUDES(mu_);
 
   /// Atomically replaces the journal contents (write temp + rename), used to
   /// truncate history after recovery folds it into a checkpoint.
   void rewrite(const std::vector<JournalRecord>& records) EXCLUDES(mu_);
 
  private:
+  // Opens the file for appending; its current size is the end of the last
+  // whole frame.
   void open_for_append() REQUIRES(mu_);
+  // Truncates the file to end_ and reopens it.
+  void cut_torn_tail() REQUIRES(mu_);
 
   const std::string path_;
   common::FaultInjector* const fault_;
   mutable common::AnnotatedMutex mu_;
   std::ofstream out_ GUARDED_BY(mu_);
+  // File offset just past the last whole frame.
+  std::uintmax_t end_ GUARDED_BY(mu_) = 0;
+  // Bytes past end_ are a partial or damaged frame: an append failed after
+  // writing part of its frame, or replay stopped there.
+  bool torn_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace worm::core

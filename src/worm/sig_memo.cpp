@@ -4,10 +4,8 @@
 
 namespace worm::core {
 
-bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
+bool SigVerifyMemo::verify(const crypto::PreparedRsaKey& key,
                            common::ByteView message, common::ByteView sig) {
-  common::Bytes key_bytes = key.serialize();
-
   // Length-prefix each field so (key, m1||m2, sig) and (key, m1, m2||sig)
   // cannot collide on the same digest.
   crypto::Sha256 h;
@@ -20,7 +18,7 @@ bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
     h.update(lenb);
     h.update(v);
   };
-  feed(key_bytes);
+  feed(key.encoding());
   feed(message);
   feed(sig);
   Key k{h.finalize()};
@@ -35,7 +33,7 @@ bool SigVerifyMemo::verify(const crypto::RsaPublicKey& key,
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  bool ok = crypto::rsa_verify(key, message, sig);
+  bool ok = key.verify(message, sig);
   {
     common::ExclusiveLock lk(s.mu);
     if (s.map.size() >= kShardCapacity && !s.map.contains(k)) {

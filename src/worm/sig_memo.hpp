@@ -11,8 +11,12 @@
 // signature expiry. ClientVerifier keeps those checks outside, after the
 // memoized mathematical check passes.
 //
-// Keys are SHA-256 digests over the length-prefixed tuple, so the memo holds
-// 32 bytes + bool per distinct signature rather than whole messages.
+// Keys are SHA-256 digests over the length-prefixed tuple (the key's
+// encoding, the message, the signature), so the memo holds 32 bytes + bool
+// per distinct signature rather than whole messages. The caller hands in a
+// crypto::PreparedRsaKey, so a lookup hashes the key's cached encoding and
+// a miss runs that key's one verify path; nothing is re-serialized or
+// re-prepared per call.
 #pragma once
 
 #include <array>
@@ -41,8 +45,8 @@ class SigVerifyMemo {
   SigVerifyMemo(const SigVerifyMemo&) = delete;
   SigVerifyMemo& operator=(const SigVerifyMemo&) = delete;
 
-  /// rsa_verify(key, message, sig), memoized.
-  [[nodiscard]] bool verify(const crypto::RsaPublicKey& key,
+  /// key.verify(message, sig), memoized.
+  [[nodiscard]] bool verify(const crypto::PreparedRsaKey& key,
                             common::ByteView message, common::ByteView sig);
 
   [[nodiscard]] SigMemoStats stats() const;

@@ -1,11 +1,14 @@
-// Hash-layer tests: FIPS/RFC known-answer vectors for SHA-1/SHA-256/HMAC,
-// streaming-vs-oneshot equivalence sweeps, and the incremental constructs
-// (chained hash, AdHash multiset) the datasig relies on.
+// Hash-layer tests: FIPS/RFC known-answer vectors for SHA-1/SHA-256/HMAC
+// and CRC-32C, streaming-vs-oneshot and backend-vs-reference equivalence
+// sweeps, and the incremental constructs (chained hash, AdHash multiset)
+// the datasig relies on.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/bytes.hpp"
+#include "common/crc32c.hpp"
 #include "crypto/chained_hash.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
@@ -157,6 +160,48 @@ TEST(Sha256, Hash4AgreesAcrossBackends) {
           << "backend=" << static_cast<int>(b) << " lane=" << i;
     }
   }
+}
+
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  // RFC 3720 §B.4's four 32-byte vectors plus the customary check value,
+  // through the dispatched kernel and the portable reference alike.
+  Bytes inc(32), dec(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    inc[i] = static_cast<std::uint8_t>(i);
+    dec[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::pair<Bytes, std::uint32_t> vectors[] = {
+      {Bytes(32, 0x00), 0x8A9136AAu}, {Bytes(32, 0xFF), 0x62A8AB43u},
+      {inc, 0x46DD794Eu},             {dec, 0x113FDB5Cu},
+      {to_bytes("123456789"), 0xE3069283u}, {Bytes{}, 0x00000000u}};
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(common::crc32c(data), want) << hex_encode(data);
+    EXPECT_EQ(common::crc32c_portable(data), want) << hex_encode(data);
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableAtEveryShortLengthAndOffset) {
+  // Lengths 0..257 cover the 8-byte loop with every tail length; starts
+  // 0..7 put its 8-byte loads at every alignment. On a host without SSE4.2
+  // both sides run the portable loop and the sweep re-checks it.
+  RecordProperty("crc32c_hardware", common::crc32c_hardware() ? 1 : 0);
+  Drbg rng(27);
+  const Bytes buf = rng.bytes(257 + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const common::ByteView v(buf.data() + off, len);
+      EXPECT_EQ(common::crc32c(v), common::crc32c_portable(v))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableOnMultiMegabyteInput) {
+  Drbg rng(28);
+  const Bytes data = rng.bytes(3 * 1024 * 1024 + 17);
+  EXPECT_EQ(common::crc32c(data), common::crc32c_portable(data));
+  const common::ByteView unaligned = common::ByteView(data).subspan(3);
+  EXPECT_EQ(common::crc32c(unaligned), common::crc32c_portable(unaligned));
 }
 
 TEST(Sha1, FipsVectors) {

@@ -482,6 +482,84 @@ TEST(Recovery, TornJournalTailIsDiscardedNotFatal) {
   EXPECT_GT(rig.store->counters().at("recovery.torn_bytes"), 0u);
 }
 
+TEST(Recovery, WriteAfterATornAppendSurvivesTheCrash) {
+  // A torn append leaves half a frame on disk, and the store goes on. The
+  // next append cuts the journal back to its last whole frame first, so the
+  // write acknowledged after the tear replays; a frame left behind the torn
+  // one would be invisible to replay, and the honest host would read its
+  // own acknowledged SN as a failure.
+  CrashRig rig("recovery_torn_then_more.wal");
+  EXPECT_EQ(rig.put("before the tear", Duration::days(30)), 1u);
+  rig.fault.schedule("journal.append", FaultKind::kTorn, 1);
+  EXPECT_THROW((void)rig.put("torn away", Duration::days(30)),
+               common::TransientStorageError);
+  EXPECT_EQ(rig.put("after the tear", Duration::days(30)), 2u);
+
+  auto report = rig.crash_and_recover();
+  EXPECT_FALSE(report.torn_tail);
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn : {Sn{1}, Sn{2}}) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
+  EXPECT_EQ(rig.put("after the crash", Duration::days(30)), 3u);
+}
+
+TEST(Recovery, ReopenedJournalCutsATornTailBeforeAppending) {
+  // The process died mid-append, leaving half a frame. A journal reopened
+  // over it must not append behind that frame, where no replay would reach:
+  // the replay that finds the damaged tail has the next append cut it off.
+  const std::string path = ::testing::TempDir() + "recovery_reopen_torn.wal";
+  std::remove(path.c_str());
+  common::FaultInjector fault(0x5eed);
+  {
+    HostJournal dying(path, &fault);
+    dying.append(JournalRecordType::kComplete, common::Bytes{1});
+    fault.schedule("journal.append", FaultKind::kTorn, 1);
+    EXPECT_THROW(dying.append(JournalRecordType::kComplete, common::Bytes{2}),
+                 common::TransientStorageError);
+  }
+  HostJournal reopened(path);
+  HostJournal::ReplayResult before = reopened.replay();
+  EXPECT_TRUE(before.torn_tail);
+  EXPECT_EQ(before.records.size(), 1u);
+  reopened.append(JournalRecordType::kComplete, common::Bytes{3});
+  HostJournal::ReplayResult after = reopened.replay();
+  EXPECT_FALSE(after.torn_tail);
+  ASSERT_EQ(after.records.size(), 2u);
+  EXPECT_EQ(after.records[1].payload, common::Bytes{3});
+}
+
+TEST(Recovery, PartialMultiBlockWriteZeroesWhatItWrote) {
+  // A 3-block record whose second block's write fails: the first block
+  // already holds plaintext that no descriptor will ever name. The record
+  // store zeroes and frees every block the call took before the error
+  // reaches the caller, so neither this process nor the next boot leaves
+  // the payload on the platter.
+  CrashRig rig("recovery_partial_record.wal");
+  const std::size_t bs = rig.disk.block_size();
+  const common::Bytes zeros(bs, 0);
+  const common::Bytes plaintext(bs, 'p');
+  ASSERT_EQ(rig.records->free_blocks(), 0u);
+  rig.fault.schedule("device.write", FaultKind::kTransient, 2);
+  EXPECT_THROW((void)rig.put(std::string(3 * bs, 'p'), Duration::days(30)),
+               common::TransientStorageError);
+  EXPECT_EQ(rig.disk.raw_block(0), zeros);
+  EXPECT_EQ(rig.records->free_blocks(), 2u) << "blocks 0 and 1 are free again";
+
+  // The store goes on, and its next record takes the freed block 0.
+  Sn sn = rig.put("next", Duration::days(30));
+  EXPECT_EQ(rig.store->vrdt().find(sn)->vrd.rdl.at(0).blocks,
+            std::vector<std::uint64_t>{0});
+  rig.crash_and_recover();
+  EXPECT_EQ(rig.verifier().verify_read(sn, rig.store->read(sn)).verdict,
+            Verdict::kAuthentic);
+  for (std::uint64_t b = 0; b < rig.disk.block_count(); ++b) {
+    EXPECT_NE(rig.disk.raw_block(b), plaintext) << "block " << b;
+  }
+}
+
 TEST(Recovery, CheckpointTruncatesReplayHistory) {
   CrashRig rig("recovery_checkpoint.wal");
   for (int i = 0; i < 8; ++i) (void)rig.put("r", Duration::days(30));

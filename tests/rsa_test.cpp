@@ -55,6 +55,43 @@ TEST_P(RsaStrengths, KeygenInvariants) {
   EXPECT_EQ((k.q * k.qinv) % k.p, BigUInt(1));
 }
 
+TEST_P(RsaStrengths, PreparedKeyMatchesOneShotVerify) {
+  // One prepared key checks every case in turn: reusing its Montgomery
+  // context must not change a verdict, and each verdict must be the
+  // one-shot rsa_verify's.
+  const RsaPrivateKey& k = cached_key(GetParam());
+  const PreparedRsaKey prepared(k.public_key());
+  EXPECT_EQ(common::to_bytes(prepared.encoding()), k.public_key().serialize());
+  const Bytes msg = to_bytes("prepared once, verified many times");
+  const Bytes sig = rsa_sign(k, msg);
+  const std::size_t len = sig.size();
+  Bytes flipped = sig;
+  flipped[len / 2] ^= 0x10;
+  Bytes longer = sig;
+  longer.push_back(0x00);
+  struct Case {
+    const char* name;
+    Bytes sig;
+    bool want;
+  };
+  const Case cases[] = {
+      {"valid", sig, true},
+      {"one bit flipped", flipped, false},
+      {"one byte short", Bytes(sig.begin(), sig.end() - 1), false},
+      {"one byte long", longer, false},
+      {"empty", Bytes{}, false},
+      {"equal to n", k.n.to_be_bytes_padded(len), false},
+      {"above n", (k.n + BigUInt(1)).to_be_bytes_padded(len), false},
+      {"all ones", Bytes(len, 0xff), false},
+      {"valid again", sig, true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(prepared.verify(msg, c.sig), c.want) << c.name;
+    EXPECT_EQ(rsa_verify(k.public_key(), msg, c.sig), c.want) << c.name;
+  }
+  EXPECT_FALSE(prepared.verify(to_bytes("another message"), sig));
+}
+
 TEST_P(RsaStrengths, SignVerifyRoundTrip) {
   const RsaPrivateKey& k = cached_key(GetParam());
   Bytes msg = to_bytes("compliance record #42");

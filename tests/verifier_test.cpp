@@ -2,6 +2,10 @@
 // hand-crafted hostile inputs (beyond what the adversary drivers produce).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "worm/envelopes.hpp"
 #include "worm_fixture.hpp"
 
 namespace worm::core {
@@ -64,6 +68,60 @@ TEST(Verifier, RejectsCertForWrongValidity) {
   ClientVerifier verifier(anchors, rig.clock);
   EXPECT_EQ(verifier.verify_read(sn, rig.store.read(sn)).verdict,
             Verdict::kTampered);
+}
+
+TEST(Verifier, ShortSignatureGoesStaleOnTheSameVerifier) {
+  // The verifier checks each certificate's signature once, at construction;
+  // the validity window must still be checked on every read. One verifier
+  // on its own client clock reads the same deferred answer as authentic,
+  // then as stale once the clock passes valid_until + short_sig_acceptance.
+  Rig rig;
+  Sn sn = rig.put("burst", Duration::days(1), WitnessMode::kDeferred);
+  const ReadOutcome res = rig.store.read(sn);
+  const SigBox& metasig = res.get<ReadOk>().vrd.metasig;
+  ASSERT_EQ(metasig.kind, SigKind::kShortTerm);
+  const TrustAnchors anchors = rig.store.anchors();
+  common::SimTime valid_until{};
+  for (const ShortKeyCert& cert : anchors.short_certs) {
+    if (cert.key_id == metasig.key_id) valid_until = cert.valid_until;
+  }
+  ASSERT_GT(valid_until.ns, rig.clock.now().ns);
+
+  common::SimClock client(rig.clock.now());
+  ClientVerifier verifier(anchors, client);
+  EXPECT_EQ(verifier.verify_read(sn, res).verdict, Verdict::kAuthentic);
+  client.advance_to(valid_until + anchors.short_sig_acceptance);
+  EXPECT_EQ(verifier.verify_read(sn, res).verdict, Verdict::kAuthentic)
+      << "the end of the security lifetime is still inside it";
+  client.advance(Duration::nanos(1));
+  EXPECT_EQ(verifier.verify_read(sn, res).verdict, Verdict::kStaleProof);
+}
+
+TEST(Verifier, UnparsableShortCertKeyIsTamperedNotThrown) {
+  // Anchors whose meta key signs a short-key certificate with key bytes
+  // that do not parse: the verifier still constructs, and every signature
+  // under that key id reads kTampered instead of throwing.
+  Rig rig;
+  Sn sn = rig.put("burst", Duration::days(1), WitnessMode::kDeferred);
+  const ReadOutcome res = rig.store.read(sn);
+  ASSERT_EQ(res.get<ReadOk>().vrd.metasig.kind, SigKind::kShortTerm);
+  const crypto::RsaPrivateKey& meta = scpu::cached_rsa_key(0x3e7a, 1024);
+  TrustAnchors anchors = rig.store.anchors();
+  ASSERT_FALSE(anchors.short_certs.empty());
+  anchors.meta_key = meta.public_key();
+  for (ShortKeyCert& cert : anchors.short_certs) {
+    cert.pubkey = {0x01};  // too short for even a length prefix
+    cert.sig = crypto::rsa_sign(
+        meta, short_key_cert_payload(cert.key_id, cert.bits, cert.pubkey,
+                                     cert.valid_from, cert.valid_until));
+  }
+  std::optional<ClientVerifier> verifier;
+  ASSERT_NO_THROW(verifier.emplace(anchors, rig.clock));
+  EXPECT_TRUE(verifier->verify_short_cert(anchors.short_certs[0]));
+  Outcome out;
+  ASSERT_NO_THROW(out = verifier->verify_read(sn, res));
+  EXPECT_EQ(out.verdict, Verdict::kTampered);
+  EXPECT_NE(out.detail.find("malformed"), std::string::npos) << out.detail;
 }
 
 TEST(Verifier, WindowMustContainRequestedSn) {
