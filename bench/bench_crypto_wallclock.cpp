@@ -11,18 +11,35 @@
 //     (64-bit limbs) >= 2.0x over the binary square-and-multiply ladder
 //     (32-bit limbs). RSA-512 is the SCPU's short-key witness size;
 //   * CRC-32C dispatched (the SSE4.2 instruction) >= 4.0x the table-driven
-//     portable loop at 4 KiB, one record block, on hosts with SSE4.2.
+//     portable loop at 4 KiB, one record block, on hosts with SSE4.2;
+//   * a 512-bit mod_exp with a full-length exponent on the MULX/ADX
+//     Montgomery product >= 1.5x the same ladder on the portable product,
+//     on hosts with BMI2 and ADX.
+//
+// Every row is the median of kRounds windows, and the windows run
+// round-robin across the rows: a slow minute on a shared host lands in one
+// window of every row instead of in every window of a few rows, so neither
+// a row's median nor a ratio between rows follows it.
 //
 // The rsa<bits>_verify_prepared rows verify through one PreparedRsaKey, as
 // ClientVerifier does; the rsa<bits>_verify rows prepare the key per call.
+// The modexp<bits>_{windowed,portable,binary} rows are ModExpStrategy's
+// three kernels: windowed runs the dispatched product (MULX/ADX where the
+// host has it), portable the same ladder on the portable product. The
+// modexp512_e65537 rows take the public exponent, the verify shape.
 //
 // CI runs this as the bench-smoke speedup gate; a regression that drops a
 // fast path below its floor fails the build instead of shipping silently.
 // Pass --no-gate to measure without enforcing (e.g. on loaded machines).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -39,34 +56,67 @@ namespace {
 using namespace worm;
 using common::Bytes;
 
+constexpr int kRounds = 7;
+constexpr double kWindowSeconds = 0.07;
+
 // Defeats dead-code elimination without a benchmark framework.
 volatile std::uint32_t g_sink = 0;
 
-/// Ops/sec over a ~250ms wall-clock window (after one warm-up call, which
-/// also resolves first-use backend dispatch).
-template <typename F>
-double time_ops_per_sec(F&& fn) {
+/// One BENCH row: `run` is one operation. Each window starts from the
+/// dispatched SHA-256 backend and the windowed mod_exp strategy, then
+/// applies `pin` (when set) to select the kernel the row measures.
+struct Row {
+  Row(std::string name, std::function<void()> fn,
+      std::function<void()> pin_to = nullptr)
+      : op(std::move(name)), run(std::move(fn)), pin(std::move(pin_to)) {}
+
+  std::string op;
+  std::function<void()> run;
+  std::function<void()> pin;
+  std::vector<double> windows;  // ops/s
+};
+
+/// Ops/sec over one window of at least kWindowSeconds and 4 calls.
+double window_ops_per_sec(const std::function<void()>& fn) {
   using clock = std::chrono::steady_clock;
-  fn();
-  auto t0 = clock::now();
+  const auto t0 = clock::now();
   std::size_t iters = 0;
   double elapsed = 0.0;
   do {
     fn();
     ++iters;
     elapsed = std::chrono::duration<double>(clock::now() - t0).count();
-  } while (elapsed < 0.25 || iters < 4);
+  } while (elapsed < kWindowSeconds || iters < 4);
   return static_cast<double>(iters) / elapsed;
 }
 
-double sha_ops(crypto::Sha256Backend b, const Bytes& data) {
-  crypto::Sha256::force_backend(b);
-  double ops = time_ops_per_sec([&] {
-    crypto::Sha256::Digest d = crypto::Sha256::hash(data);
-    g_sink = g_sink + d[0];
-  });
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+void unpin() {
   crypto::Sha256::force_backend(crypto::Sha256Backend::kAuto);
-  return ops;
+  crypto::set_mod_exp_strategy(crypto::ModExpStrategy::kWindowed);
+}
+
+/// One warm-up call per row (which also resolves first-use backend
+/// dispatch), then kRounds passes of one window per row.
+void measure(std::vector<Row>& rows) {
+  for (Row& r : rows) {
+    unpin();
+    if (r.pin) r.pin();
+    r.run();
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (Row& r : rows) {
+      unpin();
+      if (r.pin) r.pin();
+      r.windows.push_back(window_ops_per_sec(r.run));
+    }
+  }
+  unpin();
 }
 
 const char* backend_name(crypto::Sha256Backend b) {
@@ -78,6 +128,23 @@ const char* backend_name(crypto::Sha256Backend b) {
   }
   return "auto";
 }
+
+std::function<void()> strategy(crypto::ModExpStrategy s) {
+  return [s] { crypto::set_mod_exp_strategy(s); };
+}
+
+struct RsaCase {
+  const crypto::RsaPrivateKey* key;
+  crypto::RsaPublicKey pub;
+  Bytes sig;
+  crypto::PreparedRsaKey prepared;
+};
+
+struct ModExpCase {
+  crypto::MontgomeryCtx ctx;
+  crypto::BigUInt base;
+  crypto::BigUInt exp;
+};
 
 struct Gate {
   std::string name;
@@ -99,169 +166,200 @@ int main(int argc, char** argv) {
       "substrate for every signature/witness cost in the repo (not a paper "
       "figure)");
 
-  std::vector<bench::BenchRow> rows;
-  std::vector<Gate> gates;
+  const crypto::Sha256Backend active = crypto::Sha256::active_backend();
+  const bool crc_hw = common::crc32c_hardware();
+  const bool adx = crypto::mont_mul_adx_supported();
+  std::printf("dispatched SHA-256 backend: %s\n", backend_name(active));
+  std::printf("dispatched CRC-32C kernel: %s\n", crc_hw ? "sse4.2" : "portable");
+  std::printf("dispatched Montgomery product: %s\n",
+              adx ? "mulx/adx (4, 8, 16, 32 limbs)" : "portable");
+  std::printf("each row: median of %d windows of >= %.0f ms, round-robin\n",
+              kRounds, kWindowSeconds * 1e3);
 
-  crypto::Sha256Backend active = crypto::Sha256::active_backend();
-  std::printf("dispatched SHA-256 backend: %s\n\n", backend_name(active));
+  std::vector<Row> rows;
 
   // --- SHA-256: each backend through the same interface ---------------------
   const Bytes small(1024, 0xab);
   const Bytes big(65536, 0xab);
-  double auto_1k = 0, auto_64k = 0, portable_64k = 0, scalar_64k = 0;
   for (crypto::Sha256Backend b :
        {crypto::Sha256Backend::kAuto, crypto::Sha256Backend::kScalar,
         crypto::Sha256Backend::kPortable}) {
-    double ops1k = sha_ops(b, small);
-    double ops64k = sha_ops(b, big);
-    const char* name =
+    const std::string name =
         b == crypto::Sha256Backend::kAuto ? backend_name(active)
                                           : backend_name(b);
-    std::printf("  sha256 %-8s  %8.1f MB/s @1KiB   %8.1f MB/s @64KiB\n", name,
-                ops1k * 1024 / 1e6, ops64k * 65536 / 1e6);
-    rows.push_back({std::string("sha256_") + name + "_1k", 1, ops1k, 0, 0});
-    rows.push_back({std::string("sha256_") + name + "_64k", 1, ops64k, 0, 0});
-    if (b == crypto::Sha256Backend::kAuto) {
-      auto_1k = ops1k;
-      auto_64k = ops64k;
-    } else if (b == crypto::Sha256Backend::kPortable) {
-      portable_64k = ops64k;
-    } else {
-      scalar_64k = ops64k;
+    auto pin = [b] { crypto::Sha256::force_backend(b); };
+    for (const Bytes* data : {&small, &big}) {
+      rows.push_back({"sha256_" + name +
+                          (data == &small ? "_1k" : "_64k"),
+                      [data] {
+                        crypto::Sha256::Digest d = crypto::Sha256::hash(*data);
+                        g_sink = g_sink + d[0];
+                      },
+                      pin});
     }
-  }
-  (void)auto_1k;
-  if (active == crypto::Sha256Backend::kShaNi) {
-    gates.push_back({"sha256_shani_vs_portable_64k", auto_64k / portable_64k,
-                     2.0});
-  } else {
-    gates.push_back({"sha256_scalar_vs_portable_64k",
-                     scalar_64k / portable_64k, 1.2});
   }
 
   // --- 4-lane multi-buffer hashing vs four sequential hashes ----------------
-  {
-    Bytes lanes_data[4] = {Bytes(4096, 1), Bytes(4096, 2), Bytes(4096, 3),
-                           Bytes(4096, 4)};
-    common::ByteView in[4] = {lanes_data[0], lanes_data[1], lanes_data[2],
-                              lanes_data[3]};
-    double four_seq = time_ops_per_sec([&] {
-      for (const Bytes& b : lanes_data) {
-        crypto::Sha256::Digest d = crypto::Sha256::hash(b);
-        g_sink = g_sink + d[0];
-      }
-    });
-    double four_wide = time_ops_per_sec([&] {
-      crypto::Sha256::Digest out[4];
-      crypto::Sha256::hash4(in, out);
-      g_sink = g_sink + out[0][0];
-    });
-    std::printf("\n  hash4 (4x4KiB)   %8.1f sets/s   sequential %8.1f "
-                "sets/s   (%.2fx)\n",
-                four_wide, four_seq, four_wide / four_seq);
-    rows.push_back({"sha256_hash4_4x4k", 1, four_wide, 0, 0});
-    rows.push_back({"sha256_seq4_4x4k", 1, four_seq, 0, 0});
-  }
+  const Bytes lanes_data[4] = {Bytes(4096, 1), Bytes(4096, 2), Bytes(4096, 3),
+                               Bytes(4096, 4)};
+  rows.push_back({"sha256_hash4_4x4k", [&lanes_data] {
+                    common::ByteView in[4] = {lanes_data[0], lanes_data[1],
+                                              lanes_data[2], lanes_data[3]};
+                    crypto::Sha256::Digest out[4];
+                    crypto::Sha256::hash4(in, out);
+                    g_sink = g_sink + out[0][0];
+                  }});
+  rows.push_back({"sha256_seq4_4x4k", [&lanes_data] {
+                    for (const Bytes& b : lanes_data) {
+                      crypto::Sha256::Digest d = crypto::Sha256::hash(b);
+                      g_sink = g_sink + d[0];
+                    }
+                  }});
 
   // --- CRC-32C: dispatched kernel vs the portable reference ----------------
-  {
-    const bool hw = common::crc32c_hardware();
-    std::printf("\ndispatched CRC-32C kernel: %s\n", hw ? "sse4.2" : "portable");
-    double dispatched_4k = 0, portable_4k = 0;
-    for (std::size_t kib : {std::size_t{4}, std::size_t{64}}) {
-      const Bytes data(kib * 1024, 0xab);
-      double dispatched = time_ops_per_sec(
-          [&] { g_sink = g_sink + common::crc32c(data); });
-      double portable = time_ops_per_sec(
-          [&] { g_sink = g_sink + common::crc32c_portable(data); });
-      std::printf("  crc32c @%2zuKiB  dispatched %8.1f MB/s   portable %8.1f "
-                  "MB/s   (%.2fx)\n",
-                  kib, dispatched * static_cast<double>(data.size()) / 1e6,
-                  portable * static_cast<double>(data.size()) / 1e6,
-                  dispatched / portable);
-      const std::string suffix = "_" + std::to_string(kib) + "k";
-      rows.push_back({"crc32c_dispatched" + suffix, 1, dispatched, 0, 0});
-      rows.push_back({"crc32c_portable" + suffix, 1, portable, 0, 0});
-      if (kib == 4) {
-        dispatched_4k = dispatched;
-        portable_4k = portable;
-      }
-    }
-    if (hw) {
-      gates.push_back(
-          {"crc32c_sse42_vs_portable_4k", dispatched_4k / portable_4k, 4.0});
-    }
+  const Bytes crc_4k(4 * 1024, 0xab);
+  const Bytes crc_64k(64 * 1024, 0xab);
+  for (const Bytes* data : {&crc_4k, &crc_64k}) {
+    const std::string suffix = data == &crc_4k ? "_4k" : "_64k";
+    rows.push_back({"crc32c_dispatched" + suffix,
+                    [data] { g_sink = g_sink + common::crc32c(*data); }});
+    rows.push_back({"crc32c_portable" + suffix, [data] {
+                      g_sink = g_sink + common::crc32c_portable(*data);
+                    }});
   }
 
   // --- RSA sign/verify, windowed vs binary mod_exp --------------------------
-  std::printf("\n");
   const Bytes msg = common::to_bytes("bench message for signing");
-  for (std::size_t bits : {std::size_t{512}, std::size_t{1024},
-                           std::size_t{2048}}) {
+  const std::size_t rsa_bits[] = {512, 1024, 2048};
+  std::deque<RsaCase> rsa;  // rows point into it; a deque never moves them
+  for (std::size_t bits : rsa_bits) {
     const crypto::RsaPrivateKey& key = scpu::cached_rsa_key(0xbe7c, bits);
-    crypto::RsaPublicKey pub = key.public_key();
-    Bytes sig = crypto::rsa_sign(key, msg);
-
-    crypto::set_mod_exp_strategy(crypto::ModExpStrategy::kWindowed);
-    double sign_w = time_ops_per_sec([&] {
-      Bytes s = crypto::rsa_sign(key, msg);
+    rsa.push_back({&key, key.public_key(), crypto::rsa_sign(key, msg),
+                   crypto::PreparedRsaKey(key.public_key())});
+    const RsaCase& c = rsa.back();
+    const std::string p = "rsa" + std::to_string(bits);
+    auto sign = [&c, &msg] {
+      Bytes s = crypto::rsa_sign(*c.key, msg);
       g_sink = g_sink + s[0];
-    });
-    double verify_w = time_ops_per_sec([&] {
-      g_sink = g_sink + (crypto::rsa_verify(pub, msg, sig) ? 1u : 0u);
-    });
-    const crypto::PreparedRsaKey prepared(pub);
-    double verify_p = time_ops_per_sec([&] {
-      g_sink = g_sink + (prepared.verify(msg, sig) ? 1u : 0u);
-    });
-    crypto::set_mod_exp_strategy(crypto::ModExpStrategy::kBinary);
-    double sign_b = time_ops_per_sec([&] {
-      Bytes s = crypto::rsa_sign(key, msg);
-      g_sink = g_sink + s[0];
-    });
-    crypto::set_mod_exp_strategy(crypto::ModExpStrategy::kWindowed);
-
-    std::printf("  rsa-%-4zu sign %8.1f/s (binary %8.1f/s, %.2fx)   verify "
-                "%8.1f/s (prepared %8.1f/s)\n",
-                bits, sign_w, sign_b, sign_w / sign_b, verify_w, verify_p);
-    std::string p = "rsa" + std::to_string(bits);
-    rows.push_back({p + "_sign_windowed", 1, sign_w, 0, 0});
-    rows.push_back({p + "_sign_binary", 1, sign_b, 0, 0});
-    rows.push_back({p + "_verify", 1, verify_w, 0, 0});
-    rows.push_back({p + "_verify_prepared", 1, verify_p, 0, 0});
-    if (bits <= 1024) {
-      gates.push_back({p + "_sign_windowed_vs_binary", sign_w / sign_b, 2.0});
-    }
+    };
+    rows.push_back({p + "_sign_windowed", sign});
+    rows.push_back(
+        {p + "_sign_binary", sign, strategy(crypto::ModExpStrategy::kBinary)});
+    rows.push_back({p + "_verify", [&c, &msg] {
+                      g_sink = g_sink +
+                               (crypto::rsa_verify(c.pub, msg, c.sig) ? 1u : 0u);
+                    }});
+    rows.push_back({p + "_verify_prepared", [&c, &msg] {
+                      g_sink = g_sink + (c.prepared.verify(msg, c.sig) ? 1u : 0u);
+                    }});
   }
 
-  // --- raw mod_exp, windowed vs binary (the kernel itself) ------------------
-  std::printf("\n");
-  for (std::size_t bits : {std::size_t{512}, std::size_t{1024}}) {
+  // --- raw mod_exp on each ModExpStrategy kernel ----------------------------
+  std::deque<ModExpCase> modexp;
+  auto add_modexp = [&](const std::string& p, std::size_t bits,
+                        const crypto::BigUInt* public_exp) {
     crypto::Drbg rng(7);
     crypto::BigUInt m = rng.big_with_bits(bits);
     if (m.is_even()) m = m + crypto::BigUInt(1);
     crypto::BigUInt base = rng.big_below(m);
-    crypto::BigUInt exp = rng.big_with_bits(bits);
-    crypto::MontgomeryCtx ctx(m);
-    double windowed = time_ops_per_sec([&] {
+    crypto::BigUInt exp =
+        public_exp != nullptr ? *public_exp : rng.big_with_bits(bits);
+    modexp.push_back(
+        {crypto::MontgomeryCtx(m), std::move(base), std::move(exp)});
+    const ModExpCase& c = modexp.back();
+    auto run = [&c] {
       g_sink = g_sink +
-               static_cast<std::uint32_t>(ctx.mod_exp(base, exp).low_u64());
-    });
-    double binary = time_ops_per_sec([&] {
-      g_sink = g_sink + static_cast<std::uint32_t>(
-                            ctx.mod_exp_binary(base, exp).low_u64());
-    });
-    std::printf("  mod_exp-%-4zu windowed %8.1f/s   binary %8.1f/s   "
-                "(%.2fx)\n",
-                bits, windowed, binary, windowed / binary);
-    std::string p = "modexp" + std::to_string(bits);
-    rows.push_back({p + "_windowed", 1, windowed, 0, 0});
-    rows.push_back({p + "_binary", 1, binary, 0, 0});
+               static_cast<std::uint32_t>(c.ctx.mod_exp(c.base, c.exp).low_u64());
+    };
+    rows.push_back({p + "_windowed", run});
+    rows.push_back(
+        {p + "_portable", run, strategy(crypto::ModExpStrategy::kPortable)});
+    rows.push_back(
+        {p + "_binary", run, strategy(crypto::ModExpStrategy::kBinary)});
+  };
+  const crypto::BigUInt f4(65537);
+  add_modexp("modexp512", 512, nullptr);
+  add_modexp("modexp1024", 1024, nullptr);
+  add_modexp("modexp512_e65537", 512, &f4);
+
+  measure(rows);
+
+  std::map<std::string, double> ops;
+  std::vector<bench::BenchRow> out;
+  for (const Row& r : rows) {
+    const double m = median(r.windows);
+    ops[r.op] = m;
+    out.push_back({r.op, 1, m, 0, 0});
   }
 
-  bench::write_bench_json("crypto_wallclock", rows);
+  // --- report ----------------------------------------------------------------
+  std::printf("\n");
+  for (const char* name : {backend_name(active), "scalar", "portable"}) {
+    const std::string p = std::string("sha256_") + name;
+    std::printf("  sha256 %-8s  %8.1f MB/s @1KiB   %8.1f MB/s @64KiB\n", name,
+                ops[p + "_1k"] * 1024 / 1e6, ops[p + "_64k"] * 65536 / 1e6);
+  }
+  std::printf("\n  hash4 (4x4KiB)   %8.1f sets/s   sequential %8.1f "
+              "sets/s   (%.2fx)\n",
+              ops["sha256_hash4_4x4k"], ops["sha256_seq4_4x4k"],
+              ops["sha256_hash4_4x4k"] / ops["sha256_seq4_4x4k"]);
+  std::printf("\n");
+  for (int kib : {4, 64}) {
+    const std::string s = "_" + std::to_string(kib) + "k";
+    const double bytes = kib * 1024.0;
+    std::printf("  crc32c @%2dKiB  dispatched %8.1f MB/s   portable %8.1f "
+                "MB/s   (%.2fx)\n",
+                kib, ops["crc32c_dispatched" + s] * bytes / 1e6,
+                ops["crc32c_portable" + s] * bytes / 1e6,
+                ops["crc32c_dispatched" + s] / ops["crc32c_portable" + s]);
+  }
+  std::printf("\n");
+  for (std::size_t bits : rsa_bits) {
+    const std::string p = "rsa" + std::to_string(bits);
+    std::printf("  rsa-%-4zu sign %8.1f/s (binary %8.1f/s, %.2fx)   verify "
+                "%8.1f/s (prepared %8.1f/s)\n",
+                bits, ops[p + "_sign_windowed"], ops[p + "_sign_binary"],
+                ops[p + "_sign_windowed"] / ops[p + "_sign_binary"],
+                ops[p + "_verify"], ops[p + "_verify_prepared"]);
+  }
+  std::printf("\n");
+  for (const char* p : {"modexp512", "modexp1024", "modexp512_e65537"}) {
+    const std::string s = p;
+    std::printf("  %-17s windowed %9.1f/s   portable %9.1f/s (%.2fx)   "
+                "binary %9.1f/s (%.2fx)\n",
+                p, ops[s + "_windowed"], ops[s + "_portable"],
+                ops[s + "_windowed"] / ops[s + "_portable"],
+                ops[s + "_binary"], ops[s + "_windowed"] / ops[s + "_binary"]);
+  }
+
+  bench::write_bench_json("crypto_wallclock", out);
 
   // --- speedup gates --------------------------------------------------------
+  std::vector<Gate> gates;
+  if (active == crypto::Sha256Backend::kShaNi) {
+    gates.push_back({"sha256_shani_vs_portable_64k",
+                     ops["sha256_shani_64k"] / ops["sha256_portable_64k"], 2.0});
+  } else {
+    gates.push_back({"sha256_scalar_vs_portable_64k",
+                     ops["sha256_scalar_64k"] / ops["sha256_portable_64k"],
+                     1.2});
+  }
+  if (crc_hw) {
+    gates.push_back({"crc32c_sse42_vs_portable_4k",
+                     ops["crc32c_dispatched_4k"] / ops["crc32c_portable_4k"],
+                     4.0});
+  }
+  for (const char* p : {"rsa512", "rsa1024"}) {
+    const std::string s = p;
+    gates.push_back({s + "_sign_windowed_vs_binary",
+                     ops[s + "_sign_windowed"] / ops[s + "_sign_binary"], 2.0});
+  }
+  if (adx) {
+    gates.push_back({"modexp512_adx_vs_portable",
+                     ops["modexp512_windowed"] / ops["modexp512_portable"],
+                     1.5});
+  }
+
   bool failed = false;
   std::printf("\nspeedup gates%s:\n", enforce ? "" : " (not enforced)");
   for (const Gate& g : gates) {

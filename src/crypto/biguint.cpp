@@ -6,6 +6,13 @@
 
 #include "common/error.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define WORM_MONT_ADX 1
+#include <cpuid.h>
+#else
+#define WORM_MONT_ADX 0
+#endif
+
 namespace worm::crypto {
 
 using common::Bytes;
@@ -403,7 +410,112 @@ void pack_limbs64(const std::vector<std::uint32_t>& v,
 // ~24 bits (a public exponent such as 65537) the ladder goes bit by bit and
 // never builds the table.
 std::size_t window_bits(std::size_t bits) { return bits > 23 ? 4 : 1; }
+
+#if WORM_MONT_ADX
+
+// Limbs 1 .. N-1 of one row of mont_mul64_adx, after limb 0 has left its
+// low sum in CF and its high product half in h0: limb j of the row adds
+// the low half of SRC[j]*rdx and t[j] along the CF chain (ADCX) and the high
+// half of limb j-1 along the OF chain (ADOX), and lands at byte 8*j + OFF
+// of t. Limb pairs unroll at assemble time (.Lwj is the limb index). Limb N
+// takes t[N] and the last high half; the two chains' final carries add
+// into top.
+#define WORM_MONT_ADX_ROW_TAIL(SRC, OFF)                \
+  ".set .Lwj, 1\n\t"                                    \
+  ".rept (%c[nl] - 2) / 2\n\t"                          \
+  "mulxq 8*.Lwj(" SRC "), %[lo], %[h1]\n\t"             \
+  "adcxq 8*.Lwj(%[t]), %[lo]\n\t"                       \
+  "adoxq %[h0], %[lo]\n\t"                              \
+  "movq %[lo], 8*.Lwj" OFF "(%[t])\n\t"                 \
+  "mulxq 8*.Lwj+8(" SRC "), %[lo], %[h0]\n\t"           \
+  "adcxq 8*.Lwj+8(%[t]), %[lo]\n\t"                     \
+  "adoxq %[h1], %[lo]\n\t"                              \
+  "movq %[lo], 8*.Lwj+8" OFF "(%[t])\n\t"               \
+  ".set .Lwj, .Lwj+2\n\t"                               \
+  ".endr\n\t"                                           \
+  "mulxq 8*.Lwj(" SRC "), %[lo], %[h1]\n\t"             \
+  "adcxq 8*.Lwj(%[t]), %[lo]\n\t"                       \
+  "adoxq %[h0], %[lo]\n\t"                              \
+  "movq %[lo], 8*.Lwj" OFF "(%[t])\n\t"                 \
+  "adcxq 8*.Lwj+8(%[t]), %[h1]\n\t"                     \
+  "adoxq %[zero], %[h1]\n\t"                            \
+  "movq %[h1], 8*.Lwj+8" OFF "(%[t])\n\t"               \
+  "adcxq %[zero], %[top]\n\t"                           \
+  "adoxq %[zero], %[top]\n\t"
+
+// CIOS Montgomery product over N 64-bit limbs on MULX, ADCX and ADOX:
+// out = a*b*R64^-1 mod m for a, b < m, where n is m's limbs and n0inv is
+// -m^-1 mod 2^64. t is N+1 limbs of scratch; out may alias an input.
+//
+// Each outer step is one asm block of two rows over t in memory. The
+// multiply row adds a*b[i]; the reduce row adds q*m with q = t[0]*n0inv and
+// shifts t down one limb (its limb 0 cancels to zero). MULX leaves the
+// flags alone, so the CF and OF chains run side by side and neither carry
+// waits on the other. The bit that overflows t's N+1 limbs in the multiply
+// row rides in `top` into the reduce row. The row length is fixed by N and
+// the final subtraction selects by mask, so no branch depends on operand
+// values.
+template <std::size_t N>
+__attribute__((target("bmi2,adx"))) void mont_mul64_adx(
+    const std::uint64_t* a, const std::uint64_t* b, const std::uint64_t* n,
+    std::uint64_t n0inv, std::uint64_t* out, std::uint64_t* t) {
+  static_assert(N >= 4 && N % 2 == 0, "rows unroll limb pairs after limb 0");
+  for (std::size_t j = 0; j <= N; ++j) t[j] = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    std::uint64_t d = b[i];  // the multiplier (rdx): b[i], then q
+    std::uint64_t lo = 0, h0 = 0, h1 = 0, zero = 0, top = 0;
+    asm volatile(
+        "xorl %k[zero], %k[zero]\n\t"
+        "xorl %k[top], %k[top]\n\t"
+        // Multiply row: t += a * b[i].
+        "mulxq (%[a]), %[lo], %[h0]\n\t"
+        "adcxq (%[t]), %[lo]\n\t"
+        "movq %[lo], (%[t])\n\t"
+        WORM_MONT_ADX_ROW_TAIL("%[a]", "")
+        // Reduce row: t = (t + q * m) / 2^64.
+        "movq (%[t]), %[d]\n\t"
+        "imulq %[inv], %[d]\n\t"
+        "xorl %k[zero], %k[zero]\n\t"
+        "mulxq (%[n]), %[lo], %[h0]\n\t"
+        "adcxq (%[t]), %[lo]\n\t"
+        WORM_MONT_ADX_ROW_TAIL("%[n]", "-8")
+        "movq %[top], 8*.Lwj+8(%[t])"
+        : [d] "+d"(d), [lo] "=&r"(lo), [h0] "=&r"(h0), [h1] "=&r"(h1),
+          [zero] "=&r"(zero), [top] "=&r"(top)
+        : [a] "r"(a), [n] "r"(n), [t] "r"(t), [inv] "rm"(n0inv),
+          [nl] "i"(N)
+        : "cc", "memory");
+  }
+  // t < 2m. out = t - m, then t where that subtraction borrowed past t's
+  // top limb (t < m), chosen limb by limb through a mask.
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < N; ++j) {
+    const u128 diff = static_cast<u128>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1u;
+  }
+  const std::uint64_t keep_t = 0 - (borrow & (t[N] ^ 1u));
+  for (std::size_t j = 0; j < N; ++j) {
+    out[j] = (t[j] & keep_t) | (out[j] & ~keep_t);
+  }
+}
+
+#undef WORM_MONT_ADX_ROW_TAIL
+#endif  // WORM_MONT_ADX
 }  // namespace
+
+bool mont_mul_adx_supported() {
+#if WORM_MONT_ADX
+  static const bool ok = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ebx & bit_BMI2) != 0 && (ebx & bit_ADX) != 0;
+  }();
+  return ok;
+#else
+  return false;
+#endif
+}
 
 MontgomeryCtx::MontgomeryCtx(const BigUInt& m) : m_(m) {
   WORM_REQUIRE(m.is_odd() && m > BigUInt(1),
@@ -422,6 +534,17 @@ MontgomeryCtx::MontgomeryCtx(const BigUInt& m) : m_(m) {
   const BigUInt r2_64 = k_ % 2 == 0 ? r2_ : (r2_ << 64) % m;
   r2_64_.resize(k64);
   pack_limbs64(r2_64.limbs(), r2_64_.data(), k64);
+#if WORM_MONT_ADX
+  if (mont_mul_adx_supported()) {
+    switch (k64) {
+      case 4: mont_mul64_adx_ = &mont_mul64_adx<4>; break;
+      case 8: mont_mul64_adx_ = &mont_mul64_adx<8>; break;
+      case 16: mont_mul64_adx_ = &mont_mul64_adx<16>; break;
+      case 32: mont_mul64_adx_ = &mont_mul64_adx<32>; break;
+      default: break;
+    }
+  }
+#endif
 }
 
 BigUInt BigUInt::mod_exp(const BigUInt& base, const BigUInt& exp,
@@ -621,9 +744,17 @@ ModExpStrategy mod_exp_strategy() {
 }
 
 BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
-  if (mod_exp_strategy() == ModExpStrategy::kBinary) {
-    return mod_exp_binary(base, exp);
+  switch (mod_exp_strategy()) {
+    case ModExpStrategy::kBinary: return mod_exp_binary(base, exp);
+    case ModExpStrategy::kPortable: return mod_exp_windowed(base, exp, true);
+    case ModExpStrategy::kWindowed: break;
   }
+  return mod_exp_windowed(base, exp, false);
+}
+
+BigUInt MontgomeryCtx::mod_exp_windowed(const BigUInt& base,
+                                        const BigUInt& exp,
+                                        bool portable) const {
   if (exp.is_zero()) return BigUInt(1);  // m > 1
   // Sliding window over 64-bit-limb Montgomery-form buffers: a table of the
   // odd powers b^1, b^3, ..., b^(2^w - 1) (one squaring + 2^(w-1) - 1
@@ -644,12 +775,22 @@ BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
   std::uint64_t* acc = aux + k;
   std::uint64_t* t = acc + k;
 
+  const auto adx = portable ? nullptr : mont_mul64_adx_;
+  auto mul = [&](const std::uint64_t* x, const std::uint64_t* y,
+                 std::uint64_t* out) {
+    if (adx != nullptr) {
+      adx(x, y, n64_.data(), n0inv64_, out, t);
+    } else {
+      mont_mul64_into(x, y, out, t);
+    }
+  };
+
   pack_limbs64((base % m_).limbs(), aux, k);
-  mont_mul64_into(aux, r2_64_.data(), table, t);
+  mul(aux, r2_64_.data(), table);
   if (entries > 1) {
-    mont_mul64_into(table, table, aux, t);
+    mul(table, table, aux);
     for (std::size_t e = 1; e < entries; ++e) {
-      mont_mul64_into(&table[(e - 1) * k], aux, &table[e * k], t);
+      mul(&table[(e - 1) * k], aux, &table[e * k]);
     }
   }
 
@@ -657,7 +798,7 @@ BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
   std::size_t i = nbits;  // bits [0, i) are still to be consumed
   while (i > 0) {
     if (!exp.bit(i - 1)) {
-      mont_mul64_into(acc, acc, acc, t);
+      mul(acc, acc, acc);
       --i;
       continue;
     }
@@ -672,8 +813,8 @@ BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
       std::copy(power, power + k, acc);
       seeded = true;
     } else {
-      for (std::size_t j = l; j < i; ++j) mont_mul64_into(acc, acc, acc, t);
-      mont_mul64_into(acc, power, acc, t);
+      for (std::size_t j = l; j < i; ++j) mul(acc, acc, acc);
+      mul(acc, power, acc);
     }
     i = l;
   }
@@ -681,7 +822,7 @@ BigUInt MontgomeryCtx::mod_exp(const BigUInt& base, const BigUInt& exp) const {
   // Out of Montgomery form (multiply by 1), then back to 32-bit limbs.
   std::fill(aux, aux + k, 0);
   aux[0] = 1;
-  mont_mul64_into(acc, aux, acc, t);
+  mul(acc, aux, acc);
   std::vector<std::uint32_t> limbs(2 * k);
   for (std::size_t j = 0; j < k; ++j) {
     limbs[2 * j] = static_cast<std::uint32_t>(acc[j]);

@@ -3,6 +3,15 @@
 // external crypto library). 32-bit limbs, little-endian limb order, with
 // Knuth Algorithm D division and Montgomery modular exponentiation (whose
 // windowed kernel repacks into 64-bit limbs).
+//
+// The windowed kernel's Montgomery product is chosen once per modulus: on
+// x86-64 hosts whose CPUID reports BMI2 and ADX, moduli of 4, 8, 16 or 32
+// 64-bit limbs (256- to 2048-bit RSA moduli and CRT halves) run a MULX
+// product with two carry chains (ADCX, ADOX), unrolled per limb count, whose
+// final subtraction selects by mask. Every other limb count or host runs
+// the portable unsigned __int128 product, which is also the differential
+// reference. Both produce identical values: the choice is speed, never
+// format.
 #pragma once
 
 #include <compare>
@@ -107,16 +116,22 @@ class BigUInt {
 };
 
 /// Which modular-exponentiation kernel MontgomeryCtx::mod_exp runs. The
-/// windowed path is the production default; the binary path is the reference
-/// the cross-check tests and the crypto bench compare it against.
+/// windowed path is the production default; the binary path and the
+/// portable product are the references the cross-check tests and the crypto
+/// bench compare it against.
 enum class ModExpStrategy : std::uint8_t {
   kWindowed = 0,  // sliding window (up to 4 bits) over 64-bit limbs
   kBinary = 1,    // bit-at-a-time square-and-multiply over 32-bit limbs
+  kPortable = 2,  // kWindowed's ladder on the portable product kernel
 };
 
 /// Overrides the process-wide mod_exp kernel (bench/test hook).
 void set_mod_exp_strategy(ModExpStrategy s);
 [[nodiscard]] ModExpStrategy mod_exp_strategy();
+
+/// True when this host runs the windowed kernel's MULX/ADCX/ADOX product
+/// (x86-64 with BMI2 and ADX) for moduli of 4, 8, 16 or 32 64-bit limbs.
+[[nodiscard]] bool mont_mul_adx_supported();
 
 /// Precomputed context for repeated modular multiplication mod an odd modulus
 /// (Montgomery REDC, CIOS variant). One RSA exponentiation reuses one context
@@ -159,9 +174,14 @@ class MontgomeryCtx {
   void cond_subtract(const std::uint32_t* t, std::uint32_t* out) const;
   // CIOS Montgomery product over n64_.size()-limb little-endian buffers
   // with R64 = 2^(64 * n64_.size()): out = a*b*R64^-1 mod m for a, b < m.
-  // t is n64_.size()+1 limbs of scratch; out may alias an input.
+  // t is n64_.size()+1 limbs of scratch; out may alias an input. The
+  // portable product: mont_mul64_adx_ runs in its place where it is set.
   void mont_mul64_into(const std::uint64_t* a, const std::uint64_t* b,
                        std::uint64_t* out, std::uint64_t* t) const;
+  // The sliding-window ladder, on mont_mul64_adx_ unless `portable`.
+  [[nodiscard]] BigUInt mod_exp_windowed(const BigUInt& base,
+                                         const BigUInt& exp,
+                                         bool portable) const;
 
   BigUInt m_;
   BigUInt r2_;           // R^2 mod m
@@ -172,6 +192,12 @@ class MontgomeryCtx {
   std::vector<std::uint64_t> n64_;
   std::vector<std::uint64_t> r2_64_;  // R64^2 mod m
   std::uint64_t n0inv64_;             // -m^-1 mod 2^64
+  // The MULX/ADX product unrolled for n64_.size() limbs (mont_mul64_into's
+  // contract, with m's limbs and n0inv64_ passed in), or null where this
+  // host or limb count has none.
+  void (*mont_mul64_adx_)(const std::uint64_t* a, const std::uint64_t* b,
+                          const std::uint64_t* n, std::uint64_t n0inv,
+                          std::uint64_t* out, std::uint64_t* t) = nullptr;
 };
 
 }  // namespace worm::crypto

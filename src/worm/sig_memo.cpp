@@ -36,12 +36,20 @@ bool SigVerifyMemo::verify(const crypto::PreparedRsaKey& key,
   bool ok = key.verify(message, sig);
   {
     common::ExclusiveLock lk(s.mu);
-    if (s.map.size() >= kShardCapacity && !s.map.contains(k)) {
-      // Bound memory without LRU bookkeeping: drop an arbitrary entry.
-      // Re-verification of the dropped signature is correct, just slower.
-      s.map.erase(s.map.begin());
+    // Another reader may have inserted k since the lookup; its verdict is
+    // the same, and k keeps its place in the ring.
+    auto [it, inserted] = s.map.try_emplace(k, ok);
+    if (inserted) {
+      if (s.ring.size() < kShardCapacity) {
+        s.ring.push_back(&it->first);
+      } else {
+        // Evict in insertion order. Re-verification of the dropped
+        // signature is correct, just slower.
+        s.map.erase(s.map.find(*s.ring[s.oldest]));
+        s.ring[s.oldest] = &it->first;
+        s.oldest = (s.oldest + 1) % kShardCapacity;
+      }
     }
-    s.map.insert_or_assign(k, ok);
   }
   return ok;
 }

@@ -13,7 +13,11 @@
 //
 // Keys are SHA-256 digests over the length-prefixed tuple (the key's
 // encoding, the message, the signature), so the memo holds 32 bytes + bool
-// per distinct signature rather than whole messages. The caller hands in a
+// per distinct signature rather than whole messages. A full shard evicts
+// its oldest entry (a hit does not renew one), so an entry stays through
+// the next kCapacity / kShards insertions into its shard: a working set
+// that fits the memo hits again after that many one-off checks have passed
+// through. The caller hands in a
 // crypto::PreparedRsaKey, so a lookup hashes the key's cached encoding and
 // a miss runs that key's one verify path; nothing is re-serialized or
 // re-prepared per call.
@@ -40,6 +44,9 @@ struct SigMemoStats {
 
 class SigVerifyMemo {
  public:
+  /// Memoized results held at most, across the shards.
+  static constexpr std::size_t kCapacity = 8192;
+
   SigVerifyMemo() = default;
 
   SigVerifyMemo(const SigVerifyMemo&) = delete;
@@ -65,11 +72,15 @@ class SigVerifyMemo {
     }
   };
   static constexpr std::size_t kShards = 8;
-  /// Memoized results per shard: 8192 across the shards.
-  static constexpr std::size_t kShardCapacity = 8192 / kShards;
+  static constexpr std::size_t kShardCapacity = kCapacity / kShards;
   struct Shard {
     mutable common::AnnotatedSharedMutex mu;
     std::unordered_map<Key, bool, KeyHash> map GUARDED_BY(mu);
+    // The map's own keys in insertion order (unordered_map never moves an
+    // element, and an entry leaves the ring when it leaves the map). Once
+    // the shard is full, ring[oldest] is the next to go.
+    std::vector<const Key*> ring GUARDED_BY(mu);
+    std::size_t oldest GUARDED_BY(mu) = 0;
   };
 
   std::array<Shard, kShards> shards_;

@@ -3,6 +3,8 @@
 // this arithmetic underpins every RSA signature in the system.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "crypto/biguint.hpp"
 #include "crypto/drbg.hpp"
@@ -319,8 +321,68 @@ TEST(Montgomery, WindowedMatchesBinaryAtRsaSizes) {
   }
 }
 
+TEST(Montgomery, AdxProductMatchesPortableAtUnrolledLimbCounts) {
+  // The windowed ladder on the dispatched product (MULX with ADCX/ADOX
+  // carry chains at 4, 8, 16 and 32 64-bit limbs on BMI2+ADX hosts), on the
+  // portable product, and the 32-bit binary ladder must agree. Moduli: a
+  // random one, one with an all-ones top limb, one whose top limb has only
+  // its top bit set (both over random low limbs), 2^(64N) - 1 and
+  // 2^(64N-1) + 1. Bases 0, 1, m - 1, all-ones limbs (2^(64N) - 1, reduced
+  // on entry), >= m and random; and the bases x * R^-1 whose Montgomery
+  // form, the product's operand, is 1 or m - 1. Exponents 0-3, 65537 (the
+  // verify shape), and full-length random and all-ones ones.
+  struct StrategyGuard {
+    ~StrategyGuard() { set_mod_exp_strategy(ModExpStrategy::kWindowed); }
+  } guard;
+  Drbg rng(18);
+  for (std::size_t limbs : {std::size_t{4}, std::size_t{8}, std::size_t{16},
+                            std::size_t{32}}) {
+    const std::size_t bits = 64 * limbs;
+    const BigUInt wide_ones = (BigUInt(1) << bits) - BigUInt(1);
+    const BigUInt top_limb = BigUInt(1) << (bits - 64);
+    BigUInt low = rng.big_below(top_limb);
+    if (low.is_even()) low = low + BigUInt(1);
+    BigUInt random_m = rng.big_with_bits(bits);
+    if (random_m.is_even()) random_m = random_m + BigUInt(1);
+    for (const BigUInt& m :
+         {random_m, wide_ones - top_limb + BigUInt(1) + low,
+          (BigUInt(1) << (bits - 1)) + low, wide_ones,
+          (BigUInt(1) << (bits - 1)) + BigUInt(1)}) {
+      MontgomeryCtx ctx(m);
+      const BigUInt r_inv =
+          BigUInt::mod_inverse((BigUInt(1) << bits) % m, m);
+      const BigUInt r = rng.big_below(m);
+      auto check = [&](const BigUInt& base, const BigUInt& exp) {
+        const BigUInt want = ctx.mod_exp_binary(base, exp);
+        set_mod_exp_strategy(ModExpStrategy::kPortable);
+        EXPECT_EQ(ctx.mod_exp(base, exp), want)
+            << "portable limbs=" << limbs << " m=" << m.to_hex()
+            << " base=" << base.to_hex() << " exp=" << exp.to_hex();
+        set_mod_exp_strategy(ModExpStrategy::kWindowed);
+        EXPECT_EQ(ctx.mod_exp(base, exp), want)
+            << "dispatched limbs=" << limbs << " m=" << m.to_hex()
+            << " base=" << base.to_hex() << " exp=" << exp.to_hex();
+        if (limbs == 4) {
+          EXPECT_EQ(naive_mod_exp(base, exp, m), want)
+              << "limbs=" << limbs << " m=" << m.to_hex();
+        }
+      };
+      const std::vector<BigUInt> bases = {
+          BigUInt(0), BigUInt(1), m - BigUInt(1), wide_ones, m + r, r,
+          r_inv, ((m - BigUInt(1)) * r_inv) % m};
+      for (const BigUInt& base : bases) {
+        for (std::uint64_t e : {0u, 1u, 2u, 3u, 65537u}) check(base, e);
+      }
+      for (const BigUInt& base : {r, m - BigUInt(1), r_inv}) {
+        check(base, wide_ones);
+        check(base, rng.big_with_bits(bits - rng.uniform(8)));
+      }
+    }
+  }
+}
+
 TEST(Montgomery, StrategyHookRoutesBigUIntModExp) {
-  // BigUInt::mod_exp honors the process-wide strategy hook; both strategies
+  // BigUInt::mod_exp honors the process-wide strategy hook; every strategy
   // must agree through the public entry point too.
   Drbg rng(16);
   BigUInt m = rng.big_with_bits(512);
@@ -329,9 +391,12 @@ TEST(Montgomery, StrategyHookRoutesBigUIntModExp) {
   BigUInt exp = rng.big_with_bits(512);
   set_mod_exp_strategy(ModExpStrategy::kBinary);
   BigUInt via_binary = BigUInt::mod_exp(base, exp, m);
+  set_mod_exp_strategy(ModExpStrategy::kPortable);
+  BigUInt via_portable = BigUInt::mod_exp(base, exp, m);
   set_mod_exp_strategy(ModExpStrategy::kWindowed);
   BigUInt via_windowed = BigUInt::mod_exp(base, exp, m);
   EXPECT_EQ(via_windowed, via_binary);
+  EXPECT_EQ(via_portable, via_binary);
   EXPECT_EQ(mod_exp_strategy(), ModExpStrategy::kWindowed);
 }
 

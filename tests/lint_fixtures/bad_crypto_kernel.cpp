@@ -27,4 +27,17 @@ void hand_rolled_reference(crypto::MontgomeryCtx& ctx,
   ctx.mont_mul_into(a, b, out, scratch);
 }
 
+void pinned_adx_kernel(const std::uint64_t* a, const std::uint64_t* b,
+                       const std::uint64_t* n, std::uint64_t n0inv,
+                       std::uint64_t* out, std::uint64_t* scratch) {
+  crypto::mont_mul64_adx<8>(a, b, n, n0inv, out, scratch);
+}
+
+void adx_through_the_context(crypto::MontgomeryCtx& ctx,
+                             const std::uint64_t* a, const std::uint64_t* b,
+                             const std::uint64_t* n, std::uint64_t n0inv,
+                             std::uint64_t* out, std::uint64_t* scratch) {
+  ctx.mont_mul64_adx_(a, b, n, n0inv, out, scratch);
+}
+
 }  // namespace worm

@@ -146,12 +146,15 @@ TEST(Rsa, SignaturesAreDeterministic) {
 
 TEST(Rsa, WindowedAndBinaryKernelsSignByteIdentically) {
   // Signing is deterministic, so the production kernel (sliding window over
-  // 64-bit limbs) and the binary reference (32-bit limbs) must produce the
-  // same bytes for every key and message: witnesses, journals and disk
-  // images do not depend on which kernel ran.
+  // 64-bit limbs, on the MULX/ADX product where the host and limb count
+  // have it), the same ladder on the portable product and the binary
+  // reference (32-bit limbs) must produce the same bytes for every key and
+  // message: witnesses, journals and disk images do not depend on which
+  // kernel ran. 768-bit keys (6-limb CRT halves, a 12-limb modulus) run
+  // the portable product under every strategy.
   const std::string long_text(1000, 'w');
-  for (std::size_t bits : {std::size_t{512}, std::size_t{1024},
-                           std::size_t{2048}}) {
+  for (std::size_t bits : {std::size_t{512}, std::size_t{768},
+                           std::size_t{1024}, std::size_t{2048}}) {
     for (std::uint64_t variant : {0u, 1u}) {
       const RsaPrivateKey& k = cached_key(bits, variant);
       for (const std::string& text :
@@ -159,6 +162,10 @@ TEST(Rsa, WindowedAndBinaryKernelsSignByteIdentically) {
         const Bytes msg = to_bytes(text);
         set_mod_exp_strategy(ModExpStrategy::kBinary);
         const Bytes reference = rsa_sign(k, msg);
+        set_mod_exp_strategy(ModExpStrategy::kPortable);
+        EXPECT_EQ(rsa_sign(k, msg), reference)
+            << "portable bits=" << bits << " variant=" << variant
+            << " len=" << text.size();
         set_mod_exp_strategy(ModExpStrategy::kWindowed);
         EXPECT_EQ(rsa_sign(k, msg), reference)
             << "bits=" << bits << " variant=" << variant

@@ -5,7 +5,10 @@
 #include <optional>
 #include <string>
 
+#include "crypto/rsa.hpp"
+#include "scpu/key_cache.hpp"
 #include "worm/envelopes.hpp"
+#include "worm/sig_memo.hpp"
 #include "worm_fixture.hpp"
 
 namespace worm::core {
@@ -285,6 +288,28 @@ TEST(Verifier, VerdictNamesAreStable) {
   EXPECT_STREQ(to_string(Verdict::kAuthentic), "authentic");
   EXPECT_STREQ(to_string(Verdict::kTampered), "TAMPERED");
   EXPECT_STREQ(to_string(Verdict::kStaleProof), "stale-proof");
+}
+
+TEST(SigMemo, FullMemoKeepsAWorkingSetOfHalfItsSize) {
+  // A full memo evicts its oldest entries. After kCapacity one-off checks
+  // fill it, a working set of half its size checked twice hits on every
+  // check of its second pass, whichever shards its digests land in.
+  const crypto::RsaPrivateKey& key = scpu::cached_rsa_key(0x3e30, 512);
+  const crypto::PreparedRsaKey prepared(key.public_key());
+  const Bytes sig = crypto::rsa_sign(key, to_bytes("signed message"));
+  SigVerifyMemo memo;
+  auto check = [&](std::size_t i) {
+    EXPECT_FALSE(
+        memo.verify(prepared, to_bytes("message " + std::to_string(i)), sig));
+  };
+  constexpr std::size_t kFill = SigVerifyMemo::kCapacity;
+  constexpr std::size_t kWorkingSet = SigVerifyMemo::kCapacity / 2;
+  for (std::size_t i = 0; i < kFill + kWorkingSet; ++i) check(i);
+  EXPECT_EQ(memo.stats().misses, kFill + kWorkingSet);
+  const std::uint64_t hits = memo.stats().hits;
+  for (std::size_t i = kFill; i < kFill + kWorkingSet; ++i) check(i);
+  EXPECT_EQ(memo.stats().hits - hits, kWorkingSet);
+  EXPECT_TRUE(memo.verify(prepared, to_bytes("signed message"), sig));
 }
 
 }  // namespace

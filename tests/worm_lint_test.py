@@ -62,13 +62,14 @@ def main():
         check(f"{fixture}:rule", f"[{rule}]" in r.stdout,
               f"expected [{rule}] in:\n{r.stdout}")
 
-    # crypto-isolation flags each of its fixture's four calls (process_blocks,
-    # force_backend and both Montgomery product kernels), so a kernel renamed
-    # out of the rule's pattern shows up here.
+    # crypto-isolation flags each of its fixture's six calls (process_blocks,
+    # force_backend, the 32- and 64-bit portable Montgomery products, and the
+    # MULX/ADX product by name and through the context's pointer), so a
+    # kernel renamed out of the rule's pattern shows up here.
     r = run_lint("--as-src", str(FIXTURES / "bad_crypto_kernel.cpp"))
     check("bad_crypto_kernel.cpp:every-call",
-          r.stdout.count("[crypto-isolation]") == 4,
-          f"expected 4 findings, one per call:\n{r.stdout}")
+          r.stdout.count("[crypto-isolation]") == 6,
+          f"expected 6 findings, one per call:\n{r.stdout}")
 
     # (c) the near-miss fixture is clean: no false positives on comments,
     # strings, continuations, (void) discards or the annotated wrappers.

@@ -75,13 +75,16 @@ enforces the architectural invariants that no single-TU analysis can see:
 
   crypto-isolation    The raw crypto kernels — SHA-256 block compression
                       (process_block/process_blocks), the Montgomery limb
-                      kernels (mont_mul_into/mont_mul64_into), and the global
-                      backend override (force_backend) — are implementation
-                      detail of src/crypto/. Code elsewhere in src/ must use
-                      the public Sha256 / ChainedHash / MontgomeryCtx APIs so
-                      runtime backend dispatch and the device cost model stay
-                      centralized (bench/ and tests/ live outside src/ and
-                      may pin backends for A/B measurement).
+                      kernels (mont_mul_into/mont_mul64_into and the
+                      MULX/ADX product, mont_mul64_adx<N> and the
+                      context's mont_mul64_adx_ pointer to it), and the
+                      global backend override (force_backend) — are
+                      implementation detail of src/crypto/. Code elsewhere
+                      in src/ must use the public Sha256 / ChainedHash /
+                      MontgomeryCtx APIs so runtime backend dispatch and the
+                      device cost model stay centralized (bench/ and tests/
+                      live outside src/ and may pin backends for A/B
+                      measurement).
 
 Usage:
   worm_lint.py [--repo DIR] [--compile-commands FILE] [--as-src FILE...]
@@ -209,7 +212,8 @@ PROJECT_INCLUDE_PATTERN = re.compile(r'#\s*include\s*"([^"]+)"')
 
 # Raw crypto-kernel entry points; callable only from src/crypto/ itself.
 CRYPTO_KERNEL_PATTERN = re.compile(
-    r"\b(?:process_blocks?|mont_mul(?:64)?_into|force_backend)\s*\(")
+    r"\b(?:process_blocks?|mont_mul(?:64)?_into|mont_mul64_adx_?"
+    r"(?:\s*<\s*\w+\s*>)?|force_backend)\s*\(")
 CRYPTO_KERNEL_ALLOWLIST = re.compile(r"^src/crypto/")
 
 
