@@ -43,7 +43,7 @@ core::StoreConfig sharded_config() {
   sc.default_mode = core::WitnessMode::kHmac;  // §4.3 burst mode
   sc.hash_mode = core::HashMode::kHostHash;    // admission-side hashing
   sc.pipeline.enabled = true;
-  sc.pipeline.max_batch = 16;
+  sc.mailbox.max_batch = 16;
   sc.pipeline.queue_capacity = 256;
   return sc;
 }

@@ -44,7 +44,7 @@ core::StoreConfig pipeline_config(std::size_t max_batch) {
   sc.default_mode = core::WitnessMode::kHmac;  // §4.3 burst mode
   sc.hash_mode = core::HashMode::kHostHash;    // admission-side hashing
   sc.pipeline.enabled = true;
-  sc.pipeline.max_batch = max_batch;
+  sc.mailbox.max_batch = max_batch;
   sc.pipeline.queue_capacity = 256;
   return sc;
 }
@@ -150,7 +150,7 @@ int main() {
   std::printf("%-22s %8d %16.0f %9.2fx %10s %10s\n", "sync_write", 1,
               sync_base, 1.0, "-", "-");
 
-  // Async writer sweep at the default group size (max_batch = 16).
+  // Async writer sweep at a group size of 16 (mailbox.max_batch).
   double at8 = 0;
   for (std::size_t k : {1u, 2u, 4u, 8u}) {
     bench::BenchRig rig(bench::bench_fw_config(), pipeline_config(16));

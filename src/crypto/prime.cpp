@@ -1,6 +1,7 @@
 #include "crypto/prime.hpp"
 
 #include <array>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -78,19 +79,30 @@ bool is_probable_prime(const BigUInt& n, Drbg& rng, std::size_t rounds) {
 
 BigUInt generate_prime(Drbg& rng, std::size_t bits) {
   WORM_REQUIRE(bits >= 16, "generate_prime: need at least 16 bits");
-  for (;;) {
+  // An odd `bits`-bit number is prime with probability about
+  // 2 / (bits ln 2), so kCandidatesPerBit * bits candidates all fail with
+  // probability about e^(-2 * 64 / ln 2) < 2^-260. Honest arithmetic never
+  // exhausts the budget; a broken Montgomery kernel, which makes
+  // Miller-Rabin reject every prime, fails here instead of spinning.
+  constexpr std::size_t kCandidatesPerBit = 64;
+  std::size_t budget = kCandidatesPerBit * bits;
+  while (budget > 0) {
     BigUInt cand = rng.big_with_bits(bits);
     // Force the second-highest bit (full-length RSA modulus) and oddness.
     if (!cand.bit(bits - 2)) cand = cand + (BigUInt(1) << (bits - 2));
     if (cand.is_even()) cand = cand + BigUInt(1);
     // Walk odd numbers from the candidate; bounded walk keeps the
     // distribution acceptable and the search fast.
-    for (int step = 0; step < 512; ++step) {
+    for (int step = 0; step < 512 && budget > 0; ++step, --budget) {
       if (cand.bit_length() != bits) break;
       if (is_probable_prime(cand, rng)) return cand;
       cand = cand + BigUInt(2);
     }
   }
+  throw common::InternalError(
+      "generate_prime: no " + std::to_string(bits) + "-bit prime among " +
+      std::to_string(kCandidatesPerBit * bits) +
+      " candidates; the modular arithmetic is broken");
 }
 
 }  // namespace worm::crypto

@@ -1,5 +1,7 @@
 #include "crypto/rsa.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/serial.hpp"
 #include "crypto/prime.hpp"
@@ -77,7 +79,11 @@ RsaPrivateKey rsa_generate(Drbg& rng, std::size_t bits) {
   WORM_REQUIRE(bits >= 512 && bits % 2 == 0,
                "rsa_generate: modulus must be >= 512 bits and even");
   const BigUInt e(65537);
-  for (;;) {
+  // With honest primes a round fails only when p == q or e divides p-1 or
+  // q-1 (about 2/65537 per round; their top two bits make n full length),
+  // so kRounds failures in a row mean broken arithmetic.
+  constexpr int kRounds = 16;
+  for (int round = 0; round < kRounds; ++round) {
     BigUInt p = generate_prime(rng, bits / 2);
     BigUInt q = generate_prime(rng, bits / 2);
     if (p == q) continue;
@@ -100,6 +106,9 @@ RsaPrivateKey rsa_generate(Drbg& rng, std::size_t bits) {
     k.q = std::move(q);
     return k;
   }
+  throw common::InternalError("rsa_generate: no valid " +
+                              std::to_string(bits) + "-bit key in " +
+                              std::to_string(kRounds) + " rounds");
 }
 
 Bytes rsa_sign(const RsaPrivateKey& key, ByteView message) {

@@ -446,18 +446,12 @@ SignedSnBase Firmware::sign_base() {
   return s;
 }
 
-SignedSnBase Firmware::advance_base(Sn new_base,
-                                    const std::vector<DeletionProof>& proofs,
-                                    const std::vector<DeletedWindow>& windows) {
-  dev_.ensure_alive();
-  WORM_REQUIRE(new_base > sn_base_, "advance_base: base may only move up");
-  WORM_REQUIRE(new_base <= sn_current_ + 1,
-               "advance_base: base beyond allocated SNs");
-
-  std::map<Sn, const DeletionProof*> by_sn;
-  for (const auto& p : proofs) by_sn.emplace(p.sn, &p);
-
-  // Verify window signatures once, then use their ranges for coverage.
+void Firmware::check_deletion_evidence(
+    Sn lo, Sn hi, const std::vector<DeletionProof>& proofs,
+    const std::vector<DeletedWindow>& windows, const char* op) {
+  const std::string prefix = std::string(op) + ": ";
+  // Window signatures are verified once, then their ranges count as
+  // coverage.
   for (const auto& w : windows) {
     dev_.charge(dev_.cost().verify_cost(kStrongBits) * 2);
     bool ok =
@@ -469,34 +463,39 @@ SignedSnBase Firmware::advance_base(Sn new_base,
             strong_key_->public_key(),
             window_bound_payload(true, w.window_id, w.hi, w.created_at),
             w.sig_hi);
-    if (!ok) throw ScpuError("advance_base: invalid window bounds");
+    if (!ok) throw ScpuError(prefix + "invalid window bounds");
   }
 
-  for (Sn sn = sn_base_; sn < new_base; ++sn) {
-    bool covered = false;
+  std::map<Sn, const DeletionProof*> by_sn;
+  for (const auto& p : proofs) by_sn.emplace(p.sn, &p);
+  for (Sn sn = lo; sn <= hi; ++sn) {
     if (auto it = by_sn.find(sn); it != by_sn.end()) {
       dev_.charge(dev_.cost().verify_cost(kDeletionBits));
       if (!crypto::rsa_verify(
               deletion_key_->public_key(),
               deletion_proof_payload(sn, it->second->deleted_at),
               it->second->sig)) {
-        throw ScpuError("advance_base: invalid deletion proof");
+        throw ScpuError(prefix + "invalid deletion proof");
       }
-      covered = true;
-    } else {
-      for (const auto& w : windows) {
-        if (w.contains(sn)) {
-          covered = true;
-          break;
-        }
-      }
+      continue;
     }
-    if (!covered) {
-      throw ScpuError("advance_base: SN " + std::to_string(sn) +
+    if (std::none_of(windows.begin(), windows.end(),
+                     [sn](const DeletedWindow& w) { return w.contains(sn); })) {
+      throw ScpuError(prefix + "SN " + std::to_string(sn) +
                       " not proven deleted");
     }
   }
+}
 
+SignedSnBase Firmware::advance_base(Sn new_base,
+                                    const std::vector<DeletionProof>& proofs,
+                                    const std::vector<DeletedWindow>& windows) {
+  dev_.ensure_alive();
+  WORM_REQUIRE(new_base > sn_base_, "advance_base: base may only move up");
+  WORM_REQUIRE(new_base <= sn_current_ + 1,
+               "advance_base: base beyond allocated SNs");
+  check_deletion_evidence(sn_base_, new_base - 1, proofs, windows,
+                          "advance_base");
   sn_base_ = new_base;
   return sign_base();
 }
@@ -510,45 +509,8 @@ DeletedWindow Firmware::certify_window(Sn lo, Sn hi,
     throw ScpuError("certify_window: windows need >= 3 entries (§4.2.1)");
   }
   WORM_REQUIRE(hi <= sn_current_, "certify_window: range beyond SN_current");
-
   // Prior windows count as evidence once their (correlated) bounds verify.
-  for (const auto& w : windows) {
-    dev_.charge(dev_.cost().verify_cost(kStrongBits) * 2);
-    bool ok =
-        crypto::rsa_verify(
-            strong_key_->public_key(),
-            window_bound_payload(false, w.window_id, w.lo, w.created_at),
-            w.sig_lo) &&
-        crypto::rsa_verify(
-            strong_key_->public_key(),
-            window_bound_payload(true, w.window_id, w.hi, w.created_at),
-            w.sig_hi);
-    if (!ok) throw ScpuError("certify_window: invalid prior window");
-  }
-
-  std::map<Sn, const DeletionProof*> by_sn;
-  for (const auto& p : proofs) by_sn.emplace(p.sn, &p);
-  for (Sn sn = lo; sn <= hi; ++sn) {
-    auto it = by_sn.find(sn);
-    if (it == by_sn.end()) {
-      bool in_window = false;
-      for (const auto& w : windows) {
-        if (w.contains(sn)) {
-          in_window = true;
-          break;
-        }
-      }
-      if (in_window) continue;
-      throw ScpuError("certify_window: missing deletion evidence for SN " +
-                      std::to_string(sn));
-    }
-    dev_.charge(dev_.cost().verify_cost(kDeletionBits));
-    if (!crypto::rsa_verify(deletion_key_->public_key(),
-                            deletion_proof_payload(sn, it->second->deleted_at),
-                            it->second->sig)) {
-      throw ScpuError("certify_window: invalid deletion proof");
-    }
-  }
+  check_deletion_evidence(lo, hi, proofs, windows, "certify_window");
 
   DeletedWindow w;
   w.window_id = drbg_.next_u64();  // correlates the two bounds (§4.2.1)

@@ -348,6 +348,15 @@ class Firmware {
   void rm_fire();
   void heartbeat_fire();
   DeletionProof make_deletion_proof(Sn sn);
+  /// The deletion evidence advance_base and certify_window both require:
+  /// every SN in [lo, hi] carries a valid deletion proof or lies in one of
+  /// `windows`, whose bound signatures are verified first. Charges each
+  /// verification; throws ScpuError, prefixed with `op`, on the first
+  /// failure.
+  void check_deletion_evidence(Sn lo, Sn hi,
+                               const std::vector<DeletionProof>& proofs,
+                               const std::vector<DeletedWindow>& windows,
+                               const char* op);
   void verify_lit_credential(Sn sn, std::uint64_t lit_id,
                              common::SimTime issued_at,
                              common::ByteView credential, bool hold);

@@ -98,6 +98,14 @@ void Vrdt::trim_below(Sn sn_base) {
                 [sn_base](const DeletedWindow& w) { return w.hi < sn_base; });
 }
 
+bool Vrdt::holds_below(Sn sn_base) const {
+  return (!entries_.empty() && entries_.begin()->first < sn_base) ||
+         std::any_of(windows_.begin(), windows_.end(),
+                     [sn_base](const DeletedWindow& w) {
+                       return w.hi < sn_base;
+                     });
+}
+
 std::size_t Vrdt::active_count() const {
   std::size_t n = 0;
   for (const auto& [sn, e] : entries_) {

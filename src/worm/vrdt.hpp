@@ -58,6 +58,9 @@ class Vrdt {
   /// proofs are superseded by the signed base bound).
   void trim_below(Sn sn_base);
 
+  /// True when trim_below(sn_base) would drop anything.
+  [[nodiscard]] bool holds_below(Sn sn_base) const;
+
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   [[nodiscard]] std::size_t window_count() const { return windows_.size(); }
   [[nodiscard]] std::size_t active_count() const;

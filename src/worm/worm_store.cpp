@@ -44,12 +44,8 @@ void StoreConfig::validate() const {
   WORM_REQUIRE(mailbox.retry.deadline >= mailbox.retry.initial_backoff,
                "StoreConfig.mailbox.retry.deadline is shorter than "
                "retry.initial_backoff (inverted durations)");
-  if (pipeline.enabled) {
-    WORM_REQUIRE(pipeline.queue_capacity > 0,
-                 "StoreConfig.pipeline.queue_capacity must be nonzero");
-    WORM_REQUIRE(pipeline.max_batch > 0 && pipeline.max_batch <= kMaxBatchItems,
-                 "StoreConfig.pipeline.max_batch must be in [1, 1024]");
-  }
+  WORM_REQUIRE(!pipeline.enabled || pipeline.queue_capacity > 0,
+               "StoreConfig.pipeline.queue_capacity must be nonzero");
 }
 
 namespace {
@@ -96,7 +92,8 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
 
   if (config_.pipeline.enabled) {
     pipeline_ = std::make_unique<WritePipeline>(
-        config_.pipeline, [this](std::vector<WritePipeline::Pending>&& group) {
+        config_.pipeline, config_.mailbox.max_batch,
+        [this](std::vector<WritePipeline::Pending>&& group) {
           flush_group(std::move(group));
         });
   }
@@ -179,22 +176,81 @@ ScpuChannel::Prepared WormStore::journal_intent(
   return cmd;
 }
 
-WormStore::Sequenced WormStore::sequenced(Bytes frame) {
-  ScpuChannel::Prepared cmd = journal_intent(std::move(frame));
-  try {
-    return {channel_.send_ok(cmd), cmd.seq};
-  } catch (...) {
-    if (device_rejected(std::current_exception())) complete_intent(cmd.seq);
-    throw;
-  }
-}
-
 void WormStore::complete_intent(std::uint64_t seq) {
   if (!journal_.enabled()) return;
   common::ByteWriter w;
   w.u64(seq);
   journal_.append(JournalRecordType::kComplete, w.bytes());
   pending_seqs_.erase(seq);
+}
+
+void WormStore::cross_sequenced(Bytes frame) {
+  ScpuChannel::Prepared cmd;
+  {
+    common::ExclusiveLock lk(state_mu_);
+    cmd = journal_intent(std::move(frame));
+  }
+  Bytes payload;
+  std::exception_ptr failure;
+  try {
+    payload = channel_.send_ok(cmd);
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  common::ExclusiveLock lk(state_mu_);
+  if (failure != nullptr) {
+    // A rejected command never ran; a timed-out one may have, so its intent
+    // stays pending for recover().
+    if (device_rejected(failure)) complete_intent(cmd.seq);
+    std::rethrow_exception(failure);
+  }
+  (void)apply_answer_locked(cmd.request, payload);
+  complete_intent(cmd.seq);
+}
+
+std::vector<Sn> WormStore::apply_answer_locked(ByteView frame,
+                                               ByteView payload) {
+  switch (ScpuChannel::request_opcode(frame)) {
+    case OpCode::kWriteBatch: {
+      ScpuChannel::ParsedWriteBatch parsed =
+          ScpuChannel::decode_write_batch_request(frame);
+      return apply_write_ack_locked(payload, parsed.items, parsed.mode);
+    }
+    case OpCode::kLitHold:
+    case OpCode::kLitRelease:
+      apply_lit_update(ScpuChannel::decode_lit_request_sn(frame),
+                       ScpuChannel::decode_lit_response(payload));
+      break;
+    case OpCode::kStrengthen:
+      apply_strengthen_results(
+          ScpuChannel::decode_strengthen_response(payload));
+      break;
+    case OpCode::kCertifyWindow: {
+      DeletedWindow merged = ScpuChannel::decode_window_response(payload);
+      try {
+        journal_apply_window(merged);
+        vrdt_.apply_window(merged);
+        ++ops_.compactions;
+      } catch (const common::Error&) {
+        // A covered proof is missing (a replay that did not restore it):
+        // the signed window is still valid — skip the local compaction.
+      }
+      break;
+    }
+    case OpCode::kAdvanceBase: {
+      SignedSnBase base = ScpuChannel::decode_base_response(payload);
+      Sn new_base = base.sn_base;
+      base_ = std::move(base);
+      journal_trim_below(new_base);
+      vrdt_.trim_below(new_base);
+      sn_base_mirror_ = new_base;
+      ++ops_.base_advances;
+      break;
+    }
+    default:
+      break;  // unsequenced opcodes are never journaled
+  }
+  return {};
 }
 
 void WormStore::journal_put_active(const Vrd& vrd) {
@@ -365,10 +421,6 @@ void WormStore::release_staged(const std::vector<Firmware::BatchItem>& items) {
   }
 }
 
-Bytes WormStore::cross_write_batch(const ScpuChannel::Prepared& cmd) {
-  return channel_.send_ok(cmd);
-}
-
 void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
                               const Landed& landed) {
   auto mode_of = [this](const UnstagedWrite& w) {
@@ -431,7 +483,7 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
     Bytes payload;
     std::exception_ptr failure;
     try {
-      payload = cross_write_batch(cmd);
+      payload = channel_.send_ok(cmd);
     } catch (...) {
       failure = std::current_exception();
     }
@@ -517,10 +569,7 @@ std::vector<Sn> WormStore::write_batch(
   common::MutexLock commit(commit_mu_);
   require_mutable();
   try {
-    {
-      common::ExclusiveLock lk(state_mu_);
-      maybe_service_deadline();
-    }
+    maybe_service_deadline();
     commit_writes(writes, [&sns](std::size_t, Sn sn,
                                  const std::exception_ptr& rejected) {
       // The caller gets one answer: a rejection stops the whole call.
@@ -610,10 +659,7 @@ void WormStore::flush_group(std::vector<WritePipeline::Pending>&& group) {
   std::exception_ptr err;  // what every unresolved ticket fails with
   try {
     require_mutable();
-    {
-      common::ExclusiveLock lk(state_mu_);
-      maybe_service_deadline();
-    }
+    maybe_service_deadline();
     std::vector<UnstagedWrite> writes;
     writes.reserve(group.size());
     for (WritePipeline::Pending& p : group) {
@@ -656,14 +702,6 @@ std::vector<Bytes> WormStore::read_payloads(const Vrd& vrd) {
   payloads.reserve(vrd.rdl.size());
   for (const auto& rd : vrd.rdl) payloads.push_back(records_.read(rd));
   return payloads;
-}
-
-SignedSnBase& WormStore::fresh_base() {
-  if (!base_.has_value() || clock_.now() >= base_->expires_at) {
-    base_ = channel_.sign_base();  // rare crossing; cached to expiry
-    sn_base_mirror_ = base_->sn_base;
-  }
-  return *base_;
 }
 
 std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
@@ -725,26 +763,30 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
                                  std::to_string(sn)}};
 }
 
-ReadOutcome WormStore::read_below_base_locked(Sn sn) {
+ReadOutcome WormStore::read_below_base(Sn sn) {
   // Refreshing an expired cached base is the one read-path step that may
   // touch the SCPU; if the device is gone (tamper response), the read still
   // answers — with the last held proof, or an honest unavailability notice.
+  std::string failure;
+  bool retryable = true;
   try {
-    return ReadOutcome{ReadBelowBase{fresh_base()}};
+    SignedSnBase base = channel_.sign_base();  // rare; cached to expiry
+    common::ExclusiveLock lk(state_mu_);
+    base_ = base;
+    sn_base_mirror_ = base.sn_base;
+    return ReadOutcome{ReadBelowBase{std::move(base)}};
   } catch (const ScpuDeadError& e) {
     degraded_ = true;
-    if (base_.has_value()) return ReadOutcome{ReadBelowBase{*base_}};
-    return ReadOutcome{ReadUnavailable{
-        std::string("SCPU zeroized and no base proof held for SN ") +
-            std::to_string(sn) + ": " + e.what(),
-        /*retryable=*/false}};
+    failure = std::string("SCPU zeroized and no base proof held for SN ") +
+              std::to_string(sn) + ": " + e.what();
+    retryable = false;
   } catch (const ChannelError& e) {
-    if (base_.has_value()) return ReadOutcome{ReadBelowBase{*base_}};
-    return ReadOutcome{ReadUnavailable{
-        std::string("cannot obtain base proof for SN ") + std::to_string(sn) +
-            ": " + e.what(),
-        /*retryable=*/true}};
+    failure = std::string("cannot obtain base proof for SN ") +
+              std::to_string(sn) + ": " + e.what();
   }
+  common::SharedLock lk(state_mu_);
+  if (base_.has_value()) return ReadOutcome{ReadBelowBase{*base_}};
+  return ReadOutcome{ReadUnavailable{std::move(failure), retryable}};
 }
 
 ReadOutcome WormStore::read(Sn sn) {
@@ -755,13 +797,15 @@ ReadOutcome WormStore::read(Sn sn) {
         common::SharedLock lk(state_mu_);
         if (auto r = read_locked(sn)) return std::move(*r);
       }
-      // The base proof expired; refreshing it crosses the mailbox, which
-      // takes the commit lock before the store lock. State may have moved
-      // while the shared lock was dropped, so answer again from scratch.
+      // The base proof expired; refreshing it crosses the mailbox, under
+      // the commit lock alone. State may have moved while no lock was held
+      // (another read may have refreshed it), so answer again from scratch.
       common::MutexLock commit(commit_mu_);
-      common::ExclusiveLock lk(state_mu_);
-      if (auto r = read_locked(sn)) return std::move(*r);
-      return read_below_base_locked(sn);
+      {
+        common::SharedLock lk(state_mu_);
+        if (auto r = read_locked(sn)) return std::move(*r);
+      }
+      return read_below_base(sn);
     } catch (const common::TransientStorageError& e) {
       // Payload read kept failing past the device retry budget: transient
       // unavailability, never silently-wrong bytes.
@@ -796,37 +840,32 @@ void WormStore::apply_lit_update(Sn sn, Firmware::LitUpdate up) {
 }
 
 void WormStore::lit_hold(const LitigationRequest& request) {
-  common::MutexLock commit(commit_mu_);
-  common::ExclusiveLock lk(state_mu_);
-  require_mutable();
-  Vrdt::Entry* e = vrdt_.mutable_entry(request.sn);
-  WORM_REQUIRE(e != nullptr && e->kind == Vrdt::Entry::Kind::kActive,
-               "lit_hold: record not active");
-  try {
-    Sequenced sq = sequenced(ScpuChannel::encode_lit_hold(
-        e->vrd, request.hold_until, request.lit_id, request.cred_issued_at,
-        request.credential));
-    apply_lit_update(request.sn,
-                     ScpuChannel::decode_lit_response(sq.payload));
-    complete_intent(sq.seq);
-  } catch (const ScpuDeadError& dead) {
-    enter_degraded(dead);
-  }
+  litigate(request, /*hold=*/true);
 }
 
 void WormStore::lit_release(const LitigationRequest& request) {
+  litigate(request, /*hold=*/false);
+}
+
+void WormStore::litigate(const LitigationRequest& request, bool hold) {
   common::MutexLock commit(commit_mu_);
-  common::ExclusiveLock lk(state_mu_);
   require_mutable();
-  Vrdt::Entry* e = vrdt_.mutable_entry(request.sn);
-  WORM_REQUIRE(e != nullptr && e->kind == Vrdt::Entry::Kind::kActive,
-               "lit_release: record not active");
+  Bytes frame;
+  {
+    common::SharedLock lk(state_mu_);
+    const Vrdt::Entry* e = vrdt_.find(request.sn);
+    WORM_REQUIRE(e != nullptr && e->kind == Vrdt::Entry::Kind::kActive,
+                 hold ? "lit_hold: record not active"
+                      : "lit_release: record not active");
+    frame = hold ? ScpuChannel::encode_lit_hold(
+                       e->vrd, request.hold_until, request.lit_id,
+                       request.cred_issued_at, request.credential)
+                 : ScpuChannel::encode_lit_release(e->vrd, request.lit_id,
+                                                   request.cred_issued_at,
+                                                   request.credential);
+  }
   try {
-    Sequenced sq = sequenced(ScpuChannel::encode_lit_release(
-        e->vrd, request.lit_id, request.cred_issued_at, request.credential));
-    apply_lit_update(request.sn,
-                     ScpuChannel::decode_lit_response(sq.payload));
-    complete_intent(sq.seq);
+    cross_sequenced(std::move(frame));
   } catch (const ScpuDeadError& dead) {
     enter_degraded(dead);
   }
@@ -972,20 +1011,27 @@ WormStore::RecoveryReport WormStore::recover() {
       WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
                    "recover: store already in service");
       replayed = replay_journal_locked(report);
-      resent = resend_intents_locked(replayed, report);
+      // Until its answer is applied, a replayed intent may hold SNs the
+      // host has no entry for: reads of them answer unavailable, not
+      // failure. Each leaves the list when its resend completes it.
+      for (const auto& [seq, frame] : replayed.pending) {
+        pending_seqs_.insert(seq);
+      }
+    }
+    resent = resend_intents(replayed.pending, report);
+    {
       // Host state is now what the journal and the device agree on; derive
       // the rest from it before re-executed admissions allocate.
+      common::ExclusiveLock lk(state_mu_);
       derive_host_state_locked(resent.unresolved, resent.abandoned,
                                std::exchange(replayed.expired, {}));
-      reconcile_with_device_locked(replayed.journaled_base, resent.unresolved);
     }
+    reconcile_with_device();
     rewrite_safe = reexecute_queued(replayed.queued, report);
   } catch (const ScpuDeadError&) {
-    // Dead device: keep pending intents on the books (reads of possibly
-    // in-flight SNs answer unavailable, not failure) and serve read-only.
+    // Dead device: serve read-only, with the pending intents on the books.
     common::ExclusiveLock lk(state_mu_);
     degraded_ = true;
-    for (const auto& [seq, frame] : replayed.pending) pending_seqs_.insert(seq);
     // Shreds what the try block did not get to (the exchange leaves the
     // list empty once it has run).
     derive_host_state_locked(replayed.pending, {},
@@ -1003,10 +1049,6 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
   HostJournal::ReplayResult replay = journal_.replay();
   report.torn_tail = replay.torn_tail;
   report.torn_bytes = replay.torn_bytes;
-  // journaled_base cannot be sn_base_mirror_: the constructor seeds that from
-  // the device's *current* status, which already reflects any base advance
-  // that happened while the host was down — exactly the advance
-  // reconciliation must detect and journal.
   Replayed out;
   for (const JournalRecord& rec : replay.records) {
     common::ByteReader r(rec.payload);
@@ -1058,7 +1100,6 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
           r.expect_end();
           vrdt_.trim_below(sn_base);
           sn_base_mirror_ = std::max(sn_base_mirror_, sn_base);
-          out.journaled_base = std::max(out.journaled_base, sn_base);
           break;
         }
         case JournalRecordType::kIntent: {
@@ -1113,17 +1154,15 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
   return out;
 }
 
-WormStore::Resent WormStore::resend_intents_locked(Replayed& replayed,
-                                                  RecoveryReport& report) {
+WormStore::Resent WormStore::resend_intents(const Intents& pending,
+                                           RecoveryReport& report) {
   // Continue the crossing sequence past everything the device or the
   // journal has seen, then resend every pending intent verbatim. The
   // device's per-(seq, crc) response cache turns each resend into
   // exactly-once: already-executed commands answer from the cache without
   // re-executing.
   std::uint64_t next = channel_.status().last_seq;
-  if (!replayed.pending.empty()) {
-    next = std::max(next, replayed.pending.rbegin()->first);
-  }
+  if (!pending.empty()) next = std::max(next, pending.rbegin()->first);
   channel_.set_next_seq(next + 1);
 
   // A transient journal fault fails its append cleanly, as a crash just
@@ -1138,96 +1177,57 @@ WormStore::Resent WormStore::resend_intents_locked(Replayed& replayed,
     }
   };
   Resent out;
-  for (const auto& [seq, frame] : replayed.pending) {
+  for (const auto& [seq, frame] : pending) {
     ++report.resent;
-    ++recovery_resent_;
     Bytes payload;
+    std::exception_ptr failure;
     try {
       payload = channel_.send_ok(ScpuChannel::Prepared{seq, frame});
-    } catch (const ScpuDeadError&) {
-      throw;
-    } catch (const ChannelTimeoutError&) {
-      // The resend itself timed out — the original delivery (or this one)
-      // may still have executed. The intent must stay on the books: reads
-      // of possibly-allocated SNs keep answering unavailable, and a later
-      // recover() retries the resend through the dedup cache.
-      ++report.unresolved;
-      out.unresolved.emplace(seq, frame);
-      continue;
-    } catch (const ChannelError&) {
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    common::ExclusiveLock lk(state_mu_);
+    ++recovery_resent_;
+    if (failure == nullptr) {
+      // The command has run: retry a step a transient journal fault failed
+      // rather than leave the answer to the next boot.
+      std::vector<Sn> sns =
+          retried([&] { return apply_answer_locked(frame, payload); });
+      retried([&] { complete_intent(seq); });
+      report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
+                                  sns.end());
+    } else if (device_rejected(failure)) {
       // Rejected: deterministic, so the original delivery (if any) was
       // rejected too. Nothing executed; abandon the intent.
       ++report.abandoned;
       retried([&] { complete_intent(seq); });
       out.abandoned.emplace(seq, frame);
-      continue;
+    } else {
+      // Device death and host faults end recovery. A resend that itself
+      // timed out may still have executed (or the original delivery did):
+      // the intent stays on the books, reads of possibly-allocated SNs keep
+      // answering unavailable, and a later recover() retries the resend
+      // through the dedup cache.
+      try {
+        std::rethrow_exception(failure);
+      } catch (const ChannelTimeoutError&) {
+        ++report.unresolved;
+        out.unresolved.emplace(seq, frame);
+      }
     }
-    // The command has run: retry a step a transient journal fault failed
-    // rather than leave the answer to the next boot.
-    std::vector<Sn> sns =
-        retried([&] { return apply_resent_locked(frame, payload, replayed); });
-    retried([&] { complete_intent(seq); });
-    report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
-                                sns.end());
   }
   return out;
 }
 
-std::vector<Sn> WormStore::apply_resent_locked(ByteView frame,
-                                               ByteView payload,
-                                               Replayed& replayed) {
-  switch (ScpuChannel::request_opcode(frame)) {
-    case OpCode::kWriteBatch: {
-      ScpuChannel::ParsedWriteBatch parsed =
-          ScpuChannel::decode_write_batch_request(frame);
-      return apply_write_ack_locked(payload, parsed.items, parsed.mode);
-    }
-    case OpCode::kLitHold:
-    case OpCode::kLitRelease:
-      apply_lit_update(ScpuChannel::decode_lit_request_sn(frame),
-                       ScpuChannel::decode_lit_response(payload));
-      break;
-    case OpCode::kStrengthen:
-      apply_strengthen_results(
-          ScpuChannel::decode_strengthen_response(payload));
-      break;
-    case OpCode::kCertifyWindow: {
-      DeletedWindow merged = ScpuChannel::decode_window_response(payload);
-      try {
-        journal_apply_window(merged);
-        vrdt_.apply_window(merged);
-        ++ops_.compactions;
-      } catch (const common::Error&) {
-        // The journal replay may not have restored every covered proof;
-        // the signed window is still valid — skip the local compaction.
-      }
-      break;
-    }
-    case OpCode::kAdvanceBase: {
-      SignedSnBase base = ScpuChannel::decode_base_response(payload);
-      Sn new_base = base.sn_base;
-      base_ = std::move(base);
-      journal_trim_below(new_base);
-      vrdt_.trim_below(new_base);
-      sn_base_mirror_ = new_base;
-      replayed.journaled_base = std::max(replayed.journaled_base, new_base);
-      ++ops_.base_advances;
-      break;
-    }
-    default:
-      break;  // unsequenced opcodes are never journaled
-  }
-  return {};
-}
-
-void WormStore::reconcile_with_device_locked(Sn journaled_base,
-                                             const Intents& unresolved) {
+void WormStore::reconcile_with_device() {
   // Post-resend reconciliation with the device's signed view.
   ScpuStatus st = channel_.status();
+  SignedSnCurrent heartbeat = channel_.heartbeat();
+  common::ExclusiveLock lk(state_mu_);
   sn_current_mirror_ = st.sn_current;
-  if (st.sn_base > journaled_base) {
-    // The device advanced sn_base past anything the journal has recorded —
-    // it moved while we were down. Record the trim before applying it: a
+  if (vrdt_.holds_below(st.sn_base)) {
+    // The device advanced sn_base past proofs the host still holds — it
+    // moved while we were down. Record the trim before applying it: a
     // crash between here and the end-of-recovery checkpoint rewrite must
     // not resurrect proofs the device already considers expired.
     journal_trim_below(st.sn_base);
@@ -1236,9 +1236,7 @@ void WormStore::reconcile_with_device_locked(Sn journaled_base,
   sn_base_mirror_ = st.sn_base;
   deferred_mirror_count_ = st.deferred_count;
   deferred_mirror_earliest_ = st.earliest_deadline;
-  heartbeat_ = channel_.heartbeat();
-  pending_seqs_.clear();
-  for (const auto& [seq, frame] : unresolved) pending_seqs_.insert(seq);
+  heartbeat_ = std::move(heartbeat);
 }
 
 bool WormStore::reexecute_queued(
@@ -1316,14 +1314,16 @@ MigrationAttestation WormStore::sign_migration(ByteView manifest_hash,
 
 SignedSnCurrent WormStore::refresh_heartbeat() {
   common::MutexLock commit(commit_mu_);
-  common::ExclusiveLock lk(state_mu_);
-  if (degraded_) return heartbeat_;  // no keys left to stamp a fresher one
+  if (degraded_) return latest_heartbeat();  // no keys left to stamp anew
+  SignedSnCurrent fresh;
   try {
-    heartbeat_ = channel_.heartbeat();
+    fresh = channel_.heartbeat();
   } catch (const ScpuDeadError& e) {
     enter_degraded(e);
   }
-  return heartbeat_;
+  common::ExclusiveLock lk(state_mu_);
+  heartbeat_ = fresh;
+  return fresh;
 }
 
 void WormStore::adopt_epoch_cert_locked(const std::optional<EpochCert>& cert) {
@@ -1382,9 +1382,8 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-aware scheduling + idle-period duties (under the commit lock and
-// the exclusive store lock: the duties run inside pump_idle /
-// maybe_service_deadline)
+// Deadline-aware scheduling + idle-period duties (under the commit lock; each
+// takes the store lock only to gather what it needs and to apply answers)
 // ---------------------------------------------------------------------------
 
 void WormStore::note_deferred_witness(SimTime creation_time) {
@@ -1397,27 +1396,24 @@ void WormStore::note_deferred_witness(SimTime creation_time) {
 
 void WormStore::sync_deferred_mirror() {
   ScpuStatus st = channel_.status();
+  common::ExclusiveLock lk(state_mu_);
   deferred_mirror_count_ = st.deferred_count;
   deferred_mirror_earliest_ = st.earliest_deadline;
 }
 
-bool WormStore::deadline_pressure_locked(common::Duration margin) const {
+bool WormStore::deadline_pressure(common::Duration margin) const {
+  common::SharedLock lk(state_mu_);
   if (deferred_mirror_count_ == 0) return false;
   if (deferred_mirror_earliest_ == SimTime::max()) return false;
   return clock_.now() + margin >= deferred_mirror_earliest_;
-}
-
-bool WormStore::deadline_pressure(common::Duration margin) const {
-  common::SharedLock lk(state_mu_);
-  return deadline_pressure_locked(margin);
 }
 
 void WormStore::maybe_service_deadline() {
   // §4.3: strengthening that is about to go stale preempts foreground
   // traffic. The check is mirror-only (free); strengthening runs until
   // pressure clears or it runs dry.
-  while (deadline_pressure_locked(kStrengthenMargin) &&
-         do_strengthen_batch()) {
+  while (deadline_pressure(kStrengthenMargin) && do_strengthen_batch()) {
+    common::ExclusiveLock lk(state_mu_);
     ++mailbox_.duty_runs;
     ++mailbox_.urgent_services;
   }
@@ -1440,36 +1436,37 @@ bool WormStore::do_strengthen_batch() {
   if (pending.empty()) {
     // Keep the mirror honest: records can leave the device-side queue
     // without host action (expiry before strengthening).
-    if (deferred_mirror_count_ != 0) sync_deferred_mirror();
+    bool stale;
+    {
+      common::SharedLock lk(state_mu_);
+      stale = deferred_mirror_count_ != 0;
+    }
+    if (stale) sync_deferred_mirror();
     return false;
   }
 
+  std::vector<Sn> audits = channel_.hash_audits_pending(UINT32_MAX);
+  std::set<Sn> audit_set(audits.begin(), audits.end());
   std::vector<Vrd> vrds;
   std::vector<std::vector<Bytes>> payloads;
-  std::vector<Sn> audits =
-      channel_.hash_audits_pending(UINT32_MAX);
-  std::set<Sn> audit_set(audits.begin(), audits.end());
-
-  for (Sn sn : pending) {
-    const Vrdt::Entry* e = vrdt_.find(sn);
-    if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-    vrds.push_back(e->vrd);
-    if (audit_set.count(sn) > 0) {
-      payloads.push_back(read_payloads(e->vrd));
-    } else {
-      payloads.emplace_back();
+  {
+    common::SharedLock lk(state_mu_);
+    for (Sn sn : pending) {
+      const Vrdt::Entry* e = vrdt_.find(sn);
+      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
+      vrds.push_back(e->vrd);
+      if (audit_set.count(sn) > 0) {
+        payloads.push_back(read_payloads(e->vrd));
+      } else {
+        payloads.emplace_back();
+      }
     }
   }
-  if (vrds.empty()) {
-    sync_deferred_mirror();
-    return false;
+  if (!vrds.empty()) {
+    cross_sequenced(ScpuChannel::encode_strengthen(vrds, payloads));
   }
-
-  Sequenced sq = sequenced(ScpuChannel::encode_strengthen(vrds, payloads));
-  apply_strengthen_results(ScpuChannel::decode_strengthen_response(sq.payload));
-  complete_intent(sq.seq);
   sync_deferred_mirror();
-  return true;
+  return !vrds.empty();
 }
 
 bool WormStore::do_hash_audits() {
@@ -1477,81 +1474,85 @@ bool WormStore::do_hash_audits() {
       static_cast<std::uint32_t>(kIdleBatch));
   bool any = false;
   for (Sn sn : audits) {
-    const Vrdt::Entry* e = vrdt_.find(sn);
-    if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-    channel_.audit_hash(sn, read_payloads(e->vrd));
+    std::vector<Bytes> payloads;
+    {
+      common::SharedLock lk(state_mu_);
+      const Vrdt::Entry* e = vrdt_.find(sn);
+      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
+      payloads = read_payloads(e->vrd);
+    }
+    channel_.audit_hash(sn, payloads);
     any = true;
   }
   return any;
 }
 
-bool WormStore::do_compaction() {
-  auto span = vrdt_.find_dead_span(config_.compaction_min_run);
-  if (!span.has_value()) return false;
-  std::vector<DeletionProof> proofs;
-  std::vector<DeletedWindow> windows;
-  for (Sn sn = span->lo; sn <= span->hi; ++sn) {
-    if (const Vrdt::Entry* e = vrdt_.find(sn); e != nullptr) {
-      WORM_CHECK(e->kind == Vrdt::Entry::Kind::kDeleted,
-                 "compaction span inconsistent");
-      proofs.push_back(e->proof);
-      continue;
+WormStore::DeletionEvidence WormStore::deletion_evidence_locked(Sn lo,
+                                                                Sn hi) const {
+  DeletionEvidence out;
+  Sn sn = lo;
+  while (sn <= hi) {
+    if (const Vrdt::Entry* e = vrdt_.find(sn);
+        e != nullptr && e->kind == Vrdt::Entry::Kind::kDeleted) {
+      out.proofs.push_back(e->proof);
+      ++sn;
+    } else if (const DeletedWindow* w = vrdt_.find_window(sn); w != nullptr) {
+      out.windows.push_back(*w);
+      sn = w->hi + 1;
+    } else {
+      break;
     }
-    const DeletedWindow* w = vrdt_.find_window(sn);
-    WORM_CHECK(w != nullptr, "compaction span has an evidence hole");
-    if (windows.empty() || windows.back().window_id != w->window_id) {
-      windows.push_back(*w);
-    }
-    sn = w->hi;  // skip to the window's end
   }
-  Sequenced sq = sequenced(
-      ScpuChannel::encode_certify_window(span->lo, span->hi, proofs, windows));
-  DeletedWindow merged = ScpuChannel::decode_window_response(sq.payload);
-  journal_apply_window(merged);
-  vrdt_.apply_window(merged);
-  ++ops_.compactions;
-  complete_intent(sq.seq);
+  out.end = sn;
+  return out;
+}
+
+bool WormStore::do_compaction() {
+  Bytes frame;
+  {
+    common::SharedLock lk(state_mu_);
+    auto span = vrdt_.find_dead_span(config_.compaction_min_run);
+    if (!span.has_value()) return false;
+    DeletionEvidence ev = deletion_evidence_locked(span->lo, span->hi);
+    WORM_CHECK(ev.end > span->hi, "compaction span has an evidence hole");
+    frame = ScpuChannel::encode_certify_window(span->lo, span->hi, ev.proofs,
+                                               ev.windows);
+  }
+  cross_sequenced(std::move(frame));
   return true;
 }
 
 bool WormStore::do_advance_base() {
-  Sn base = sn_base_mirror_;
-  // Walk upward while every SN is proven deleted (entry proof or window).
-  Sn new_base = base;
-  std::vector<DeletionProof> proofs;
-  std::vector<DeletedWindow> windows;
-  while (new_base <= sn_current_mirror_) {
-    if (const Vrdt::Entry* e = vrdt_.find(new_base);
-        e != nullptr && e->kind == Vrdt::Entry::Kind::kDeleted) {
-      proofs.push_back(e->proof);
-      ++new_base;
-      continue;
-    }
-    if (const DeletedWindow* w = vrdt_.find_window(new_base); w != nullptr) {
-      windows.push_back(*w);
-      new_base = w->hi + 1;
-      continue;
-    }
-    break;
+  Bytes frame;
+  {
+    // Walk upward while every SN is proven deleted.
+    common::SharedLock lk(state_mu_);
+    DeletionEvidence ev =
+        deletion_evidence_locked(sn_base_mirror_, sn_current_mirror_);
+    if (ev.end == sn_base_mirror_) return false;
+    frame = ScpuChannel::encode_advance_base(ev.end, ev.proofs, ev.windows);
   }
-  if (new_base == base) return false;
-  Sequenced sq = sequenced(
-      ScpuChannel::encode_advance_base(new_base, proofs, windows));
-  base_ = ScpuChannel::decode_base_response(sq.payload);
-  sn_base_mirror_ = base_->sn_base;
-  journal_trim_below(new_base);
-  vrdt_.trim_below(new_base);
-  ++ops_.base_advances;
-  complete_intent(sq.seq);
+  cross_sequenced(std::move(frame));
   return true;
 }
 
 bool WormStore::do_vexp_rebuild() {
   if (!channel_.status().vexp_incomplete) return false;
   channel_.vexp_rebuild_begin();
-  for (Sn sn : vrdt_.active_sns()) {
-    const Vrdt::Entry* e = vrdt_.find(sn);
-    channel_.vexp_rebuild_add(e->vrd);
+  std::vector<Sn> active;
+  {
+    common::SharedLock lk(state_mu_);
+    active = vrdt_.active_sns();
+  }
+  for (Sn sn : active) {
+    Vrd vrd;
+    {
+      common::SharedLock lk(state_mu_);
+      const Vrdt::Entry* e = vrdt_.find(sn);
+      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
+      vrd = e->vrd;
+    }
+    channel_.vexp_rebuild_add(vrd);
   }
   channel_.vexp_rebuild_end();
   return true;
@@ -1559,7 +1560,6 @@ bool WormStore::do_vexp_rebuild() {
 
 bool WormStore::pump_idle() {
   common::MutexLock commit(commit_mu_);
-  common::ExclusiveLock lk(state_mu_);
   if (degraded_) return false;  // nothing to pump into a dead device
   try {
     channel_.process_idle();
@@ -1569,6 +1569,7 @@ bool WormStore::pump_idle() {
     if (do_compaction()) ++ran;
     if (do_advance_base()) ++ran;
     if (do_vexp_rebuild()) ++ran;
+    common::ExclusiveLock lk(state_mu_);
     mailbox_.duty_runs += ran;
     return ran > 0;
   } catch (const ScpuDeadError& e) {

@@ -14,20 +14,22 @@
 // (§4.2.2 — reads are main-CPU-only and must scale with host resources).
 // Everything that mutates host state takes that lock (state_mu_)
 // exclusively. Every mailbox crossing takes commit_mu_ first, which keeps
-// the mailbox strictly serialized and journal order equal to sequence order.
-// A write crosses with state_mu_ released, so reads and write_async
-// admissions run while the SCPU signs; litigation, idle duties, refreshes
-// and recovery hold both, and anchors and migration signing, which touch no
-// host state, hold only commit_mu_. Lock order: commit_mu_ -> state_mu_,
-// with the journal's own mutex a leaf. Every read answers from the VRDT
-// itself under state_mu_, so a read issued after a mutation returns never
-// sees the pre-mutation result. See DESIGN.md §7.
+// the mailbox strictly serialized and journal order equal to sequence order,
+// and every crossing runs with state_mu_ released: the store lock is taken
+// before it, to gather what the command needs and journal its intent, and
+// after it, to apply the answer. So reads and write_async admissions never
+// wait for the SCPU, whether it witnesses writes, litigation or idle duties.
+// Lock order: commit_mu_ -> state_mu_, with the journal's own mutex a leaf.
+// Every read answers from the VRDT itself under state_mu_, so a read issued
+// after a mutation returns never sees the pre-mutation result. See
+// DESIGN.md §7.
 //
 // The discipline is machine-checked (DESIGN.md §8): every piece of host soft
 // state is GUARDED_BY(state_mu_), the mailbox is GUARDED_BY(commit_mu_),
-// every locked helper declares REQUIRES / REQUIRES_SHARED, the write
-// crossing is EXCLUDES(state_mu_), and a clang build under
-// -Werror=thread-safety refuses to compile an access that breaks the model.
+// every locked helper declares REQUIRES / REQUIRES_SHARED, the crossing
+// helpers and the duties are EXCLUDES(state_mu_), a clang build under
+// -Werror=thread-safety refuses to compile an access that breaks the model,
+// and worm-analyze flags every mailbox crossing made with state_mu_ held.
 #pragma once
 
 #include <atomic>
@@ -79,7 +81,8 @@ inline constexpr std::size_t kIdleBatch = 64;
 
 /// How the store uses the SCPU mailbox.
 struct MailboxConfig {
-  /// Maximum writes witnessed per kWriteBatch crossing.
+  /// Maximum writes witnessed per kWriteBatch crossing, and the group size
+  /// at which the write pipeline sends its queued writes. In [1, 1024].
   std::size_t max_batch = 64;
   /// Per-command retry and backoff policy, handed to the transport as is
   /// (see ChannelRetryPolicy for the per-field defaults).
@@ -375,14 +378,14 @@ class WormStore final : public HostAgent {
       REQUIRES(state_mu_);
   void release_rd(const storage::RecordDescriptor& rd,
                   storage::ShredPolicy policy) REQUIRES(state_mu_);
-  SignedSnBase& fresh_base() REQUIRES(commit_mu_, state_mu_);
   void charge_host(common::Duration d) { clock_.charge(d); }
   std::vector<common::Bytes> read_payloads(const Vrd& vrd);
   /// Answers the read from host state under the caller's lock, or nullopt
-  /// when the answer needs a mailbox crossing (expired base proof) — which
-  /// only the exclusive-lock path may perform.
+  /// when the answer needs a mailbox crossing (expired base proof).
   std::optional<ReadOutcome> read_locked(Sn sn) REQUIRES_SHARED(state_mu_);
-  ReadOutcome read_below_base_locked(Sn sn) REQUIRES(commit_mu_, state_mu_);
+  /// Answers a read below the base whose cached proof expired: fetches a
+  /// fresh S_s(SN_base) with the store lock released, then caches it.
+  ReadOutcome read_below_base(Sn sn) REQUIRES(commit_mu_) EXCLUDES(state_mu_);
 
   /// Throws ReadOnlyStoreError when the store is degraded (mutation entry
   /// guard).
@@ -405,15 +408,23 @@ class WormStore final : public HostAgent {
   ScpuChannel::Prepared journal_intent(
       common::Bytes frame, const std::vector<std::uint64_t>& qids = {})
       REQUIRES(commit_mu_, state_mu_);
-  /// One journaled sequenced crossing with the store lock held: journals the
-  /// intent, sends with retry, returns the ok payload + the seq the caller
-  /// must complete_intent() after applying.
-  struct Sequenced {
-    common::Bytes payload;
-    std::uint64_t seq = 0;
-  };
-  Sequenced sequenced(common::Bytes frame) REQUIRES(commit_mu_, state_mu_);
   void complete_intent(std::uint64_t seq) REQUIRES(state_mu_);
+  /// The one sequenced crossing of every command but a write, in the write
+  /// committer's three steps: journals `frame` as an intent under state_mu_,
+  /// crosses with state_mu_ released, then applies the answer
+  /// (apply_answer_locked) and completes the intent under state_mu_ again.
+  /// A device rejection completes the intent and rethrows; a timeout leaves
+  /// it pending for recover(); device death propagates.
+  void cross_sequenced(common::Bytes frame) REQUIRES(commit_mu_)
+      EXCLUDES(state_mu_);
+  /// Applies a sequenced command's answer, from a live crossing or a resent
+  /// intent; returns the SNs a kWriteBatch landed. A hold or strengthening
+  /// skips an entry that is no longer active, so an expiry that landed after
+  /// the frame was built is not overwritten; every record it journals
+  /// replays idempotently, so it may run again.
+  std::vector<Sn> apply_answer_locked(common::ByteView frame,
+                                      common::ByteView payload)
+      REQUIRES(state_mu_);
 
   // --- the write path -------------------------------------------------------
 
@@ -459,11 +470,6 @@ class WormStore final : public HostAgent {
   void commit_writes(std::span<const UnstagedWrite> writes,
                      const Landed& landed) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
-  /// The write crossing: sends a journaled kWriteBatch frame. Never with the
-  /// store lock held (worm-analyze flags a call that holds it), so reads
-  /// and admissions proceed while the SCPU signs.
-  common::Bytes cross_write_batch(const ScpuChannel::Prepared& cmd)
-      REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// Applies a kWriteBatch ack (VRDs around `items`' RDLs, SN mirror, epoch
   /// cert); returns the issued SNs.
   std::vector<Sn> apply_write_ack_locked(
@@ -496,15 +502,16 @@ class WormStore final : public HostAgent {
     Intents pending;                               // no completion journaled
     std::map<std::uint64_t, WriteRequest> queued;  // qid -> admission
     std::vector<Expired> expired;                  // to shred again
-    Sn journaled_base = 1;  // highest SN_base the journal recorded
   };
   Replayed replay_journal_locked(RecoveryReport& report) REQUIRES(state_mu_);
   struct Resent {
     Intents unresolved;  // resend timed out: still pending
     Intents abandoned;   // device rejected the frame: it never ran
   };
-  Resent resend_intents_locked(Replayed& replayed, RecoveryReport& report)
-      REQUIRES(commit_mu_, state_mu_);
+  /// Resends every pending intent verbatim, each crossing with state_mu_
+  /// released and its answer applied (apply_answer_locked) under it.
+  Resent resend_intents(const Intents& pending, RecoveryReport& report)
+      REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// Derives the host state nothing persists from the state that is: the
   /// records named by active VRDs and by the kWriteBatch frames of `live`
   /// intents rebuild the dedup index, the reference counts and the block
@@ -515,14 +522,10 @@ class WormStore final : public HostAgent {
   void derive_host_state_locked(const Intents& live, const Intents& abandoned,
                                 std::vector<Expired> expired = {})
       REQUIRES(state_mu_);
-  /// Applies a resent command's answer; returns the SNs a kWriteBatch landed.
-  /// Every record it journals replays idempotently, so it may run again.
-  std::vector<Sn> apply_resent_locked(common::ByteView frame,
-                                      common::ByteView payload,
-                                      Replayed& replayed) REQUIRES(state_mu_);
-  void reconcile_with_device_locked(Sn journaled_base,
-                                    const Intents& unresolved)
-      REQUIRES(commit_mu_, state_mu_);
+  /// Re-seeds the mirrors and the heartbeat from the device's signed view,
+  /// journaling a trim first when the device's SN_base passed what the host
+  /// still holds.
+  void reconcile_with_device() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// False when a timeout left an intent only the appended-to journal
   /// knows, so the checkpoint rewrite must be skipped.
   bool reexecute_queued(const std::map<std::uint64_t, WriteRequest>& queued,
@@ -539,6 +542,10 @@ class WormStore final : public HostAgent {
   void journal_apply_window(const DeletedWindow& window) REQUIRES(state_mu_);
   void journal_trim_below(Sn sn_base) REQUIRES(state_mu_);
 
+  /// lit_hold and lit_release: builds the frame from the active VRD, then
+  /// crosses it (cross_sequenced).
+  void litigate(const LitigationRequest& request, bool hold)
+      EXCLUDES(state_mu_);
   /// Applies (and journals) a litigation attr+metasig refresh.
   void apply_lit_update(Sn sn, Firmware::LitUpdate up) REQUIRES(state_mu_);
   /// Applies (and journals) strengthen results.
@@ -546,15 +553,26 @@ class WormStore final : public HostAgent {
       REQUIRES(state_mu_);
   void note_deferred_witness(common::SimTime creation_time)
       REQUIRES(state_mu_);
-  void sync_deferred_mirror() REQUIRES(commit_mu_, state_mu_);
-  [[nodiscard]] bool deadline_pressure_locked(common::Duration margin) const
+  void sync_deferred_mirror() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  void maybe_service_deadline() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  /// What proves the SNs from `lo` up deleted: their deletion proofs and
+  /// certified windows, up to `hi` or the first SN proven by neither. `end`
+  /// is the SN the walk stopped at.
+  struct DeletionEvidence {
+    Sn end = kInvalidSn;
+    std::vector<DeletionProof> proofs;
+    std::vector<DeletedWindow> windows;
+  };
+  DeletionEvidence deletion_evidence_locked(Sn lo, Sn hi) const
       REQUIRES_SHARED(state_mu_);
-  void maybe_service_deadline() REQUIRES(commit_mu_, state_mu_);
-  bool do_strengthen_batch() REQUIRES(commit_mu_, state_mu_);
-  bool do_hash_audits() REQUIRES(commit_mu_, state_mu_);
-  bool do_compaction() REQUIRES(commit_mu_, state_mu_);
-  bool do_advance_base() REQUIRES(commit_mu_, state_mu_);
-  bool do_vexp_rebuild() REQUIRES(commit_mu_, state_mu_);
+  // The idle duties. Each gathers what it needs under the shared lock and
+  // crosses with it released; the sequenced ones apply their answers
+  // through cross_sequenced.
+  bool do_strengthen_batch() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  bool do_hash_audits() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  bool do_compaction() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  bool do_advance_base() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  bool do_vexp_rebuild() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
 
   common::SimClock& clock_;
   // Held only for host-agent (interrupt) registration and out-of-band
@@ -565,8 +583,7 @@ class WormStore final : public HostAgent {
   // Orders every mailbox crossing. Lock order: commit_mu_, then state_mu_;
   // the journal's mutex is a leaf.
   mutable common::AnnotatedMutex commit_mu_;
-  // Readers shared; every mutation exclusive. Write crossings run without
-  // it; every other crossing holds it too.
+  // Readers shared; every mutation exclusive. No crossing holds it.
   mutable common::AnnotatedSharedMutex state_mu_;
   // The mailbox is not internally synchronized (DESIGN.md §6): guarding it
   // with commit_mu_ makes "no crossing without the commit lock"

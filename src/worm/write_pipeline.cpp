@@ -24,8 +24,9 @@ Sn WriteTicket::get() {
   return state_->sn;
 }
 
-WritePipeline::WritePipeline(WritePipelineConfig config, FlushFn flush)
-    : config_(config), flush_(std::move(flush)) {
+WritePipeline::WritePipeline(WritePipelineConfig config,
+                             std::size_t max_batch, FlushFn flush)
+    : config_(config), max_batch_(max_batch), flush_(std::move(flush)) {
   WORM_REQUIRE(flush_ != nullptr, "WritePipeline: null flush function");
   committer_ = std::make_unique<common::ThreadPool>(1);
   committer_->submit([this] { committer_loop(); });
@@ -36,7 +37,7 @@ WritePipeline::~WritePipeline() { shutdown_drop(); }
 bool WritePipeline::flush_due_locked() const {
   if (stop_ || flush_requested_) return true;
   if (queue_.empty()) return false;
-  if (queue_.size() >= config_.max_batch) return true;
+  if (queue_.size() >= max_batch_) return true;
   return queued_bytes_ >= kFlushBytes;
 }
 
@@ -189,7 +190,7 @@ void WritePipeline::committer_loop() {
         cv_done_.notify_all();
         continue;
       }
-      std::size_t take = std::min(queue_.size(), config_.max_batch);
+      std::size_t take = std::min(queue_.size(), max_batch_);
       group.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         queued_bytes_ -= queue_.front().bytes;

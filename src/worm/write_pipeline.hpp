@@ -10,8 +10,9 @@
 // honest.
 //
 // Group-commit policy: this file is the only code that decides when queued
-// writes cross. A group is due when the queue holds max_batch records or
-// kFlushBytes (1 MiB) of payload, when the queue is full, when drain()
+// writes cross. A group is due when the queue holds max_batch records (the
+// store's mailbox.max_batch, the bound every crossing obeys) or kFlushBytes
+// (1 MiB) of payload, when the queue is full, when drain()
 // runs, or when one of its tickets is asked: get() makes it due and waits,
 // ready() makes it due without blocking. There is no timer and no age
 // threshold, so a write whose ticket nobody asks stays queued until its
@@ -55,10 +56,6 @@ struct WritePipelineConfig {
   /// Bounded admission queue; a full queue blocks write_async (backpressure)
   /// until the committer frees space. Must be nonzero when enabled.
   std::size_t queue_capacity = 256;
-  /// Flush when this many records are queued. Clamped to the wire bound
-  /// (kMaxBatchItems); a group larger than mailbox.max_batch still crosses
-  /// in max_batch-sized chunks.
-  std::size_t max_batch = 16;
 };
 
 class WritePipeline;
@@ -126,7 +123,10 @@ class WritePipeline {
   /// lock held.
   using FlushFn = std::function<void(std::vector<Pending>&&)>;
 
-  WritePipeline(WritePipelineConfig config, FlushFn flush);
+  /// A group is due once `max_batch` writes are queued, and never holds
+  /// more.
+  WritePipeline(WritePipelineConfig config, std::size_t max_batch,
+                FlushFn flush);
   ~WritePipeline();
 
   WritePipeline(const WritePipeline&) = delete;
@@ -199,6 +199,7 @@ class WritePipeline {
   [[nodiscard]] bool flush_due_locked() const REQUIRES(mu_);
 
   const WritePipelineConfig config_;
+  const std::size_t max_batch_;
   const FlushFn flush_;
 
   mutable common::AnnotatedMutex mu_;

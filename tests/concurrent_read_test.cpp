@@ -3,7 +3,7 @@
 // single store driver writes, applies litigation holds, strengthens
 // signatures and compacts deleted windows. These tests race real threads
 // over the real locking (run them under the tsan preset) and pin down the
-// two correctness contracts of the shared-lock read path:
+// three contracts of the shared-lock read path:
 //
 //  * Theorem 1 still holds mid-race: a concurrent reader never observes a
 //    result that fails client verification, no matter how the race with
@@ -11,15 +11,22 @@
 //  * Coherence: a read issued after a mutation returns reflects that
 //    mutation — never a stale VRD — and two identically seeded deployments
 //    driven through the same script emit byte-identical proof streams.
+//  * No read waits for the SCPU: every crossing runs with the store lock
+//    released, so a read returns while a hold, an idle duty or another
+//    read's base refresh is parked mid-crossing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
 #include <vector>
 
+#include "parkable_fixture.hpp"
 #include "worm_fixture.hpp"
 
 namespace worm {
@@ -73,6 +80,8 @@ TEST(ConcurrentRead, RacingReadersNeverObserveTamper) {
   // Four reader threads hammer a fixed SN range while the driver thread
   // writes new records, toggles a litigation hold, expires short-retention
   // records, strengthens deferred witnesses and compacts deleted windows.
+  // Holds and duties cross with the store lock released, so readers also
+  // land while each is mid-crossing, between gathering and applying.
   // Every concurrent read must verify: authentic while the record lives, a
   // valid deletion/window/base proof afterwards. Anything else is a stale
   // or torn read — exactly the bugs this test exists to catch.
@@ -131,6 +140,142 @@ TEST(ConcurrentRead, RacingReadersNeverObserveTamper) {
 
   for (auto& th : readers) th.join();
   EXPECT_EQ(bad.load(), 0u) << "first untrustworthy read: " << first_detail;
+}
+
+// ---------------------------------------------------------------------------
+// No read waits for the SCPU: crossings park, reads return
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentRead, ReadsAndAdmissionsProceedWhileAHoldCrosses) {
+  core::StoreConfig sc;
+  sc.pipeline.enabled = true;
+  ParkableRig p("channel.response", sc);
+  Sn held = p.rig.put("held", Duration::days(30));
+  const std::uint64_t lit_ops = p.rig.firmware.counters().lit_ops;
+  core::LitigationRequest hold{
+      .sn = held,
+      .lit_id = 7,
+      .hold_until = p.rig.clock.now() + Duration::days(2),
+      .cred_issued_at = p.rig.clock.now(),
+      .credential = p.rig.lit_credential(held, 7, true)};
+
+  std::future<void> crossing;
+  std::future<ReadOutcome> read;
+  std::future<std::optional<core::WriteTicket>> admission;
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  crossing = std::async(std::launch::async,
+                        [&] { p.rig.store.lit_hold(hold); });
+  ASSERT_TRUE(p.bp.wait_parked());
+  // The device has applied the hold; the host has not applied its answer.
+  ASSERT_EQ(p.rig.firmware.counters().lit_ops, lit_ops + 1);
+  read = std::async(std::launch::async, [&] { return p.rig.store.read(held); });
+  admission = std::async(std::launch::async, [&] {
+    return p.rig.store.try_write_async(p.request("admitted"));
+  });
+  EXPECT_TRUE(returned(read)) << "read waited for the hold's crossing";
+  EXPECT_TRUE(returned(admission)) << "admission waited for the hold's crossing";
+  p.bp.release();
+  crossing.get();
+
+  ReadOutcome before = read.get();
+  EXPECT_FALSE(before.get<ReadOk>().vrd.attr.litigation_hold);
+  EXPECT_EQ(p.rig.verifier.verify_read(held, before).verdict,
+            Verdict::kAuthentic);
+  ReadOutcome after = p.rig.store.read(held);
+  EXPECT_TRUE(after.get<ReadOk>().vrd.attr.litigation_hold);
+  EXPECT_EQ(p.rig.verifier.verify_read(held, after).verdict,
+            Verdict::kAuthentic);
+  std::optional<core::WriteTicket> admitted = admission.get();
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_EQ(admitted->get(), held + 1);
+}
+
+TEST(ConcurrentRead, ReadsProceedWhileAnIdleDutyCrosses) {
+  // One duty pass strengthens SN 5, compacts SNs 1-4 into a window and
+  // advances the base past it. Park the pass at each of its crossings in
+  // turn, on a fresh deployment each time: a read of every SN returns
+  // meanwhile, and verifies.
+  auto deploy = [] {
+    auto p = std::make_unique<ParkableRig>("channel.response",
+                                           core::StoreConfig{},
+                                           slow_timers_config());
+    for (int i = 0; i < 4; ++i) {
+      (void)p->rig.put("expiring " + std::to_string(i), Duration::minutes(5));
+    }
+    (void)p->rig.put("deferred", Duration::days(30), WitnessMode::kDeferred);
+    p->rig.clock.advance(Duration::minutes(10));  // SNs 1-4 expire
+    return p;
+  };
+  const std::vector<Sn> sns{1, 2, 3, 4, 5};
+  std::uint64_t crossings = 0;
+  {
+    auto p = deploy();
+    auto answers = [&p] {
+      return p->fault.site_stats("channel.response").evaluations;
+    };
+    const std::uint64_t before = answers();
+    ASSERT_TRUE(p->rig.store.pump_idle());
+    crossings = answers() - before;
+    ASSERT_EQ(p->rig.store.read(5).get<ReadOk>().vrd.metasig.kind,
+              SigKind::kStrong);
+    ASSERT_TRUE(p->rig.store.read(1).is<core::ReadBelowBase>());
+  }
+  ASSERT_GE(crossings, 3u) << "strengthen, certify window, advance base";
+
+  for (std::uint64_t k = 0; k < crossings; ++k) {
+    SCOPED_TRACE("parked at crossing " + std::to_string(k));
+    auto p = deploy();
+    const ClientVerifier verifier = p->rig.fresh_verifier();
+    std::future<bool> pump;
+    std::future<std::vector<ReadOutcome>> reads;
+    p->bp.arm(/*skip=*/k);
+    ReleaseOnExit release{p->bp};
+    pump = std::async(std::launch::async,
+                      [&] { return p->rig.store.pump_idle(); });
+    ASSERT_TRUE(p->bp.wait_parked());
+    reads = std::async(std::launch::async,
+                       [&] { return p->rig.store.read_many(sns); });
+    EXPECT_TRUE(returned(reads)) << "read waited for the duty's crossing";
+    p->bp.release();
+    EXPECT_TRUE(pump.get());
+    std::vector<ReadOutcome> during = reads.get();
+    for (std::size_t i = 0; i < sns.size(); ++i) {
+      Outcome out = verifier.verify_read(sns[i], during[i]);
+      EXPECT_TRUE(out.trustworthy())
+          << "sn " << sns[i] << ": " << core::to_string(out.verdict);
+    }
+  }
+}
+
+TEST(ConcurrentRead, ReadsProceedWhileAnotherReadRefreshesTheBase) {
+  ParkableRig p("channel.request", {}, slow_timers_config());
+  for (int i = 0; i < 4; ++i) {
+    (void)p.rig.put("expiring " + std::to_string(i), Duration::minutes(5));
+  }
+  Sn live = p.rig.put("live", Duration::days(30));
+  p.rig.clock.advance(Duration::minutes(10));  // the first four expire
+  while (p.rig.store.pump_idle()) {
+  }  // compacts them, then advances the base past them
+  ASSERT_TRUE(p.rig.store.read(1).is<core::ReadBelowBase>());
+  p.rig.clock.advance(Duration::days(3));  // the cached S_s(SN_base) expires
+  const ClientVerifier verifier = p.rig.fresh_verifier();
+
+  std::future<ReadOutcome> refresh;
+  std::future<ReadOutcome> read;
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  refresh = std::async(std::launch::async, [&] { return p.rig.store.read(1); });
+  ASSERT_TRUE(p.bp.wait_parked());
+  read = std::async(std::launch::async, [&] { return p.rig.store.read(live); });
+  EXPECT_TRUE(returned(read)) << "read waited for another read's base refresh";
+  p.bp.release();
+
+  EXPECT_EQ(verifier.verify_read(live, read.get()).verdict,
+            Verdict::kAuthentic);
+  ReadOutcome below = refresh.get();
+  ASSERT_TRUE(below.is<core::ReadBelowBase>());
+  EXPECT_EQ(verifier.verify_read(1, below).verdict, Verdict::kDeletedVerified);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ using worm::testing::outcome_fingerprint;
 StoreConfig pipelined_lockstep() {
   StoreConfig c = lockstep_store_config();
   c.pipeline.enabled = true;
-  c.pipeline.max_batch = 4;
+  c.mailbox.max_batch = 4;
   return c;
 }
 
@@ -69,7 +69,7 @@ TEST(PipelineFault, CrashWithQueuedAdmissionsReExecutesThem) {
   // host dies with them queued. Their tickets fail fast at shutdown, and
   // recovery re-executes the journaled admissions in order.
   StoreConfig sc = pipelined_lockstep();
-  sc.pipeline.max_batch = 1024;
+  sc.mailbox.max_batch = 1024;
   CrashRig rig("pipeline_queued.wal", /*with_faults=*/false, 0x5eed,
                worm::testing::slow_timers_config(), sc);
   std::uint64_t executed_before = rig.firmware.counters().writes;

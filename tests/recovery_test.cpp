@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "fault_fixture.hpp"
+#include "parkable_fixture.hpp"
 
 namespace worm::core {
 namespace {
@@ -117,6 +119,45 @@ TEST(Recovery, ResendRetriesATransientJournalFault) {
   }
 }
 
+TEST(Recovery, ReadRacingAResendAnswersUnavailableNotFailure) {
+  // Recovery resends a pending intent with the store lock released. A read
+  // of the SN it may hold, racing the resend, must be as honest as one
+  // before recovery: unavailable (retryable), never a failure, which a
+  // client reports as tampering.
+  worm::testing::ParkableFault parked("channel.response");
+  CrashRig rig("recovery_racing_read.wal");
+  rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
+  EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
+               ChannelTimeoutError);
+  rig.fault.disarm_all();
+  ASSERT_EQ(rig.firmware.sn_current(), 1u);
+
+  rig.crash();
+  rig.config.fault = &parked.fault;
+  rig.boot();
+  rig.records->set_fault_injector(nullptr);
+
+  std::future<WormStore::RecoveryReport> recovery;
+  std::future<ReadOutcome> read;
+  // recover()'s first answer is its status probe; the second, the resend's.
+  parked.bp.arm(/*skip=*/1);
+  worm::testing::ReleaseOnExit release{parked.bp};
+  recovery =
+      std::async(std::launch::async, [&] { return rig.store->recover(); });
+  ASSERT_TRUE(parked.bp.wait_parked());
+  read = std::async(std::launch::async, [&] { return rig.store->read(1); });
+  EXPECT_TRUE(worm::testing::returned(read)) << "read waited for the resend";
+  parked.bp.release();
+  EXPECT_EQ(recovery.get().recovered_sns, std::vector<Sn>{1});
+
+  ReadOutcome limbo = read.get();
+  auto* gone = limbo.get_if<ReadUnavailable>();
+  ASSERT_NE(gone, nullptr) << to_string(limbo.status());
+  EXPECT_TRUE(gone->retryable);
+  EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+            Verdict::kAuthentic);
+}
+
 /// Lockstep store with one delivery attempt per command, so a single
 /// scheduled drop of an answer is a timeout; `pipelined` holds admissions
 /// queued (a batch bound nothing reaches, no ticket asked) until the host
@@ -125,7 +166,7 @@ StoreConfig one_attempt(bool pipelined = false) {
   StoreConfig sc = worm::testing::lockstep_store_config();
   sc.mailbox.retry.max_attempts = 1;
   sc.pipeline.enabled = pipelined;
-  sc.pipeline.max_batch = 1024;
+  sc.mailbox.max_batch = 1024;
   return sc;
 }
 

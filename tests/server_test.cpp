@@ -427,7 +427,7 @@ TEST(WormServer, ConcurrentClientsRaceWritesReadsAndHolds) {
 TEST(WormServer, OverloadAnswersBusyInsteadOfStalling) {
   core::StoreConfig sc = pipelined();
   sc.pipeline.queue_capacity = 1;
-  sc.pipeline.max_batch = 1;
+  sc.mailbox.max_batch = 1;
   ServerRig srv(sc);
 
   constexpr int kClients = 6;
@@ -905,7 +905,7 @@ TEST(WormServer, DistinctStoreTenantsAllGetWritePokes) {
   // tenant's own pipeline. A loop that asked only the first connection's
   // tickets would stall every other tenant's store.
   core::StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 64;
+  sc.mailbox.max_batch = 64;
   Rig rig_a({}, sc);
   Rig rig_b({}, sc);
   AuthRegistry auth;

@@ -3,8 +3,8 @@
 
 Asserts (a) the real tree analyzes clean on all four passes, (b) each pass
 flags its known-bad fixture and accepts its known-good twin (lock-order has
-two pairs: a cross-TU cycle, and the store's write crossing reached with
-state_mu_ held), (c) a fixture that fails to parse yields a diagnostic and
+two pairs: a cross-TU cycle, and mailbox crossings made with state_mu_
+held), (c) a fixture that fails to parse yields a diagnostic and
 exit 2 — not a crash and not a clean verdict, (d) the per-TU fact cache hits
 on a second run and is invalidated when the file changes, and (e) mutating a
 frozen wire value in a scratch tree fails the wire-abi pass and
@@ -72,13 +72,17 @@ def main():
     r = fixture_run("lock-order", "lock_order_good.cpp")
     check("lock-order:good-clean", r.returncode == 0,
           f"rc={r.returncode}\n{r.stdout}")
-    # The write crossing reached with state_mu_ held, directly and through
-    # a helper; the three-step commit (closed scope or unlock window) is not.
+    # Crossings made with state_mu_ held: a write crossing directly and
+    # through a helper, a duty's, and a litigation command's. The three-step
+    # shape (closed scope or unlock window) and framing are not.
     r = fixture_run("lock-order", "crossing_bad.cpp")
     check("lock-order:crossing-under-state-mu-flagged",
-          r.returncode == 1 and r.stdout.count("reaches cross_write_batch") == 2
-          and "crossing_bad.cpp:13:" in r.stdout
-          and "(via Store::send_chunk)" in r.stdout,
+          r.returncode == 1 and r.stdout.count("crosses the mailbox") == 4
+          and "crossing_bad.cpp:14:" in r.stdout
+          and "(via Store::send_chunk)" in r.stdout
+          and "(via Store::do_strengthen_batch)" in r.stdout
+          and "crossing_bad.cpp:47:" in r.stdout
+          and "(channel_.send_ok)" in r.stdout,
           f"rc={r.returncode}\n{r.stdout}")
     r = fixture_run("lock-order", "crossing_good.cpp")
     check("lock-order:crossing-released-clean", r.returncode == 0,

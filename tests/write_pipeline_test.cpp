@@ -7,21 +7,24 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "fault_fixture.hpp"
+#include "parkable_fixture.hpp"
 #include "worm_fixture.hpp"
 
 namespace worm::core {
 namespace {
 
 using common::Duration;
+using worm::testing::kPatience;
 using worm::testing::lockstep_store_config;
 using worm::testing::outcome_fingerprint;
+using worm::testing::ParkableRig;
+using worm::testing::ReleaseOnExit;
+using worm::testing::returned;
 using worm::testing::Rig;
 
 StoreConfig pipelined(StoreConfig base = {}) {
@@ -55,7 +58,7 @@ TEST(WritePipeline, GroupsFormUnderTheBatchThreshold) {
   // A window of admissions before any ticket wait: the committer takes them
   // as max_batch-sized groups, so crossings are amortized.
   StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 8;
+  sc.mailbox.max_batch = 8;
   Rig rig({}, sc);
   std::uint64_t crossings0 = rig.store.counters().at("mailbox.crossings");
   std::vector<WriteTicket> tickets;
@@ -94,7 +97,7 @@ TEST(WritePipeline, ReadYourWritesAnswersUnavailableWhileQueued) {
   // A batch threshold nothing reaches and no ticket asked: admissions stay
   // queued until drained.
   StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 1024;
+  sc.mailbox.max_batch = 1024;
   Rig rig({}, sc);
   WriteTicket t = rig.store.write_async(
       {.payloads = {common::to_bytes("queued")},
@@ -117,7 +120,7 @@ TEST(WritePipeline, ReadYourWritesAnswersUnavailableWhileQueued) {
 TEST(WritePipeline, BackpressureStallsAreCountedAndRecover) {
   StoreConfig sc = pipelined();
   sc.pipeline.queue_capacity = 2;
-  sc.pipeline.max_batch = 2;
+  sc.mailbox.max_batch = 2;
   Rig rig({}, sc);
   std::vector<WriteTicket> tickets;
   for (int i = 0; i < 12; ++i) {
@@ -135,7 +138,7 @@ TEST(WritePipeline, BackpressureStallsAreCountedAndRecover) {
 
 TEST(WritePipeline, CloseDrainsThenRejectsNewWrites) {
   StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 1024;
+  sc.mailbox.max_batch = 1024;
   Rig rig({}, sc);
   WriteTicket t = rig.store.write_async(
       {.payloads = {common::to_bytes("to drain")},
@@ -152,7 +155,7 @@ TEST(WritePipeline, DestructionFailsQueuedTicketsWithTransientError) {
   // Destroying the store without close() is the crash path: queued tickets
   // fail, they do not hang.
   StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 1024;
+  sc.mailbox.max_batch = 1024;
   auto rig = std::make_unique<Rig>(core::FirmwareConfig{}, sc);
   WriteTicket t = rig->store.write_async(
       {.payloads = {common::to_bytes("dropped")},
@@ -168,7 +171,7 @@ TEST(WritePipeline, RacingWritersAndReadersStayCoherent) {
   // Ok, an unsettled SN reads Unavailable or NotAllocated, and nothing ever
   // reads as Failure (which would claim data loss).
   StoreConfig sc = pipelined();
-  sc.pipeline.max_batch = 8;
+  sc.mailbox.max_batch = 8;
   Rig rig({}, sc);
   constexpr std::size_t kWriters = 4;
   constexpr std::size_t kPerWriter = 24;
@@ -215,7 +218,7 @@ TEST(WritePipeline, ProofStreamEquivalentToSynchronousUncachedReference) {
   // must produce byte-for-byte the proof stream of a synchronous store with
   // no batching.
   StoreConfig async_cfg = pipelined(lockstep_store_config());
-  async_cfg.pipeline.max_batch = 4;
+  async_cfg.mailbox.max_batch = 4;
   Rig pipelined_rig({}, async_cfg, 32u << 20, scpu::CostModel::zero());
 
   Rig ref_rig({}, lockstep_store_config(), 32u << 20,
@@ -245,93 +248,6 @@ TEST(WritePipeline, ProofStreamEquivalentToSynchronousUncachedReference) {
 // ---------------------------------------------------------------------------
 // The committer crosses the mailbox with the store lock released
 // ---------------------------------------------------------------------------
-
-// How long a call that must not wait for the crossing may take. Generous:
-// passing calls return in microseconds, and a call stuck behind the
-// committer fails the test instead of hanging it.
-constexpr auto kPatience = std::chrono::seconds(2);
-
-/// Turns a fault site into a breakpoint. A FaultInjector reads its
-/// TimeSource at each evaluation of a site armed with a spec, so a spec
-/// whose window never opens (never_fires) makes the site read the time
-/// without ever firing. Once armed, that read parks the evaluating thread
-/// until release(). The parked thread holds the injector's mutex: nothing
-/// else may evaluate a site on the same injector meanwhile, which is why
-/// these tests detach it from the record store.
-class Breakpoint final : public common::TimeSource {
- public:
-  common::SimTime now() const override {
-    std::unique_lock lk(mu_);
-    if (armed_) {
-      parked_ = true;
-      cv_.notify_all();
-      cv_.wait(lk, [this] { return !armed_; });
-    }
-    return common::SimTime::epoch();
-  }
-  void arm() {
-    std::lock_guard lk(mu_);
-    armed_ = true;
-    parked_ = false;
-  }
-  [[nodiscard]] bool wait_parked() {
-    std::unique_lock lk(mu_);
-    return cv_.wait_for(lk, kPatience, [this] { return parked_; });
-  }
-  void release() {
-    std::lock_guard lk(mu_);
-    armed_ = false;
-    cv_.notify_all();
-  }
-
-  static common::FaultSpec never_fires() {
-    common::FaultSpec spec;
-    spec.kind = common::FaultKind::kDrop;
-    spec.not_before = common::SimTime::max();
-    return spec;
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool armed_ = false;
-  mutable bool parked_ = false;
-};
-
-/// Releases the breakpoint on scope exit, so a failed expectation never
-/// leaves the committer parked while a future or the rig waits for it.
-/// Declared after the futures, it releases before they wait.
-struct ReleaseOnExit {
-  Breakpoint& bp;
-  ~ReleaseOnExit() { bp.release(); }
-};
-
-template <typename T>
-bool returned(std::future<T>& f) {
-  return f.wait_for(kPatience) == std::future_status::ready;
-}
-
-/// A store whose committer parks at `site` once the breakpoint is armed.
-struct ParkableRig {
-  ParkableRig(const char* site, StoreConfig sc)
-      : fault(0xb0b, &bp), rig({}, with_fault(std::move(sc), fault, site)) {
-    rig.records.set_fault_injector(nullptr);
-  }
-  static StoreConfig with_fault(StoreConfig sc, common::FaultInjector& fault,
-                                const char* site) {
-    fault.arm(site, Breakpoint::never_fires());
-    sc.fault = &fault;
-    return sc;
-  }
-  WriteRequest request(const std::string& text) const {
-    return {.payloads = {common::to_bytes(text)},
-            .attr = rig.attr(Duration::days(30))};
-  }
-
-  Breakpoint bp;
-  common::FaultInjector fault;
-  Rig rig;
-};
 
 TEST(WritePipeline, ReadsAndAdmissionsProceedWhileTheCommitterCrosses) {
   ParkableRig p("channel.request", pipelined());
@@ -476,11 +392,12 @@ TEST(WritePipeline, ConfigValidationRejectsBrokenKnobs) {
   StoreConfig bad = pipelined();
   bad.pipeline.queue_capacity = 0;
   EXPECT_THROW(bad.validate(), common::PreconditionError);
+  // One batch bound for groups and crossings alike.
   bad = pipelined();
-  bad.pipeline.max_batch = 0;
+  bad.mailbox.max_batch = 0;
   EXPECT_THROW(bad.validate(), common::PreconditionError);
   bad = pipelined();
-  bad.pipeline.max_batch = 4096;  // beyond the wire bound
+  bad.mailbox.max_batch = 4096;  // beyond the wire bound
   EXPECT_THROW(bad.validate(), common::PreconditionError);
   // Off means the knobs are inert: a zeroed config still validates.
   StoreConfig off;

@@ -14,10 +14,10 @@ compiler flag or per-file regex can prove:
                    lock-order graph. An acyclic graph means no schedule of
                    the annotated locks can deadlock; a cycle names the exact
                    acquisition chain that can. The same held sets flag a
-                   call that reaches the store's write crossing
-                   (cross_write_batch) with state_mu_ held: that crossing
-                   must run with the store lock released, or every reader
-                   and admission waits for the SCPU again.
+                   call that crosses the store's mailbox (channel_), directly
+                   or through the call graph, with state_mu_ held: every
+                   crossing runs with the store lock released, or every
+                   reader and admission waits for the SCPU again.
 
   wire-taint       Bytes read from the network (common/net read_some) are
                    untrusted until they pass a strict protocol:: decoder or
@@ -91,9 +91,12 @@ LOCK_ALIASES = {
     "state_.mu": "detail::TicketState::mu",
 }
 
-# The store's write crossing runs with state_mu_ released, so reads and
-# admissions proceed while the SCPU signs (DESIGN.md §7).
-WRITE_CROSSING = "cross_write_batch"
+# Every call through the store's mailbox member crosses to the SCPU, except
+# the three that frame a command or read the transport's own counts. Every
+# crossing runs with state_mu_ released, so reads and admissions proceed
+# while the SCPU works (DESIGN.md §7).
+MAILBOX = "channel_"
+MAILBOX_LOCAL = ("prepare", "set_next_seq", "wire_stats")
 STORE_LOCK = "state_mu_"
 
 # Durable-state mutations (receiver `vrdt_`) and the journal events that
@@ -742,15 +745,18 @@ def pass_lock_order(prog: Program) -> list[Finding]:
                             (a, b),
                             f"{rel}:{ev['line']} (via call to {callee})")
 
-    # Calls that reach the write crossing, directly or through the call
-    # graph, while the store lock is held.
+    # Calls that cross the mailbox, directly or through the call graph,
+    # while the store lock is held.
+    def crosses(ev: dict) -> bool:
+        recv = ev.get("recv", "")
+        return (recv.split(".")[-1] == MAILBOX
+                and ev["callee"] not in MAILBOX_LOCAL)
+
     def reaches_crossing(fn: dict, ev: dict) -> bool:
         callee = prog.resolve(fn, ev["callee"], ev.get("recv", ""))
-        return (ev["callee"] == WRITE_CROSSING or
-                (callee is not None and callee in crossers))
+        return crosses(ev) or (callee is not None and callee in crossers)
 
-    crossers = {q for q in prog.functions
-                if q.split("::")[-1] == WRITE_CROSSING}
+    crossers: set[str] = set()
     changed = True
     while changed:
         changed = False
@@ -765,13 +771,13 @@ def pass_lock_order(prog: Program) -> list[Finding]:
                          if h.split("::")[-1] == STORE_LOCK), None)
             if lock is None or not reaches_crossing(fn, ev):
                 continue
-            via = "" if ev["callee"] == WRITE_CROSSING else (
-                f" (via {prog.resolve(fn, ev['callee'], ev.get('recv', ''))})")
+            how = (f"{MAILBOX}.{ev['callee']}" if crosses(ev) else
+                   f"via {prog.resolve(fn, ev['callee'], ev.get('recv', ''))}")
             findings.append(Finding(
                 "lock-order", prog.files[qname], ev["line"],
-                f"reaches {WRITE_CROSSING}{via} while holding {lock}: the "
-                "write crossing must run with the store lock released, or "
-                "reads and admissions wait for the SCPU"))
+                f"crosses the mailbox ({how}) while holding {lock}: every "
+                "crossing runs with the store lock released, or reads and "
+                "admissions wait for the SCPU"))
 
     # Cycle detection over the lock graph.
     graph: dict[str, set[str]] = {}
@@ -991,9 +997,9 @@ JOURNAL_COVERS = {
     "apply_window": ("journal_apply_window",),
     "trim_below": ("journal_trim_below",),
 }
-# Intent-record helpers and raw journal appends cover any mutation kind:
-# they put a durable record ahead of whatever follows.
-JOURNAL_GENERIC = ("sequenced",)
+# Intent records and raw journal appends cover any mutation kind: they put
+# a durable record ahead of whatever follows.
+JOURNAL_GENERIC = ("journal_intent",)
 
 
 def pass_journal_ordering(prog: Program) -> list[Finding]:
