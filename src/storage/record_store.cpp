@@ -147,9 +147,7 @@ Bytes RecordStore::read(const RecordDescriptor& rd) {
   }
 }
 
-std::size_t RecordStore::rebuild_allocator(
-    std::span<const RecordDescriptor> live,
-    std::span<const RecordDescriptor> orphans) {
+void RecordStore::rebuild_allocator(std::span<const RecordDescriptor> live) {
   common::MutexLock lk(alloc_mu_);
   const std::uint64_t count = device_.block_count();
   std::vector<bool> named(count, false);
@@ -167,17 +165,6 @@ std::size_t RecordStore::rebuild_allocator(
   for (std::uint64_t b = 0; b < next_block_; ++b) {
     if (!named[b]) free_.insert(b);
   }
-  const Bytes zeros(device_.block_size(), 0x00);
-  std::size_t zeroed = 0;
-  for (const RecordDescriptor& rd : orphans) {
-    for (std::uint64_t b : rd.blocks) {
-      if (b >= count || named[b]) continue;
-      device_.write_block(b, zeros);
-      named[b] = true;  // zero (and count) each block once
-      ++zeroed;
-    }
-  }
-  return zeroed;
 }
 
 void RecordStore::overwrite_pass(const RecordDescriptor& rd,

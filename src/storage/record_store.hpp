@@ -94,13 +94,10 @@ class RecordStore {
   /// Restart path: rebuilds the allocator from the records still in use.
   /// The next block is one past the highest block `live` names, every
   /// unnamed block below it is free, and the next record id is one past the
-  /// largest id named. Each block of `orphans` (records staged for a command
-  /// the device never ran) that `live` does not name is zero-filled; returns
-  /// how many. The descriptors come from untrusted host state, so a block
-  /// at or past block_count() is ignored: it is neither freed nor zeroed,
-  /// and it sizes nothing.
-  std::size_t rebuild_allocator(std::span<const RecordDescriptor> live,
-                                std::span<const RecordDescriptor> orphans)
+  /// largest id named. The descriptors come from untrusted host state, so a
+  /// block at or past block_count() is ignored: it is not freed, and it
+  /// sizes nothing.
+  void rebuild_allocator(std::span<const RecordDescriptor> live)
       EXCLUDES(alloc_mu_);
 
   [[nodiscard]] BlockDevice& device() { return device_; }

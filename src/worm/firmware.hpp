@@ -403,8 +403,10 @@ class Firmware {
   common::AlarmId hb_alarm_ = 0;
 
   // Mailbox endpoint state (see transport_* above). The cache is a FIFO of
-  // the most recent responses — deep enough for any in-flight window the
-  // serialized host pipeline can produce.
+  // the most recent responses; a seq that has fallen out of it executes
+  // fresh. The store resends an unanswered command before it sends the next
+  // one, so at most one is ever outstanding and a lost answer is still here
+  // when its resend asks.
   static constexpr std::size_t kTransportCacheDepth = 16;
   struct TransportEntry {
     std::uint64_t seq;

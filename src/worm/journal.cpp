@@ -26,6 +26,20 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
   return w.take();
 }
 
+/// The record kinds a journal may hold; retired values are damage.
+bool live_type(std::uint8_t type) {
+  switch (static_cast<JournalRecordType>(type)) {
+    case JournalRecordType::kIntent:
+    case JournalRecordType::kComplete:
+    case JournalRecordType::kPutDeleted:
+    case JournalRecordType::kTrimBelow:
+    case JournalRecordType::kCheckpoint:
+    case JournalRecordType::kQueuedWrite:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 HostJournal::HostJournal(std::string path, common::FaultInjector* fault)
@@ -93,10 +107,15 @@ HostJournal::ReplayResult HostJournal::replay() {
   ReplayResult result;
   if (!enabled()) return result;
   common::MutexLock lk(mu_);
-  std::ifstream in(path_, std::ios::binary);
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
   if (!in) return result;  // no journal yet: clean empty store
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
+  // One sized read: a byte-wise stream iterator took most of a boot's
+  // replay time.
+  Bytes data(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(data.data()),
+          static_cast<std::streamsize>(data.size()));
+  data.resize(static_cast<std::size_t>(in.gcount()));
   std::size_t pos = 0;
   while (pos < data.size()) {
     // Header: u8 type + u32 len.
@@ -107,10 +126,7 @@ HostJournal::ReplayResult HostJournal::replay() {
                         static_cast<std::uint32_t>(data[pos + 3]) << 16 |
                         static_cast<std::uint32_t>(data[pos + 4]) << 24;
     std::size_t body = pos + 5;
-    if (type < static_cast<std::uint8_t>(JournalRecordType::kIntent) ||
-        type > static_cast<std::uint8_t>(JournalRecordType::kQueuedWrite)) {
-      break;  // garbage header
-    }
+    if (!live_type(type)) break;  // garbage header, or a retired kind
     if (data.size() - body < static_cast<std::size_t>(len) + 4) break;
     Bytes payload(data.begin() + static_cast<std::ptrdiff_t>(body),
                   data.begin() + static_cast<std::ptrdiff_t>(body + len));

@@ -1,8 +1,9 @@
-// Write-ahead journal for the host's soft state (§4.2.1 bookkeeping): VRDT
-// mutations and in-flight sequenced mailbox commands. The journal makes host
-// crashes recoverable — WormStore::recover() replays it at startup, resends
-// any journaled intent whose completion never landed (the device-side dedup
-// cache makes the resend exactly-once), and reapplies the VRDT mutations.
+// Write-ahead journal for the host's soft state (§4.2.1 bookkeeping): what
+// the host sent the SCPU and what the SCPU answered. The journal makes host
+// crashes recoverable — WormStore::recover() replays it at startup, applying
+// every journaled answer through the same fold a live crossing uses, and
+// resends any journaled intent whose answer never landed (the device-side
+// dedup cache makes the resend exactly-once).
 //
 // Like the VRDT itself, the journal lives on untrusted storage: it is a
 // CRASH-consistency mechanism, not a trust anchor. An adversary can delete
@@ -29,6 +30,9 @@
 
 namespace worm::core {
 
+/// Values 3, 5 and 6 are retired (per-effect records of an answer the host
+/// applied); they are never reused, and replay treats a frame carrying one
+/// as damage.
 enum class JournalRecordType : std::uint8_t {
   /// A sequenced mailbox command is about to cross: u64 seq + blob(frame) +
   /// u32 n + n * u64 queued ids. The frame is the exact wire encoding —
@@ -37,19 +41,14 @@ enum class JournalRecordType : std::uint8_t {
   /// checksummed frame atomically supersedes them with a resendable intent,
   /// so a crash can never both resend AND re-execute a write.
   kIntent = 1,
-  /// The command's effects are fully applied to host soft state: u64 seq.
+  /// The device answered intent `seq`: u64 seq + boolean ok [+ blob of the
+  /// answer's ok-payload, verbatim]; ok = false marks a device rejection.
+  /// Appended before the answer is applied, in the same hold of the store
+  /// lock; replay applies it to its intent's frame through the same fold.
   kComplete = 2,
-  /// VRDT gained/overwrote an active entry: serialized Vrd.
-  kPutActive = 3,
   /// VRDT entry replaced by its deletion proof: serialized DeletionProof.
   kPutDeleted = 4,
-  /// Signature refresh on an active entry (litigation update or strengthen):
-  /// u64 sn | boolean has_attr [Attr] | SigBox metasig |
-  /// boolean has_datasig [SigBox datasig].
-  kSigUpdate = 5,
-  /// Compacted deleted window applied: serialized DeletedWindow.
-  kApplyWindow = 6,
-  /// Everything below the signed base trimmed: u64 sn_base.
+  /// Everything below the device's signed base trimmed: u64 sn_base.
   kTrimBelow = 7,
   /// Full VRDT snapshot (blob of Vrdt::serialize()); replay restarts from the
   /// latest checkpoint, so rewrite() uses one to truncate history.

@@ -125,8 +125,8 @@ void WormStore::enter_degraded(const ScpuDeadError& cause) {
 }
 
 // ---------------------------------------------------------------------------
-// Journaled sequenced crossings (WAL discipline: intent before send, every
-// soft-state mutation journaled before it is applied, completion last)
+// Journaled sequenced crossings (WAL discipline: intent before send, the
+// device's answer journaled before it is applied)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -143,8 +143,9 @@ Bytes intent_record(std::uint64_t seq, ByteView frame,
 
 /// True when a crossing failed because the device answered with a refusal:
 /// it did NOT execute the command. A timeout may have executed it (its
-/// intent stays pending for recover() to reconcile through the device-side
-/// dedup); device death and host faults are not answers at all.
+/// intent stays pending, and the next sequenced crossing or recover()
+/// resends it through the device-side dedup); device death and host faults
+/// are not answers at all.
 bool device_rejected(const std::exception_ptr& failure) {
   try {
     std::rethrow_exception(failure);
@@ -157,6 +158,24 @@ bool device_rejected(const std::exception_ptr& failure) {
   } catch (...) {
     return false;
   }
+}
+
+/// Tries the append of the device's answer gets before a transient journal
+/// fault fails it: the store holds the answer by then, and a failure leaves
+/// a command whose fate is known pending.
+constexpr int kAnswerJournalAttempts = 3;
+
+/// The records a journaled kWriteBatch frame staged. Other opcodes stage
+/// nothing; a frame that does not parse names nothing to trust.
+std::vector<Firmware::BatchItem> staged_items(ByteView frame) {
+  try {
+    if (ScpuChannel::request_opcode(frame) == OpCode::kWriteBatch) {
+      return ScpuChannel::decode_write_batch_request(frame).items;
+    }
+  } catch (const common::ParseError&) {
+    // The device parses with the same decoder, so it never ran this frame.
+  }
+  return {};
 }
 }  // namespace
 
@@ -171,20 +190,32 @@ ScpuChannel::Prepared WormStore::journal_intent(
     // record could not give us.
     journal_.append(JournalRecordType::kIntent,
                     intent_record(cmd.seq, cmd.request, qids));
-    pending_seqs_.insert(cmd.seq);
   }
+  pending_seqs_.emplace(cmd.seq, cmd.request);
   return cmd;
 }
 
-void WormStore::complete_intent(std::uint64_t seq) {
-  if (!journal_.enabled()) return;
-  common::ByteWriter w;
-  w.u64(seq);
-  journal_.append(JournalRecordType::kComplete, w.bytes());
+void WormStore::journal_answer(std::uint64_t seq, const Bytes* payload) {
+  if (journal_.enabled()) {
+    common::ByteWriter w;
+    w.u64(seq);
+    w.boolean(payload != nullptr);
+    if (payload != nullptr) w.blob(*payload);
+    for (int attempt = 1;; ++attempt) {
+      try {
+        journal_.append(JournalRecordType::kComplete, w.bytes());
+        break;
+      } catch (const common::TransientStorageError&) {
+        // The failed append wrote nothing, as a crash just before it would.
+        if (attempt >= kAnswerJournalAttempts) throw;
+      }
+    }
+  }
   pending_seqs_.erase(seq);
 }
 
 void WormStore::cross_sequenced(Bytes frame) {
+  resend_pending();
   ScpuChannel::Prepared cmd;
   {
     common::ExclusiveLock lk(state_mu_);
@@ -200,21 +231,65 @@ void WormStore::cross_sequenced(Bytes frame) {
   common::ExclusiveLock lk(state_mu_);
   if (failure != nullptr) {
     // A rejected command never ran; a timed-out one may have, so its intent
-    // stays pending for recover().
-    if (device_rejected(failure)) complete_intent(cmd.seq);
+    // stays pending for the next sequenced crossing.
+    if (device_rejected(failure)) journal_answer(cmd.seq, nullptr);
     std::rethrow_exception(failure);
   }
+  journal_answer(cmd.seq, &payload);
   (void)apply_answer_locked(cmd.request, payload);
-  complete_intent(cmd.seq);
 }
 
-std::vector<Sn> WormStore::apply_answer_locked(ByteView frame,
-                                               ByteView payload) {
+void WormStore::resend_pending(RecoveryReport* report) {
+  // Each pass lands or abandons the oldest pending intent, or throws.
+  for (;;) {
+    ScpuChannel::Prepared cmd;
+    {
+      common::SharedLock lk(state_mu_);
+      if (pending_seqs_.empty()) return;
+      cmd.seq = pending_seqs_.begin()->first;
+      cmd.request = pending_seqs_.begin()->second;
+    }
+    Bytes payload;
+    std::exception_ptr failure;
+    try {
+      payload = channel_.send_ok(cmd);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    common::ExclusiveLock lk(state_mu_);
+    ++recovery_resent_;
+    if (report != nullptr) ++report->resent;
+    // A timeout may have executed the command, or the original delivery
+    // did: the intent stays pending, and reads of SNs it may hold keep
+    // answering unavailable. Device death and host faults stop here too.
+    if (failure != nullptr && !device_rejected(failure)) {
+      std::rethrow_exception(failure);
+    }
+    journal_answer(cmd.seq, failure == nullptr ? &payload : nullptr);
+    if (failure == nullptr) {
+      std::vector<Sn> sns = apply_answer_locked(cmd.request, payload);
+      if (report != nullptr) {
+        report->recovered_sns.insert(report->recovered_sns.end(), sns.begin(),
+                                     sns.end());
+      }
+    } else {
+      // Rejected: deterministic, so the original delivery (if any) was
+      // rejected too. Nothing ran; what the frame staged holds plaintext no
+      // VRD governs.
+      if (report != nullptr) ++report->abandoned;
+      recovery_orphan_blocks_ += release_staged(staged_items(cmd.request));
+    }
+  }
+}
+
+std::vector<Sn> WormStore::apply_answer_locked(
+    ByteView frame, ByteView payload, std::vector<Expired>* replayed) {
   switch (ScpuChannel::request_opcode(frame)) {
     case OpCode::kWriteBatch: {
       ScpuChannel::ParsedWriteBatch parsed =
           ScpuChannel::decode_write_batch_request(frame);
-      return apply_write_ack_locked(payload, parsed.items, parsed.mode);
+      return apply_write_ack_locked(payload, parsed.items, parsed.mode,
+                                    replayed);
     }
     case OpCode::kLitHold:
     case OpCode::kLitRelease:
@@ -228,12 +303,12 @@ std::vector<Sn> WormStore::apply_answer_locked(ByteView frame,
     case OpCode::kCertifyWindow: {
       DeletedWindow merged = ScpuChannel::decode_window_response(payload);
       try {
-        journal_apply_window(merged);
         vrdt_.apply_window(merged);
         ++ops_.compactions;
       } catch (const common::Error&) {
-        // A covered proof is missing (a replay that did not restore it):
-        // the signed window is still valid — skip the local compaction.
+        // The host no longer holds what the window covers (an insider
+        // removed a proof, or another window took part of the span): the
+        // signed window is still valid — skip the local compaction.
       }
       break;
     }
@@ -241,7 +316,6 @@ std::vector<Sn> WormStore::apply_answer_locked(ByteView frame,
       SignedSnBase base = ScpuChannel::decode_base_response(payload);
       Sn new_base = base.sn_base;
       base_ = std::move(base);
-      journal_trim_below(new_base);
       vrdt_.trim_below(new_base);
       sn_base_mirror_ = new_base;
       ++ops_.base_advances;
@@ -253,39 +327,11 @@ std::vector<Sn> WormStore::apply_answer_locked(ByteView frame,
   return {};
 }
 
-void WormStore::journal_put_active(const Vrd& vrd) {
-  if (!journal_.enabled()) return;
-  common::ByteWriter w;
-  vrd.serialize(w);
-  journal_.append(JournalRecordType::kPutActive, w.bytes());
-}
-
 void WormStore::journal_put_deleted(const DeletionProof& proof) {
   if (!journal_.enabled()) return;
   common::ByteWriter w;
   proof.serialize(w);
   journal_.append(JournalRecordType::kPutDeleted, w.bytes());
-}
-
-void WormStore::journal_sig_update(Sn sn, const Attr* attr,
-                                   const SigBox& metasig,
-                                   const SigBox* datasig) {
-  if (!journal_.enabled()) return;
-  common::ByteWriter w;
-  w.u64(sn);
-  w.boolean(attr != nullptr);
-  if (attr != nullptr) attr->serialize(w);
-  metasig.serialize(w);
-  w.boolean(datasig != nullptr);
-  if (datasig != nullptr) datasig->serialize(w);
-  journal_.append(JournalRecordType::kSigUpdate, w.bytes());
-}
-
-void WormStore::journal_apply_window(const DeletedWindow& window) {
-  if (!journal_.enabled()) return;
-  common::ByteWriter w;
-  window.serialize(w);
-  journal_.append(JournalRecordType::kApplyWindow, w.bytes());
 }
 
 void WormStore::journal_trim_below(Sn sn_base) {
@@ -330,24 +376,23 @@ storage::RecordDescriptor WormStore::store_payload(const Bytes& payload) {
   return rd;
 }
 
-void WormStore::release_rd(const storage::RecordDescriptor& rd,
+bool WormStore::release_rd(const storage::RecordDescriptor& rd,
                            storage::ShredPolicy policy) {
-  if (!config_.dedup) {
-    records_.shred(rd, policy, shred_rng());
-    return;
+  if (config_.dedup) {
+    auto it = rd_refs_.find(rd.record_id);
+    WORM_CHECK(it != rd_refs_.end() && it->second > 0,
+               "WormStore: releasing an untracked shared record");
+    if (--it->second > 0) {
+      ++ops_.deferred_shreds;  // other virtual records still reference it
+      return false;
+    }
+    rd_refs_.erase(it);
+    std::erase_if(content_index_, [&](const auto& kv) {
+      return kv.second.record_id == rd.record_id;
+    });
   }
-  auto it = rd_refs_.find(rd.record_id);
-  WORM_CHECK(it != rd_refs_.end() && it->second > 0,
-             "WormStore: releasing an untracked shared record");
-  if (--it->second > 0) {
-    ++ops_.deferred_shreds;  // other virtual records still reference it
-    return;
-  }
-  rd_refs_.erase(it);
-  std::erase_if(content_index_, [&](const auto& kv) {
-    return kv.second.record_id == rd.record_id;
-  });
   records_.shred(rd, policy, shred_rng());
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -409,16 +454,59 @@ void WormStore::stage(WritePipeline::Pending& p, Firmware::BatchItem& item) {
   }
 }
 
-void WormStore::release_staged(const std::vector<Firmware::BatchItem>& items) {
+std::size_t WormStore::release_staged(
+    const std::vector<Firmware::BatchItem>& items) {
+  std::vector<Expired> records;
   for (const Firmware::BatchItem& item : items) {
     for (const auto& rd : item.rdl) {
-      try {
-        release_rd(rd, storage::ShredPolicy::kZeroFill);
-      } catch (const common::StorageError&) {
-        // Best effort: the caller's own error is the one that stands.
-      }
+      records.push_back({rd, storage::ShredPolicy::kZeroFill});
     }
   }
+  return release_records_locked(std::move(records));
+}
+
+std::vector<storage::RecordDescriptor> WormStore::named_records_locked()
+    const {
+  std::vector<storage::RecordDescriptor> named;
+  for (Sn sn : vrdt_.active_sns()) {
+    const Vrdt::Entry* e = vrdt_.find(sn);
+    named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
+  }
+  for (const auto& [seq, frame] : pending_seqs_) {
+    for (const Firmware::BatchItem& item : staged_items(frame)) {
+      named.insert(named.end(), item.rdl.begin(), item.rdl.end());
+    }
+  }
+  return named;
+}
+
+void WormStore::drop_named_blocks(
+    std::vector<Expired>& records,
+    const std::vector<storage::RecordDescriptor>& named) {
+  if (records.empty()) return;
+  std::set<std::uint64_t> keep;
+  for (const storage::RecordDescriptor& rd : named) {
+    keep.insert(rd.blocks.begin(), rd.blocks.end());
+  }
+  const std::uint64_t count = records_.device().block_count();
+  for (Expired& x : records) {
+    std::erase_if(x.rd.blocks, [&](std::uint64_t b) {
+      return b >= count || keep.contains(b);
+    });
+  }
+}
+
+std::size_t WormStore::release_records_locked(std::vector<Expired> records) {
+  drop_named_blocks(records, named_records_locked());
+  std::size_t shredded = 0;
+  for (const Expired& x : records) {
+    try {
+      if (release_rd(x.rd, x.policy)) shredded += x.rd.blocks.size();
+    } catch (const common::StorageError&) {
+      // Best effort: the caller's own error is the one that stands.
+    }
+  }
+  return shredded;
 }
 
 void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
@@ -439,6 +527,10 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
            mode_of(writes[end]) == mode) {
       ++end;
     }
+
+    // 0. Land what the device has not answered yet, so this chunk is the
+    //    one unanswered command it holds.
+    resend_pending();
 
     // 1. Stage the chunk and journal its intent. Later chunks stay unstaged
     //    until their turn, so a rejection that stops the caller leaves no
@@ -488,24 +580,27 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
       failure = std::current_exception();
     }
 
-    // 3. Apply the ack, complete the intent and resolve the chunk.
+    // 3. Journal the answer, apply it and resolve the chunk.
     common::ExclusiveLock lk(state_mu_);
     writes_in_flight_ = false;
     if (failure != nullptr) {
       // Timeouts (the intent stays pending), device death and host faults
       // stop the commit.
       if (!device_rejected(failure)) std::rethrow_exception(failure);
-      // Definitive rejection: nothing in the chunk ran, and the completed
+      // Definitive rejection: nothing in the chunk ran, and the answered
       // intent consumes its admissions. What it staged holds plaintext no
       // VRD governs.
-      complete_intent(cmd.seq);
+      journal_answer(cmd.seq, nullptr);
       release_staged(items);
       for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, failure);
     } else {
+      // A failed append applies nothing: the intent stays pending, and the
+      // next crossing resends it and lands the answer from the device's
+      // response cache.
+      journal_answer(cmd.seq, &payload);
       std::vector<Sn> sns = apply_write_ack_locked(payload, items, mode);
       ++mailbox_.batches;
       mailbox_.batched_writes += sns.size();
-      complete_intent(cmd.seq);
       for (std::size_t k = 0; k < sns.size(); ++k) {
         landed(first + k, sns[k], nullptr);
       }
@@ -516,15 +611,30 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
 
 std::vector<Sn> WormStore::apply_write_ack_locked(
     ByteView payload, std::vector<Firmware::BatchItem>& items,
-    WitnessMode mode) {
+    WitnessMode mode, std::vector<Expired>* replayed) {
   ScpuChannel::BatchAck ack = ScpuChannel::decode_write_batch_response(payload);
   WORM_CHECK(ack.witnesses.size() == items.size(),
              "write ack: witness count mismatch");
   std::vector<Sn> sns;
   sns.reserve(items.size());
+  std::vector<Expired> late;
   for (std::size_t k = 0; k < items.size(); ++k) {
-    // Main CPU assembles the VRD, journals it, and persists it in the VRDT.
     WriteWitness& witness = ack.witnesses[k];
+    sns.push_back(witness.sn);
+    sn_current_mirror_ = std::max(sn_current_mirror_, witness.sn);
+    const Vrdt::Entry* e = vrdt_.find(witness.sn);
+    if (witness.sn < sn_base_mirror_ ||
+        (e != nullptr ? e->kind == Vrdt::Entry::Kind::kDeleted
+                      : vrdt_.find_window(witness.sn) != nullptr)) {
+      // A lost answer landing after its SN was deleted (a proof, a window,
+      // or below the base): the deletion stands, and the expiry found no VRD
+      // to shred, so the record goes now, by its own policy.
+      for (const auto& rd : items[k].rdl) {
+        late.push_back({rd, witness.attr.shredding});
+      }
+      continue;
+    }
+    // Main CPU assembles the VRD and persists it in the VRDT.
     Vrd vrd;
     vrd.sn = witness.sn;
     vrd.attr = witness.attr;
@@ -532,19 +642,21 @@ std::vector<Sn> WormStore::apply_write_ack_locked(
     vrd.data_hash = std::move(witness.data_hash);
     vrd.metasig = std::move(witness.metasig);
     vrd.datasig = std::move(witness.datasig);
-    journal_put_active(vrd);
     vrdt_.put_active(std::move(vrd));
-    sn_current_mirror_ = std::max(sn_current_mirror_, witness.sn);
     if (mode != WitnessMode::kStrong) {
       note_deferred_witness(witness.attr.creation_time);
     }
-    sns.push_back(witness.sn);
   }
   ops_.writes += sns.size();
   // The ack's trailing attestation can only run ahead of the per-witness
   // maximum (other writes may have landed on the device since), never behind.
   sn_current_mirror_ = std::max(sn_current_mirror_, ack.sn_current_after);
   adopt_epoch_cert_locked(ack.epoch_cert);
+  if (replayed != nullptr) {
+    replayed->insert(replayed->end(), late.begin(), late.end());
+  } else if (!late.empty()) {
+    (void)release_records_locked(std::move(late));
+  }
   return sns;
 }
 
@@ -685,7 +797,8 @@ void WormStore::flush_group(std::vector<WritePipeline::Pending>&& group) {
   } catch (...) {
     // Timeouts, degraded-mode refusals, host faults: the waiting tickets get
     // the exception the synchronous path would have thrown. A timed-out
-    // intent stays pending; recover() reconciles it exactly-once.
+    // intent stays pending; the next sequenced crossing (or recover())
+    // lands it exactly-once.
     err = std::current_exception();
   }
   for (std::size_t k = next; k < group.size(); ++k) {
@@ -724,19 +837,18 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
     return std::nullopt;  // expired base: refreshing needs a mailbox crossing
   }
   if (sn > sn_current_mirror_ &&
-      (writes_in_flight_ || !pending_seqs_.empty() ||
+      (!pending_seqs_.empty() ||
        (pipeline_ != nullptr && pipeline_->unassigned() > 0))) {
-    // A write crossing in flight or an unreconciled intent may have
-    // allocated this SN on the device, and an admitted write the mirror
-    // does not cover yet may be about to claim it: a "never existed" answer
-    // from an older heartbeat would be a lie the host knows it cannot stand
-    // behind (or one the next flush contradicts), and a heartbeat that
-    // already counts it finds no entry to serve. Unavailable until the ack
-    // is applied (or recover() reconciles).
+    // A crossing in flight or an unanswered intent may have allocated this
+    // SN on the device, and an admitted write the mirror does not cover yet
+    // may be about to claim it: a "never existed" answer from an older
+    // heartbeat would be a lie the host knows it cannot stand behind (or one
+    // the next flush contradicts), and a heartbeat that already counts it
+    // finds no entry to serve. Unavailable until the answer is applied.
     return ReadOutcome{ReadUnavailable{
         "SN " + std::to_string(sn) +
-            " may be in flight: a write crossing, an unreconciled intent or "
-            "an admitted write is pending",
+            " may be in flight: a crossing, an unanswered command or an "
+            "admitted write is pending",
         /*retryable=*/true}};
   }
   if (sn > heartbeat_.sn_current) {
@@ -750,10 +862,11 @@ std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
   }
   if (!pending_seqs_.empty()) {
     // An in-flight sequenced command may have materialized this SN on the
-    // device while the host answer was lost; until recover() reconciles the
-    // journal, absence here is unavailability, not evidence.
+    // device while the host answer was lost; until the next sequenced
+    // crossing (or recover()) lands it, absence here is unavailability, not
+    // evidence.
     return ReadOutcome{ReadUnavailable{
-        "host journal holds unreconciled intents; SN " + std::to_string(sn) +
+        "the device has unanswered commands; SN " + std::to_string(sn) +
             " may be in flight",
         /*retryable=*/true}};
   }
@@ -834,7 +947,6 @@ std::vector<ReadOutcome> WormStore::read_many(const std::vector<Sn>& sns) {
 void WormStore::apply_lit_update(Sn sn, Firmware::LitUpdate up) {
   Vrdt::Entry* e = vrdt_.mutable_entry(sn);
   if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) return;
-  journal_sig_update(sn, &up.attr, up.metasig, nullptr);
   e->vrd.attr = std::move(up.attr);
   e->vrd.metasig = std::move(up.metasig);
 }
@@ -910,53 +1022,10 @@ void WormStore::on_heartbeat(SignedSnCurrent current) {
   }
 }
 
-namespace {
-/// Tries recovery gives each journaled step of a resent command before a
-/// transient journal fault fails recover().
-constexpr int kResendJournalAttempts = 3;
-
-/// Appends the records a journaled kWriteBatch frame names. Other opcodes
-/// stage nothing; a frame that does not parse names nothing to trust.
-void append_frame_rdls(ByteView frame,
-                       std::vector<storage::RecordDescriptor>& out) {
-  try {
-    if (ScpuChannel::request_opcode(frame) != OpCode::kWriteBatch) return;
-    ScpuChannel::ParsedWriteBatch batch =
-        ScpuChannel::decode_write_batch_request(frame);
-    for (Firmware::BatchItem& item : batch.items) {
-      for (storage::RecordDescriptor& rd : item.rdl) {
-        out.push_back(std::move(rd));
-      }
-    }
-  } catch (const common::ParseError&) {
-    // The device parses with the same decoder, so it never ran this frame.
-  }
-}
-}  // namespace
-
-void WormStore::derive_host_state_locked(const Intents& live,
-                                         const Intents& abandoned,
-                                         std::vector<Expired> expired) {
-  std::vector<storage::RecordDescriptor> named;
-  for (Sn sn : vrdt_.active_sns()) {
-    const Vrdt::Entry* e = vrdt_.find(sn);
-    named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
-  }
-  for (const auto& [seq, frame] : live) append_frame_rdls(frame, named);
-  if (!expired.empty()) {
-    std::set<std::uint64_t> keep;
-    for (const storage::RecordDescriptor& rd : named) {
-      keep.insert(rd.blocks.begin(), rd.blocks.end());
-    }
-    // Journaled descriptors are untrusted: never write past the device.
-    const std::uint64_t count = records_.device().block_count();
-    for (Expired& x : expired) {
-      std::erase_if(x.rd.blocks, [&](std::uint64_t b) {
-        return b >= count || keep.contains(b);
-      });
-      records_.shred(x.rd, x.policy, shred_rng());
-    }
-  }
+void WormStore::derive_host_state_locked(std::vector<Expired> expired) {
+  std::vector<storage::RecordDescriptor> named = named_records_locked();
+  drop_named_blocks(expired, named);
+  for (const Expired& x : expired) records_.shred(x.rd, x.policy, shred_rng());
   if (config_.dedup) {
     // Every naming is a reference; each record's payload is hashed once.
     content_index_.clear();
@@ -973,9 +1042,7 @@ void WormStore::derive_host_state_locked(const Intents& live,
       }
     }
   }
-  std::vector<storage::RecordDescriptor> orphans;
-  for (const auto& [seq, frame] : abandoned) append_frame_rdls(frame, orphans);
-  recovery_orphan_blocks_ += records_.rebuild_allocator(named, orphans);
+  records_.rebuild_allocator(named);
 }
 
 void WormStore::adopt_vrdt(Vrdt vrdt) {
@@ -989,7 +1056,7 @@ void WormStore::adopt_vrdt(Vrdt vrdt) {
     fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
     journal_.rewrite(fresh);
   }
-  derive_host_state_locked({}, {});
+  derive_host_state_locked();
 }
 
 // ---------------------------------------------------------------------------
@@ -1003,49 +1070,53 @@ WormStore::RecoveryReport WormStore::recover() {
 
   RecoveryReport report;
   Replayed replayed;
-  Resent resent;
+  std::uint64_t journaled_seq = 0;  // highest intent replay left pending
+  {
+    common::ExclusiveLock lk(state_mu_);
+    WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
+                 "recover: store already in service");
+    // Until its answer lands, an intent replay leaves pending may hold SNs
+    // the host has no entry for: reads of them answer unavailable, not
+    // failure. Derive the rest of host state before anything allocates,
+    // with the records those intents staged counted as live.
+    replayed = replay_journal_locked(report);
+    derive_host_state_locked(std::move(replayed.expired));
+    if (!pending_seqs_.empty()) journaled_seq = pending_seqs_.rbegin()->first;
+  }
   bool rewrite_safe = true;
   try {
-    {
-      common::ExclusiveLock lk(state_mu_);
-      WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
-                   "recover: store already in service");
-      replayed = replay_journal_locked(report);
-      // Until its answer is applied, a replayed intent may hold SNs the
-      // host has no entry for: reads of them answer unavailable, not
-      // failure. Each leaves the list when its resend completes it.
-      for (const auto& [seq, frame] : replayed.pending) {
-        pending_seqs_.insert(seq);
-      }
-    }
-    resent = resend_intents(replayed.pending, report);
-    {
-      // Host state is now what the journal and the device agree on; derive
-      // the rest from it before re-executed admissions allocate.
-      common::ExclusiveLock lk(state_mu_);
-      derive_host_state_locked(resent.unresolved, resent.abandoned,
-                               std::exchange(replayed.expired, {}));
+    // Continue the crossing sequence past everything the device or the
+    // journal has seen, then resend the pending intents.
+    channel_.set_next_seq(std::max(channel_.status().last_seq, journaled_seq) +
+                          1);
+    bool resolved = true;
+    try {
+      resend_pending(&report);
+    } catch (const ChannelTimeoutError&) {
+      // The resend may still run: the checkpoint keeps its intent.
+      ++report.unresolved;
+      resolved = false;
     }
     reconcile_with_device();
-    rewrite_safe = reexecute_queued(replayed.queued, report);
+    // Re-executing would first resend that intent again, outside this
+    // report: the admissions stay journaled for the next recover(), so the
+    // rewrite, which would drop them, is skipped.
+    rewrite_safe = resolved ? reexecute_queued(replayed.queued, report)
+                            : replayed.queued.empty();
   } catch (const ScpuDeadError&) {
     // Dead device: serve read-only, with the pending intents on the books.
-    common::ExclusiveLock lk(state_mu_);
     degraded_ = true;
-    // Shreds what the try block did not get to (the exchange leaves the
-    // list empty once it has run).
-    derive_host_state_locked(replayed.pending, {},
-                             std::exchange(replayed.expired, {}));
   }
 
   common::ExclusiveLock lk(state_mu_);
-  if (!degraded_ && rewrite_safe) checkpoint_locked(resent.unresolved);
+  if (!degraded_ && rewrite_safe) checkpoint_locked();
   return report;
 }
 
 WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
-  // Fold the journal into host soft state, collecting intents whose
-  // completion never landed and pipeline admissions no intent superseded.
+  // Fold the journal into host soft state in append order, which is the
+  // order the answers were applied in, leaving intents whose answer never
+  // landed pending and collecting admissions no intent superseded.
   HostJournal::ReplayResult replay = journal_.replay();
   report.torn_tail = replay.torn_tail;
   report.torn_bytes = replay.torn_bytes;
@@ -1057,10 +1128,6 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
         case JournalRecordType::kCheckpoint:
           vrdt_ = Vrdt::deserialize(rec.payload);
           break;
-        case JournalRecordType::kPutActive:
-          vrdt_.put_active(Vrd::deserialize(r));
-          r.expect_end();
-          break;
         case JournalRecordType::kPutDeleted: {
           DeletionProof proof = DeletionProof::deserialize(r);
           r.expect_end();
@@ -1071,28 +1138,6 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
             }
           }
           vrdt_.put_deleted(std::move(proof));
-          break;
-        }
-        case JournalRecordType::kSigUpdate: {
-          Sn sn = r.u64();
-          std::optional<Attr> attr;
-          if (r.boolean()) attr = Attr::deserialize(r);
-          SigBox metasig = SigBox::deserialize(r);
-          std::optional<SigBox> datasig;
-          if (r.boolean()) datasig = SigBox::deserialize(r);
-          r.expect_end();
-          if (Vrdt::Entry* e = vrdt_.mutable_entry(sn);
-              e != nullptr && e->kind == Vrdt::Entry::Kind::kActive) {
-            if (attr.has_value()) e->vrd.attr = std::move(*attr);
-            e->vrd.metasig = std::move(metasig);
-            if (datasig.has_value()) e->vrd.datasig = std::move(*datasig);
-          }
-          break;
-        }
-        case JournalRecordType::kApplyWindow: {
-          DeletedWindow window = DeletedWindow::deserialize(r);
-          r.expect_end();
-          vrdt_.apply_window(window);
           break;
         }
         case JournalRecordType::kTrimBelow: {
@@ -1111,13 +1156,23 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
           std::uint32_t n = r.count(/*min_elem_bytes=*/8);
           for (std::uint32_t k = 0; k < n; ++k) out.queued.erase(r.u64());
           r.expect_end();
-          out.pending[seq] = std::move(frame);
+          pending_seqs_[seq] = std::move(frame);
           break;
         }
         case JournalRecordType::kComplete: {
+          // The answer the live crossing applied, applied the same way.
           std::uint64_t seq = r.u64();
+          const bool ok = r.boolean();
+          Bytes answer = ok ? r.blob() : Bytes{};
           r.expect_end();
-          out.pending.erase(seq);
+          auto intent = pending_seqs_.find(seq);
+          if (intent == pending_seqs_.end()) {
+            throw common::ParseError("kComplete answers no pending intent");
+          }
+          if (ok) {
+            (void)apply_answer_locked(intent->second, answer, &out.expired);
+          }
+          pending_seqs_.erase(intent);
           break;
         }
         case JournalRecordType::kQueuedWrite: {
@@ -1149,73 +1204,12 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
     }
     ++report.replayed;
   }
+  // Replayed answers restore state; they are not work this process did.
+  ops_.writes = 0;
+  ops_.compactions = 0;
+  ops_.base_advances = 0;
   recovery_replayed_ += report.replayed;
   recovery_torn_bytes_ += report.torn_bytes;
-  return out;
-}
-
-WormStore::Resent WormStore::resend_intents(const Intents& pending,
-                                           RecoveryReport& report) {
-  // Continue the crossing sequence past everything the device or the
-  // journal has seen, then resend every pending intent verbatim. The
-  // device's per-(seq, crc) response cache turns each resend into
-  // exactly-once: already-executed commands answer from the cache without
-  // re-executing.
-  std::uint64_t next = channel_.status().last_seq;
-  if (!pending.empty()) next = std::max(next, pending.rbegin()->first);
-  channel_.set_next_seq(next + 1);
-
-  // A transient journal fault fails its append cleanly, as a crash just
-  // before it would.
-  auto retried = [](auto&& step) {
-    for (int attempt = 1;; ++attempt) {
-      try {
-        return step();
-      } catch (const common::TransientStorageError&) {
-        if (attempt == kResendJournalAttempts) throw;
-      }
-    }
-  };
-  Resent out;
-  for (const auto& [seq, frame] : pending) {
-    ++report.resent;
-    Bytes payload;
-    std::exception_ptr failure;
-    try {
-      payload = channel_.send_ok(ScpuChannel::Prepared{seq, frame});
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    common::ExclusiveLock lk(state_mu_);
-    ++recovery_resent_;
-    if (failure == nullptr) {
-      // The command has run: retry a step a transient journal fault failed
-      // rather than leave the answer to the next boot.
-      std::vector<Sn> sns =
-          retried([&] { return apply_answer_locked(frame, payload); });
-      retried([&] { complete_intent(seq); });
-      report.recovered_sns.insert(report.recovered_sns.end(), sns.begin(),
-                                  sns.end());
-    } else if (device_rejected(failure)) {
-      // Rejected: deterministic, so the original delivery (if any) was
-      // rejected too. Nothing executed; abandon the intent.
-      ++report.abandoned;
-      retried([&] { complete_intent(seq); });
-      out.abandoned.emplace(seq, frame);
-    } else {
-      // Device death and host faults end recovery. A resend that itself
-      // timed out may still have executed (or the original delivery did):
-      // the intent stays on the books, reads of possibly-allocated SNs keep
-      // answering unavailable, and a later recover() retries the resend
-      // through the dedup cache.
-      try {
-        std::rethrow_exception(failure);
-      } catch (const ChannelTimeoutError&) {
-        ++report.unresolved;
-        out.unresolved.emplace(seq, frame);
-      }
-    }
-  }
   return out;
 }
 
@@ -1233,6 +1227,9 @@ void WormStore::reconcile_with_device() {
     journal_trim_below(st.sn_base);
     vrdt_.trim_below(st.sn_base);
   }
+  // A replayed S_s(SN_base) for another base would answer a read below the
+  // device's base that it does not cover, and the client would convict.
+  if (base_.has_value() && base_->sn_base != st.sn_base) base_.reset();
   sn_base_mirror_ = st.sn_base;
   deferred_mirror_count_ = st.deferred_count;
   deferred_mirror_earliest_ = st.earliest_deadline;
@@ -1271,13 +1268,13 @@ bool WormStore::reexecute_queued(
   return true;
 }
 
-void WormStore::checkpoint_locked(const Intents& unresolved) {
+void WormStore::checkpoint_locked() {
   // Fold the replayed history into a single fresh checkpoint — plus one
   // intent record per unresolved resend, so a crash before the next
   // recover() cannot orphan a possibly-executed command.
   std::vector<JournalRecord> fresh;
   fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
-  for (const auto& [seq, frame] : unresolved) {
+  for (const auto& [seq, frame] : pending_seqs_) {
     fresh.push_back({JournalRecordType::kIntent, intent_record(seq, frame, {})});
   }
   journal_.rewrite(fresh);
@@ -1424,7 +1421,6 @@ void WormStore::apply_strengthen_results(
   for (StrengthenResult& r : results) {
     Vrdt::Entry* e = vrdt_.mutable_entry(r.sn);
     if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-    journal_sig_update(r.sn, nullptr, r.metasig, &r.datasig);
     e->vrd.metasig = std::move(r.metasig);
     e->vrd.datasig = std::move(r.datasig);
   }

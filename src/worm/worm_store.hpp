@@ -17,8 +17,11 @@
 // the mailbox strictly serialized and journal order equal to sequence order,
 // and every crossing runs with state_mu_ released: the store lock is taken
 // before it, to gather what the command needs and journal its intent, and
-// after it, to apply the answer. So reads and write_async admissions never
-// wait for the SCPU, whether it witnesses writes, litigation or idle duties.
+// after it, to journal the SCPU's answer and then apply it. So reads and
+// write_async admissions never wait for the SCPU, whether it witnesses
+// writes, litigation or idle duties. The journal records only what was sent
+// and what the SCPU answered; recovery replays each answer through the fold
+// a live crossing applies it with (DESIGN.md §9).
 // Lock order: commit_mu_ -> state_mu_, with the journal's own mutex a leaf.
 // Every read answers from the VRDT itself under state_mu_, so a read issued
 // after a mutation returns never sees the pre-mutation result. See
@@ -39,7 +42,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -332,12 +334,15 @@ class WormStore final : public HostAgent {
   /// that has not served writes yet.
   void adopt_vrdt(Vrdt vrdt) EXCLUDES(state_mu_);
 
-  /// What recover() did, for logs and tests.
+  /// What recover() did, for logs and tests. Replayed answers count only in
+  /// `replayed` (and recovery.replayed): the store.* counters count what this
+  /// process did, so recover() leaves them at what its resends and
+  /// re-executions add.
   struct RecoveryReport {
     std::size_t replayed = 0;   // journal records folded into host state
     std::size_t resent = 0;     // pending intents resent to the device
     std::size_t abandoned = 0;  // resends the device rejected (never ran)
-    std::size_t unresolved = 0;  // resends that timed out; still pending
+    std::size_t unresolved = 0;  // crossings that timed out; still pending
     bool torn_tail = false;     // the journal ended in a damaged frame
     std::size_t torn_bytes = 0;
     // Pipeline admissions (kQueuedWrite) that never made a group crossing
@@ -347,11 +352,14 @@ class WormStore final : public HostAgent {
   };
 
   /// Crash recovery (journaled stores): replays the write-ahead journal into
-  /// the VRDT, resends every journaled intent whose completion never landed
-  /// (the device's per-sequence response cache makes the resend
-  /// exactly-once), derives the block allocator and dedup index from the
-  /// result (zeroing what rejected resends staged), reconciles with the
-  /// device's signed status, and rewrites the journal as a fresh checkpoint.
+  /// the VRDT, applying every journaled answer to its intent, derives the
+  /// block allocator and dedup index from the result, resends every intent
+  /// whose answer never landed (the device's per-sequence response cache
+  /// makes the resend exactly-once; a rejected one zeroes what it staged),
+  /// reconciles with the device's signed status, re-executes the pipeline
+  /// admissions no intent superseded, and rewrites the journal as a fresh
+  /// checkpoint. A resend that times out stays pending, and the admissions
+  /// then wait, journaled, for the next recover().
   /// Only valid on a store that has not served writes yet. If the device
   /// turns out to be zeroized, the store comes up in degraded read-only mode
   /// instead of failing.
@@ -376,7 +384,9 @@ class WormStore final : public HostAgent {
 
   storage::RecordDescriptor store_payload(const common::Bytes& payload)
       REQUIRES(state_mu_);
-  void release_rd(const storage::RecordDescriptor& rd,
+  /// Drops one reference to `rd` and shreds it by `policy` once nothing else
+  /// references it; true when it shredded.
+  bool release_rd(const storage::RecordDescriptor& rd,
                   storage::ShredPolicy policy) REQUIRES(state_mu_);
   void charge_host(common::Duration d) { clock_.charge(d); }
   std::vector<common::Bytes> read_payloads(const Vrd& vrd);
@@ -398,32 +408,61 @@ class WormStore final : public HostAgent {
   void adopt_epoch_cert_locked(const std::optional<EpochCert>& cert)
       REQUIRES(state_mu_);
 
-  /// Frames `frame` with the next sequence number and journals it as an
-  /// intent (the exact wire frame) before it crosses. `qids` names the
-  /// pipeline admissions (kQueuedWrite records) a write crossing carries:
-  /// the intent record atomically supersedes them, so recovery resends the
-  /// frame (dedup-exact) instead of re-executing them and a crash between
-  /// journal and ack can never apply a write twice. commit_mu_ makes journal
-  /// order sequence order.
+  /// Frames `frame` with the next sequence number, journals it as an intent
+  /// (the exact wire frame) before it crosses, and puts it on the pending
+  /// list, journaled or not. `qids` names the pipeline admissions
+  /// (kQueuedWrite records) a write crossing carries: the intent record
+  /// atomically supersedes them, so recovery resends the frame (dedup-exact)
+  /// instead of re-executing them and a crash between journal and ack can
+  /// never apply a write twice. commit_mu_ makes journal order sequence
+  /// order.
   ScpuChannel::Prepared journal_intent(
       common::Bytes frame, const std::vector<std::uint64_t>& qids = {})
       REQUIRES(commit_mu_, state_mu_);
-  void complete_intent(std::uint64_t seq) REQUIRES(state_mu_);
+  /// Journals the device's answer to intent `seq` (kComplete): its
+  /// ok-payload, or a rejection when `payload` is null. Then takes the
+  /// intent off the pending list. Runs before the answer is applied, in the
+  /// same hold of state_mu_; an append that keeps failing (a few tries at a
+  /// transient fault) throws and leaves the intent pending.
+  void journal_answer(std::uint64_t seq, const common::Bytes* payload)
+      REQUIRES(state_mu_);
   /// The one sequenced crossing of every command but a write, in the write
   /// committer's three steps: journals `frame` as an intent under state_mu_,
-  /// crosses with state_mu_ released, then applies the answer
-  /// (apply_answer_locked) and completes the intent under state_mu_ again.
-  /// A device rejection completes the intent and rethrows; a timeout leaves
-  /// it pending for recover(); device death propagates.
+  /// crosses with state_mu_ released, then journals the answer and applies
+  /// it (apply_answer_locked) under state_mu_ again. A device rejection is
+  /// journaled and rethrown; a timeout leaves the intent pending for the
+  /// next sequenced crossing; device death propagates.
   void cross_sequenced(common::Bytes frame) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
-  /// Applies a sequenced command's answer, from a live crossing or a resent
-  /// intent; returns the SNs a kWriteBatch landed. A hold or strengthening
-  /// skips an entry that is no longer active, so an expiry that landed after
-  /// the frame was built is not overwritten; every record it journals
-  /// replays idempotently, so it may run again.
+  /// Resends every pending intent in seq order, each crossing with
+  /// state_mu_ released and its answer journaled and applied under it; a
+  /// rejected one releases what its frame staged. The store runs it before
+  /// it prepares each new sequenced frame, so the device holds at most one
+  /// unanswered sequenced command, and recover() runs it after its seq
+  /// continuation. A timeout, device death or host fault stops it there,
+  /// before the caller's command is sent, with that intent still pending.
+  /// `report`, when given, counts what recovery resent.
+  void resend_pending(RecoveryReport* report = nullptr) REQUIRES(commit_mu_)
+      EXCLUDES(state_mu_);
+  /// A record whose VRD is gone while its blocks may still hold plaintext:
+  /// an expiry replay folded over an active VRD (on_expire journals the
+  /// proof before it shreds, so a crash may have cut the shred short), or a
+  /// write whose answer landed after its SN was deleted.
+  struct Expired {
+    storage::RecordDescriptor rd;
+    storage::ShredPolicy policy = storage::ShredPolicy::kNone;
+  };
+  /// Applies a sequenced command's answer, from a live crossing, a resend
+  /// or the journal's replay; returns the SNs a kWriteBatch landed. It
+  /// journals nothing: its caller journals the answer first. A hold or
+  /// strengthening skips an entry that is no longer active, so an expiry
+  /// that landed after the frame was built is not overwritten; a write
+  /// whose SN is already deleted keeps its proof (apply_write_ack_locked).
+  /// Replay passes `replayed`, its list of records to shred once host state
+  /// is derived; live callers leave it null and the fold releases them.
   std::vector<Sn> apply_answer_locked(common::ByteView frame,
-                                      common::ByteView payload)
+                                      common::ByteView payload,
+                                      std::vector<Expired>* replayed = nullptr)
       REQUIRES(state_mu_);
 
   // --- the write path -------------------------------------------------------
@@ -448,11 +487,24 @@ class WormStore final : public HostAgent {
   void stage(WritePipeline::Pending& p, Firmware::BatchItem& item)
       REQUIRES(state_mu_);
   /// Releases what a chunk staged when no VRD will ever name it (the device
-  /// rejected the chunk, or its intent never reached the journal): each
-  /// record is zero-filled unless a live record shares it. Never throws a
-  /// storage error: a record whose zero-fill fails keeps its blocks, and
-  /// what they hold, until the next boot frees them; the rest still go.
-  void release_staged(const std::vector<Firmware::BatchItem>& items)
+  /// rejected the chunk or its resend, or its intent never reached the
+  /// journal): each record is zero-filled (release_records_locked).
+  std::size_t release_staged(const std::vector<Firmware::BatchItem>& items)
+      REQUIRES(state_mu_);
+  /// The records active VRDs and pending kWriteBatch frames name.
+  std::vector<storage::RecordDescriptor> named_records_locked() const
+      REQUIRES(state_mu_);
+  /// Drops from each record every block `named` holds and every block past
+  /// the device. A descriptor from the journal is untrusted, so no shred of
+  /// one may zero a live record or write past the device.
+  void drop_named_blocks(std::vector<Expired>& records,
+                         const std::vector<storage::RecordDescriptor>& named);
+  /// Shreds each record by its own policy and frees its blocks, except the
+  /// blocks something live names (drop_named_blocks); a dedup-shared record
+  /// drops one reference instead. Returns the blocks shredded. Never throws
+  /// a storage error: a record whose shred fails keeps its blocks, and what
+  /// they hold, until the next boot frees them; the rest still go.
+  std::size_t release_records_locked(std::vector<Expired> records)
       REQUIRES(state_mu_);
   /// Each committed write's fate, in order: its SN, or the device rejection
   /// of its chunk (nothing in that chunk ran). Called under state_mu_.
@@ -461,20 +513,25 @@ class WormStore final : public HostAgent {
   /// The one write committer: consecutive same-mode writes, chunked at
   /// mailbox.max_batch, cross as one journaled kWriteBatch per chunk, in
   /// three steps: stage the chunk and journal its intent under state_mu_,
-  /// cross with state_mu_ released, then apply the ack under state_mu_
-  /// again. A chunk is staged only when its turn comes. A rejected chunk's
-  /// staged records are released (release_staged); committing goes on
-  /// unless `landed` throws. Timeouts, device death and host faults
-  /// propagate; one that strikes before the intent is journaled releases
-  /// the chunk's staged records first.
+  /// cross with state_mu_ released, then journal the ack and apply it under
+  /// state_mu_ again. Each chunk first resends what the device has not
+  /// answered (resend_pending), and is staged only when its turn comes. A
+  /// rejected chunk's staged records are released (release_staged);
+  /// committing goes on unless `landed` throws. Timeouts, device death and
+  /// host faults propagate; one that strikes before the intent is journaled
+  /// releases the chunk's staged records first.
   void commit_writes(std::span<const UnstagedWrite> writes,
                      const Landed& landed) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
   /// Applies a kWriteBatch ack (VRDs around `items`' RDLs, SN mirror, epoch
-  /// cert); returns the issued SNs.
+  /// cert); returns the issued SNs. Journals nothing, like
+  /// apply_answer_locked. An answer that lands after its SN was deleted (it
+  /// was lost, and the expiry, a window or the base came first) leaves the
+  /// deletion standing; its records go to `replayed`, or are released now.
   std::vector<Sn> apply_write_ack_locked(
       common::ByteView payload, std::vector<Firmware::BatchItem>& items,
-      WitnessMode mode) REQUIRES(state_mu_);
+      WitnessMode mode, std::vector<Expired>* replayed = nullptr)
+      REQUIRES(state_mu_);
   /// The one async admission step: write_async blocks on a full queue,
   /// try_write_async (blocking = false) answers nullopt.
   std::optional<WriteTicket> admit(WriteRequest request, bool blocking)
@@ -490,65 +547,46 @@ class WormStore final : public HostAgent {
 
   // --- recover() phases, in order ------------------------------------------
 
-  using Intents = std::map<std::uint64_t, common::Bytes>;  // seq -> frame
-  /// A record whose expiry (kPutDeleted) replay folded over an active VRD.
-  /// on_expire journals the proof before it shreds, so a crash may have cut
-  /// the shred short.
-  struct Expired {
-    storage::RecordDescriptor rd;
-    storage::ShredPolicy policy = storage::ShredPolicy::kNone;
-  };
   struct Replayed {
-    Intents pending;                               // no completion journaled
     std::map<std::uint64_t, WriteRequest> queued;  // qid -> admission
     std::vector<Expired> expired;                  // to shred again
   };
+  /// Folds the journal into host state: each answered intent's answer goes
+  /// through apply_answer_locked, and every intent without one is left on
+  /// the pending list.
   Replayed replay_journal_locked(RecoveryReport& report) REQUIRES(state_mu_);
-  struct Resent {
-    Intents unresolved;  // resend timed out: still pending
-    Intents abandoned;   // device rejected the frame: it never ran
-  };
-  /// Resends every pending intent verbatim, each crossing with state_mu_
-  /// released and its answer applied (apply_answer_locked) under it.
-  Resent resend_intents(const Intents& pending, RecoveryReport& report)
-      REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// Derives the host state nothing persists from the state that is: the
-  /// records named by active VRDs and by the kWriteBatch frames of `live`
+  /// records named by active VRDs and by the kWriteBatch frames of pending
   /// intents rebuild the dedup index, the reference counts and the block
-  /// allocator. Blocks staged for `abandoned` frames that nothing live
-  /// names are zero-filled (recovery.orphan_blocks). Each `expired` record
-  /// is shredded again by its own policy first, except the blocks something
-  /// live names (a dedup-shared record, or a block a later write reused).
-  void derive_host_state_locked(const Intents& live, const Intents& abandoned,
-                                std::vector<Expired> expired = {})
+  /// allocator. Each `expired` record is shredded again by its own policy
+  /// first, except the blocks something live names (drop_named_blocks: a
+  /// dedup-shared record, or a block a later write reused).
+  void derive_host_state_locked(std::vector<Expired> expired = {})
       REQUIRES(state_mu_);
   /// Re-seeds the mirrors and the heartbeat from the device's signed view,
   /// journaling a trim first when the device's SN_base passed what the host
-  /// still holds.
+  /// still holds, and dropping a cached base the device has moved past.
   void reconcile_with_device() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
   /// False when a timeout left an intent only the appended-to journal
   /// knows, so the checkpoint rewrite must be skipped.
   bool reexecute_queued(const std::map<std::uint64_t, WriteRequest>& queued,
                         RecoveryReport& report) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
-  void checkpoint_locked(const Intents& unresolved) REQUIRES(state_mu_);
+  /// Rewrites the journal as the VRDT plus one kIntent per pending intent.
+  void checkpoint_locked() REQUIRES(state_mu_);
 
-  // WAL appends for host soft-state mutations; each runs BEFORE the
-  // in-memory mutation it describes.
-  void journal_put_active(const Vrd& vrd) REQUIRES(state_mu_);
+  // WAL appends for the host state that no SCPU answer carries; each runs
+  // BEFORE the in-memory mutation it describes.
   void journal_put_deleted(const DeletionProof& proof) REQUIRES(state_mu_);
-  void journal_sig_update(Sn sn, const Attr* attr, const SigBox& metasig,
-                          const SigBox* datasig) REQUIRES(state_mu_);
-  void journal_apply_window(const DeletedWindow& window) REQUIRES(state_mu_);
   void journal_trim_below(Sn sn_base) REQUIRES(state_mu_);
 
   /// lit_hold and lit_release: builds the frame from the active VRD, then
   /// crosses it (cross_sequenced).
   void litigate(const LitigationRequest& request, bool hold)
       EXCLUDES(state_mu_);
-  /// Applies (and journals) a litigation attr+metasig refresh.
+  /// Applies a litigation attr+metasig refresh.
   void apply_lit_update(Sn sn, Firmware::LitUpdate up) REQUIRES(state_mu_);
-  /// Applies (and journals) strengthen results.
+  /// Applies strengthen results.
   void apply_strengthen_results(std::vector<StrengthenResult> results)
       REQUIRES(state_mu_);
   void note_deferred_witness(common::SimTime creation_time)
@@ -603,9 +641,11 @@ class WormStore final : public HostAgent {
   // Write-ahead journal; a pathless journal is a no-op sink. Internally
   // synchronized, so admissions append without state_mu_.
   HostJournal journal_;
-  // Sequence numbers journaled as intents but not yet completed. Non-empty
-  // means host soft state may lag the device until recover() reconciles.
-  std::set<std::uint64_t> pending_seqs_ GUARDED_BY(state_mu_);
+  // Every sequenced frame sent (or about to be) whose answer is not
+  // journaled yet, by seq, journaled or not. Non-empty means host soft
+  // state may lag the device until the next sequenced crossing resends
+  // them (resend_pending).
+  std::map<std::uint64_t, common::Bytes> pending_seqs_ GUARDED_BY(state_mu_);
   // True from a write chunk's intent to its applied ack: the device may hold
   // SNs above sn_current_mirror_ that the host has not applied yet.
   bool writes_in_flight_ GUARDED_BY(state_mu_) = false;

@@ -1,14 +1,11 @@
-// analyze fixture [journal-ordering] — known-good. Covers the three legal
-// shapes: journal-then-mutate, the recovery replay fold (mutations derived
-// from the WAL itself), and an explicit reviewed waiver.
+// analyze fixture [journal-ordering] — known-good. Covers the legal
+// shapes: journal-then-mutate, journal-the-answer-then-apply-it, an answer
+// fold (mutations whose caller journaled the answer), the recovery replay
+// fold (mutations derived from the WAL itself), and an explicit reviewed
+// waiver.
 #include "common/bytes.hpp"
 
 namespace fixture {
-
-void GoodStore::apply(Entry e) {
-  journal_put_active(e);
-  vrdt_.put_active(e);
-}
 
 void GoodStore::apply_two_branches(Entry e, bool tombstone) {
   journal_put_deleted(e.proof);
@@ -20,11 +17,42 @@ void GoodStore::apply_two_branches(Entry e, bool tombstone) {
   vrdt_.put_deleted(e.proof);
 }
 
+void GoodStore::land(Answer a) {
+  journal_answer(a.seq, &a.payload);
+  if (a.write) {
+    apply_write_ack_locked(a.payload, a.items, a.mode);
+    return;
+  }
+  apply_answer_locked(a.frame, a.payload);
+}
+
+void GoodStore::land_or_reject(Answer a, bool rejected) {
+  if (rejected) {
+    journal_answer(a.seq, nullptr);
+  } else {
+    journal_answer(a.seq, &a.payload);
+    apply_answer_locked(a.frame, a.payload);
+  }
+}
+
+std::vector<Sn> GoodStore::apply_answer_locked(Frame frame, Payload payload) {
+  // The caller journaled this answer; the fold journals nothing.
+  vrdt_.apply_window(decode_window(payload));
+  return apply_write_ack_locked(payload, items(frame), mode(frame));
+}
+
+std::vector<Sn> GoodStore::apply_write_ack_locked(Payload payload,
+                                                  Items items, Mode mode) {
+  vrdt_.put_active(vrd_of(payload, items, mode));
+  return sns_of(payload);
+}
+
 void GoodStore::replay(Replay replay) {
   for (const JournalRecord& rec : replay.records) {
     // Replay applies what the WAL already holds; journaling again would
     // double every record.
-    vrdt_.put_active(decode(rec));
+    vrdt_.put_deleted(decode(rec));
+    apply_answer_locked(intent_of(rec), answer_of(rec));
   }
 }
 

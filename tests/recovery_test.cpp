@@ -19,6 +19,7 @@ namespace {
 using common::Duration;
 using common::FaultKind;
 using worm::testing::CrashRig;
+using worm::testing::outcome_fingerprint;
 
 TEST(Recovery, JournaledStoreSurvivesACrash) {
   CrashRig rig("recovery_basic.wal");
@@ -84,12 +85,12 @@ TEST(Recovery, PendingIntentResentExactlyOnce) {
 }
 
 TEST(Recovery, ResendRetriesATransientJournalFault) {
-  // Recovery applies the resent write's answer with faults still live. A
-  // transient fault on its kPutActive (evaluation 1) or on its kComplete
-  // (evaluation 2) fails that append cleanly; recovery takes the step again
-  // instead of failing.
-  for (std::uint64_t nth : {1u, 2u}) {
-    SCOPED_TRACE("journal.append fault on evaluation " + std::to_string(nth));
+  // Recovery journals the resent write's answer (its kComplete, the one
+  // record the resend appends) with faults still live. A transient fault
+  // fails that append cleanly; recovery appends it again instead of failing,
+  // whether one fault or two in a row strike it.
+  for (std::uint64_t faults : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(faults) + " journal.append fault(s) in a row");
     CrashRig rig("recovery_resend_journal.wal");
     rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
     EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
@@ -100,9 +101,11 @@ TEST(Recovery, ResendRetriesATransientJournalFault) {
     rig.crash();
     rig.boot();
     const std::uint64_t fired_before = rig.fault.injected_total();
-    rig.fault.schedule("journal.append", FaultKind::kTransient, nth);
+    for (std::uint64_t nth = 1; nth <= faults; ++nth) {
+      rig.fault.schedule("journal.append", FaultKind::kTransient, nth);
+    }
     auto report = rig.store->recover();
-    EXPECT_EQ(rig.fault.injected_total(), fired_before + 1);
+    EXPECT_EQ(rig.fault.injected_total(), fired_before + faults);
     EXPECT_EQ(report.resent, 1u);
     EXPECT_EQ(report.unresolved, 0u);
     EXPECT_EQ(report.recovered_sns, std::vector<Sn>{1});
@@ -205,6 +208,131 @@ TEST(Recovery, ResendLostAgainStaysPendingThroughTheCheckpoint) {
             Verdict::kAuthentic);
 }
 
+TEST(Recovery, LostAnswerLandsAtTheNextCrossing) {
+  // The device runs a write, but every answer is lost. The store keeps the
+  // frame and resends it before its next sequenced crossing, so the device
+  // never holds more than one unanswered command and answers it from its
+  // 16-deep response cache however many writes follow. Left to recovery,
+  // the resend would find the answer pushed out of the cache by 20 later
+  // writes, run the write again as SN 22, and SN 1 would read as tampered.
+  CrashRig rig("recovery_lost_answer.wal");
+  const std::uint64_t executed_before = rig.firmware.counters().writes;
+  rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
+  EXPECT_THROW((void)rig.put("lost answer", Duration::days(30)),
+               ChannelTimeoutError);
+  rig.fault.disarm_all();
+  for (int i = 0; i < 20; ++i) {
+    (void)rig.put("later " + std::to_string(i), Duration::days(30));
+  }
+
+  (void)rig.crash_and_recover();
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 21)
+      << "the device ran SN 1 once";
+  ReadOutcome first = rig.store->read(1);
+  EXPECT_EQ(rig.verifier().verify_read(1, first).verdict, Verdict::kAuthentic);
+  ASSERT_NE(first.get_if<ReadOk>(), nullptr) << to_string(first.status());
+  EXPECT_EQ(first.get<ReadOk>().payloads,
+            std::vector<common::Bytes>{common::to_bytes("lost answer")});
+}
+
+TEST(Recovery, LostAnswerLandsWithoutAJournal) {
+  // The same lost answer on a store that journals nothing: the frame is kept
+  // in memory all the same, so the next write lands SN 1 before its own.
+  // Otherwise a fresh heartbeat counts SN 1 while the host holds no entry
+  // for it, and the read answers a failure, which the client reports as
+  // tampering.
+  CrashRig rig("");
+  rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
+  EXPECT_THROW((void)rig.put("lost answer", Duration::days(30)),
+               ChannelTimeoutError);
+  rig.fault.disarm_all();
+  EXPECT_EQ(rig.put("next", Duration::days(30)), 2u);
+  (void)rig.store->refresh_heartbeat();
+  EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
+            Verdict::kAuthentic);
+}
+
+TEST(Recovery, LateAnswerLeavesTheExpiryProofStanding) {
+  // A write's answer is lost, and its retention runs out before the next
+  // crossing: the device's expiry lands first, as a proof with no VRD to
+  // replace, so it shreds nothing. The next write's crossing lands the
+  // answer, which must leave the one-time proof in place and shred the
+  // record by its own policy. Were the VRD put over the proof, the record
+  // would be served past its retention, its plaintext never shredded, and
+  // compaction and the base would stop at its SN for good.
+  for (const char* wal : {"", "recovery_late_answer.wal"}) {
+    const bool journaled = *wal != '\0';
+    SCOPED_TRACE(journaled ? "journaled" : "unjournaled");
+    CrashRig rig(wal);
+    const common::Bytes zeros(rig.disk.block_size(), 0);
+    const std::uint64_t executed_before = rig.firmware.counters().writes;
+    rig.fault.arm("channel.response", {.kind = FaultKind::kDrop});
+    EXPECT_THROW((void)rig.put(std::string(2 * rig.disk.block_size(), 'p'),
+                               Duration::hours(1)),
+                 ChannelTimeoutError);
+    rig.fault.disarm_all();
+    rig.clock.advance(Duration::hours(2));  // the device expires SN 1
+    ASSERT_TRUE(rig.store->read(1).is<ReadDeleted>());
+
+    // The resend lands SN 1 and frees its two blocks; SN 2 takes the first.
+    Sn next = rig.put("next", Duration::days(30));
+    EXPECT_EQ(next, 2u);
+    EXPECT_EQ(rig.firmware.counters().writes, executed_before + 2);
+    EXPECT_EQ(rig.store->vrdt().find(next)->vrd.rdl.at(0).blocks,
+              std::vector<std::uint64_t>{0});
+    auto check = [&] {
+      ClientVerifier verifier = rig.verifier();
+      ReadOutcome late = rig.store->read(1);
+      ASSERT_TRUE(late.is<ReadDeleted>()) << to_string(late.status());
+      EXPECT_EQ(verifier.verify_read(1, late).verdict,
+                Verdict::kDeletedVerified);
+      EXPECT_EQ(rig.disk.raw_block(1), zeros);
+      EXPECT_EQ(verifier.verify_read(next, rig.store->read(next)).verdict,
+                Verdict::kAuthentic);
+    };
+    check();
+    if (!journaled) continue;
+    // Replay lands the answer after the proof, as the live store did.
+    (void)rig.crash_and_recover();
+    check();
+  }
+}
+
+/// Journals a one-write kWriteBatch the device answered: its intent, naming
+/// `rd`, and the answer witnessing it as `sn`, as a store journals a live
+/// crossing. The witness carries no signatures.
+void journal_answered_write(CrashRig& rig, std::uint64_t seq, Sn sn,
+                            const storage::RecordDescriptor& rd) {
+  Firmware::BatchItem item;
+  item.attr = rig.attr(Duration::days(30));
+  item.rdl = {rd};
+  item.payloads = {common::to_bytes("forged")};
+  common::ByteWriter frame;
+  ScpuChannel::encode_write_batch_into(frame, {item}, WitnessMode::kStrong,
+                                       HashMode::kScpuHash);
+  common::ByteWriter ack;  // one witness, SN_current after, no epoch cert
+  ack.u32(1);
+  ack.u64(sn);
+  item.attr.serialize(ack);
+  ack.blob(common::Bytes(32, 0));
+  SigBox{}.serialize(ack);
+  SigBox{}.serialize(ack);
+  ack.u64(sn);
+  ack.boolean(false);
+
+  HostJournal journal(rig.config.journal_path);
+  common::ByteWriter intent;
+  intent.u64(seq);
+  intent.blob(frame.bytes());
+  intent.u32(0);  // supersedes no admissions
+  journal.append(JournalRecordType::kIntent, intent.bytes());
+  common::ByteWriter answer;
+  answer.u64(seq);
+  answer.boolean(true);
+  answer.blob(ack.bytes());
+  journal.append(JournalRecordType::kComplete, answer.bytes());
+}
+
 TEST(Recovery, DerivedAllocatorNeverReusesALiveBlock) {
   // The crash drops the record store with the rest of the host process, so
   // recovery must derive the allocator from the replayed VRDT before a
@@ -220,19 +348,16 @@ TEST(Recovery, DerivedAllocatorNeverReusesALiveBlock) {
        .attr = rig.attr(Duration::days(30))});
   rig.crash();  // journaled, never grouped
   EXPECT_THROW((void)queued.get(), common::TransientStorageError);
-  // Untrusted input: a journaled VRD naming a block far past the device
-  // must neither size the free list nor be handed out.
+  // Untrusted input: a journaled answer whose intent names a block far past
+  // the device must neither size the free list nor be handed out.
   const std::uint64_t bogus = rig.disk.block_count() + 1000;
-  Vrd forged;
-  forged.sn = 99;
-  forged.rdl = {{.record_id = 42, .size = 1, .blocks = {bogus}}};
-  common::ByteWriter w;
-  forged.serialize(w);
-  HostJournal(rig.config.journal_path)
-      .append(JournalRecordType::kPutActive, w.bytes());
+  journal_answered_write(rig, /*seq=*/1000, /*sn=*/99,
+                         {.record_id = 42, .size = 1, .blocks = {bogus}});
 
   rig.boot();
   auto report = rig.store->recover();
+  EXPECT_FALSE(report.torn_tail);
+  ASSERT_NE(rig.store->vrdt().find(99), nullptr) << "the forged pair replayed";
   EXPECT_EQ(report.queued_replayed, 1u);
   EXPECT_EQ(rig.records->free_blocks(), 0u);
 
@@ -250,9 +375,12 @@ TEST(Recovery, DerivedAllocatorNeverReusesALiveBlock) {
 
 TEST(Recovery, UnresolvedIntentKeepsItsStagedBlocks) {
   // The device may yet have run an intent whose resend timed out, so the
-  // blocks its frame names stay allocated until a later recover() lands it.
+  // blocks its frame names stay allocated until its answer lands: at the
+  // next crossing, which resends it before it stages anything. Had the
+  // derivation freed them, the next write would overwrite SN 1's payload.
   CrashRig rig("recovery_unresolved_blocks.wal", /*with_faults=*/true, 0x5eed,
                worm::testing::slow_timers_config(), one_attempt());
+  const std::uint64_t executed_before = rig.firmware.counters().writes;
   rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
   EXPECT_THROW((void)rig.put("in flight", Duration::days(30)),
                ChannelTimeoutError);
@@ -263,8 +391,9 @@ TEST(Recovery, UnresolvedIntentKeepsItsStagedBlocks) {
 
   Sn after = rig.put("after", Duration::days(30));
   EXPECT_EQ(after, 2u);
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 2);
   auto second = rig.crash_and_recover();
-  EXPECT_EQ(second.recovered_sns, std::vector<Sn>{1});
+  EXPECT_EQ(second.resent, 0u) << "the crossing before SN 2 landed SN 1";
   ClientVerifier verifier = rig.verifier();
   for (Sn sn : {Sn{1}, after}) {
     EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
@@ -302,6 +431,40 @@ TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
   EXPECT_EQ(rig.firmware.counters().writes, executed_before + 1);
   EXPECT_EQ(rig.verifier().verify_read(1, rig.store->read(1)).verdict,
             Verdict::kAuthentic);
+
+  // A write's answer is lost, and an admission after it is never grouped.
+  // When recovery's resend times out again, re-executing the admission
+  // would resend that intent first, outside the report: the admission stays
+  // journaled for the next boot, and the timeout counts once.
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
+  EXPECT_THROW((void)rig.put("lost answer", Duration::days(30)),
+               ChannelTimeoutError);
+  WriteTicket owed = rig.store->write_async(
+      {.payloads = {common::to_bytes("owed")},
+       .attr = rig.attr(Duration::days(30))});
+  rig.crash();
+  EXPECT_THROW((void)owed.get(), common::TransientStorageError);
+  rig.boot();
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 2);
+  auto third = rig.store->recover();
+  EXPECT_EQ(third.resent, 1u);
+  EXPECT_EQ(third.unresolved, 1u);
+  EXPECT_EQ(third.queued_replayed, 0u);
+  EXPECT_TRUE(third.recovered_sns.empty());
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 2);
+
+  auto fourth = rig.crash_and_recover();
+  EXPECT_EQ(fourth.resent, 1u);
+  EXPECT_EQ(fourth.unresolved, 0u);
+  EXPECT_EQ(fourth.queued_replayed, 1u);
+  EXPECT_EQ(fourth.recovered_sns, (std::vector<Sn>{2, 3}));
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 3);
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn : {Sn{2}, Sn{3}}) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
 }
 
 TEST(Recovery, RejectedQueuedAdmissionIsAbandonedNotRetried) {
@@ -377,7 +540,8 @@ TEST(Recovery, RefusedResendZeroesTheBlocksItStaged) {
   EXPECT_EQ(report.abandoned, 1u);
   EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"),
             rd.blocks.size());
-  EXPECT_EQ(rig.records->free_blocks(), free_before);
+  // The derivation counted them live until the rejection released them.
+  EXPECT_EQ(rig.records->free_blocks(), free_before + rd.blocks.size());
   for (std::uint64_t b : rd.blocks) {
     EXPECT_EQ(rig.disk.raw_block(b), common::Bytes(rig.disk.block_size(), 0))
         << "block " << b;
@@ -414,6 +578,41 @@ TEST(Recovery, RefusedResendNeverZeroesASharedLiveRecord) {
   EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"), 0u);
   EXPECT_EQ(rig.verifier().verify_read(live, rig.store->read(live)).verdict,
             Verdict::kAuthentic);
+}
+
+TEST(Recovery, RefusedForgedResendNeverZeroesALiveRecord) {
+  // The journal is untrusted: an edited intent the device refuses names a
+  // live record's block, under that record's id or another one. Releasing
+  // what the refused frame staged must leave the block to the live record,
+  // and the next write must not be handed it.
+  for (bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "no dedup");
+    StoreConfig sc = worm::testing::lockstep_store_config();
+    sc.dedup = dedup;
+    CrashRig rig("recovery_forged_refused.wal", /*with_faults=*/true, 0x5eed,
+                 worm::testing::slow_timers_config(), sc);
+    common::Bytes payload = common::to_bytes("live record");
+    Sn live = rig.store->write(
+        {.payloads = {payload}, .attr = rig.attr(Duration::days(30))});
+    storage::RecordDescriptor rd = rig.store->vrdt().find(live)->vrd.rdl.at(0);
+    rig.crash();
+    storage::RecordDescriptor forged = rd;
+    forged.record_id += 1000;
+    journal_refused_intent(rig, dedup ? forged : rd, payload);
+
+    rig.boot();
+    auto report = rig.store->recover();
+    EXPECT_EQ(report.abandoned, 1u);
+    EXPECT_EQ(rig.store->counters().at("recovery.orphan_blocks"), 0u);
+    Sn next = rig.put("next", Duration::days(30));
+    EXPECT_NE(rig.store->vrdt().find(next)->vrd.rdl.at(0).blocks, rd.blocks);
+    ClientVerifier verifier = rig.verifier();
+    for (Sn sn : {live, next}) {
+      EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+                Verdict::kAuthentic)
+          << "sn " << sn;
+    }
+  }
 }
 
 TEST(Recovery, UnjournaledIntentZeroesTheBlocksItStaged) {
@@ -728,6 +927,174 @@ TEST(Recovery, DeviceBaseAdvanceDuringOutageIsJournaledBeforeTrim) {
   EXPECT_NE(rig.store->read(s1).get_if<ReadBelowBase>(), nullptr);
   ClientVerifier verifier = rig.verifier();
   EXPECT_EQ(verifier.verify_read(s3, rig.store->read(s3)).verdict,
+            Verdict::kAuthentic);
+}
+
+/// A litigation hold (or release) of `sn` under a regulator credential
+/// issued now.
+LitigationRequest litigation(CrashRig& rig, Sn sn, bool hold) {
+  return {.sn = sn,
+          .lit_id = 99,
+          .hold_until = rig.clock.now() + Duration::days(60),
+          .cred_issued_at = rig.clock.now(),
+          .credential = crypto::rsa_sign(
+              worm::testing::regulator_key(),
+              lit_credential_payload(sn, rig.clock.now(), 99, hold))};
+}
+
+TEST(Recovery, ReplayLandsEveryAnswerAsTheLiveStoreDid) {
+  // The journal holds what the device answered, and replay applies each
+  // answer through the fold the live crossing used. So after a crash every
+  // SN answers as it did before: writes in all three witness modes, a hold
+  // and its release, and one duty pass that strengthens, compacts a window
+  // and advances the base past it. Replayed answers count only as replayed.
+  CrashRig rig("recovery_answers.wal");
+  for (int i = 0; i < 4; ++i) {
+    (void)rig.put("expiring " + std::to_string(i), Duration::minutes(5));
+  }
+  (void)rig.put("strong", Duration::days(30), WitnessMode::kStrong);
+  Sn deferred = rig.put("deferred", Duration::days(30), WitnessMode::kDeferred);
+  (void)rig.put("hmac", Duration::days(30), WitnessMode::kHmac);
+  Sn held = rig.put("held", Duration::days(30));
+  rig.store->lit_hold(litigation(rig, held, /*hold=*/true));
+  rig.store->lit_release(litigation(rig, held, /*hold=*/false));
+  rig.clock.advance(Duration::minutes(10));  // SNs 1-4 expire
+  ASSERT_TRUE(rig.store->pump_idle());
+  ASSERT_TRUE(rig.store->read(1).is<ReadBelowBase>()) << "no base advance";
+  ASSERT_EQ(rig.store->read(deferred).get<ReadOk>().vrd.metasig.kind,
+            SigKind::kStrong)
+      << "no strengthening";
+  std::vector<common::Bytes> before;
+  for (Sn sn = 1; sn <= held; ++sn) {
+    before.push_back(outcome_fingerprint(rig.store->read(sn)));
+  }
+
+  auto report = rig.crash_and_recover();
+  EXPECT_FALSE(report.torn_tail);
+  EXPECT_EQ(report.resent, 0u);
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn = 1; sn <= held; ++sn) {
+    ReadOutcome after = rig.store->read(sn);
+    EXPECT_EQ(outcome_fingerprint(after), before[sn - 1]) << "sn " << sn;
+    EXPECT_TRUE(verifier.verify_read(sn, after).trustworthy()) << "sn " << sn;
+  }
+  const auto counters = rig.store->counters();
+  EXPECT_EQ(counters.at("store.writes"), 0u);
+  EXPECT_EQ(counters.at("store.compactions"), 0u);
+  EXPECT_EQ(counters.at("store.base_advances"), 0u);
+  EXPECT_EQ(counters.at("recovery.replayed"), report.replayed);
+}
+
+TEST(Recovery, AnswerAppendFaultServesNeitherWriteUntilItLands) {
+  // The two writes of one chunk land through one journaled answer. The
+  // store already holds that answer, so a transient fault on its append is
+  // retried. Once the retries run out, nothing is applied: neither write is
+  // served, and the intent stays pending. Recovery lands both from the
+  // device's response cache.
+  CrashRig rig("recovery_answer_fault.wal");
+  const std::uint64_t executed_before = rig.firmware.counters().writes;
+  const std::vector<WriteRequest> requests = {
+      {.payloads = {common::to_bytes("A")}, .attr = rig.attr(Duration::days(30))},
+      {.payloads = {common::to_bytes("B")}, .attr = rig.attr(Duration::days(30))},
+  };
+  // journal.append evaluation 1 is a chunk's intent, 2 its answer, 3 and 4
+  // the answer's retries.
+  rig.fault.schedule("journal.append", FaultKind::kTransient, 2);
+  EXPECT_EQ(rig.store->write_batch(requests), (std::vector<Sn>{1, 2}));
+  for (std::uint64_t nth : {2u, 3u, 4u}) {
+    rig.fault.schedule("journal.append", FaultKind::kTransient, nth);
+  }
+  EXPECT_THROW((void)rig.store->write_batch(requests),
+               common::TransientStorageError);
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 4);
+  for (Sn sn : {Sn{3}, Sn{4}}) {
+    ReadOutcome limbo = rig.store->read(sn);
+    auto* gone = limbo.get_if<ReadUnavailable>();
+    ASSERT_NE(gone, nullptr) << "sn " << sn << ": " << to_string(limbo.status());
+    EXPECT_TRUE(gone->retryable);
+  }
+
+  auto report = rig.crash_and_recover();
+  EXPECT_EQ(report.recovered_sns, (std::vector<Sn>{3, 4}));
+  EXPECT_EQ(rig.firmware.counters().writes, executed_before + 4);
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn = 1; sn <= 4; ++sn) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic)
+        << "sn " << sn;
+  }
+}
+
+TEST(Recovery, ReplayedBaseGivesWayToTheDevicesNewerOne) {
+  // Replay restores the S_s(SN_base) an advance answered. The device's base
+  // moved on during the outage, so that proof does not cover the SNs between
+  // the two bases: a read there must fetch the device's own, or the client
+  // would convict the honest host.
+  CrashRig rig("recovery_base_replayed.wal");
+  for (int i = 0; i < 4; ++i) {
+    (void)rig.put("early " + std::to_string(i), Duration::minutes(5));
+  }
+  Sn s5 = rig.put("late 5", Duration::hours(1));
+  Sn s6 = rig.put("late 6", Duration::hours(1));
+  Sn survivor = rig.put("survivor", Duration::days(30));
+  rig.clock.advance(Duration::minutes(10));  // SNs 1-4 expire
+  ASSERT_TRUE(rig.store->pump_idle());       // the base advances to SN 5
+  ASSERT_TRUE(rig.store->read(1).is<ReadBelowBase>());
+  rig.clock.advance(Duration::hours(1));  // SNs 5 and 6 expire
+  DeletionProof p5 = rig.store->read(s5).get<ReadDeleted>().proof;
+  DeletionProof p6 = rig.store->read(s6).get<ReadDeleted>().proof;
+
+  rig.crash();
+  rig.firmware.advance_base(survivor, {p5, p6}, {});
+  (void)rig.crash_and_recover();
+  ClientVerifier verifier = rig.verifier();
+  for (Sn sn : {Sn{1}, s5, s6}) {
+    EXPECT_EQ(verifier.verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kDeletedVerified)
+        << "sn " << sn;
+  }
+  EXPECT_EQ(verifier.verify_read(survivor, rig.store->read(survivor)).verdict,
+            Verdict::kAuthentic);
+}
+
+TEST(Recovery, LateAnswerBelowTheBaseIsShreddedOnReplay) {
+  // A write's answer is lost and it expires; while the host is down, the
+  // device advances its base past it over the expiry proof. Recovery's
+  // resend is lost too, so the intent stays pending through the checkpoint.
+  // The next crossing lands the answer below the base: no VRD goes there,
+  // where it would be served past its retention, and the record is
+  // shredded. That shred fails on its second block, so replay, whose fold
+  // knows the base from the boot's status probe, shreds it again.
+  CrashRig rig("recovery_late_below_base.wal", /*with_faults=*/true, 0x5eed,
+               worm::testing::slow_timers_config(), one_attempt());
+  const common::Bytes zeros(rig.disk.block_size(), 0);
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
+  EXPECT_THROW((void)rig.put(std::string(2 * rig.disk.block_size(), 'p'),
+                             Duration::hours(1)),
+               ChannelTimeoutError);
+  rig.clock.advance(Duration::hours(2));  // the device expires SN 1
+  DeletionProof proof = rig.store->read(1).get<ReadDeleted>().proof;
+  rig.crash();
+  rig.firmware.advance_base(2, {proof}, {});
+  rig.boot();
+  // channel.response evaluation 1 is recovery's status probe, 2 the resend.
+  rig.fault.schedule("channel.response", FaultKind::kDrop, 2);
+  ASSERT_EQ(rig.store->recover().unresolved, 1u);
+
+  // device.write evaluations 1 and 2 zero-fill SN 1's blocks.
+  rig.fault.schedule("device.write", FaultKind::kTransient, 2);
+  Sn next = rig.put("next", Duration::days(30));
+  EXPECT_EQ(rig.store->vrdt().find(1), nullptr);
+  EXPECT_NE(rig.disk.raw_block(1), zeros);
+
+  (void)rig.crash_and_recover();
+  EXPECT_EQ(rig.store->vrdt().find(1), nullptr);
+  EXPECT_EQ(rig.disk.raw_block(0), zeros);
+  EXPECT_EQ(rig.disk.raw_block(1), zeros);
+  ClientVerifier verifier = rig.verifier();
+  EXPECT_EQ(verifier.verify_read(1, rig.store->read(1)).verdict,
+            Verdict::kDeletedVerified);
+  EXPECT_EQ(verifier.verify_read(next, rig.store->read(next)).verdict,
             Verdict::kAuthentic);
 }
 

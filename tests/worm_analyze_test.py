@@ -97,10 +97,19 @@ def main():
     check("wire-taint:good-clean", r.returncode == 0,
           f"rc={r.returncode}\n{r.stdout}")
 
+    # An unjournaled mutation, one journaled only in a branch, an answer
+    # applied before it is journaled, and two journaled only in a branch
+    # (applied after it, and applied in its sibling).
     r = fixture_run("journal-ordering", "journal_bad.cpp")
     check("journal:bad-flagged",
           r.returncode == 1 and "[journal-ordering]" in r.stdout
-          and r.stdout.count("vrdt_.put_active") == 2,
+          and r.stdout.count(": [journal-ordering]") == 5
+          and "journal_bad.cpp:12: " in r.stdout
+          and "journal_bad.cpp:20: " in r.stdout
+          and r.stdout.count("applies an SCPU answer") == 3
+          and "journal_bad.cpp:25: " in r.stdout
+          and "journal_bad.cpp:34: " in r.stdout
+          and "journal_bad.cpp:42: " in r.stdout,
           f"rc={r.returncode}\n{r.stdout}")
     r = fixture_run("journal-ordering", "journal_good.cpp")
     check("journal:good-clean", r.returncode == 0,

@@ -33,9 +33,14 @@ compiler flag or per-file regex can prove:
                    put_active/put_deleted/apply_window/trim_below). A
                    mutation with no preceding journal event in its function
                    is a finding, unless it sits inside the journal *replay*
-                   fold (where mutations are derived from the WAL itself) or
-                   carries an explicit `// analyze[journal-ordering]: why`
-                   waiver.
+                   fold (where mutations are derived from the WAL itself),
+                   inside an *answer fold* (apply_answer_locked,
+                   apply_write_ack_locked: the function that applies one
+                   SCPU answer) or carries an explicit
+                   `// analyze[journal-ordering]: why` waiver. In exchange,
+                   every call of an answer fold outside a replay loop or
+                   another fold must be dominated by journal_answer(), the
+                   call that journals the answer it applies.
 
   wire-abi         Freezes the wire ABI: opcode/status/envelope-tag/
                    shredding-policy numeric values, protocol constants and
@@ -103,9 +108,12 @@ STORE_LOCK = "state_mu_"
 # must dominate them.
 MUTATION_METHODS = ("put_active", "put_deleted", "apply_window", "trim_below")
 JOURNAL_FUNCS = (
-    "journal_put_active", "journal_put_deleted", "journal_sig_update",
-    "journal_apply_window", "journal_trim_below", "journal_queued_write",
+    "journal_put_deleted", "journal_trim_below", "journal_queued_write",
 )
+# The functions that apply one SCPU answer to host state, and the call that
+# journals that answer before any of them runs.
+ANSWER_FOLDS = ("apply_answer_locked", "apply_write_ack_locked")
+ANSWER_JOURNAL = "journal_answer"
 JOURNAL_RECEIVER_METHODS = ("append", "rewrite")  # journal_.append / .rewrite
 WAIVER_RE = re.compile(r"analyze\[journal-ordering\]\s*:\s*\S")
 
@@ -990,11 +998,12 @@ def pass_wire_taint(prog: Program, fixture_mode: bool) -> list[Finding]:
 # Pass 3: journal-ordering
 # --------------------------------------------------------------------------
 
-# Which journal appends can cover which mutation.
+# Which journal appends can cover which mutation. Entries are added and
+# windows applied only by the answer folds, so nothing else covers them.
 JOURNAL_COVERS = {
-    "put_active": ("journal_put_active", "journal_queued_write"),
+    "put_active": (),
     "put_deleted": ("journal_put_deleted",),
-    "apply_window": ("journal_apply_window",),
+    "apply_window": (),
     "trim_below": ("journal_trim_below",),
 }
 # Intent records and raw journal appends cover any mutation kind: they put
@@ -1005,21 +1014,41 @@ JOURNAL_GENERIC = ("journal_intent",)
 def pass_journal_ordering(prog: Program) -> list[Finding]:
     """Scope-based dominance approximation: a journal append covers every
     later matching mutation until the scope it appeared in closes. A journal
-    inside a branch therefore does NOT bless mutations after the branch —
-    it didn't necessarily execute on their path."""
+    inside a branch therefore does NOT bless mutations after the branch, or
+    in a sibling branch — it didn't necessarily execute on their path. The
+    same rule makes journal_answer() cover the answer folds called after
+    it."""
     findings: list[Finding] = []
     for qname, fn in prog.functions.items():
         rel = prog.files[qname]
+        in_fold = qname.split("::")[-1] in ANSWER_FOLDS
         credits: list[tuple[str, int]] = []  # (journal name | "*", depth)
         for ev in fn["events"]:
+            if ev["kind"] == "scope_end":
+                # A closed scope takes its appends with it, also when a
+                # sibling branch opens at the same depth (`} else {`).
+                credits = [c for c in credits if c[1] <= ev["depth"]]
+                continue
             if ev["kind"] != "call":
                 continue
             depth = ev.get("depth", 0)
             credits = [c for c in credits if c[1] <= depth]
             callee = ev["callee"]
             recv_last = ev["recv"].split(".")[-1] if ev["recv"] else ""
-            if callee in JOURNAL_FUNCS:
+            if callee in JOURNAL_FUNCS or callee == ANSWER_JOURNAL:
                 credits.append((callee, depth))
+                continue
+            if callee in ANSWER_FOLDS:
+                if in_fold or ev.get("in_replay"):
+                    continue  # the fold's caller, or the WAL, has the answer
+                if not any(name == ANSWER_JOURNAL for name, _ in credits):
+                    findings.append(Finding(
+                        "journal-ordering", rel, ev["line"],
+                        f"{callee}() applies an SCPU answer with no "
+                        f"dominating {ANSWER_JOURNAL}() on this path — the "
+                        "answer must be journaled before it is applied, or "
+                        "a crash leaves host state the journal cannot "
+                        "replay"))
                 continue
             if callee in JOURNAL_GENERIC or (
                     recv_last == "journal_"
@@ -1027,8 +1056,8 @@ def pass_journal_ordering(prog: Program) -> list[Finding]:
                 credits.append(("*", depth))
                 continue
             if recv_last == "vrdt_" and callee in MUTATION_METHODS:
-                if ev.get("in_replay"):
-                    continue  # replay fold: the WAL is the source
+                if ev.get("in_replay") or in_fold:
+                    continue  # replay or answer fold: the WAL is the source
                 if WAIVER_RE.search(ev.get("raw", "")):
                     continue
                 ok = any(name == "*" or name in JOURNAL_COVERS[callee]
