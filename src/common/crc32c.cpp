@@ -30,10 +30,11 @@ constexpr std::array<std::uint32_t, 256> kTable = make_table();
 
 #if WORM_CRC32C_X86
 
-__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(ByteView v) {
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(std::uint32_t crc,
+                                                             ByteView v) {
   const std::uint8_t* p = v.data();
   std::size_t n = v.size();
-  std::uint64_t c = 0xFFFFFFFFu;
+  std::uint64_t c = ~crc;
   for (; n >= 8; n -= 8, p += 8) {
     std::uint64_t word;
     std::memcpy(&word, p, 8);
@@ -46,6 +47,12 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(ByteView v) {
 
 #endif  // WORM_CRC32C_X86
 
+std::uint32_t portable_extend(std::uint32_t crc, ByteView v) {
+  std::uint32_t c = ~crc;
+  for (std::uint8_t b : v) c = kTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return ~c;
+}
+
 }  // namespace
 
 bool crc32c_hardware() {
@@ -57,17 +64,15 @@ bool crc32c_hardware() {
 #endif
 }
 
-std::uint32_t crc32c_portable(ByteView v) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : v) c = kTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return ~c;
+std::uint32_t crc32c_portable(ByteView v) { return portable_extend(0, v); }
+
+std::uint32_t crc32c_extend(std::uint32_t crc, ByteView v) {
+#if WORM_CRC32C_X86
+  if (crc32c_hardware()) return crc32c_sse42(crc, v);
+#endif
+  return portable_extend(crc, v);
 }
 
-std::uint32_t crc32c(ByteView v) {
-#if WORM_CRC32C_X86
-  if (crc32c_hardware()) return crc32c_sse42(v);
-#endif
-  return crc32c_portable(v);
-}
+std::uint32_t crc32c(ByteView v) { return crc32c_extend(0, v); }
 
 }  // namespace worm::common

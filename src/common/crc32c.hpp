@@ -18,6 +18,11 @@ namespace worm::common {
 /// CRC-32C of `v` through the process's kernel.
 std::uint32_t crc32c(ByteView v);
 
+/// CRC-32C of a message that continues with `v`, given `crc`, the CRC-32C
+/// of what came before it (0 for an empty start): crc32c_extend(crc32c(a), b)
+/// == crc32c(a || b). Lets a writer checksum a frame it streams in pieces.
+std::uint32_t crc32c_extend(std::uint32_t crc, ByteView v);
+
 /// The table-driven reference: what crc32c runs on hosts without SSE4.2,
 /// and what the tests and the crypto bench compare the hardware path with.
 std::uint32_t crc32c_portable(ByteView v);

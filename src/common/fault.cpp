@@ -92,13 +92,23 @@ FaultKind FaultInjector::evaluate_site(const char* site) {
     return kind;
   }
 
-  const FaultSpec& spec = s.spec;
-  if (spec.kind == FaultKind::kNone) return FaultKind::kNone;
-  if (s.fires >= spec.max_fires) return FaultKind::kNone;
+  if (s.spec.kind == FaultKind::kNone) return FaultKind::kNone;
+  if (s.fires >= s.spec.max_fires) return FaultKind::kNone;
   if (time_ != nullptr) {
-    SimTime now = time_->now();
-    if (now < spec.not_before || now > spec.not_after) return FaultKind::kNone;
+    // The time is read with the lock released: a TimeSource may block (a
+    // test parks the evaluating thread there), and every other site must
+    // stay evaluable meanwhile. Sites are never erased, so `s` stays valid;
+    // its spec is read again once the lock is back.
+    lk.unlock();
+    const SimTime now = time_->now();
+    lk.lock();
+    if (s.spec.kind == FaultKind::kNone) return FaultKind::kNone;
+    if (s.fires >= s.spec.max_fires) return FaultKind::kNone;
+    if (now < s.spec.not_before || now > s.spec.not_after) {
+      return FaultKind::kNone;
+    }
   }
+  const FaultSpec& spec = s.spec;
   if (spec.probability < 1.0) {
     // 53 uniform bits -> [0, 1); compare against the armed probability.
     double draw =

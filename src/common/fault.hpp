@@ -63,7 +63,8 @@ struct FaultSiteStats {
 class FaultInjector {
  public:
   /// `time` (usually the SimClock) gates time-windowed specs; null means
-  /// every spec is always in-window.
+  /// every spec is always in-window. It is read with the injector's mutex
+  /// released, so a TimeSource that blocks holds up only its own caller.
   explicit FaultInjector(std::uint64_t seed, const TimeSource* time = nullptr);
 
   FaultInjector(const FaultInjector&) = delete;

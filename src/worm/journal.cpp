@@ -1,7 +1,9 @@
 #include "worm/journal.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
@@ -17,6 +19,10 @@ using common::FaultKind;
 
 namespace {
 
+// u8 type + u32 payload length ahead of the payload, u32 CRC-32C behind it.
+constexpr std::uint64_t kFrameHeader = 5;
+constexpr std::uint64_t kFrameOverhead = kFrameHeader + 4;
+
 Bytes encode_frame(JournalRecordType type, ByteView payload) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -24,6 +30,12 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
   w.raw(payload);
   w.u32(common::crc32c(payload));
   return w.take();
+}
+
+void put_u32(std::ofstream& out, std::uint32_t v) {
+  const char le[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                      static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+  out.write(le, 4);
 }
 
 /// The record kinds a journal may hold; retired values are damage.
@@ -71,7 +83,8 @@ void HostJournal::cut_torn_tail() {
   open_for_append();
 }
 
-void HostJournal::append(JournalRecordType type, ByteView payload) {
+void HostJournal::append(JournalRecordType type, ByteView payload,
+                         std::span<const std::uint64_t> qids) {
   if (!enabled()) return;
   Bytes frame = encode_frame(type, payload);
   common::MutexLock lk(mu_);
@@ -100,7 +113,14 @@ void HostJournal::append(JournalRecordType type, ByteView payload) {
     torn_ = true;
     throw common::StorageError("journal write failed: " + path_);
   }
+  if (type == JournalRecordType::kQueuedWrite) {
+    for (std::uint64_t qid : qids) admissions_[qid] = {end_, frame.size()};
+  } else if (type == JournalRecordType::kIntent) {
+    for (std::uint64_t qid : qids) admissions_.erase(qid);
+  }
   end_ += frame.size();
+  since_checkpoint_ += frame.size();
+  stats_.appended_bytes += frame.size();
 }
 
 HostJournal::ReplayResult HostJournal::replay() {
@@ -119,13 +139,13 @@ HostJournal::ReplayResult HostJournal::replay() {
   std::size_t pos = 0;
   while (pos < data.size()) {
     // Header: u8 type + u32 len.
-    if (data.size() - pos < 5) break;
+    if (data.size() - pos < kFrameHeader) break;
     std::uint8_t type = data[pos];
     std::uint32_t len = static_cast<std::uint32_t>(data[pos + 1]) |
                         static_cast<std::uint32_t>(data[pos + 2]) << 8 |
                         static_cast<std::uint32_t>(data[pos + 3]) << 16 |
                         static_cast<std::uint32_t>(data[pos + 4]) << 24;
-    std::size_t body = pos + 5;
+    std::size_t body = pos + kFrameHeader;
     if (!live_type(type)) break;  // garbage header, or a retired kind
     if (data.size() - body < static_cast<std::size_t>(len) + 4) break;
     Bytes payload(data.begin() + static_cast<std::ptrdiff_t>(body),
@@ -137,7 +157,7 @@ HostJournal::ReplayResult HostJournal::replay() {
                         static_cast<std::uint32_t>(data[crc_at + 3]) << 24;
     if (common::crc32c(payload) != crc) break;  // damaged frame
     result.records.push_back(
-        {static_cast<JournalRecordType>(type), std::move(payload)});
+        {static_cast<JournalRecordType>(type), std::move(payload), pos});
     pos = crc_at + 4;
   }
   if (pos < data.size()) {
@@ -151,30 +171,158 @@ HostJournal::ReplayResult HostJournal::replay() {
   return result;
 }
 
-void HostJournal::rewrite(const std::vector<JournalRecord>& records) {
-  if (!enabled()) return;
+void HostJournal::keep_admission(std::uint64_t qid,
+                                 const JournalRecord& record) {
   common::MutexLock lk(mu_);
+  admissions_[qid] = {record.offset, kFrameOverhead + record.payload.size()};
+}
+
+bool HostJournal::checkpoint_due() const {
+  if (!enabled()) return false;
+  common::MutexLock lk(mu_);
+  return since_checkpoint_ >= std::max(kCheckpointFloorBytes,
+                                       checkpoint_bytes_);
+}
+
+HostJournal::Stats HostJournal::stats() const {
+  common::MutexLock lk(mu_);
+  return stats_;
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints
+// ---------------------------------------------------------------------------
+
+HostJournal::FrameSink::FrameSink(std::string path,
+                                  common::FaultInjector* fault)
+    : path_(std::move(path)),
+      fault_(fault),
+      out_(path_, std::ios::binary | std::ios::trunc) {
+  if (!out_) {
+    throw common::StorageError("cannot open journal temp: " + path_);
+  }
+}
+
+void HostJournal::FrameSink::begin(JournalRecordType type) {
+  frame_at_ = size_;
+  frame_len_ = 0;
+  crc_ = 0;
+  const char header[kFrameHeader] = {static_cast<char>(type), 0, 0, 0, 0};
+  out_.write(header, sizeof header);  // end() patches the length in
+  size_ += kFrameHeader;
+}
+
+void HostJournal::FrameSink::write(ByteView piece) {
+  out_.write(reinterpret_cast<const char*>(piece.data()),
+             static_cast<std::streamsize>(piece.size()));
+  crc_ = common::crc32c_extend(crc_, piece);
+  frame_len_ += piece.size();
+  size_ += piece.size();
+  if (!std::exchange(probed_, true)) fault_point();
+}
+
+void HostJournal::FrameSink::end() {
+  if (frame_len_ > UINT32_MAX) {
+    throw common::StorageError("journal checkpoint frame too large: " + path_);
+  }
+  out_.seekp(static_cast<std::streamoff>(frame_at_ + 1));
+  put_u32(out_, static_cast<std::uint32_t>(frame_len_));
+  out_.seekp(0, std::ios::end);
+  put_u32(out_, crc_);
+  size_ += 4;
+  if (!out_) {
+    throw common::StorageError("journal checkpoint write failed: " + path_);
+  }
+}
+
+void HostJournal::FrameSink::frame(JournalRecordType type, ByteView payload) {
+  begin(type);
+  write(payload);
+  end();
+}
+
+void HostJournal::FrameSink::raw(ByteView bytes) {
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  size_ += bytes.size();
+}
+
+void HostJournal::FrameSink::close() {
+  out_.flush();
+  const bool ok = static_cast<bool>(out_);
   out_.close();
+  if (!ok || !out_) {
+    throw common::StorageError("journal checkpoint write failed: " + path_);
+  }
+}
+
+void HostJournal::FrameSink::fault_point() {
+  if (WORM_FAULT_POINT(fault_, "journal.rewrite") != FaultKind::kNone) {
+    throw common::TransientStorageError("journal checkpoint failed (injected)");
+  }
+}
+
+std::map<std::uint64_t, HostJournal::Frame>
+HostJournal::copy_admissions_locked(FrameSink& sink) {
+  std::map<std::uint64_t, Frame> moved;
+  if (admissions_.empty()) return moved;
+  std::ifstream in(path_, std::ios::binary);
+  Bytes frame;
+  for (const auto& [qid, at] : admissions_) {
+    frame.resize(at.size);
+    in.seekg(static_cast<std::streamoff>(at.offset));
+    in.read(reinterpret_cast<char*>(frame.data()),
+            static_cast<std::streamsize>(frame.size()));
+    if (!in) {
+      throw common::StorageError("cannot copy an admission from the journal: " +
+                                 path_);
+    }
+    moved[qid] = {sink.size_, at.size};
+    sink.raw(frame);
+  }
+  return moved;
+}
+
+void HostJournal::checkpoint(const std::function<void(FrameSink&)>& body) {
+  if (!enabled()) return;
   const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream fresh(tmp, std::ios::binary | std::ios::trunc);
-    if (!fresh) {
-      throw common::StorageError("cannot open journal temp: " + tmp);
+  bool opened = false;   // the temp file is ours to remove
+  bool swapped = false;  // the rename made the checkpoint the journal
+  try {
+    FrameSink sink(tmp, fault_);
+    opened = true;
+    body(sink);
+    // Admissions appended while the body streamed are in the journal file
+    // now; from here to the rename none can land.
+    common::MutexLock lk(mu_);
+    std::map<std::uint64_t, Frame> moved = copy_admissions_locked(sink);
+    sink.fault_point();  // every frame is in the temp file
+    sink.close();
+    sink.fault_point();  // before the rename
+    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+      throw common::StorageError("journal rename failed: " + path_);
     }
-    for (const JournalRecord& rec : records) {
-      Bytes frame = encode_frame(rec.type, rec.payload);
-      fresh.write(reinterpret_cast<const char*>(frame.data()),
-                  static_cast<std::streamsize>(frame.size()));
+    swapped = true;
+    admissions_ = std::move(moved);
+    checkpoint_bytes_ = sink.size_;
+    since_checkpoint_ = 0;
+    ++stats_.checkpoints;
+    // Should the reopen fail, the next append cuts back to this end and
+    // reopens before it writes.
+    out_.close();
+    end_ = sink.size_;
+    torn_ = true;
+    open_for_append();
+    sink.fault_point();  // after the rename
+  } catch (...) {
+    if (opened && !swapped) {
+      std::error_code ec;
+      std::filesystem::remove(tmp, ec);
     }
-    fresh.flush();
-    if (!fresh) {
-      throw common::StorageError("journal rewrite failed: " + tmp);
-    }
+    common::MutexLock lk(mu_);
+    ++stats_.checkpoint_failures;
+    throw;
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw common::StorageError("journal rename failed: " + path_);
-  }
-  open_for_append();
 }
 
 }  // namespace worm::core

@@ -17,10 +17,20 @@
 // the rest as torn. A journal that goes on after a failed append, or after
 // a replay that found a damaged tail, first cuts the file back to the end of
 // its last whole frame, so no frame lands behind one that replay stops at.
+//
+// The journal stays bounded while the store serves: once the bytes appended
+// since the last checkpoint reach the larger of kCheckpointFloorBytes and
+// that checkpoint's size, the store replaces it with a fresh checkpoint
+// (checkpoint()): the VRDT, the unanswered intents and every admission no
+// intent has superseded yet. A boot then replays one checkpoint plus what
+// followed it.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +60,10 @@ enum class JournalRecordType : std::uint8_t {
   kPutDeleted = 4,
   /// Everything below the device's signed base trimmed: u64 sn_base.
   kTrimBelow = 7,
-  /// Full VRDT snapshot (blob of Vrdt::serialize()); replay restarts from the
-  /// latest checkpoint, so rewrite() uses one to truncate history.
+  /// Full VRDT snapshot (exactly what Vrdt::serialize() writes); replay
+  /// restarts from it. Each checkpoint() opens the journal with one,
+  /// followed by a kIntent per unanswered intent and the kQueuedWrite of
+  /// every admission no intent has superseded.
   kCheckpoint = 8,
   /// write_async admission (group-commit pipeline): u64 queued id +
   /// blob(serialized WriteRequest). Journaled before the completion ticket
@@ -63,7 +75,14 @@ enum class JournalRecordType : std::uint8_t {
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kIntent;
   common::Bytes payload;
+  std::uint64_t offset = 0;  // where replay found its frame in the file
 };
+
+/// The bytes appended since the last checkpoint that make the next one due:
+/// the larger of this floor and that checkpoint's own size. So the journal
+/// stays under about twice the live state plus the floor, and every
+/// checkpoint is paid for by at least as many appended bytes as it writes.
+inline constexpr std::uint64_t kCheckpointFloorBytes = 1u << 20;
 
 /// Append-only journal file with checksummed frames and torn-tail-tolerant
 /// replay. Internally synchronized: every call takes the journal's own
@@ -77,7 +96,7 @@ class HostJournal {
   /// empty path makes the no-op sink. `fault` (not owned, may be nullptr)
   /// arms the "journal.append" site: kTransient fails the append cleanly,
   /// kTorn writes a half frame first — exactly what a power cut mid-write
-  /// leaves behind.
+  /// leaves behind. It also arms "journal.rewrite" (see checkpoint()).
   explicit HostJournal(std::string path = {},
                        common::FaultInjector* fault = nullptr);
 
@@ -89,8 +108,11 @@ class HostJournal {
   /// Appends one frame and flushes it to the OS. Throws TransientStorageError
   /// when the injected fault fires; the frame may then be torn on disk until
   /// the next append, which first cuts the file back to the last whole frame
-  /// this journal wrote.
-  void append(JournalRecordType type, common::ByteView payload) EXCLUDES(mu_);
+  /// this journal wrote. `qids` ties the frame to write_async admissions: a
+  /// kQueuedWrite passes its own queued id, and every checkpoint carries its
+  /// frame until a kIntent passes that id among the ones it supersedes.
+  void append(JournalRecordType type, common::ByteView payload,
+              std::span<const std::uint64_t> qids = {}) EXCLUDES(mu_);
 
   struct ReplayResult {
     std::vector<JournalRecord> records;  // the clean prefix, in append order
@@ -105,26 +127,104 @@ class HostJournal {
   /// it.
   [[nodiscard]] ReplayResult replay() EXCLUDES(mu_);
 
-  /// Atomically replaces the journal contents (write temp + rename), used to
-  /// truncate history after recovery folds it into a checkpoint.
-  void rewrite(const std::vector<JournalRecord>& records) EXCLUDES(mu_);
+  /// Carries a replayed kQueuedWrite (`record`, admission `qid`) through
+  /// checkpoints as if this journal had appended it. Recovery calls it for
+  /// every admission no replayed intent superseded.
+  void keep_admission(std::uint64_t qid, const JournalRecord& record)
+      EXCLUDES(mu_);
+
+  /// Where checkpoint() streams its frames: a temp file, each frame's
+  /// length and CRC-32C computed as its payload goes by.
+  class FrameSink {
+   public:
+    FrameSink(const FrameSink&) = delete;
+    FrameSink& operator=(const FrameSink&) = delete;
+
+    /// Starts a frame whose payload arrives through write(); end() writes
+    /// its length and checksum.
+    void begin(JournalRecordType type);
+    void write(common::ByteView piece);
+    void end();
+    /// One whole frame.
+    void frame(JournalRecordType type, common::ByteView payload);
+
+   private:
+    friend class HostJournal;
+    FrameSink(std::string path, common::FaultInjector* fault);
+    // Verbatim bytes: an admission frame copied from the journal.
+    void raw(common::ByteView bytes);
+    void close();
+    // One evaluation of "journal.rewrite": any fired kind fails the
+    // checkpoint there.
+    void fault_point();
+
+    const std::string path_;
+    common::FaultInjector* const fault_;
+    std::ofstream out_;
+    std::uint64_t size_ = 0;      // bytes in the temp file
+    std::uint64_t frame_at_ = 0;  // where the open frame's header starts
+    std::uint64_t frame_len_ = 0;
+    std::uint32_t crc_ = 0;
+    bool probed_ = false;  // the partway fault point has been evaluated
+  };
+
+  /// True once the bytes appended since the last checkpoint reach the
+  /// larger of kCheckpointFloorBytes and that checkpoint's size.
+  [[nodiscard]] bool checkpoint_due() const EXCLUDES(mu_);
+
+  /// Replaces the journal with a checkpoint, through a temp file and a
+  /// rename. `body` streams the checkpoint's own frames into the temp file
+  /// without the journal lock, so appends go on meanwhile. Then, under the
+  /// lock, the kQueuedWrite frame of every admission no intent has
+  /// superseded is copied in verbatim, and the temp file is renamed over
+  /// the journal. One checkpoint at a time: the caller serializes them.
+  /// On any failure, `body`'s own throw included, the temp file is
+  /// removed, the journal goes on appending to the file it had, the failure
+  /// is counted and the error is rethrown. "journal.rewrite" is evaluated
+  /// at four points: once the first frame's first piece is in the temp
+  /// file, once every frame is, before the rename and after it; any fired
+  /// kind fails the checkpoint there.
+  void checkpoint(const std::function<void(FrameSink&)>& body) EXCLUDES(mu_);
+
+  struct Stats {
+    std::uint64_t appended_bytes = 0;  // frames append() wrote, since open
+    std::uint64_t checkpoints = 0;     // renamed over the journal
+    std::uint64_t checkpoint_failures = 0;
+  };
+  [[nodiscard]] Stats stats() const EXCLUDES(mu_);
 
  private:
+  // Where one admission's kQueuedWrite frame sits in the journal file.
+  struct Frame {
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+  };
+
   // Opens the file for appending; its current size is the end of the last
   // whole frame.
   void open_for_append() REQUIRES(mu_);
   // Truncates the file to end_ and reopens it.
   void cut_torn_tail() REQUIRES(mu_);
+  // Copies every kept admission frame from the journal into `sink`; returns
+  // where each now sits there.
+  std::map<std::uint64_t, Frame> copy_admissions_locked(FrameSink& sink)
+      REQUIRES(mu_);
 
   const std::string path_;
   common::FaultInjector* const fault_;
   mutable common::AnnotatedMutex mu_;
   std::ofstream out_ GUARDED_BY(mu_);
   // File offset just past the last whole frame.
-  std::uintmax_t end_ GUARDED_BY(mu_) = 0;
+  std::uint64_t end_ GUARDED_BY(mu_) = 0;
   // Bytes past end_ are a partial or damaged frame: an append failed after
   // writing part of its frame, or replay stopped there.
   bool torn_ GUARDED_BY(mu_) = false;
+  // Admissions (queued id -> frame) no intent has superseded yet.
+  std::map<std::uint64_t, Frame> admissions_ GUARDED_BY(mu_);
+  // Size of the last checkpoint, and what was appended after it.
+  std::uint64_t checkpoint_bytes_ GUARDED_BY(mu_) = 0;
+  std::uint64_t since_checkpoint_ GUARDED_BY(mu_) = 0;
+  Stats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace worm::core

@@ -160,18 +160,40 @@ std::optional<Vrdt::DeadSpan> Vrdt::find_dead_span(std::size_t min_len) const {
   return best;
 }
 
-std::size_t Vrdt::storage_bytes() const { return serialize().size(); }
+std::size_t Vrdt::storage_bytes() const {
+  std::size_t n = 0;
+  serialize_to([&n](common::ByteView piece) { n += piece.size(); });
+  return n;
+}
 
-Bytes Vrdt::serialize() const {
-  ByteWriter w;
+void Vrdt::serialize_to(
+    const std::function<void(common::ByteView)>& sink) const {
+  Bytes piece;
+  piece.reserve(kSerializePiece + 1024);
+  ByteWriter w(piece);
+  auto hand_over = [&](bool last) {
+    if (piece.size() < kSerializePiece && !last) return;
+    sink(piece);
+    piece.clear();
+  };
   w.u32(static_cast<std::uint32_t>(entries_.size()));
   for (const auto& [sn, e] : entries_) {
     w.u64(sn);
     e.serialize(w);
+    hand_over(false);
   }
   w.u32(static_cast<std::uint32_t>(windows_.size()));
-  for (const auto& win : windows_) win.serialize(w);
-  return w.take();
+  for (const auto& win : windows_) {
+    win.serialize(w);
+    hand_over(false);
+  }
+  hand_over(true);
+}
+
+Bytes Vrdt::serialize() const {
+  Bytes out;
+  serialize_to([&out](common::ByteView piece) { common::append(out, piece); });
+  return out;
 }
 
 Vrdt Vrdt::deserialize(common::ByteView data) {

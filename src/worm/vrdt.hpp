@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -99,6 +100,12 @@ class Vrdt {
   /// Serialized size in bytes — the VRDT storage-footprint metric used by
   /// bench_window_compaction.
   [[nodiscard]] std::size_t storage_bytes() const;
+
+  /// Hands serialize()'s bytes to `sink` in order, in pieces of about
+  /// kSerializePiece bytes, so a caller that streams them (the journal's
+  /// checkpoint) never holds the whole encoding.
+  void serialize_to(const std::function<void(common::ByteView)>& sink) const;
+  static constexpr std::size_t kSerializePiece = 64 * 1024;
 
   common::Bytes serialize() const;
   static Vrdt deserialize(common::ByteView data);

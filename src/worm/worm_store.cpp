@@ -187,11 +187,11 @@ ScpuChannel::Prepared WormStore::journal_intent(
     // carries: after it, recovery resends this exact frame (the device's
     // dedup cache makes that exactly-once) and must NOT also re-execute the
     // kQueuedWrite records it absorbs — atomicity a separate "consume qid"
-    // record could not give us.
+    // record could not give us. Checkpoints stop carrying them too.
     journal_.append(JournalRecordType::kIntent,
-                    intent_record(cmd.seq, cmd.request, qids));
+                    intent_record(cmd.seq, cmd.request, qids), qids);
   }
-  pending_seqs_.emplace(cmd.seq, cmd.request);
+  pending_seqs_.emplace(cmd.seq, PendingIntent{cmd.request, qids});
   return cmd;
 }
 
@@ -228,15 +228,18 @@ void WormStore::cross_sequenced(Bytes frame) {
   } catch (...) {
     failure = std::current_exception();
   }
-  common::ExclusiveLock lk(state_mu_);
-  if (failure != nullptr) {
-    // A rejected command never ran; a timed-out one may have, so its intent
-    // stays pending for the next sequenced crossing.
-    if (device_rejected(failure)) journal_answer(cmd.seq, nullptr);
-    std::rethrow_exception(failure);
+  {
+    common::ExclusiveLock lk(state_mu_);
+    if (failure != nullptr) {
+      // A rejected command never ran; a timed-out one may have, so its
+      // intent stays pending for the next sequenced crossing.
+      if (device_rejected(failure)) journal_answer(cmd.seq, nullptr);
+      std::rethrow_exception(failure);
+    }
+    journal_answer(cmd.seq, &payload);
+    (void)apply_answer_locked(cmd.request, payload);
   }
-  journal_answer(cmd.seq, &payload);
-  (void)apply_answer_locked(cmd.request, payload);
+  maybe_checkpoint();
 }
 
 void WormStore::resend_pending(RecoveryReport* report) {
@@ -247,7 +250,7 @@ void WormStore::resend_pending(RecoveryReport* report) {
       common::SharedLock lk(state_mu_);
       if (pending_seqs_.empty()) return;
       cmd.seq = pending_seqs_.begin()->first;
-      cmd.request = pending_seqs_.begin()->second;
+      cmd.request = pending_seqs_.begin()->second.frame;
     }
     Bytes payload;
     std::exception_ptr failure;
@@ -353,7 +356,8 @@ void WormStore::journal_queued_write(std::uint64_t qid,
   }
   w.u32(static_cast<std::uint32_t>(request.payloads.size()));
   for (const auto& p : request.payloads) w.blob(p);
-  journal_.append(JournalRecordType::kQueuedWrite, w.bytes());
+  journal_.append(JournalRecordType::kQueuedWrite, w.bytes(),
+                  std::span(&qid, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -472,8 +476,8 @@ std::vector<storage::RecordDescriptor> WormStore::named_records_locked()
     const Vrdt::Entry* e = vrdt_.find(sn);
     named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
   }
-  for (const auto& [seq, frame] : pending_seqs_) {
-    for (const Firmware::BatchItem& item : staged_items(frame)) {
+  for (const auto& [seq, intent] : pending_seqs_) {
+    for (const Firmware::BatchItem& item : staged_items(intent.frame)) {
       named.insert(named.end(), item.rdl.begin(), item.rdl.end());
     }
   }
@@ -499,11 +503,13 @@ void WormStore::drop_named_blocks(
 std::size_t WormStore::release_records_locked(std::vector<Expired> records) {
   drop_named_blocks(records, named_records_locked());
   std::size_t shredded = 0;
-  for (const Expired& x : records) {
+  for (Expired& x : records) {
     try {
       if (release_rd(x.rd, x.policy)) shredded += x.rd.blocks.size();
     } catch (const common::StorageError&) {
-      // Best effort: the caller's own error is the one that stands.
+      // The caller's own error, if any, is the one that stands; the shred
+      // is retried before the next checkpoint.
+      owed_shreds_.push_back(std::move(x));
     }
   }
   return shredded;
@@ -581,30 +587,36 @@ void WormStore::commit_writes(std::span<const UnstagedWrite> writes,
     }
 
     // 3. Journal the answer, apply it and resolve the chunk.
-    common::ExclusiveLock lk(state_mu_);
-    writes_in_flight_ = false;
-    if (failure != nullptr) {
-      // Timeouts (the intent stays pending), device death and host faults
-      // stop the commit.
-      if (!device_rejected(failure)) std::rethrow_exception(failure);
-      // Definitive rejection: nothing in the chunk ran, and the answered
-      // intent consumes its admissions. What it staged holds plaintext no
-      // VRD governs.
-      journal_answer(cmd.seq, nullptr);
-      release_staged(items);
-      for (std::size_t k = first; k < end; ++k) landed(k, kInvalidSn, failure);
-    } else {
-      // A failed append applies nothing: the intent stays pending, and the
-      // next crossing resends it and lands the answer from the device's
-      // response cache.
-      journal_answer(cmd.seq, &payload);
-      std::vector<Sn> sns = apply_write_ack_locked(payload, items, mode);
-      ++mailbox_.batches;
-      mailbox_.batched_writes += sns.size();
-      for (std::size_t k = 0; k < sns.size(); ++k) {
-        landed(first + k, sns[k], nullptr);
+    {
+      common::ExclusiveLock lk(state_mu_);
+      writes_in_flight_ = false;
+      if (failure != nullptr) {
+        // Timeouts (the intent stays pending), device death and host faults
+        // stop the commit.
+        if (!device_rejected(failure)) std::rethrow_exception(failure);
+        // Definitive rejection: nothing in the chunk ran, and the answered
+        // intent consumes its admissions. What it staged holds plaintext no
+        // VRD governs.
+        journal_answer(cmd.seq, nullptr);
+        release_staged(items);
+        for (std::size_t k = first; k < end; ++k) {
+          landed(k, kInvalidSn, failure);
+        }
+      } else {
+        // A failed append applies nothing: the intent stays pending, and
+        // the next crossing resends it and lands the answer from the
+        // device's response cache.
+        journal_answer(cmd.seq, &payload);
+        std::vector<Sn> sns = apply_write_ack_locked(payload, items, mode);
+        ++mailbox_.batches;
+        mailbox_.batched_writes += sns.size();
+        for (std::size_t k = 0; k < sns.size(); ++k) {
+          landed(first + k, sns[k], nullptr);
+        }
       }
     }
+    // 4. With the chunk's tickets resolved, checkpoint if it is due.
+    maybe_checkpoint();
     first = end;
   }
 }
@@ -1004,11 +1016,22 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
   // Shred the data per the record's own policy, then replace the VRDT entry
   // with the proof of rightful deletion (§4.2.2 "delete"). With dedup on,
   // shared records are only destroyed when their last reference expires.
+  // The device has deleted the record whether or not a shred lands: a
+  // failed one is owed, the proof still goes in, and the error then
+  // reaches the caller.
+  const storage::ShredPolicy policy = e->vrd.attr.shredding;
+  std::exception_ptr failure;
   for (const auto& rd : e->vrd.rdl) {
-    release_rd(rd, e->vrd.attr.shredding);
+    try {
+      release_rd(rd, policy);
+    } catch (const common::StorageError&) {
+      owed_shreds_.push_back({rd, policy});
+      if (failure == nullptr) failure = std::current_exception();
+    }
   }
   vrdt_.put_deleted(std::move(proof));
   ++ops_.expirations;
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 void WormStore::on_heartbeat(SignedSnCurrent current) {
@@ -1046,16 +1069,13 @@ void WormStore::derive_host_state_locked(std::vector<Expired> expired) {
 }
 
 void WormStore::adopt_vrdt(Vrdt vrdt) {
+  common::MutexLock commit(commit_mu_);
   common::ExclusiveLock lk(state_mu_);
   WORM_REQUIRE(ops_.writes == 0 && vrdt_.entry_count() == 0,
                "adopt_vrdt: store already in service");
   vrdt_ = std::move(vrdt);
-  if (journal_.enabled()) {
-    // The adopted snapshot becomes the journal's new baseline.
-    std::vector<JournalRecord> fresh;
-    fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
-    journal_.rewrite(fresh);
-  }
+  // The adopted snapshot becomes the journal's new baseline.
+  checkpoint_locked();
   derive_host_state_locked();
 }
 
@@ -1083,7 +1103,6 @@ WormStore::RecoveryReport WormStore::recover() {
     derive_host_state_locked(std::move(replayed.expired));
     if (!pending_seqs_.empty()) journaled_seq = pending_seqs_.rbegin()->first;
   }
-  bool rewrite_safe = true;
   try {
     // Continue the crossing sequence past everything the device or the
     // journal has seen, then resend the pending intents.
@@ -1099,17 +1118,21 @@ WormStore::RecoveryReport WormStore::recover() {
     }
     reconcile_with_device();
     // Re-executing would first resend that intent again, outside this
-    // report: the admissions stay journaled for the next recover(), so the
-    // rewrite, which would drop them, is skipped.
-    rewrite_safe = resolved ? reexecute_queued(replayed.queued, report)
-                            : replayed.queued.empty();
+    // report: the admissions stay journaled for the next recover().
+    if (resolved) reexecute_queued(replayed.queued, report);
   } catch (const ScpuDeadError&) {
     // Dead device: serve read-only, with the pending intents on the books.
     degraded_ = true;
   }
 
-  common::ExclusiveLock lk(state_mu_);
-  if (!degraded_ && rewrite_safe) checkpoint_locked();
+  try {
+    checkpoint();
+  } catch (const common::StorageError& e) {
+    // A read-only store comes up on the journal as replayed, as it would
+    // have without a checkpoint.
+    if (!degraded_) throw;
+    WORM_WARN("store", "degraded store kept its replayed journal: ", e.what());
+  }
   return report;
 }
 
@@ -1121,6 +1144,7 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
   report.torn_tail = replay.torn_tail;
   report.torn_bytes = replay.torn_bytes;
   Replayed out;
+  std::map<std::uint64_t, const JournalRecord*> admitted;  // qid -> record
   for (const JournalRecord& rec : replay.records) {
     common::ByteReader r(rec.payload);
     try {
@@ -1150,13 +1174,20 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
         case JournalRecordType::kIntent: {
           // Atomic supersession: the frame becomes the pending intent
           // (resent verbatim through the dedup cache) and the admissions it
-          // carries stop being re-executable — never both.
+          // carries stop being re-executable — never both. Their qids are
+          // never handed out again, even once a checkpoint has dropped the
+          // admissions themselves.
           std::uint64_t seq = r.u64();
           Bytes frame = r.blob();
           std::uint32_t n = r.count(/*min_elem_bytes=*/8);
-          for (std::uint32_t k = 0; k < n; ++k) out.queued.erase(r.u64());
+          std::vector<std::uint64_t> qids(n);
+          for (std::uint64_t& qid : qids) {
+            qid = r.u64();
+            out.queued.erase(qid);
+            if (qid > next_qid_) next_qid_ = qid;
+          }
           r.expect_end();
-          pending_seqs_[seq] = std::move(frame);
+          pending_seqs_[seq] = {std::move(frame), std::move(qids)};
           break;
         }
         case JournalRecordType::kComplete: {
@@ -1170,7 +1201,8 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
             throw common::ParseError("kComplete answers no pending intent");
           }
           if (ok) {
-            (void)apply_answer_locked(intent->second, answer, &out.expired);
+            (void)apply_answer_locked(intent->second.frame, answer,
+                                      &out.expired);
           }
           pending_seqs_.erase(intent);
           break;
@@ -1191,6 +1223,7 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
           for (std::uint32_t k = 0; k < n; ++k) req.payloads.push_back(r.blob());
           r.expect_end();
           out.queued[qid] = std::move(req);
+          admitted[qid] = &rec;
           if (qid > next_qid_) next_qid_ = qid;
           break;
         }
@@ -1203,6 +1236,11 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
       break;
     }
     ++report.replayed;
+  }
+  // The admissions still owed stay in every checkpoint until an intent
+  // supersedes them.
+  for (const auto& [qid, request] : out.queued) {
+    journal_.keep_admission(qid, *admitted.at(qid));
   }
   // Replayed answers restore state; they are not work this process did.
   ops_.writes = 0;
@@ -1236,7 +1274,7 @@ void WormStore::reconcile_with_device() {
   heartbeat_ = std::move(heartbeat);
 }
 
-bool WormStore::reexecute_queued(
+void WormStore::reexecute_queued(
     const std::map<std::uint64_t, WriteRequest>& queued,
     RecoveryReport& report) {
   // Pipeline admissions no intent ever superseded were journaled before
@@ -1259,25 +1297,74 @@ bool WormStore::reexecute_queued(
       ++report.queued_replayed;
     });
   } catch (const ChannelTimeoutError&) {
-    // The intent is journaled and pending, but only the appended-to journal
-    // knows it (and the admissions after it): the checkpoint rewrite must
-    // not run — the next recover() resends it through the dedup cache.
+    // The intent is pending, and the admissions after it stay journaled:
+    // the next recover() resends it through the dedup cache, then crosses
+    // them.
     ++report.unresolved;
-    return false;
   }
-  return true;
 }
 
+// ---------------------------------------------------------------------------
+// Journal checkpoints
+// ---------------------------------------------------------------------------
+
 void WormStore::checkpoint_locked() {
-  // Fold the replayed history into a single fresh checkpoint — plus one
-  // intent record per unresolved resend, so a crash before the next
-  // recover() cannot orphan a possibly-executed command.
-  std::vector<JournalRecord> fresh;
-  fresh.push_back({JournalRecordType::kCheckpoint, vrdt_.serialize()});
-  for (const auto& [seq, frame] : pending_seqs_) {
-    fresh.push_back({JournalRecordType::kIntent, intent_record(seq, frame, {})});
+  // The VRDT streams straight into the temp file: a serialized copy of a
+  // large table would cost its size in memory, twice once framed. One
+  // intent record per pending intent follows it, so a crash cannot orphan
+  // a possibly-executed command; the journal copies in the admissions owed.
+  const Vrdt& vrdt = vrdt_;
+  const std::map<std::uint64_t, PendingIntent>& pending = pending_seqs_;
+  const std::size_t owed = owed_shreds_.size();
+  journal_.checkpoint([&vrdt, &pending, owed](HostJournal::FrameSink& out) {
+    // Replay redoes an owed shred from the records since the last
+    // checkpoint, so none may fold them away. Thrown here, the journal
+    // counts it with its other failed checkpoints.
+    if (owed > 0) {
+      throw common::StorageError("journal checkpoint waits for " +
+                                 std::to_string(owed) + " owed shred(s)");
+    }
+    out.begin(JournalRecordType::kCheckpoint);
+    vrdt.serialize_to([&out](ByteView piece) { out.write(piece); });
+    out.end();
+    for (const auto& [seq, intent] : pending) {
+      out.frame(JournalRecordType::kIntent,
+                intent_record(seq, intent.frame, intent.qids));
+    }
+  });
+}
+
+void WormStore::checkpoint() {
+  {
+    common::ExclusiveLock lk(state_mu_);
+    retry_owed_shreds_locked();
   }
-  journal_.rewrite(fresh);
+  common::SharedLock lk(state_mu_);
+  checkpoint_locked();
+}
+
+void WormStore::maybe_checkpoint() {
+  if (!journal_.checkpoint_due()) return;
+  try {
+    checkpoint();
+  } catch (const common::StorageError& e) {
+    // The journal goes on appending to the file it had.
+    WORM_WARN("store", "journal checkpoint failed, retried when next due: ",
+              e.what());
+  }
+}
+
+void WormStore::retry_owed_shreds_locked() {
+  // The owed blocks were never freed, so nothing else holds them; a
+  // dedup-shared record dropped its last reference before its shred failed.
+  std::erase_if(owed_shreds_, [this](const Expired& x) {
+    try {
+      records_.shred(x.rd, x.policy, shred_rng());
+      return true;
+    } catch (const common::StorageError&) {
+      return false;
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1336,6 +1423,7 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
   const ScpuChannel::WireStats& wire = channel_.wire_stats();
   const WritePipeline::Stats wp =
       pipeline_ != nullptr ? pipeline_->stats() : WritePipeline::Stats{};
+  const HostJournal::Stats journal = journal_.stats();
   return {
       {"store.writes", ops_.writes.load()},
       {"store.reads", ops_.reads.load()},
@@ -1366,6 +1454,9 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
       {"recovery.resent", recovery_resent_},
       {"recovery.torn_bytes", recovery_torn_bytes_},
       {"recovery.orphan_blocks", recovery_orphan_blocks_},
+      {"journal.appended_bytes", journal.appended_bytes},
+      {"journal.checkpoints", journal.checkpoints},
+      {"journal.checkpoint_failures", journal.checkpoint_failures},
       // All zero with the pipeline off. batch_fill_avg is flushed writes per
       // group, rounded to nearest.
       {"write_pipeline.queued", wp.queued},

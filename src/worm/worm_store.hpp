@@ -21,7 +21,9 @@
 // write_async admissions never wait for the SCPU, whether it witnesses
 // writes, litigation or idle duties. The journal records only what was sent
 // and what the SCPU answered; recovery replays each answer through the fold
-// a live crossing applies it with (DESIGN.md §9).
+// a live crossing applies it with (DESIGN.md §9). The operation whose
+// appends make a checkpoint due writes it before it releases commit_mu_,
+// under the shared state_mu_, so reads go on while the VRDT streams out.
 // Lock order: commit_mu_ -> state_mu_, with the journal's own mutex a leaf.
 // Every read answers from the VRDT itself under state_mu_, so a read issued
 // after a mutation returns never sees the pre-mutation result. See
@@ -330,9 +332,10 @@ class WormStore final : public HostAgent {
 
   /// Host restart: adopts a persisted VRDT and derives the rest of host
   /// state from its active VRDs — the block allocator and, with dedup
-  /// enabled, the content index and reference counts. Only valid on a store
-  /// that has not served writes yet.
-  void adopt_vrdt(Vrdt vrdt) EXCLUDES(state_mu_);
+  /// enabled, the content index and reference counts. A journaled store
+  /// checkpoints the adopted table. Only valid on a store that has not
+  /// served writes yet.
+  void adopt_vrdt(Vrdt vrdt) EXCLUDES(commit_mu_, state_mu_);
 
   /// What recover() did, for logs and tests. Replayed answers count only in
   /// `replayed` (and recovery.replayed): the store.* counters count what this
@@ -357,12 +360,14 @@ class WormStore final : public HostAgent {
   /// whose answer never landed (the device's per-sequence response cache
   /// makes the resend exactly-once; a rejected one zeroes what it staged),
   /// reconciles with the device's signed status, re-executes the pipeline
-  /// admissions no intent superseded, and rewrites the journal as a fresh
+  /// admissions no intent superseded, and replaces the journal with a fresh
   /// checkpoint. A resend that times out stays pending, and the admissions
-  /// then wait, journaled, for the next recover().
-  /// Only valid on a store that has not served writes yet. If the device
-  /// turns out to be zeroized, the store comes up in degraded read-only mode
-  /// instead of failing.
+  /// then wait, journaled, for the next recover(); the checkpoint carries
+  /// both. Only valid on a store that has not served writes yet. If the
+  /// device turns out to be zeroized, the store comes up in degraded
+  /// read-only mode instead of failing. A checkpoint that cannot be written
+  /// throws, but on a degraded store it is logged and counted instead; the
+  /// journal goes on with the file it replayed either way.
   RecoveryReport recover() EXCLUDES(state_mu_);
 
   /// True once the SCPU zeroized (tamper response) — the store then serves
@@ -503,7 +508,7 @@ class WormStore final : public HostAgent {
   /// blocks something live names (drop_named_blocks); a dedup-shared record
   /// drops one reference instead. Returns the blocks shredded. Never throws
   /// a storage error: a record whose shred fails keeps its blocks, and what
-  /// they hold, until the next boot frees them; the rest still go.
+  /// they hold, and is owed (owed_shreds_); the rest still go.
   std::size_t release_records_locked(std::vector<Expired> records)
       REQUIRES(state_mu_);
   /// Each committed write's fate, in order: its SN, or the device rejection
@@ -567,13 +572,34 @@ class WormStore final : public HostAgent {
   /// journaling a trim first when the device's SN_base passed what the host
   /// still holds, and dropping a cached base the device has moved past.
   void reconcile_with_device() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
-  /// False when a timeout left an intent only the appended-to journal
-  /// knows, so the checkpoint rewrite must be skipped.
-  bool reexecute_queued(const std::map<std::uint64_t, WriteRequest>& queued,
+  /// Crosses the admissions no intent superseded, in admission order. A
+  /// timeout leaves its intent pending and the later admissions journaled.
+  void reexecute_queued(const std::map<std::uint64_t, WriteRequest>& queued,
                         RecoveryReport& report) REQUIRES(commit_mu_)
       EXCLUDES(state_mu_);
-  /// Rewrites the journal as the VRDT plus one kIntent per pending intent.
-  void checkpoint_locked() REQUIRES(state_mu_);
+
+  // --- journal checkpoints ---------------------------------------------------
+
+  /// The one checkpoint: replaces the journal with the VRDT, one kIntent
+  /// per pending intent and the admissions no intent superseded
+  /// (HostJournal::checkpoint). commit_mu_ keeps every chunk out of the span
+  /// between its intent and its answer; the shared state_mu_ keeps answers,
+  /// expiries and trims out from the first byte to the rename while reads
+  /// go on. Throws what the journal threw, and fails (counted like any
+  /// failed checkpoint) while a shred is owed: the records since the last
+  /// checkpoint are what replay redoes it from.
+  void checkpoint_locked() REQUIRES(commit_mu_) REQUIRES_SHARED(state_mu_);
+  /// recover()'s checkpoint and the online trigger's: retries the owed
+  /// shreds under the exclusive state_mu_, then runs checkpoint_locked()
+  /// under the shared one.
+  void checkpoint() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  /// The online trigger, run by every chunk, duty and litigation crossing
+  /// once its answer is applied: checkpoints when the journal says one is
+  /// due. A failure is logged and counted (journal.checkpoint_failures),
+  /// and the next due check tries again.
+  void maybe_checkpoint() REQUIRES(commit_mu_) EXCLUDES(state_mu_);
+  /// Shreds each owed record again; keeps the ones that still fail.
+  void retry_owed_shreds_locked() REQUIRES(state_mu_);
 
   // WAL appends for the host state that no SCPU answer carries; each runs
   // BEFORE the in-memory mutation it describes.
@@ -642,13 +668,24 @@ class WormStore final : public HostAgent {
   // synchronized, so admissions append without state_mu_.
   HostJournal journal_;
   // Every sequenced frame sent (or about to be) whose answer is not
-  // journaled yet, by seq, journaled or not. Non-empty means host soft
-  // state may lag the device until the next sequenced crossing resends
-  // them (resend_pending).
-  std::map<std::uint64_t, common::Bytes> pending_seqs_ GUARDED_BY(state_mu_);
+  // journaled yet, by seq, journaled or not, with the admissions its
+  // intent superseded. Non-empty means host soft state may lag the device
+  // until the next sequenced crossing resends them (resend_pending).
+  struct PendingIntent {
+    common::Bytes frame;
+    std::vector<std::uint64_t> qids;
+  };
+  std::map<std::uint64_t, PendingIntent> pending_seqs_ GUARDED_BY(state_mu_);
   // True from a write chunk's intent to its applied ack: the device may hold
   // SNs above sn_current_mirror_ that the host has not applied yet.
   bool writes_in_flight_ GUARDED_BY(state_mu_) = false;
+  // Records whose shred failed while the store served: an expiry's
+  // (on_expire), a late answer's or a released chunk's
+  // (release_records_locked). Their blocks stay allocated, so a retry never
+  // zeroes another record. Replaying the kPutDeleted or kComplete that
+  // released an expiry's or a late answer's record shreds it again, so no
+  // checkpoint runs while any is owed.
+  std::vector<Expired> owed_shreds_ GUARDED_BY(state_mu_);
   // Degraded read-only mode: set when the SCPU reports zeroization. Atomic
   // so admissions check it without state_mu_.
   std::atomic<bool> degraded_{false};

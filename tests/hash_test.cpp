@@ -204,6 +204,27 @@ TEST(Crc32c, HardwareMatchesPortableOnMultiMegabyteInput) {
   EXPECT_EQ(common::crc32c(unaligned), common::crc32c_portable(unaligned));
 }
 
+TEST(Crc32c, ExtendOverPiecesEqualsTheWholeMessage) {
+  // A streamed journal frame is checksummed piece by piece: every split of
+  // a message, including empty pieces, must give the one-shot value.
+  Drbg rng(29);
+  const Bytes data = rng.bytes(1000);
+  const common::ByteView all(data);
+  const std::uint32_t want = common::crc32c(all);
+  EXPECT_EQ(common::crc32c_extend(0, all), want);
+  for (std::size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    const std::uint32_t head = common::crc32c(all.first(cut));
+    EXPECT_EQ(common::crc32c_extend(head, all.subspan(cut)), want)
+        << "cut=" << cut;
+  }
+  std::uint32_t running = 0;
+  for (std::size_t at = 0; at < data.size(); at += 37) {
+    running = common::crc32c_extend(
+        running, all.subspan(at, std::min<std::size_t>(37, data.size() - at)));
+  }
+  EXPECT_EQ(running, want);
+}
+
 TEST(Sha1, FipsVectors) {
   EXPECT_EQ(hexd(Sha1::hash(to_bytes(""))),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");

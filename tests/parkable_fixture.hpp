@@ -26,9 +26,10 @@ inline constexpr auto kPatience = std::chrono::seconds(2);
 /// whose window never opens (never_fires) makes the site read the time
 /// without ever firing. Once armed, that read parks the evaluating thread
 /// until release() — after letting `skip` evaluations pass, to park a later
-/// crossing of the same call. The parked thread holds the injector's mutex:
-/// nothing else may evaluate a site on the same injector meanwhile, which
-/// is why these rigs detach it from the record store.
+/// crossing of the same call. The injector reads the time with its own
+/// mutex released, so other threads evaluate every other site (a journal
+/// append, say) while one is parked; the rigs still detach the injector
+/// from the record store, whose sites no parking test arms.
 class Breakpoint final : public common::TimeSource {
  public:
   common::SimTime now() const override {

@@ -196,7 +196,7 @@ TEST(Recovery, ResendLostAgainStaysPendingThroughTheCheckpoint) {
   ASSERT_NE(gone, nullptr) << to_string(limbo.status());
   EXPECT_TRUE(gone->retryable);
 
-  // The checkpoint rewrite kept the intent, so the next recovery lands it
+  // The checkpoint kept the intent, so the next recovery lands it
   // from the device's response cache without executing anything again.
   auto second = rig.crash_and_recover();
   EXPECT_EQ(second.replayed, 2u) << "the checkpoint plus the kept intent";
@@ -402,7 +402,7 @@ TEST(Recovery, UnresolvedIntentKeepsItsStagedBlocks) {
   }
 }
 
-TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
+TEST(Recovery, QueuedReexecutionTimeoutKeepsItsAdmissionsThroughTheCheckpoint) {
   CrashRig rig("recovery_requeued.wal", /*with_faults=*/true, 0x5eed,
                worm::testing::slow_timers_config(), one_attempt(true));
   std::uint64_t executed_before = rig.firmware.counters().writes;
@@ -421,9 +421,9 @@ TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
   EXPECT_EQ(report.queued_replayed, 0u);
   EXPECT_EQ(rig.firmware.counters().writes, executed_before + 1);
 
-  // Only the appended journal knew that intent, so the rewrite was skipped:
-  // the next recovery resends it exactly once, from the response cache, and
-  // does not re-execute the admission it superseded.
+  // The checkpoint kept that intent: the next recovery resends it exactly
+  // once, from the response cache, and does not re-execute the admission it
+  // superseded.
   auto second = rig.crash_and_recover();
   EXPECT_EQ(second.resent, 1u);
   EXPECT_EQ(second.queued_replayed, 0u);
@@ -434,8 +434,8 @@ TEST(Recovery, QueuedReexecutionTimeoutSkipsTheRewrite) {
 
   // A write's answer is lost, and an admission after it is never grouped.
   // When recovery's resend times out again, re-executing the admission
-  // would resend that intent first, outside the report: the admission stays
-  // journaled for the next boot, and the timeout counts once.
+  // would resend that intent first, outside the report: the checkpoint
+  // keeps the admission for the next boot, and the timeout counts once.
   rig.fault.schedule("channel.response", FaultKind::kDrop, 1);
   EXPECT_THROW((void)rig.put("lost answer", Duration::days(30)),
                ChannelTimeoutError);

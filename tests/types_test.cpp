@@ -220,6 +220,35 @@ TEST(Vrdt, FindDeadSpanIgnoresIrreducible) {
   EXPECT_FALSE(t.find_dead_span(3).has_value());
 }
 
+TEST(Vrdt, SerializeToStreamsBoundedPiecesThatRoundTrip) {
+  // The journal's checkpoint streams the table: no piece may grow with the
+  // table, and the pieces in order are the one encoding replay reads.
+  Vrdt t;
+  for (Sn sn = 1; sn <= 2000; ++sn) {
+    Vrdt::Entry active;
+    active.kind = Vrdt::Entry::Kind::kActive;
+    active.vrd = sample_vrd();
+    active.vrd.sn = sn;
+    t.force_put(sn, active);
+  }
+  t.force_add_window(DeletedWindow{1, 3000, 3010, SimTime{}, Bytes{1}, Bytes{2}});
+  std::vector<std::size_t> sizes;
+  Bytes joined;
+  t.serialize_to([&](common::ByteView piece) {
+    sizes.push_back(piece.size());
+    common::append(joined, piece);
+  });
+  ASSERT_GT(sizes.size(), 1u) << "a table this size comes in several pieces";
+  for (std::size_t size : sizes) {
+    EXPECT_LT(size, Vrdt::kSerializePiece + 4096);
+  }
+  EXPECT_EQ(joined, t.serialize());
+  EXPECT_EQ(joined.size(), t.storage_bytes());
+  Vrdt back = Vrdt::deserialize(joined);
+  EXPECT_EQ(back.entry_count(), 2000u);
+  EXPECT_EQ(back.window_count(), 1u);
+}
+
 TEST(Vrdt, ApplyWindowRejectsActiveCoverage) {
   Vrdt t;
   Vrdt::Entry active;

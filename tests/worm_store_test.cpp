@@ -715,13 +715,16 @@ TEST(WormStore, CounterKeysAreStable) {
       "recovery.resent",
       "recovery.torn_bytes",
       "recovery.orphan_blocks",
+      "journal.appended_bytes",
+      "journal.checkpoints",
+      "journal.checkpoint_failures",
       "write_pipeline.queued",
       "write_pipeline.batches",
       "write_pipeline.batch_fill_avg",
       "write_pipeline.backpressure_stalls",
       "write_pipeline.busy_rejected",
   };
-  EXPECT_EQ(expected.size(), 33u);
+  EXPECT_EQ(expected.size(), 36u);
   EXPECT_EQ(keys, expected);
 }
 

@@ -114,7 +114,7 @@ JOURNAL_FUNCS = (
 # journals that answer before any of them runs.
 ANSWER_FOLDS = ("apply_answer_locked", "apply_write_ack_locked")
 ANSWER_JOURNAL = "journal_answer"
-JOURNAL_RECEIVER_METHODS = ("append", "rewrite")  # journal_.append / .rewrite
+JOURNAL_RECEIVER_METHODS = ("append", "checkpoint")  # journal_.append / .checkpoint
 WAIVER_RE = re.compile(r"analyze\[journal-ordering\]\s*:\s*\S")
 
 # wire-taint vocabulary.
