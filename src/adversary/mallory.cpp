@@ -5,17 +5,32 @@ namespace worm::adversary {
 using core::Vrdt;
 
 namespace {
-core::Vrd* active_vrd(core::WormStore& store, Sn sn) {
-  Vrdt::Entry* e = core::InsiderHandle(store).vrdt().mutable_entry(sn);
-  if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) return nullptr;
-  return &e->vrd;
+std::optional<core::Vrd> active_vrd(const core::WormStore& store, Sn sn) {
+  std::optional<Vrdt::Entry> e = store.vrdt().find(sn);
+  if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) {
+    return std::nullopt;
+  }
+  return std::move(e->vrd);
+}
+
+/// Rewrites sn's VRD in the host's table: read it, edit the copy, put it
+/// back under the same SN.
+template <typename Edit>
+bool edit_active_vrd(core::WormStore& store, Sn sn, Edit edit) {
+  std::optional<core::Vrd> vrd = active_vrd(store, sn);
+  if (!vrd.has_value()) return false;
+  edit(*vrd);
+  Vrdt::Entry entry;
+  entry.vrd = std::move(*vrd);
+  core::InsiderHandle(store).vrdt().force_put(sn, entry);
+  return true;
 }
 }  // namespace
 
 bool tamper_record_data(core::WormStore& store, storage::MemBlockDevice& disk,
                         Sn sn) {
-  core::Vrd* vrd = active_vrd(store, sn);
-  if (vrd == nullptr) return false;
+  std::optional<core::Vrd> vrd = active_vrd(store, sn);
+  if (!vrd.has_value()) return false;
   for (const auto& rd : vrd->rdl) {
     for (std::uint64_t b : rd.blocks) {
       common::Bytes& raw = disk.raw_block(b);
@@ -27,18 +42,17 @@ bool tamper_record_data(core::WormStore& store, storage::MemBlockDevice& disk,
 
 bool rewrite_retention(core::WormStore& store, Sn sn,
                        common::Duration new_retention) {
-  core::Vrd* vrd = active_vrd(store, sn);
-  if (vrd == nullptr) return false;
-  vrd->attr.retention = new_retention;
-  return true;
+  return edit_active_vrd(store, sn, [&](core::Vrd& vrd) {
+    vrd.attr.retention = new_retention;
+  });
 }
 
 bool cross_wire_records(core::WormStore& store, Sn a, Sn b) {
-  core::Vrd* va = active_vrd(store, a);
-  core::Vrd* vb = active_vrd(store, b);
-  if (va == nullptr || vb == nullptr) return false;
-  va->rdl = vb->rdl;  // A's reads now return B's bytes
-  return true;
+  std::optional<core::Vrd> vb = active_vrd(store, b);
+  if (!vb.has_value()) return false;
+  return edit_active_vrd(store, a, [&](core::Vrd& va) {
+    va.rdl = std::move(vb->rdl);  // A's reads now return B's bytes
+  });
 }
 
 bool hide_record(core::WormStore& store, Sn sn) {
@@ -46,7 +60,7 @@ bool hide_record(core::WormStore& store, Sn sn) {
 }
 
 bool forge_deletion(core::WormStore& store, Sn sn, crypto::Drbg& rng) {
-  if (active_vrd(store, sn) == nullptr) return false;
+  if (!active_vrd(store, sn).has_value()) return false;
   DeletionProof fake;
   fake.sn = sn;
   fake.deleted_at = common::SimTime{0};
@@ -54,19 +68,18 @@ bool forge_deletion(core::WormStore& store, Sn sn, crypto::Drbg& rng) {
   Vrdt::Entry entry;
   entry.kind = Vrdt::Entry::Kind::kDeleted;
   entry.proof = std::move(fake);
-  core::InsiderHandle(store).vrdt().force_put(sn, std::move(entry));
+  core::InsiderHandle(store).vrdt().force_put(sn, entry);
   return true;
 }
 
 bool replay_foreign_deletion(core::WormStore& store, Sn victim, Sn donor) {
-  const Vrdt::Entry* d = store.vrdt().find(donor);
-  if (d == nullptr || d->kind != Vrdt::Entry::Kind::kDeleted) return false;
-  if (active_vrd(store, victim) == nullptr) return false;
-  DeletionProof stolen = d->proof;  // genuine signature... for `donor`
+  std::optional<Vrdt::Entry> d = store.vrdt().find(donor);
+  if (!d.has_value() || d->kind != Vrdt::Entry::Kind::kDeleted) return false;
+  if (!active_vrd(store, victim).has_value()) return false;
   Vrdt::Entry entry;
   entry.kind = Vrdt::Entry::Kind::kDeleted;
-  entry.proof = std::move(stolen);
-  core::InsiderHandle(store).vrdt().force_put(victim, std::move(entry));
+  entry.proof = std::move(d->proof);  // genuine signature... for `donor`
+  core::InsiderHandle(store).vrdt().force_put(victim, entry);
   return true;
 }
 

@@ -141,14 +141,16 @@ void set_nonblocking(const Socket& s) {
 }
 
 IoResult read_some(const Socket& s, Bytes& buf, std::size_t max_bytes) {
-  std::size_t old = buf.size();
-  buf.resize(old + max_bytes);
-  ssize_t n = ::read(s.fd(), buf.data() + old, max_bytes);
+  // The kernel fills a per-thread buffer, and only what it delivered is
+  // appended: growing `buf` by max_bytes first would zero-fill all of it on
+  // every call, the drain's final EAGAIN included.
+  thread_local Bytes scratch;
+  if (scratch.size() < max_bytes) scratch.resize(max_bytes);
+  ssize_t n = ::read(s.fd(), scratch.data(), max_bytes);
   if (n > 0) {
-    buf.resize(old + static_cast<std::size_t>(n));
+    buf.insert(buf.end(), scratch.begin(), scratch.begin() + n);
     return IoResult::kOk;
   }
-  buf.resize(old);
   if (n == 0) return IoResult::kClosed;
   if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
     return IoResult::kWouldBlock;

@@ -707,6 +707,18 @@ DeletionProof Firmware::make_deletion_proof(Sn sn) {
 void Firmware::rm_fire() {
   rm_scheduled_ = false;
   if (dev_.tampered()) return;
+  try {
+    expire_due();
+  } catch (...) {
+    // A host whose shred failed throws out of on_expire: the records that
+    // expire after it still need their alarm, and the caller the error.
+    reschedule_rm();
+    throw;
+  }
+  reschedule_rm();
+}
+
+void Firmware::expire_due() {
   while (!vexp_.empty() && vexp_.begin()->first <= dev_.now()) {
     auto it = vexp_.begin();
     Sn sn = it->second;
@@ -734,7 +746,6 @@ void Firmware::rm_fire() {
     ++counters_.deletions;
     if (host_ != nullptr) host_->on_expire(sn, std::move(proof));
   }
-  reschedule_rm();
 }
 
 void Firmware::vexp_rebuild_begin() {

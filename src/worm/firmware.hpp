@@ -345,6 +345,8 @@ class Firmware {
   void roll_epoch_if_due();
   void vexp_insert(common::SimTime expiry, Sn sn);
   void reschedule_rm();
+  /// Expires every VEXP entry due by now (the body of rm_fire).
+  void expire_due();
   void rm_fire();
   void heartbeat_fire();
   DeletionProof make_deletion_proof(Sn sn);

@@ -5,6 +5,13 @@
 // into signed deleted-window markers, and everything below the signed
 // SN_base is trimmed entirely — the storage-reduction mechanisms of §4.2.1.
 //
+// Each entry is held as its own encoding (Entry::serialize, the bytes a
+// checkpoint and vrdt.bin carry), in fixed-size pages of kPageSlots SNs
+// keyed by sn / kPageSlots. A lookup is a page step plus one decode; a scan
+// that needs only an entry's kind reads its first byte. A page exists only
+// while it holds an entry, so an SN forged far above the live range costs
+// one page, never the gap.
+//
 // NOTHING in this class is trusted: the adversary module edits it at will;
 // WORM guarantees come from the signatures inside the entries, never from
 // this container's bookkeeping.
@@ -12,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,14 +43,14 @@ class Vrdt {
   Vrdt() = default;
 
   /// Inserts/overwrites the entry for vrd.sn as active.
-  void put_active(Vrd vrd);
+  void put_active(const Vrd& vrd);
 
   /// Replaces an entry with its deletion proof (record expired).
-  void put_deleted(DeletionProof proof);
+  void put_deleted(const DeletionProof& proof);
 
-  /// Entry lookup; nullptr when the SN has no per-SN entry (it may still be
-  /// covered by a deleted window or lie below the trimmed base).
-  [[nodiscard]] const Entry* find(Sn sn) const;
+  /// The decoded entry; nullopt when the SN has no per-SN entry (it may
+  /// still be covered by a deleted window or lie below the trimmed base).
+  [[nodiscard]] std::optional<Entry> find(Sn sn) const;
 
   /// Records a compacted deleted window and expels the per-SN entries it
   /// covers. Requires every covered entry to be a deletion proof (it is the
@@ -62,15 +68,15 @@ class Vrdt {
   /// True when trim_below(sn_base) would drop anything.
   [[nodiscard]] bool holds_below(Sn sn_base) const;
 
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
+  [[nodiscard]] std::size_t entry_count() const { return entries_; }
+  /// Sum of the stored entry encodings (without their SN keys).
+  [[nodiscard]] std::size_t encoded_bytes() const { return encoded_bytes_; }
   [[nodiscard]] std::size_t window_count() const { return windows_.size(); }
   [[nodiscard]] std::size_t active_count() const;
 
   /// All SNs whose entry is an active VRD, ascending (idle-time scans).
   [[nodiscard]] std::vector<Sn> active_sns() const;
 
-  /// All per-SN entries, ascending by SN.
-  [[nodiscard]] const std::map<Sn, Entry>& entries() const { return entries_; }
   [[nodiscard]] const std::vector<DeletedWindow>& windows() const {
     return windows_;
   }
@@ -116,20 +122,41 @@ class Vrdt {
 
   // --- adversary surface (the insider has full disk access) ---------------
 
-  /// Mutable access to an entry; nullptr if absent.
-  Entry* mutable_entry(Sn sn);
-
   /// Removes an entry without any proof — the "hide a record" attack.
   bool force_erase(Sn sn);
 
   /// Inserts an arbitrary forged entry.
-  void force_put(Sn sn, Entry entry);
+  void force_put(Sn sn, const Entry& entry);
 
   /// Injects an arbitrary (possibly spliced) deleted-window marker.
   void force_add_window(DeletedWindow window);
 
  private:
-  std::map<Sn, Entry> entries_;
+  static constexpr Sn kPageSlots = 256;
+
+  /// kPageSlots consecutive SNs from `first`; an empty slot holds no entry
+  /// (an encoding is never empty: its first byte is the kind).
+  struct Page {
+    Sn first = 0;
+    std::size_t used = 0;
+    std::vector<common::Bytes> slots;
+  };
+
+  /// Position of the page starting at `first`, or where it would go.
+  [[nodiscard]] std::size_t page_pos(Sn first) const;
+  [[nodiscard]] const common::Bytes* slot(Sn sn) const;
+  [[nodiscard]] std::optional<Entry::Kind> kind_at(Sn sn) const;
+  /// Stores `encoding` as sn's entry, replacing any.
+  void store(Sn sn, common::Bytes encoding);
+  /// Empties the slots of [lo, hi] and drops pages left empty.
+  void erase_range(Sn lo, Sn hi);
+  /// Calls fn(sn, encoding) for every entry, ascending by SN.
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const;
+
+  std::vector<Page> pages_;  // ascending by first, none empty
+  std::size_t entries_ = 0;
+  std::size_t encoded_bytes_ = 0;
   std::vector<DeletedWindow> windows_;  // kept sorted by lo
 };
 

@@ -53,8 +53,8 @@ Sn WormFs::write_file(const std::string& path, ByteView content, Attr attr,
       {.payloads = {header.to_bytes(), common::to_bytes(content)},
        .attr = attr,
        .mode = mode});
-  const Vrdt::Entry* e = store_.vrdt().find(sn);
-  WORM_CHECK(e != nullptr, "WormFs: write did not land in the VRDT");
+  const std::optional<Vrdt::Entry> e = store_.vrdt().find(sn);
+  WORM_CHECK(e.has_value(), "WormFs: write did not land in the VRDT");
   FsVersionInfo info;
   info.version = header.version;
   info.sn = sn;
@@ -121,7 +121,7 @@ std::vector<std::string> WormFs::list(const std::string& dir_prefix) const {
 void WormFs::rebuild_index() {
   index_.clear();
   for (Sn sn : store_.vrdt().active_sns()) {
-    const Vrdt::Entry* e = store_.vrdt().find(sn);
+    const std::optional<Vrdt::Entry> e = store_.vrdt().find(sn);
     if (e->vrd.rdl.size() != 2) continue;  // not a filesystem record
     Bytes head = store_.records().read(e->vrd.rdl[0]);
     auto header = FsHeader::parse(head);

@@ -473,8 +473,9 @@ std::vector<storage::RecordDescriptor> WormStore::named_records_locked()
     const {
   std::vector<storage::RecordDescriptor> named;
   for (Sn sn : vrdt_.active_sns()) {
-    const Vrdt::Entry* e = vrdt_.find(sn);
-    named.insert(named.end(), e->vrd.rdl.begin(), e->vrd.rdl.end());
+    std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+    named.insert(named.end(), std::make_move_iterator(e->vrd.rdl.begin()),
+                 std::make_move_iterator(e->vrd.rdl.end()));
   }
   for (const auto& [seq, intent] : pending_seqs_) {
     for (const Firmware::BatchItem& item : staged_items(intent.frame)) {
@@ -634,10 +635,10 @@ std::vector<Sn> WormStore::apply_write_ack_locked(
     WriteWitness& witness = ack.witnesses[k];
     sns.push_back(witness.sn);
     sn_current_mirror_ = std::max(sn_current_mirror_, witness.sn);
-    const Vrdt::Entry* e = vrdt_.find(witness.sn);
+    const std::optional<Vrdt::Entry> e = vrdt_.find(witness.sn);
     if (witness.sn < sn_base_mirror_ ||
-        (e != nullptr ? e->kind == Vrdt::Entry::Kind::kDeleted
-                      : vrdt_.find_window(witness.sn) != nullptr)) {
+        (e.has_value() ? e->kind == Vrdt::Entry::Kind::kDeleted
+                       : vrdt_.find_window(witness.sn) != nullptr)) {
       // A lost answer landing after its SN was deleted (a proof, a window,
       // or below the base): the deletion stands, and the expiry found no VRD
       // to shred, so the record goes now, by its own policy.
@@ -654,7 +655,7 @@ std::vector<Sn> WormStore::apply_write_ack_locked(
     vrd.data_hash = std::move(witness.data_hash);
     vrd.metasig = std::move(witness.metasig);
     vrd.datasig = std::move(witness.datasig);
-    vrdt_.put_active(std::move(vrd));
+    vrdt_.put_active(vrd);
     if (mode != WitnessMode::kStrong) {
       note_deferred_witness(witness.attr.creation_time);
     }
@@ -830,14 +831,14 @@ std::vector<Bytes> WormStore::read_payloads(const Vrd& vrd) {
 }
 
 std::optional<ReadOutcome> WormStore::read_locked(Sn sn) {
-  if (const Vrdt::Entry* e = vrdt_.find(sn); e != nullptr) {
+  if (std::optional<Vrdt::Entry> e = vrdt_.find(sn)) {
     if (e->kind == Vrdt::Entry::Kind::kActive) {
       ReadOk ok;
-      ok.vrd = e->vrd;
       ok.payloads = read_payloads(e->vrd);
+      ok.vrd = std::move(e->vrd);
       return ReadOutcome{std::move(ok)};
     }
-    return ReadOutcome{ReadDeleted{e->proof}};
+    return ReadOutcome{ReadDeleted{std::move(e->proof)}};
   }
   if (const DeletedWindow* w = vrdt_.find_window(sn); w != nullptr) {
     return ReadOutcome{ReadInDeletedWindow{*w}};
@@ -957,10 +958,16 @@ std::vector<ReadOutcome> WormStore::read_many(const std::vector<Sn>& sns) {
 // ---------------------------------------------------------------------------
 
 void WormStore::apply_lit_update(Sn sn, Firmware::LitUpdate up) {
-  Vrdt::Entry* e = vrdt_.mutable_entry(sn);
-  if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) return;
+  // put_active keys the entry by its VRD's SN: an entry naming another SN
+  // is an insider's forgery, and the answer edits no other slot through it.
+  std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+  if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive ||
+      e->vrd.sn != sn) {
+    return;
+  }
   e->vrd.attr = std::move(up.attr);
   e->vrd.metasig = std::move(up.metasig);
+  vrdt_.put_active(e->vrd);
 }
 
 void WormStore::lit_hold(const LitigationRequest& request) {
@@ -977,8 +984,8 @@ void WormStore::litigate(const LitigationRequest& request, bool hold) {
   Bytes frame;
   {
     common::SharedLock lk(state_mu_);
-    const Vrdt::Entry* e = vrdt_.find(request.sn);
-    WORM_REQUIRE(e != nullptr && e->kind == Vrdt::Entry::Kind::kActive,
+    const std::optional<Vrdt::Entry> e = vrdt_.find(request.sn);
+    WORM_REQUIRE(e.has_value() && e->kind == Vrdt::Entry::Kind::kActive,
                  hold ? "lit_hold: record not active"
                       : "lit_release: record not active");
     frame = hold ? ScpuChannel::encode_lit_hold(
@@ -1006,11 +1013,11 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
   // WAL first: the proof is delivered exactly once and must survive a crash
   // between this interrupt and the next checkpoint.
   journal_put_deleted(proof);
-  Vrdt::Entry* e = vrdt_.mutable_entry(sn);
-  if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) {
+  const std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+  if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) {
     // Already gone (e.g. duplicate expiration after a lit-release); the
     // proof is still the authoritative record of deletion.
-    vrdt_.put_deleted(std::move(proof));
+    vrdt_.put_deleted(proof);
     return;
   }
   // Shred the data per the record's own policy, then replace the VRDT entry
@@ -1029,7 +1036,7 @@ void WormStore::on_expire(Sn sn, DeletionProof proof) {
       if (failure == nullptr) failure = std::current_exception();
     }
   }
-  vrdt_.put_deleted(std::move(proof));
+  vrdt_.put_deleted(proof);
   ++ops_.expirations;
   if (failure != nullptr) std::rethrow_exception(failure);
 }
@@ -1155,13 +1162,13 @@ WormStore::Replayed WormStore::replay_journal_locked(RecoveryReport& report) {
         case JournalRecordType::kPutDeleted: {
           DeletionProof proof = DeletionProof::deserialize(r);
           r.expect_end();
-          if (const Vrdt::Entry* e = vrdt_.find(proof.sn);
-              e != nullptr && e->kind == Vrdt::Entry::Kind::kActive) {
+          if (const std::optional<Vrdt::Entry> e = vrdt_.find(proof.sn);
+              e.has_value() && e->kind == Vrdt::Entry::Kind::kActive) {
             for (const storage::RecordDescriptor& rd : e->vrd.rdl) {
               out.expired.push_back({rd, e->vrd.attr.shredding});
             }
           }
-          vrdt_.put_deleted(std::move(proof));
+          vrdt_.put_deleted(proof);
           break;
         }
         case JournalRecordType::kTrimBelow: {
@@ -1457,6 +1464,10 @@ std::map<std::string_view, std::uint64_t> WormStore::counters() const {
       {"journal.appended_bytes", journal.appended_bytes},
       {"journal.checkpoints", journal.checkpoints},
       {"journal.checkpoint_failures", journal.checkpoint_failures},
+      // The host's table: per-SN entries held, and the bytes of their
+      // encodings (what a checkpoint streams, less the SN keys).
+      {"vrdt.entries", vrdt_.entry_count()},
+      {"vrdt.encoded_bytes", vrdt_.encoded_bytes()},
       // All zero with the pipeline off. batch_fill_avg is flushed writes per
       // group, rounded to nearest.
       {"write_pipeline.queued", wp.queued},
@@ -1510,10 +1521,14 @@ void WormStore::maybe_service_deadline() {
 void WormStore::apply_strengthen_results(
     std::vector<StrengthenResult> results) {
   for (StrengthenResult& r : results) {
-    Vrdt::Entry* e = vrdt_.mutable_entry(r.sn);
-    if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
+    std::optional<Vrdt::Entry> e = vrdt_.find(r.sn);
+    if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive ||
+        e->vrd.sn != r.sn) {
+      continue;  // as in apply_lit_update
+    }
     e->vrd.metasig = std::move(r.metasig);
     e->vrd.datasig = std::move(r.datasig);
+    vrdt_.put_active(e->vrd);
   }
 }
 
@@ -1539,14 +1554,14 @@ bool WormStore::do_strengthen_batch() {
   {
     common::SharedLock lk(state_mu_);
     for (Sn sn : pending) {
-      const Vrdt::Entry* e = vrdt_.find(sn);
-      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-      vrds.push_back(e->vrd);
+      std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+      if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) continue;
       if (audit_set.count(sn) > 0) {
         payloads.push_back(read_payloads(e->vrd));
       } else {
         payloads.emplace_back();
       }
+      vrds.push_back(std::move(e->vrd));
     }
   }
   if (!vrds.empty()) {
@@ -1564,8 +1579,8 @@ bool WormStore::do_hash_audits() {
     std::vector<Bytes> payloads;
     {
       common::SharedLock lk(state_mu_);
-      const Vrdt::Entry* e = vrdt_.find(sn);
-      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
+      const std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+      if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) continue;
       payloads = read_payloads(e->vrd);
     }
     channel_.audit_hash(sn, payloads);
@@ -1579,9 +1594,9 @@ WormStore::DeletionEvidence WormStore::deletion_evidence_locked(Sn lo,
   DeletionEvidence out;
   Sn sn = lo;
   while (sn <= hi) {
-    if (const Vrdt::Entry* e = vrdt_.find(sn);
-        e != nullptr && e->kind == Vrdt::Entry::Kind::kDeleted) {
-      out.proofs.push_back(e->proof);
+    if (std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+        e.has_value() && e->kind == Vrdt::Entry::Kind::kDeleted) {
+      out.proofs.push_back(std::move(e->proof));
       ++sn;
     } else if (const DeletedWindow* w = vrdt_.find_window(sn); w != nullptr) {
       out.windows.push_back(*w);
@@ -1635,9 +1650,9 @@ bool WormStore::do_vexp_rebuild() {
     Vrd vrd;
     {
       common::SharedLock lk(state_mu_);
-      const Vrdt::Entry* e = vrdt_.find(sn);
-      if (e == nullptr || e->kind != Vrdt::Entry::Kind::kActive) continue;
-      vrd = e->vrd;
+      std::optional<Vrdt::Entry> e = vrdt_.find(sn);
+      if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) continue;
+      vrd = std::move(e->vrd);
     }
     channel_.vexp_rebuild_add(vrd);
   }

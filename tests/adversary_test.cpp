@@ -63,8 +63,10 @@ TEST(Theorem1, LitigationHoldStrippingIsDetected) {
                       .cred_issued_at = rig.clock.now(),
                       .credential = rig.lit_credential(sn, 7, true)});
   // Mallory clears the hold flag directly in the VRDT.
-  auto* e = core::InsiderHandle(rig.store).vrdt().mutable_entry(sn);
+  core::Vrdt& vrdt = core::InsiderHandle(rig.store).vrdt();
+  std::optional<core::Vrdt::Entry> e = vrdt.find(sn);
   e->vrd.attr.litigation_hold = false;
+  vrdt.put_active(e->vrd);
   EXPECT_EQ(rig.verifier.verify_read(sn, rig.store.read(sn)).verdict,
             Verdict::kTampered);
 }
@@ -109,9 +111,12 @@ TEST(Theorem1, MetasigSwapBetweenRecordsIsDetected) {
   Rig rig;
   Sn a = rig.put("same body", Duration::days(30));
   Sn b = rig.put("same body", Duration::days(30));
-  auto* ea = core::InsiderHandle(rig.store).vrdt().mutable_entry(a);
-  auto* eb = core::InsiderHandle(rig.store).vrdt().mutable_entry(b);
+  core::Vrdt& vrdt = core::InsiderHandle(rig.store).vrdt();
+  std::optional<core::Vrdt::Entry> ea = vrdt.find(a);
+  std::optional<core::Vrdt::Entry> eb = vrdt.find(b);
   std::swap(ea->vrd.metasig, eb->vrd.metasig);
+  vrdt.put_active(ea->vrd);
+  vrdt.put_active(eb->vrd);
   EXPECT_EQ(rig.verifier.verify_read(a, rig.store.read(a)).verdict,
             Verdict::kTampered);
   EXPECT_EQ(rig.verifier.verify_read(b, rig.store.read(b)).verdict,

@@ -1,8 +1,9 @@
-// analyze fixture [journal-ordering] — known-bad. Five WAL violations:
+// analyze fixture [journal-ordering] — known-bad. Six WAL violations:
 // a mutation with no journal append at all, one whose only journal append
 // sits inside a branch that does not dominate it, an SCPU answer applied
-// before it is journaled, and two journaled only inside a branch: one
-// applied after the branch, one in its sibling.
+// before it is journaled, two journaled only inside a branch: one applied
+// after the branch, one in its sibling, and an entry edit (a litigation
+// answer's fold) applied with no journaled answer.
 #include "common/bytes.hpp"
 
 namespace fixture {
@@ -41,6 +42,12 @@ void BadStore::journal_answer_in_sibling(Answer a, bool rejected) {
     // BUG: the rejection's record does not journal this answer.
     apply_answer_locked(a.frame, a.payload);
   }
+}
+
+void BadStore::hold_unjournaled(Answer a) {
+  // BUG: the fold rewrites the entry through put_active; nothing in the
+  // WAL says the SCPU answered.
+  apply_lit_update(a.sn, decode_lit(a.payload));
 }
 
 }  // namespace fixture

@@ -1,7 +1,8 @@
 // analyze fixture [journal-ordering] — known-good. Covers the legal
 // shapes: journal-then-mutate, journal-the-answer-then-apply-it, an answer
-// fold (mutations whose caller journaled the answer), the recovery replay
-// fold (mutations derived from the WAL itself), and an explicit reviewed
+// fold (mutations whose caller journaled the answer, an entry edit's
+// find -> edit -> put_active included), the recovery replay fold
+// (mutations derived from the WAL itself), and an explicit reviewed
 // waiver.
 #include "common/bytes.hpp"
 
@@ -39,6 +40,28 @@ std::vector<Sn> GoodStore::apply_answer_locked(Frame frame, Payload payload) {
   // The caller journaled this answer; the fold journals nothing.
   vrdt_.apply_window(decode_window(payload));
   return apply_write_ack_locked(payload, items(frame), mode(frame));
+}
+
+void GoodStore::strengthen(Answer a) {
+  journal_answer(a.seq, &a.payload);
+  apply_strengthen_results(decode_strengthen(a.payload));
+}
+
+void GoodStore::apply_lit_update(Sn sn, LitUpdate up) {
+  // An answer fold: its caller journaled the answer it edits the entry by.
+  std::optional<Entry> e = vrdt_.find(sn);
+  if (!e.has_value()) return;
+  e->vrd.attr = up.attr;
+  vrdt_.put_active(e->vrd);
+}
+
+void GoodStore::apply_strengthen_results(Results results) {
+  for (Result& r : results) {
+    std::optional<Entry> e = vrdt_.find(r.sn);
+    if (!e.has_value()) continue;
+    e->vrd.metasig = r.metasig;
+    vrdt_.put_active(e->vrd);
+  }
 }
 
 std::vector<Sn> GoodStore::apply_write_ack_locked(Payload payload,

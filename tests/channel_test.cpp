@@ -121,7 +121,7 @@ TEST(Channel, StrengthenRoundTrip) {
   std::vector<Sn> pending = rig.channel.deferred_pending(10);
   ASSERT_EQ(pending, std::vector<Sn>{sn});
 
-  const Vrdt::Entry* e = rig.store.vrdt().find(sn);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
   auto results = ScpuChannel::decode_strengthen_response(
       rig.sequenced(ScpuChannel::encode_strengthen({e->vrd}, {{}})));
   ASSERT_EQ(results.size(), 1u);
@@ -133,7 +133,7 @@ TEST(Channel, StrengthenRoundTrip) {
 TEST(Channel, LitHoldRoundTrip) {
   ChannelRig rig;
   Sn sn = rig.put("held via wire", Duration::days(1));
-  const Vrdt::Entry* e = rig.store.vrdt().find(sn);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
   auto up = ScpuChannel::decode_lit_response(
       rig.sequenced(ScpuChannel::encode_lit_hold(
           e->vrd, rig.clock.now() + Duration::days(9), 7, rig.clock.now(),
@@ -161,7 +161,7 @@ TEST(Channel, MigrationSignatureRoundTrip) {
 TEST(Channel, VexpRebuildSequenceOverWire) {
   ChannelRig rig;
   Sn sn = rig.put("r", Duration::days(1));
-  const Vrdt::Entry* e = rig.store.vrdt().find(sn);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
   rig.channel.vexp_rebuild_begin();
   rig.channel.vexp_rebuild_add(e->vrd);
   rig.channel.vexp_rebuild_end();

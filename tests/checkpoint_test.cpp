@@ -473,7 +473,7 @@ TEST(Checkpoint, LateAnswerShredThatStillFailsHoldsTheCheckpointBack) {
   Bytes next = payload(0, 0, 64);
   acked[rig.store->write_batch(std::vector{request(rig, next)}).front()] =
       next;
-  ASSERT_EQ(rig.store->vrdt().find(1), nullptr);
+  ASSERT_FALSE(rig.store->vrdt().find(1).has_value());
   ASSERT_NE(rig.disk.raw_block(1), zeros);
 
   // Two writes whose intents carry more than the threshold between them:

@@ -315,9 +315,11 @@ TEST(ClusterClient, ByzantineReplicaIsOutvotedAndConvicted) {
   // not cross-replica comparison — can catch it.
   {
     ReplicaRig& byzantine = *cluster.replicas[0][2];
-    auto* e = core::InsiderHandle(byzantine.rig.store).vrdt().mutable_entry(1);
-    ASSERT_NE(e, nullptr);
+    core::Vrdt& vrdt = core::InsiderHandle(byzantine.rig.store).vrdt();
+    std::optional<core::Vrdt::Entry> e = vrdt.find(1);
+    ASSERT_TRUE(e.has_value());
     e->vrd.attr.litigation_hold = true;
+    vrdt.put_active(e->vrd);
   }
 
   QuorumRead r = client.read(1);
@@ -355,9 +357,11 @@ TEST(ClusterClient, BatchedQuorumReadConvictsByzantinePerSlot) {
   // verification against the replica's own anchors catches it.
   {
     ReplicaRig& byz = *cluster.replicas[0][1];
-    auto* e = core::InsiderHandle(byz.rig.store).vrdt().mutable_entry(2);
-    ASSERT_NE(e, nullptr);
+    core::Vrdt& vrdt = core::InsiderHandle(byz.rig.store).vrdt();
+    std::optional<core::Vrdt::Entry> e = vrdt.find(2);
+    ASSERT_TRUE(e.has_value());
     e->vrd.attr.litigation_hold = true;
+    vrdt.put_active(e->vrd);
   }
 
   // One batched quorum read spanning both shards plus an absent SN: the

@@ -26,8 +26,8 @@ constexpr std::uint8_t kError = 1;
 std::vector<std::pair<OpCode, Bytes>> valid_frames(Rig& rig) {
   // A real record to source a Vrd and descriptor list from.
   Sn sn = rig.put("fuzz seed record", Duration::days(30));
-  const Vrdt::Entry* e = rig.store.vrdt().find(sn);
-  EXPECT_NE(e, nullptr);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
+  EXPECT_TRUE(e.has_value());
   const Vrd& vrd = e->vrd;
   Bytes payload = common::to_bytes("fuzz seed record");
   Bytes cred = rig.lit_credential(sn, 7, true);

@@ -52,7 +52,7 @@ TEST(Firmware, CountersTrackOperations) {
 TEST(Firmware, StrengthenRejectsNonPendingSn) {
   Rig rig;
   Sn sn = rig.put("strong already", Duration::days(1));
-  const Vrdt::Entry* e = rig.store.vrdt().find(sn);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
   EXPECT_THROW(rig.firmware.strengthen({e->vrd}, {{}}), common::ScpuError);
 }
 
@@ -190,7 +190,7 @@ TEST(FirmwareNvram, StateSurvivesPowerCycle) {
   EXPECT_EQ(fw2.deferred_pending(10), std::vector<Sn>{deferred_sn});
   // Old short-term signatures verify under the restored epoch key, and the
   // restored firmware can strengthen them.
-  const Vrdt::Entry* e = rig.store.vrdt().find(deferred_sn);
+  const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(deferred_sn);
   auto results = fw2.strengthen({e->vrd}, {{}});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].metasig.kind, SigKind::kStrong);

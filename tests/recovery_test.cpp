@@ -357,7 +357,7 @@ TEST(Recovery, DerivedAllocatorNeverReusesALiveBlock) {
   rig.boot();
   auto report = rig.store->recover();
   EXPECT_FALSE(report.torn_tail);
-  ASSERT_NE(rig.store->vrdt().find(99), nullptr) << "the forged pair replayed";
+  ASSERT_TRUE(rig.store->vrdt().find(99).has_value()) << "the forged pair replayed";
   EXPECT_EQ(report.queued_replayed, 1u);
   EXPECT_EQ(rig.records->free_blocks(), 0u);
 
@@ -857,6 +857,33 @@ TEST(Recovery, InterruptedExpiryShredIsRedoneOnReplay) {
             Verdict::kDeletedVerified);
 }
 
+TEST(Recovery, FailedShredLeavesTheRetentionMonitorArmed) {
+  // A shred that hits a device fault throws out of the expiry. The
+  // retention monitor must still wake for the records expiring after it,
+  // with no write in between to reschedule it.
+  CrashRig rig("recovery_rm_rearm.wal");
+  const common::Bytes zeros(rig.disk.block_size(), 0);
+  (void)rig.put("expires first", Duration::hours(1));
+  Sn later = rig.put(std::string(2 * rig.disk.block_size(), 'l'),
+                     Duration::hours(3));
+  const std::vector<std::uint64_t> blocks =
+      rig.store->vrdt().find(later)->vrd.rdl.at(0).blocks;
+  // The first shred's first block write fails.
+  rig.fault.schedule("device.write", FaultKind::kTransient, 1);
+  EXPECT_THROW(rig.clock.advance(Duration::hours(2)),
+               common::TransientStorageError);
+  rig.fault.disarm_all();
+
+  rig.clock.advance(Duration::hours(3));
+  ReadOutcome res = rig.store->read(later);
+  ASSERT_TRUE(res.is<ReadDeleted>()) << to_string(res.status());
+  EXPECT_EQ(rig.verifier().verify_read(later, res).verdict,
+            Verdict::kDeletedVerified);
+  for (std::uint64_t b : blocks) {
+    EXPECT_EQ(rig.disk.raw_block(b), zeros) << "block " << b;
+  }
+}
+
 TEST(Recovery, ReplayedExpiryNeverShredsAReusedBlock) {
   // The shred completed and a later write took the freed block. Replay
   // still folds the expiry over an active VRD, but a live record names the
@@ -1084,11 +1111,11 @@ TEST(Recovery, LateAnswerBelowTheBaseIsShreddedOnReplay) {
   // device.write evaluations 1 and 2 zero-fill SN 1's blocks.
   rig.fault.schedule("device.write", FaultKind::kTransient, 2);
   Sn next = rig.put("next", Duration::days(30));
-  EXPECT_EQ(rig.store->vrdt().find(1), nullptr);
+  EXPECT_FALSE(rig.store->vrdt().find(1).has_value());
   EXPECT_NE(rig.disk.raw_block(1), zeros);
 
   (void)rig.crash_and_recover();
-  EXPECT_EQ(rig.store->vrdt().find(1), nullptr);
+  EXPECT_FALSE(rig.store->vrdt().find(1).has_value());
   EXPECT_EQ(rig.disk.raw_block(0), zeros);
   EXPECT_EQ(rig.disk.raw_block(1), zeros);
   ClientVerifier verifier = rig.verifier();

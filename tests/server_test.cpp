@@ -76,6 +76,47 @@ struct ServerRig {
   std::optional<WormServer> server;
 };
 
+TEST(Net, ReadSomeAppendsAFrameThatArrivesInPieces) {
+  // Each read appends exactly what the kernel delivered after the bytes
+  // the buffer already holds; the frame is whole only with its last piece.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  common::Socket reader(fds[0]);
+  common::Socket writer(fds[1]);
+  common::set_nonblocking(reader);
+  Bytes body(3000);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const Bytes frame = encode_frame(body);
+  Bytes in = {0xEE};  // a byte an earlier frame left consumed in place
+  std::size_t in_off = 1;
+  EXPECT_EQ(common::read_some(reader, in, 64 * 1024),
+            common::IoResult::kWouldBlock);
+  EXPECT_EQ(in, Bytes{0xEE});
+  const std::vector<std::size_t> cuts = {0, 3, 4, 1500, frame.size()};
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    EXPECT_FALSE(take_frame(in, in_off).has_value()) << "piece " << k;
+    const Bytes piece(frame.begin() + static_cast<std::ptrdiff_t>(cuts[k]),
+                      frame.begin() + static_cast<std::ptrdiff_t>(cuts[k + 1]));
+    std::size_t off = 0;
+    while (off < piece.size()) {
+      ASSERT_EQ(common::write_some(writer, piece, off), common::IoResult::kOk);
+    }
+    ASSERT_EQ(common::read_some(reader, in, 64 * 1024), common::IoResult::kOk);
+    EXPECT_EQ(in.size(), 1 + cuts[k + 1]) << "piece " << k;
+  }
+  EXPECT_EQ(common::read_some(reader, in, 64 * 1024),
+            common::IoResult::kWouldBlock);
+  std::optional<Bytes> got = take_frame(in, in_off);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, body);
+  EXPECT_EQ(in.front(), 0xEE);
+  writer.reset();
+  EXPECT_EQ(common::read_some(reader, in, 64 * 1024),
+            common::IoResult::kClosed);
+}
+
 /// Blocking request/response over a raw socket, for tests that must speak
 /// below the client library (unauthenticated frames, garbage).
 Response raw_transact(const common::Socket& sock, const Request& req) {

@@ -43,8 +43,8 @@ TEST(Soak, OneSimulatedYearOfOperation) {
     // Monthly: place a hold on some active record; release an old one.
     if (day % 30 == 0) {
       for (Sn sn = 1; sn <= rig.firmware.sn_current(); ++sn) {
-        const Vrdt::Entry* e = rig.store.vrdt().find(sn);
-        if (e != nullptr && e->kind == Vrdt::Entry::Kind::kActive &&
+        const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
+        if (e.has_value() && e->kind == Vrdt::Entry::Kind::kActive &&
             !e->vrd.attr.litigation_hold) {
           rig.store.lit_hold(
               {.sn = sn,
@@ -139,8 +139,8 @@ TEST(Soak, ChannelBackedStoreMatchesDirectFirmwareProofStream) {
   }
 
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    const Vrdt::Entry* e = through_store.store.vrdt().find(sns[i]);
-    ASSERT_NE(e, nullptr);
+    const std::optional<Vrdt::Entry> e = through_store.store.vrdt().find(sns[i]);
+    ASSERT_TRUE(e.has_value());
     EXPECT_EQ(e->vrd.sn, direct_witnesses[i].sn);
     EXPECT_EQ(e->vrd.data_hash, direct_witnesses[i].data_hash);
     EXPECT_EQ(e->vrd.metasig.value, direct_witnesses[i].metasig.value)

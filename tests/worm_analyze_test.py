@@ -98,18 +98,20 @@ def main():
           f"rc={r.returncode}\n{r.stdout}")
 
     # An unjournaled mutation, one journaled only in a branch, an answer
-    # applied before it is journaled, and two journaled only in a branch
-    # (applied after it, and applied in its sibling).
+    # applied before it is journaled, two journaled only in a branch
+    # (applied after it, and applied in its sibling), and an entry-editing
+    # fold applied with no journaled answer.
     r = fixture_run("journal-ordering", "journal_bad.cpp")
     check("journal:bad-flagged",
           r.returncode == 1 and "[journal-ordering]" in r.stdout
-          and r.stdout.count(": [journal-ordering]") == 5
-          and "journal_bad.cpp:12: " in r.stdout
-          and "journal_bad.cpp:20: " in r.stdout
-          and r.stdout.count("applies an SCPU answer") == 3
-          and "journal_bad.cpp:25: " in r.stdout
-          and "journal_bad.cpp:34: " in r.stdout
-          and "journal_bad.cpp:42: " in r.stdout,
+          and r.stdout.count(": [journal-ordering]") == 6
+          and "journal_bad.cpp:13: " in r.stdout
+          and "journal_bad.cpp:21: " in r.stdout
+          and r.stdout.count("applies an SCPU answer") == 4
+          and "journal_bad.cpp:26: " in r.stdout
+          and "journal_bad.cpp:35: " in r.stdout
+          and "journal_bad.cpp:43: " in r.stdout
+          and "journal_bad.cpp:50: " in r.stdout,
           f"rc={r.returncode}\n{r.stdout}")
     r = fixture_run("journal-ordering", "journal_good.cpp")
     check("journal:good-clean", r.returncode == 0,

@@ -585,9 +585,8 @@ TEST(WormStore, RefusedFirstChunkLeavesNoPlaintextStaged) {
   ASSERT_EQ(sns.size(), 3u);
   std::set<std::uint64_t> used;
   for (Sn sn : sns) {
-    for (std::uint64_t b : rig.store.vrdt().find(sn)->vrd.rdl.at(0).blocks) {
-      used.insert(b);
-    }
+    const std::optional<Vrdt::Entry> e = rig.store.vrdt().find(sn);
+    for (std::uint64_t b : e->vrd.rdl.at(0).blocks) used.insert(b);
   }
   EXPECT_EQ(used, (std::set<std::uint64_t>{0, 1, 2}));
 }
@@ -718,14 +717,26 @@ TEST(WormStore, CounterKeysAreStable) {
       "journal.appended_bytes",
       "journal.checkpoints",
       "journal.checkpoint_failures",
+      "vrdt.entries",
+      "vrdt.encoded_bytes",
       "write_pipeline.queued",
       "write_pipeline.batches",
       "write_pipeline.batch_fill_avg",
       "write_pipeline.backpressure_stalls",
       "write_pipeline.busy_rejected",
   };
-  EXPECT_EQ(expected.size(), 36u);
+  EXPECT_EQ(expected.size(), 38u);
   EXPECT_EQ(keys, expected);
+
+  // The table's two: the entries held, and the bytes of their encodings,
+  // which are what the table serializes less each entry's SN key and the
+  // entry and window counts.
+  rig.put("one", Duration::days(1));
+  rig.put("two", Duration::days(1));
+  const auto counters = rig.store.counters();
+  EXPECT_EQ(counters.at("vrdt.entries"), 2u);
+  EXPECT_EQ(counters.at("vrdt.encoded_bytes"),
+            rig.store.vrdt().storage_bytes() - 4 - 2 * 8 - 4);
 }
 
 TEST(WormStore, RequestStructLitigationRoundTrip) {
@@ -949,7 +960,7 @@ TEST(Vrdt, SurvivesSaveLoadRoundTrip) {
   Vrdt loaded = Vrdt::load(path);
   EXPECT_EQ(loaded.entry_count(), rig.store.vrdt().entry_count());
   EXPECT_EQ(loaded.active_count(), 2u);
-  ASSERT_NE(loaded.find(2), nullptr);
+  ASSERT_TRUE(loaded.find(2).has_value());
   EXPECT_EQ(loaded.find(2)->kind, Vrdt::Entry::Kind::kDeleted);
   // Signatures still verify after the round trip.
   EXPECT_TRUE(rig.verifier

@@ -35,7 +35,8 @@ compiler flag or per-file regex can prove:
                    is a finding, unless it sits inside the journal *replay*
                    fold (where mutations are derived from the WAL itself),
                    inside an *answer fold* (apply_answer_locked,
-                   apply_write_ack_locked: the function that applies one
+                   apply_write_ack_locked, apply_lit_update,
+                   apply_strengthen_results: the functions that apply one
                    SCPU answer) or carries an explicit
                    `// analyze[journal-ordering]: why` waiver. In exchange,
                    every call of an answer fold outside a replay loop or
@@ -111,8 +112,10 @@ JOURNAL_FUNCS = (
     "journal_put_deleted", "journal_trim_below", "journal_queued_write",
 )
 # The functions that apply one SCPU answer to host state, and the call that
-# journals that answer before any of them runs.
-ANSWER_FOLDS = ("apply_answer_locked", "apply_write_ack_locked")
+# journals that answer before any of them runs. The litigation and
+# strengthening applies rewrite an active entry through put_active.
+ANSWER_FOLDS = ("apply_answer_locked", "apply_write_ack_locked",
+                "apply_lit_update", "apply_strengthen_results")
 ANSWER_JOURNAL = "journal_answer"
 JOURNAL_RECEIVER_METHODS = ("append", "checkpoint")  # journal_.append / .checkpoint
 WAIVER_RE = re.compile(r"analyze\[journal-ordering\]\s*:\s*\S")
