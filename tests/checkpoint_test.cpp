@@ -12,6 +12,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,6 +234,13 @@ struct CrashStep {
   // 1 partway through the VRDT, 2 with every frame in the temp file, 3
   // before the rename, 4 after it.
   std::uint64_t point;
+
+  // gtest lists a value-parameterized test with its GetParam() printed;
+  // unprinted, a CrashStep would show its bytes, the name pointer's
+  // address among them, and the test's name would change with every run.
+  friend void PrintTo(const CrashStep& step, std::ostream* os) {
+    *os << step.name;
+  }
 };
 
 class CheckpointCrash : public ::testing::TestWithParam<CrashStep> {};
