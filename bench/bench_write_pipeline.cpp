@@ -24,6 +24,7 @@
 // Exit code is a regression gate, mirroring bench_concurrent_reads: async
 // throughput at 8 writers with max_batch=16 must be >= 3x the synchronous
 // single-writer baseline.
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -38,6 +39,8 @@ namespace {
 constexpr std::size_t kPayload = 8192;
 constexpr std::size_t kOps = 512;  // per row; fresh rig each row
 constexpr std::size_t kWindow = 32;  // tickets in flight per writer
+// Every writer runs whole rounds, so all arrive at the barrier equally often.
+static_assert(kOps % (8 * kWindow) == 0);
 
 core::StoreConfig pipeline_config(std::size_t max_batch) {
   core::StoreConfig sc;
@@ -55,8 +58,10 @@ struct SweepResult {
   double p99_us = 0;
 };
 
-/// N writer threads push kOps/N records each through write_async, keeping up
-/// to kWindow tickets outstanding so the committer sees full groups.
+/// N writer threads push kOps/N records each through write_async in rounds of
+/// kWindow admissions. Every writer admits its round before any asks a
+/// ticket (a barrier), so the round's writes form full max_batch groups and
+/// the modeled rows do not depend on how the threads interleave.
 SweepResult run_async_sweep(bench::BenchRig& rig, std::size_t nthreads) {
   const scpu::CostModel& host = rig.store.config().host_model;
   const common::Duration hash_cost = host.hash_cost(kPayload);
@@ -65,6 +70,7 @@ SweepResult run_async_sweep(bench::BenchRig& rig, std::size_t nthreads) {
   attr.retention = common::Duration::years(5);
 
   std::vector<std::thread> threads;
+  std::barrier round(static_cast<std::ptrdiff_t>(nthreads));
   std::vector<common::Duration> busy(nthreads);
   std::vector<std::vector<double>> wall(nthreads);
   common::Duration serial0 = rig.clock.total_charged();
@@ -78,6 +84,7 @@ SweepResult run_async_sweep(bench::BenchRig& rig, std::size_t nthreads) {
           window;
       window.reserve(kWindow);
       auto collect = [&] {
+        round.arrive_and_wait();
         for (auto& [ticket, w0] : window) {
           (void)ticket.get();
           wall[t].push_back(std::chrono::duration<double, std::micro>(
@@ -95,7 +102,6 @@ SweepResult run_async_sweep(bench::BenchRig& rig, std::size_t nthreads) {
         busy[t] += hash_cost;  // modeled admission-side work, run thread-wide
         if (window.size() >= kWindow) collect();
       }
-      collect();
     });
   }
   for (auto& th : threads) th.join();

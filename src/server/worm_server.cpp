@@ -135,15 +135,15 @@ void WormServer::accept_pending(std::deque<common::Socket>& local) {
 
 void WormServer::stamp_attestation(Conn& conn, Response& resp) {
   if (conn.session == nullptr) return;
-  const core::SignedSnCurrent& wm = conn.session->watermark();
+  core::SignedSnCurrent wm = conn.session->watermark();
   if (!wm.sig.empty() && wm.stamped_at.ns > conn.attested_at.ns) {
-    resp.attestation = wm;
     conn.attested_at = wm.stamped_at;
+    resp.attestation = std::move(wm);
   }
-  const std::optional<core::EpochCert>& cert = conn.session->epoch_cert();
+  std::optional<core::EpochCert> cert = conn.session->epoch_cert();
   if (cert.has_value() && cert->epoch > conn.attested_epoch) {
-    resp.epoch_cert = *cert;
     conn.attested_epoch = cert->epoch;
+    resp.epoch_cert = std::move(cert);
   }
 }
 
@@ -349,12 +349,11 @@ void WormServer::handle_frame(Conn& conn, const Bytes& body) {
         break;
       case MsgOp::kPing:
         // A ping is the remote freshness lever — but a mailbox crossing is
-        // only paid when the session is actually stale. Steady state, the
-        // cached epoch cert keeps the session fresh and the pong forwards
-        // it with zero attestation crossings (the tentpole's O(1)
+        // only paid when the store's attestations are actually stale.
+        // Steady state, the store's epoch cert keeps the session fresh and
+        // the pong forwards it with zero attestation crossings (O(1)
         // amortization); once it ages past the horizon, force a heartbeat
         // so the pong carries a just-stamped attestation.
-        conn.session->sync();
         if (!conn.session->fresh(conn.session->freshness_horizon())) {
           (void)conn.session->refresh();
         }
@@ -405,10 +404,6 @@ void WormServer::resolve_pending(Conn& conn) {
                        " (concurrent writer?)";
         resp.sn = conn.session->next_sn();
       }
-      // The commit this ticket waited on adopted the batch ack's watermark
-      // and epoch cert into the store; sync so the ack we are about to send
-      // forwards them (the amortized-freshness carrier rides write acks).
-      conn.session->sync();
     } catch (const std::exception& e) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       resp.status = core::to_wire(core::classify(e));

@@ -11,8 +11,8 @@
 //    allocation;
 //  * authentication first: the opening frame must be a kHello carrying an
 //    HMAC session token; success binds the connection to a WormSession
-//    (principal + freshness watermark) minted by the session factory. This
-//    header never names the store type — worm-lint rule
+//    (the principal's handle on the store) minted by the session factory.
+//    This header never names the store type — worm-lint rule
 //    server-store-isolation keeps every store touch inside the session
 //    layer;
 //  * writes go through the session's non-blocking try_write_async: a full
@@ -27,11 +27,12 @@
 //    untrusted for integrity and clients verify with ClientVerifier. The
 //    optional fault injector's "server.response" site models exactly that
 //    adversary (bit-flips a response body in flight);
-//  * watermark movement (fresh S_s(SN_current) from batch acks/heartbeats)
-//    and epoch-cert advancement are forwarded in the attestation slot of the
-//    next response on each connection; steady-state pings ride the cached
-//    epoch cert and cross the SCPU mailbox only once the session actually
-//    goes stale (O(1)-amortized freshness).
+//  * each response reads the store's latest S_s(SN_current) and epoch cert
+//    and forwards whichever moved since the connection last saw it (from a
+//    batch ack, a heartbeat alarm or another connection's ping), in the
+//    response's attestation slots; steady-state pings ride the store's
+//    epoch cert and cross the SCPU mailbox only once it actually goes stale
+//    (O(1)-amortized freshness).
 #pragma once
 
 #include <atomic>
@@ -186,7 +187,8 @@ class WormServer {
   void resolve_pending(Conn& conn);
   /// Encodes `resp` onto the end of conn.out.
   void send_response(Conn& conn, Response resp);
-  /// Fills the attestation slot when the session watermark moved.
+  /// Reads the store's heartbeat and epoch cert once (through the session)
+  /// and forwards each that is newer than what this connection was sent.
   void stamp_attestation(Conn& conn, Response& resp);
 
   ServerConfig config_;

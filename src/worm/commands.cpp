@@ -552,6 +552,15 @@ Bytes ScpuChannel::encode_strengthen(
   return w.take();
 }
 
+Bytes ScpuChannel::encode_audit_hash(Sn sn,
+                                     const std::vector<Bytes>& payloads) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(OpCode::kAuditHash));
+  w.u64(sn);
+  put_payloads(w, payloads);
+  return w.take();
+}
+
 Bytes ScpuChannel::encode_certify_window(
     Sn lo, Sn hi, const std::vector<DeletionProof>& proofs,
     const std::vector<DeletedWindow>& windows) {
@@ -698,14 +707,6 @@ SignedSnBase ScpuChannel::sign_base() {
   Bytes payload_bytes = invoke_ok(w.take());
   ByteReader r(payload_bytes);
   return SignedSnBase::deserialize(r);
-}
-
-void ScpuChannel::audit_hash(Sn sn, const std::vector<Bytes>& payloads) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(OpCode::kAuditHash));
-  w.u64(sn);
-  put_payloads(w, payloads);
-  invoke_ok(w.take());
 }
 
 CertificateBundle ScpuChannel::get_certificates() {

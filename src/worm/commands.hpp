@@ -205,6 +205,8 @@ class ScpuChannel {
   static common::Bytes encode_strengthen(
       const std::vector<Vrd>& vrds,
       const std::vector<std::vector<common::Bytes>>& payloads_per_vrd);
+  static common::Bytes encode_audit_hash(
+      Sn sn, const std::vector<common::Bytes>& payloads);
   static common::Bytes encode_certify_window(
       Sn lo, Sn hi, const std::vector<DeletionProof>& proofs,
       const std::vector<DeletedWindow>& windows);
@@ -248,13 +250,14 @@ class ScpuChannel {
 
   // --- typed wrappers (encode -> send -> decode) ---------------------------
   // Unsequenced queries and idle-duty commands, retried per policy. The
-  // mutating opcodes have no wrapper: WormStore journals their encoded
-  // frames and sends them through prepare() / send_ok() itself.
+  // mutating opcodes have no wrapper, and neither has the hash audit, whose
+  // repeat the device refuses: WormStore journals their encoded frames and
+  // sends them through prepare() / send_ok() itself, so the device's
+  // response cache answers a resend.
 
   [[nodiscard]] ScpuStatus status();
   [[nodiscard]] SignedSnCurrent heartbeat();
   [[nodiscard]] SignedSnBase sign_base();
-  void audit_hash(Sn sn, const std::vector<common::Bytes>& payloads);
   [[nodiscard]] CertificateBundle get_certificates();
   void vexp_rebuild_begin();
   void vexp_rebuild_add(const Vrd& vrd);

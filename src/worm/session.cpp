@@ -22,31 +22,16 @@ bool check_session_token(common::ByteView secret, std::string_view principal,
 
 WormSession::WormSession(WormStore& store, std::string principal,
                          const common::TimeSource& trusted_time)
-    : store_(store), principal_(std::move(principal)), time_(trusted_time) {
-  sync();  // adopt whatever attestation the store already holds
-}
+    : store_(store), principal_(std::move(principal)), time_(trusted_time) {}
 
-ReadOutcome WormSession::read(Sn sn) {
-  ReadOutcome r = store_.read(sn);
-  sync();
-  // A not-allocated answer carries its own (possibly fresher) attestation.
-  if (const auto* na = r.get_if<ReadNotAllocated>()) observe(na->current);
-  return r;
-}
+ReadOutcome WormSession::read(Sn sn) { return store_.read(sn); }
 
 std::vector<ReadOutcome> WormSession::read_many(const std::vector<Sn>& sns) {
-  std::vector<ReadOutcome> rs = store_.read_many(sns);
-  sync();
-  for (const ReadOutcome& r : rs) {
-    if (const auto* na = r.get_if<ReadNotAllocated>()) observe(na->current);
-  }
-  return rs;
+  return store_.read_many(sns);
 }
 
 Sn WormSession::write(const WriteRequest& request) {
-  Sn sn = store_.write(request);
-  sync();
-  return sn;
+  return store_.write(request);
 }
 
 WriteTicket WormSession::write_async(WriteRequest request) {
@@ -59,12 +44,10 @@ std::optional<WriteTicket> WormSession::try_write_async(WriteRequest request) {
 
 void WormSession::lit_hold(const LitigationRequest& request) {
   store_.lit_hold(request);
-  sync();
 }
 
 void WormSession::lit_release(const LitigationRequest& request) {
   store_.lit_release(request);
-  sync();
 }
 
 bool WormSession::async_capable() const {
@@ -79,49 +62,22 @@ std::map<std::string_view, std::uint64_t> WormSession::counters() const {
   return store_.counters();
 }
 
-bool WormSession::observe(const SignedSnCurrent& current) {
-  if (current.sn_current == kInvalidSn && current.sig.empty()) return false;
-  bool fresher = watermark_.sig.empty() ||
-                 current.stamped_at > watermark_.stamped_at ||
-                 (current.stamped_at == watermark_.stamped_at &&
-                  current.sn_current > watermark_.sn_current);
-  if (fresher) watermark_ = current;
-  return fresher;
-}
-
-bool WormSession::observe_epoch(const EpochCert& cert) {
-  if (cert.sig.empty()) return false;
-  if (epoch_cert_.has_value() && cert.epoch <= epoch_cert_->epoch) return false;
-  epoch_cert_ = cert;
-  return true;
-}
-
-void WormSession::sync() {
-  observe(store_.latest_heartbeat());
-  if (std::optional<EpochCert> cert = store_.latest_epoch_cert()) {
-    observe_epoch(*cert);
-  }
-}
-
 bool WormSession::fresh(common::Duration max_age) const {
-  // Judge the newest attestation of either kind: the per-operation watermark
-  // or the amortized epoch cert. Steady-state reads ride the cert and never
-  // cross the mailbox just to re-stamp freshness.
+  // Judge the newest attestation of either kind: the heartbeat or the
+  // amortized epoch cert. Steady-state reads ride the cert and never cross
+  // the mailbox just to re-stamp freshness.
+  const SignedSnCurrent wm = watermark();
+  const std::optional<EpochCert> cert = epoch_cert();
   std::optional<common::SimTime> newest;
-  if (!watermark_.sig.empty()) newest = watermark_.stamped_at;
-  if (epoch_cert_.has_value() &&
-      (!newest.has_value() || epoch_cert_->stamped_at > *newest)) {
-    newest = epoch_cert_->stamped_at;
+  if (!wm.sig.empty()) newest = wm.stamped_at;
+  if (cert.has_value() && (!newest.has_value() || cert->stamped_at > *newest)) {
+    newest = cert->stamped_at;
   }
   if (!newest.has_value()) return false;
   return time_.now() - *newest <= max_age;
 }
 
-SignedSnCurrent WormSession::refresh() {
-  SignedSnCurrent current = store_.refresh_heartbeat();
-  observe(current);
-  return current;
-}
+SignedSnCurrent WormSession::refresh() { return store_.refresh_heartbeat(); }
 
 ClientVerifier& WormSession::verifier() {
   if (verifier_ == nullptr) {

@@ -1,6 +1,6 @@
-// Session-scoped access to a WormStore: one authenticated principal, one
-// cached S_s(SN_current) watermark, one (lazily built) ClientVerifier. This
-// is the API both tenants of the store use —
+// Session-scoped access to a WormStore: one authenticated principal and one
+// (lazily built) ClientVerifier. This is the API both tenants of the store
+// use —
 //   * in-process callers construct one directly (examples/ all do) and get
 //     principal-tagged operations plus freshness and verification helpers
 //     without hand-wiring a ClientVerifier from store.anchors();
@@ -9,12 +9,14 @@
 //     itself (worm_lint rule server-store-isolation), so the session layer
 //     is the single choke point where a principal meets the store.
 //
-// The watermark is the session's freshness state (§4.2.1 (ii)): every
-// operation adopts the store's latest heartbeat when it is fresher, fresh()
-// checks it against the caller's trusted clock, and refresh() forces a new
-// attestation over the mailbox. The server forwards watermark movement to
-// its client per-response, giving remote clients the same amortized
-// freshness an in-process reader gets.
+// Freshness (§4.2.1 (ii)) is the store's state, not the session's: the
+// store holds the newest S_s(SN_current) and epoch cert, whoever caused
+// them — a heartbeat alarm, another session's write, a refresh. watermark()
+// and epoch_cert() read them, fresh() judges the newer of the two against
+// the caller's trusted clock, and refresh() forces a new attestation over
+// the mailbox. The server forwards what the store holds to its client
+// per-response, giving remote clients the same amortized freshness an
+// in-process reader gets.
 //
 // A session is NOT internally synchronized: it is one principal's handle
 // (one connection, one thread). Concurrency happens across sessions — the
@@ -56,7 +58,7 @@ class WormSession {
 
   [[nodiscard]] const std::string& principal() const { return principal_; }
 
-  // --- operations (store API, watermark maintained on every call) ---------
+  // --- operations (forwarded to the store) ---------------------------------
 
   [[nodiscard]] ReadOutcome read(Sn sn);
   [[nodiscard]] std::vector<ReadOutcome> read_many(const std::vector<Sn>& sns);
@@ -84,39 +86,30 @@ class WormSession {
   /// naming the store type.
   [[nodiscard]] std::map<std::string_view, std::uint64_t> counters() const;
 
-  // --- freshness watermark -------------------------------------------------
+  // --- freshness ----------------------------------------------------------
 
-  /// Latest S_s(SN_current) this session has seen (invalid sn before the
-  /// first operation or observe()).
-  [[nodiscard]] const SignedSnCurrent& watermark() const { return watermark_; }
-
-  /// Adopts `current` if it is fresher than the watermark (later stamp, or
-  /// same stamp covering a higher SN). Returns true when adopted — the
-  /// server forwards exactly the adoptions to its client.
-  bool observe(const SignedSnCurrent& current);
-
-  /// Latest EpochCert this session has seen (nullopt before the store's
-  /// firmware ever stamped one). The cert is the amortized freshness carrier:
-  /// one signature covers every read inside its epoch interval.
-  [[nodiscard]] const std::optional<EpochCert>& epoch_cert() const {
-    return epoch_cert_;
+  /// The store's latest S_s(SN_current) (invalid sn and no signature before
+  /// the store ever held one). Returned by value: the heartbeat alarm and
+  /// other sessions' operations replace the store's copy concurrently.
+  [[nodiscard]] SignedSnCurrent watermark() const {
+    return store_.latest_heartbeat();
   }
 
-  /// Adopts `cert` if its epoch is higher than the cached one. Returns true
-  /// when adopted — the server forwards exactly the adoptions to its client.
-  bool observe_epoch(const EpochCert& cert);
+  /// The store's latest EpochCert (nullopt before its firmware ever stamped
+  /// one). The cert is the amortized freshness carrier: one signature covers
+  /// every read inside its epoch interval.
+  [[nodiscard]] std::optional<EpochCert> epoch_cert() const {
+    return store_.latest_epoch_cert();
+  }
 
-  /// Re-reads the store's cached heartbeat (and epoch cert) into the session.
-  void sync();
-
-  /// Freshness check helper: is the newest attestation this session holds —
+  /// Freshness check helper: is the newest attestation the store holds —
   /// watermark or epoch cert, whichever was stamped later — recent enough,
   /// by this session's trusted clock, to satisfy `max_age` (typically
   /// TrustAnchors::sn_current_max_age)?
   [[nodiscard]] bool fresh(common::Duration max_age) const;
 
-  /// Forces a fresh attestation over the mailbox and adopts it. On a
-  /// degraded store this returns the last one ever stamped.
+  /// Forces a fresh attestation over the mailbox (the store keeps it as its
+  /// latest). On a degraded store this returns the last one ever stamped.
   SignedSnCurrent refresh();
 
   /// The store's configured freshness horizon (sn_current_max_age) — the
@@ -143,8 +136,6 @@ class WormSession {
   WormStore& store_;
   std::string principal_;
   const common::TimeSource& time_;
-  SignedSnCurrent watermark_{};
-  std::optional<EpochCert> epoch_cert_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 

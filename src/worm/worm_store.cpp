@@ -325,7 +325,7 @@ std::vector<Sn> WormStore::apply_answer_locked(
       break;
     }
     default:
-      break;  // unsequenced opcodes are never journaled
+      break;  // a hash audit's empty answer changes no host state
   }
   return {};
 }
@@ -1576,14 +1576,14 @@ bool WormStore::do_hash_audits() {
       static_cast<std::uint32_t>(kIdleBatch));
   bool any = false;
   for (Sn sn : audits) {
-    std::vector<Bytes> payloads;
+    Bytes frame;
     {
       common::SharedLock lk(state_mu_);
       const std::optional<Vrdt::Entry> e = vrdt_.find(sn);
       if (!e.has_value() || e->kind != Vrdt::Entry::Kind::kActive) continue;
-      payloads = read_payloads(e->vrd);
+      frame = ScpuChannel::encode_audit_hash(sn, read_payloads(e->vrd));
     }
-    channel_.audit_hash(sn, payloads);
+    cross_sequenced(std::move(frame));
     any = true;
   }
   return any;

@@ -11,14 +11,14 @@ bool WriteTicket::ready() const {
   common::MutexLock lk(state_->mu);
   // Asked and unresolved: make the group due. Under the ticket's lock, the
   // pipeline is alive — its shutdown resolves every ticket first.
-  if (!state_->done) pipeline_->request_flush();
+  if (!state_->done) pipeline_->ask(ordinal_);
   return state_->done;
 }
 
 Sn WriteTicket::get() {
   WORM_REQUIRE(state_ != nullptr, "WriteTicket::get: empty ticket");
   common::MutexLock lk(state_->mu);
-  if (!state_->done) pipeline_->request_flush();  // as in ready()
+  if (!state_->done) pipeline_->ask(ordinal_);  // as in ready()
   while (!state_->done) state_->cv.wait(lk);
   if (state_->error) std::rethrow_exception(state_->error);
   return state_->sn;
@@ -35,8 +35,9 @@ WritePipeline::WritePipeline(WritePipelineConfig config,
 WritePipeline::~WritePipeline() { shutdown_drop(); }
 
 bool WritePipeline::flush_due_locked() const {
-  if (stop_ || flush_requested_) return true;
+  if (stop_ || flush_all_) return true;
   if (queue_.empty()) return false;
+  if (asked_ > taken_) return true;  // an asked write is still queued
   if (queue_.size() >= max_batch_) return true;
   return queued_bytes_ >= kFlushBytes;
 }
@@ -47,7 +48,7 @@ bool WritePipeline::claim_slot(bool block) {
   if (queue_.size() + reserved_ >= config_.queue_capacity) {
     // A full queue is itself a flush trigger: neither a stalled caller nor a
     // rejected one (who will retry) may depend on a ticket ask for space.
-    flush_requested_ = true;
+    flush_all_ = true;
     cv_work_.notify_all();
     if (!block) {
       stat_busy_.fetch_add(1, std::memory_order_relaxed);
@@ -67,6 +68,7 @@ bool WritePipeline::claim_slot(bool block) {
 WriteTicket WritePipeline::submit_reserved(Pending p) {
   auto state = std::make_shared<detail::TicketState>();
   p.ticket = state;
+  std::uint64_t ordinal = 0;
   {
     common::MutexLock lk(mu_);
     WORM_CHECK(reserved_ > 0,
@@ -79,10 +81,11 @@ WriteTicket WritePipeline::submit_reserved(Pending p) {
     // read-your-writes needs "queued" observable no later than "flushable".
     unassigned_.fetch_add(1, std::memory_order_release);
     queue_.push_back(std::move(p));
+    ordinal = taken_ + queue_.size();
   }
   stat_queued_.fetch_add(1, std::memory_order_relaxed);
   cv_work_.notify_all();
-  return WriteTicket(std::move(state), this);
+  return WriteTicket(std::move(state), this, ordinal);
 }
 
 void WritePipeline::release_reservation() {
@@ -95,10 +98,12 @@ void WritePipeline::release_reservation() {
   cv_space_.notify_all();
 }
 
-void WritePipeline::request_flush() {
+void WritePipeline::ask(std::uint64_t ordinal) {
   {
     common::MutexLock lk(mu_);
-    flush_requested_ = true;
+    // Its group already left, or a later write's ask made it due already.
+    if (ordinal <= taken_ || ordinal <= asked_) return;
+    asked_ = ordinal;
   }
   cv_work_.notify_all();
 }
@@ -109,7 +114,7 @@ bool WritePipeline::drain(std::size_t max_iters) {
         common::MutexLock lk(mu_);
         if (stop_) return false;
         if (queue_.empty() && inflight_ == 0) return false;
-        flush_requested_ = true;
+        flush_all_ = true;
         cv_work_.notify_all();
         // One committer round (a flushed group, or a cleared empty request)
         // per iteration keeps the bound meaningful.
@@ -186,7 +191,7 @@ void WritePipeline::committer_loop() {
         if (stop_) return;
         // A requested flush with nothing queued: clear it and report the
         // round so drain() makes progress.
-        flush_requested_ = false;
+        flush_all_ = false;
         cv_done_.notify_all();
         continue;
       }
@@ -197,9 +202,10 @@ void WritePipeline::committer_loop() {
         group.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      // Only consider the request served once the queue is empty: a ticket
-      // wait in a later group must keep the committer flushing.
-      if (queue_.empty()) flush_requested_ = false;
+      taken_ += take;
+      // A flush-everything request is served once the queue is empty; an
+      // ask beyond this group keeps the next one due (asked_ > taken_).
+      if (queue_.empty()) flush_all_ = false;
       inflight_ = group.size();
     }
     cv_space_.notify_all();

@@ -93,11 +93,12 @@ class WriteTicket {
  private:
   friend class WritePipeline;
   WriteTicket(std::shared_ptr<detail::TicketState> state,
-              WritePipeline* pipeline)
-      : state_(std::move(state)), pipeline_(pipeline) {}
+              WritePipeline* pipeline, std::uint64_t ordinal)
+      : state_(std::move(state)), pipeline_(pipeline), ordinal_(ordinal) {}
 
   std::shared_ptr<detail::TicketState> state_;
   WritePipeline* pipeline_ = nullptr;
+  std::uint64_t ordinal_ = 0;  // admission ordinal (1-based)
 };
 
 class WritePipeline {
@@ -154,8 +155,10 @@ class WritePipeline {
   /// enqueue failed, e.g. the journal append threw).
   void release_reservation() EXCLUDES(mu_);
 
-  /// Makes a flush due now (ticket asks, drains) regardless of thresholds.
-  void request_flush() EXCLUDES(mu_);
+  /// A ticket ask: makes the group holding admission `ordinal` due, if that
+  /// write is still queued. A group that already left is not re-asked, so
+  /// the next group still waits to fill or for one of its own tickets.
+  void ask(std::uint64_t ordinal) EXCLUDES(mu_);
 
   /// Flushes until queue and in-flight group are empty. Bounded (each
   /// iteration waits for one committer round); returns false if the bound
@@ -210,7 +213,12 @@ class WritePipeline {
   std::size_t reserved_ GUARDED_BY(mu_) = 0;  // claimed slots not yet enqueued
   std::size_t queued_bytes_ GUARDED_BY(mu_) = 0;
   std::size_t inflight_ GUARDED_BY(mu_) = 0;
-  bool flush_requested_ GUARDED_BY(mu_) = false;
+  // Admission ordinals count from 1 in queue order, so the write with
+  // ordinal k is still queued exactly when k > taken_.
+  std::uint64_t taken_ GUARDED_BY(mu_) = 0;  // writes handed to a flush
+  std::uint64_t asked_ GUARDED_BY(mu_) = 0;  // highest ordinal asked
+  // drain() or a full queue: flush everything queued, whatever its groups.
+  bool flush_all_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;
 
   std::atomic<std::size_t> unassigned_{0};

@@ -972,44 +972,58 @@ LitigationRequest litigation(CrashRig& rig, Sn sn, bool hold) {
 TEST(Recovery, ReplayLandsEveryAnswerAsTheLiveStoreDid) {
   // The journal holds what the device answered, and replay applies each
   // answer through the fold the live crossing used. So after a crash every
-  // SN answers as it did before: writes in all three witness modes, a hold
-  // and its release, and one duty pass that strengthens, compacts a window
-  // and advances the base past it. Replayed answers count only as replayed.
-  CrashRig rig("recovery_answers.wal");
-  for (int i = 0; i < 4; ++i) {
-    (void)rig.put("expiring " + std::to_string(i), Duration::minutes(5));
-  }
-  (void)rig.put("strong", Duration::days(30), WitnessMode::kStrong);
-  Sn deferred = rig.put("deferred", Duration::days(30), WitnessMode::kDeferred);
-  (void)rig.put("hmac", Duration::days(30), WitnessMode::kHmac);
-  Sn held = rig.put("held", Duration::days(30));
-  rig.store->lit_hold(litigation(rig, held, /*hold=*/true));
-  rig.store->lit_release(litigation(rig, held, /*hold=*/false));
-  rig.clock.advance(Duration::minutes(10));  // SNs 1-4 expire
-  ASSERT_TRUE(rig.store->pump_idle());
-  ASSERT_TRUE(rig.store->read(1).is<ReadBelowBase>()) << "no base advance";
-  ASSERT_EQ(rig.store->read(deferred).get<ReadOk>().vrd.metasig.kind,
-            SigKind::kStrong)
-      << "no strengthening";
-  std::vector<common::Bytes> before;
-  for (Sn sn = 1; sn <= held; ++sn) {
-    before.push_back(outcome_fingerprint(rig.store->read(sn)));
-  }
+  // SN answers as it did before, and the rebuilt table is the live one byte
+  // for byte: writes in all three witness modes, a hold and its release, and
+  // one duty pass that strengthens, compacts a window and advances the base
+  // past it (and, host-hashed, audits). Replayed answers count only as
+  // replayed.
+  for (HashMode hash_mode : {HashMode::kScpuHash, HashMode::kHostHash}) {
+    SCOPED_TRACE(hash_mode == HashMode::kHostHash ? "host hash" : "scpu hash");
+    StoreConfig config = worm::testing::lockstep_store_config();
+    config.hash_mode = hash_mode;
+    CrashRig rig("recovery_answers.wal", true, 0x5eed,
+                 worm::testing::slow_timers_config(), config);
+    for (int i = 0; i < 4; ++i) {
+      (void)rig.put("expiring " + std::to_string(i), Duration::minutes(5));
+    }
+    (void)rig.put("strong", Duration::days(30), WitnessMode::kStrong);
+    Sn deferred =
+        rig.put("deferred", Duration::days(30), WitnessMode::kDeferred);
+    (void)rig.put("hmac", Duration::days(30), WitnessMode::kHmac);
+    Sn held = rig.put("held", Duration::days(30));
+    rig.store->lit_hold(litigation(rig, held, /*hold=*/true));
+    rig.store->lit_release(litigation(rig, held, /*hold=*/false));
+    rig.clock.advance(Duration::minutes(10));  // SNs 1-4 expire
+    ASSERT_TRUE(rig.store->pump_idle());
+    ASSERT_TRUE(rig.store->read(1).is<ReadBelowBase>()) << "no base advance";
+    ASSERT_EQ(rig.store->read(deferred).get<ReadOk>().vrd.metasig.kind,
+              SigKind::kStrong)
+        << "no strengthening";
+    ASSERT_TRUE(rig.firmware.hash_audits_pending(16).empty())
+        << "audits left pending";
+    std::vector<common::Bytes> before;
+    for (Sn sn = 1; sn <= held; ++sn) {
+      before.push_back(outcome_fingerprint(rig.store->read(sn)));
+    }
+    const common::Bytes table = rig.store->vrdt().serialize();
 
-  auto report = rig.crash_and_recover();
-  EXPECT_FALSE(report.torn_tail);
-  EXPECT_EQ(report.resent, 0u);
-  ClientVerifier verifier = rig.verifier();
-  for (Sn sn = 1; sn <= held; ++sn) {
-    ReadOutcome after = rig.store->read(sn);
-    EXPECT_EQ(outcome_fingerprint(after), before[sn - 1]) << "sn " << sn;
-    EXPECT_TRUE(verifier.verify_read(sn, after).trustworthy()) << "sn " << sn;
+    auto report = rig.crash_and_recover();
+    EXPECT_FALSE(report.torn_tail);
+    EXPECT_EQ(report.resent, 0u);
+    EXPECT_EQ(rig.store->vrdt().serialize(), table);
+    ClientVerifier verifier = rig.verifier();
+    for (Sn sn = 1; sn <= held; ++sn) {
+      ReadOutcome after = rig.store->read(sn);
+      EXPECT_EQ(outcome_fingerprint(after), before[sn - 1]) << "sn " << sn;
+      EXPECT_TRUE(verifier.verify_read(sn, after).trustworthy())
+          << "sn " << sn;
+    }
+    const auto counters = rig.store->counters();
+    EXPECT_EQ(counters.at("store.writes"), 0u);
+    EXPECT_EQ(counters.at("store.compactions"), 0u);
+    EXPECT_EQ(counters.at("store.base_advances"), 0u);
+    EXPECT_EQ(counters.at("recovery.replayed"), report.replayed);
   }
-  const auto counters = rig.store->counters();
-  EXPECT_EQ(counters.at("store.writes"), 0u);
-  EXPECT_EQ(counters.at("store.compactions"), 0u);
-  EXPECT_EQ(counters.at("store.base_advances"), 0u);
-  EXPECT_EQ(counters.at("recovery.replayed"), report.replayed);
 }
 
 TEST(Recovery, AnswerAppendFaultServesNeitherWriteUntilItLands) {

@@ -56,6 +56,35 @@ TEST(TransportFaults, DuplicateDeliveryAnsweredFromDedupCache) {
             Verdict::kAuthentic);
 }
 
+TEST(TransportFaults, HashAuditResendAnsweredFromDedupCache) {
+  // The device takes an audited SN off its pending list, so a resent or
+  // duplicated audit must be answered from the response cache: executed
+  // again, it would be refused and fail a pass whose audit succeeded.
+  struct Fault {
+    const char* site;
+    FaultKind kind;
+  };
+  for (const Fault& f : {Fault{"channel.response", FaultKind::kDrop},
+                         Fault{"channel.request", FaultKind::kDuplicate}}) {
+    SCOPED_TRACE(f.site);
+    StoreConfig config = lockstep_store_config();
+    config.hash_mode = HashMode::kHostHash;
+    CrashRig rig("", true, 0x5eed, worm::testing::slow_timers_config(),
+                 config);
+    Sn sn = rig.put("host hashed", Duration::days(1));
+    ASSERT_EQ(rig.firmware.hash_audits_pending(10).size(), 1u);
+    // The pass crosses kProcessIdle, the deferred and audit queries, then
+    // the audit itself.
+    rig.fault.schedule(f.site, f.kind, 4);
+    EXPECT_TRUE(rig.store->pump_idle());
+    EXPECT_TRUE(rig.firmware.hash_audits_pending(10).empty());
+    EXPECT_EQ(rig.firmware.counters().hash_audits, 1u);
+    EXPECT_GE(rig.store->counters().at("mailbox.dedup_hits"), 1u);
+    EXPECT_EQ(rig.verifier().verify_read(sn, rig.store->read(sn)).verdict,
+              Verdict::kAuthentic);
+  }
+}
+
 TEST(TransportFaults, DamagedRequestRefusedByFrameCheckThenRetried) {
   // A bit flip in flight fails the frame checksum at the device boundary:
   // the device answers kStatusTransport without running any certified

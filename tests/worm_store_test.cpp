@@ -983,7 +983,6 @@ TEST(WormStore, SteadyStateReadsNeedNoAttestationCrossings) {
   Rig rig(worm::testing::slow_timers_config());
   WormSession session(rig.store, "auditor", rig.clock);
   for (int i = 0; i < 8; ++i) rig.put("seed", Duration::days(30));
-  session.sync();
   ASSERT_TRUE(session.epoch_cert().has_value());
   ASSERT_TRUE(session.fresh(session.freshness_horizon()));
 
@@ -992,7 +991,6 @@ TEST(WormStore, SteadyStateReadsNeedNoAttestationCrossings) {
   for (int round = 0; round < 6; ++round) {
     rig.clock.advance(kEpochInterval + Duration::seconds(1));
     rig.put("tick", Duration::days(30));  // ack piggybacks the rolled cert
-    session.sync();
     for (int r = 0; r < 25; ++r) {
       ReadOutcome out = session.read(1 + static_cast<Sn>(r % 8));
       EXPECT_NE(out.get_if<ReadOk>(), nullptr);
@@ -1005,6 +1003,28 @@ TEST(WormStore, SteadyStateReadsNeedNoAttestationCrossings) {
   EXPECT_GT(rig.firmware.counters().epoch_certs, certs0);
   EXPECT_EQ(rig.verifier.verify_epoch_cert(*session.epoch_cert()).verdict,
             Verdict::kAuthentic);
+}
+
+TEST(WormStore, IdleSessionSeesTheHeartbeatsTheStoreTook) {
+  // A session holds no attestation of its own: one that does nothing while
+  // another writes and the heartbeat alarm re-stamps SN_current is as fresh
+  // as the store, and its freshness lever (refresh only when stale, as the
+  // server's ping does) pays no heartbeat signature.
+  Rig rig;
+  WormSession writer(rig.store, "writer", rig.clock);
+  WormSession idle(rig.store, "idle", rig.clock);
+  (void)writer.write({.payloads = {common::to_bytes("one write")},
+                      .attr = rig.attr(Duration::days(30))});
+  const Duration horizon = idle.freshness_horizon();
+  rig.clock.advance(horizon + Duration::minutes(1));  // heartbeat alarms fire
+
+  const std::uint64_t hb0 = rig.firmware.counters().heartbeats;
+  EXPECT_TRUE(idle.fresh(horizon));
+  if (!idle.fresh(horizon)) (void)idle.refresh();
+  EXPECT_EQ(rig.firmware.counters().heartbeats, hb0);
+  const SignedSnCurrent wm = idle.watermark();
+  EXPECT_EQ(wm.stamped_at.ns, rig.store.latest_heartbeat().stamped_at.ns);
+  EXPECT_EQ(wm.sn_current, 1u);
 }
 
 TEST(WormStore, EpochCertAdoptedFromWriteAcks) {

@@ -280,6 +280,39 @@ TEST(WritePipeline, ReadsAndAdmissionsProceedWhileTheCommitterCrosses) {
   EXPECT_EQ(admitted->get(), committed + 2);
 }
 
+TEST(WritePipeline, AskingATicketWhoseGroupLeftLeavesTheNextGroupFilling) {
+  // A group is due when it fills or one of ITS tickets is asked. Asking a
+  // ticket whose group is already in the mailbox must not send the next
+  // group early with whatever it holds.
+  ParkableRig p("channel.request", pipelined());
+  Sn committed = p.rig.put("committed", Duration::days(30));
+  auto batches = [&] {
+    return p.rig.store.counters().at("write_pipeline.batches");
+  };
+
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  WriteTicket crossing = p.rig.store.write_async(p.request("crossing"));
+  (void)crossing.ready();  // asking makes its group due
+  ASSERT_TRUE(p.bp.wait_parked());
+  EXPECT_FALSE(crossing.ready());  // asked again, mid-crossing
+  WriteTicket later = p.rig.store.write_async(p.request("later"));
+  p.bp.release();
+  EXPECT_EQ(crossing.get(), committed + 1);
+
+  // Nobody asked `later` and its group holds one write: it stays queued
+  // until it is asked, and then crosses as a group of its own.
+  const std::uint64_t flushed = batches();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  while (std::chrono::steady_clock::now() < deadline && batches() == flushed) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(batches(), flushed) << "an unasked, unfilled group crossed";
+  EXPECT_EQ(later.get(), committed + 2);
+  EXPECT_EQ(batches(), flushed + 1);
+}
+
 TEST(WritePipeline, HeartbeatMidCrossingKeepsNextSnExact) {
   StoreConfig sc = pipelined();
   ParkableRig p("channel.response", sc);
