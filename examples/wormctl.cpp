@@ -17,12 +17,13 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "common/file.hpp"
 #include "common/sim_clock.hpp"
 #include "scpu/key_cache.hpp"
 #include "scpu/scpu_device.hpp"
@@ -37,24 +38,6 @@ using namespace worm;
 
 namespace {
 
-common::Bytes read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw common::StorageError("cannot read " + path);
-  return common::Bytes((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, common::ByteView data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out) throw common::StorageError("cannot write " + path);
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
 struct Deployment {
   explicit Deployment(const std::string& dir, bool fresh)
       : state_dir(dir),
@@ -65,10 +48,10 @@ struct Deployment {
         records(disk) {
     if (!fresh) {
       // Restore persisted state: clock first (alarms schedule against it).
-      common::Bytes clk = read_file(state_dir + "/clock.bin");
+      common::Bytes clk = common::read_file(state_dir + "/clock.bin");
       common::ByteReader r(clk);
       clock.advance_to(common::SimTime{r.i64()});
-      firmware.restore_nvram(read_file(state_dir + "/nvram.bin"));
+      firmware.restore_nvram(common::read_file(state_dir + "/nvram.bin"));
     }
     store = std::make_unique<core::WormStore>(clock, firmware, records,
                                               core::StoreConfig{});
@@ -87,8 +70,8 @@ struct Deployment {
   void persist() {
     common::ByteWriter w;
     w.i64(clock.now().ns);
-    write_file(state_dir + "/clock.bin", w.bytes());
-    write_file(state_dir + "/nvram.bin", firmware.save_nvram());
+    common::write_file(state_dir + "/clock.bin", w.bytes());
+    common::write_file(state_dir + "/nvram.bin", firmware.save_nvram());
     store->vrdt().save(state_dir + "/vrdt.bin");
     disk.flush();
   }
@@ -138,7 +121,7 @@ int main(int argc, char** argv) {
 
   try {
     if (cmd == "init") {
-      if (file_exists(dir + "/nvram.bin")) {
+      if (std::filesystem::exists(dir + "/nvram.bin")) {
         std::fprintf(stderr, "wormctl: %s already initialized\n", dir.c_str());
         return 1;
       }

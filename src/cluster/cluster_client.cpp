@@ -258,7 +258,8 @@ std::uint32_t ClusterClient::repair_laggards(
       // stop this replica's repair and leave it to answer kSnMismatch until
       // an operator intervenes.
       bool stale = false;
-      QuorumRead agreed = read_once(shard, sn, stale);
+      QuorumRead agreed =
+          std::move(read_batch_once(shard, {sn}, stale).front());
       for (ReplicaConviction& c : agreed.convictions) {
         convictions.push_back(std::move(c));
       }
@@ -374,7 +375,8 @@ QuorumWrite ClusterClient::write(const core::WriteRequest& request) {
       bool complete = true;
       for (core::Sn sn = expected; sn < learned && complete; ++sn) {
         bool stale = false;
-        QuorumRead slot = read_once(*shard, sn, stale);
+        QuorumRead slot =
+            std::move(read_batch_once(*shard, {sn}, stale).front());
         complete = slot.trustworthy() &&
                    slot.outcome.status() != core::ReadStatus::kNotAllocated;
       }
@@ -392,15 +394,6 @@ QuorumWrite ClusterClient::write(const core::WriteRequest& request) {
   out.acks = static_cast<std::uint32_t>(acked.size());
   if (out.message.empty()) out.message = "write quorum not reached";
   return out;
-}
-
-QuorumRead ClusterClient::read_once(Shard& shard, core::Sn local_sn,
-                                    bool& stale) {
-  // Solo reads ride the same batched wire path as bulk reads (a batch of
-  // one), so every quorum read in the client exercises one code path.
-  std::vector<QuorumRead> out =
-      read_batch_once(shard, std::vector<core::Sn>{local_sn}, stale);
-  return std::move(out.front());
 }
 
 std::vector<QuorumRead> ClusterClient::read_batch_once(
@@ -486,27 +479,7 @@ std::vector<QuorumRead> ClusterClient::read_batch_once(
 }
 
 QuorumRead ClusterClient::read(core::Sn global_sn) {
-  RouteResult route = map_.resolve(global_sn);
-  if (!route.ok()) {
-    throw common::PreconditionError("ClusterClient::read: " +
-                                    route.error().reason);
-  }
-  Resolved r = route.value();
-  bool stale = false;
-  QuorumRead out = read_once(shard_for(r.shard_id), r.local_sn, stale);
-  // Retry only when a verified newer map was actually adopted — an unmoved
-  // map would re-earn the same rejections.
-  if (stale && refresh_map()) {
-    RouteResult again = map_.resolve(global_sn);
-    if (!again.ok()) {
-      throw common::PreconditionError("ClusterClient::read: " +
-                                      again.error().reason);
-    }
-    r = again.value();
-    stale = false;
-    out = read_once(shard_for(r.shard_id), r.local_sn, stale);
-  }
-  return out;
+  return std::move(read_many({global_sn}).front());
 }
 
 std::vector<QuorumRead> ClusterClient::read_many(

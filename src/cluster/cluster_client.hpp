@@ -142,12 +142,14 @@ class ClusterClient {
   /// succeeded.
   [[nodiscard]] QuorumWrite write(const core::WriteRequest& request);
 
-  /// Quorum read of a global SN. Routing errors (no shard owns the SN)
-  /// throw common::PreconditionError; replica misbehavior never throws —
-  /// it shows up as convictions and, without quorum, an Unavailable
-  /// outcome.
+  /// Quorum read of a global SN: read_many() of that one SN. Routing
+  /// errors (no shard owns the SN) throw common::PreconditionError; replica
+  /// misbehavior never throws — it shows up as convictions and, without
+  /// quorum, an Unavailable outcome.
   [[nodiscard]] QuorumRead read(core::Sn global_sn);
 
+  /// Quorum reads of many global SNs: one batched fan-out per shard, and
+  /// at most one verified shard-map refresh for the whole set.
   [[nodiscard]] std::vector<QuorumRead> read_many(
       const std::vector<core::Sn>& global_sns);
 
@@ -213,15 +215,13 @@ class ClusterClient {
                                 core::Sn committed,
                                 const core::WriteRequest& request,
                                 std::vector<ReplicaConviction>& convictions);
-  [[nodiscard]] QuorumRead read_once(Shard& shard, core::Sn local_sn,
-                                     bool& stale);
   /// One quorum fan-out for a whole batch of local SNs: each replica is
   /// asked once over the pipelined kReadBatch wire path (one window of
   /// frames instead of one RTT per SN), then every slot is independently
   /// verified against that replica's own anchors and voted per-slot — a
   /// Byzantine replica is convicted per slot while its honest siblings'
-  /// slots still count. All quorum reads (including solo read_once) route
-  /// through here: the batch is transport, not trust.
+  /// slots still count. Every quorum read routes through here, a single SN
+  /// as a batch of one: the batch is transport, not trust.
   [[nodiscard]] std::vector<QuorumRead> read_batch_once(
       Shard& shard, const std::vector<core::Sn>& local_sns, bool& stale);
   /// Adopts a replica's forwarded attestation into the shard watermark

@@ -1,12 +1,6 @@
 #include "storage/block_device.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "common/error.hpp"
 
@@ -113,31 +107,14 @@ Bytes& MemBlockDevice::raw_block(std::size_t index) {
 FileBlockDevice::FileBlockDevice(const std::string& path,
                                  std::size_t block_size,
                                  std::size_t block_count)
-    : path_(path), block_size_(block_size), block_count_(block_count) {
+    : file_(path, common::File::Mode::kCreate), block_size_(block_size) {
   WORM_REQUIRE(block_size > 0, "FileBlockDevice: zero block size");
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0600);
-  if (fd_ < 0) {
-    throw StorageError("FileBlockDevice: cannot open " + path + ": " +
-                       std::strerror(errno));
-  }
   // Never shrink: a store that grew past the count it is reopened with
   // keeps every block it wrote.
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0) {
-    ::close(fd_);
-    throw StorageError("FileBlockDevice: cannot stat " + path);
-  }
-  const auto existing = static_cast<std::size_t>(st.st_size);
+  const auto existing = static_cast<std::size_t>(file_.size());
   block_count_ =
       std::max(block_count, (existing + block_size - 1) / block_size);
-  if (::ftruncate(fd_, static_cast<off_t>(block_size * block_count_)) != 0) {
-    ::close(fd_);
-    throw StorageError("FileBlockDevice: cannot size " + path);
-  }
-}
-
-FileBlockDevice::~FileBlockDevice() {
-  if (fd_ >= 0) ::close(fd_);
+  file_.resize(block_size * block_count_);
 }
 
 void FileBlockDevice::read_block(std::size_t index, Bytes& out) {
@@ -145,11 +122,7 @@ void FileBlockDevice::read_block(std::size_t index, Bytes& out) {
     throw StorageError("FileBlockDevice: block index out of range");
   }
   out.resize(block_size_);
-  ssize_t n = ::pread(fd_, out.data(), block_size_,
-                      static_cast<off_t>(index * block_size_));
-  if (n != static_cast<ssize_t>(block_size_)) {
-    throw StorageError("FileBlockDevice: short read");
-  }
+  file_.read_at(index * block_size_, out);
   note_read(block_size_);
 }
 
@@ -159,24 +132,16 @@ void FileBlockDevice::write_block(std::size_t index, ByteView data) {
   }
   WORM_REQUIRE(data.size() == block_size_,
                "FileBlockDevice: write size != block size");
-  ssize_t n = ::pwrite(fd_, data.data(), block_size_,
-                       static_cast<off_t>(index * block_size_));
-  if (n != static_cast<ssize_t>(block_size_)) {
-    throw StorageError("FileBlockDevice: short write");
-  }
+  file_.write_at(index * block_size_, data);
   note_write(block_size_);
 }
 
 void FileBlockDevice::grow(std::size_t additional_blocks) {
-  std::size_t new_count = block_count_ + additional_blocks;
-  if (::ftruncate(fd_, static_cast<off_t>(block_size_ * new_count)) != 0) {
-    throw StorageError("FileBlockDevice: cannot grow " + path_);
-  }
+  const std::size_t new_count = block_count_ + additional_blocks;
+  file_.resize(block_size_ * new_count);
   block_count_ = new_count;
 }
 
-void FileBlockDevice::flush() {
-  if (::fsync(fd_) != 0) throw StorageError("FileBlockDevice: fsync failed");
-}
+void FileBlockDevice::flush() { file_.sync(); }
 
 }  // namespace worm::storage

@@ -14,6 +14,7 @@
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
 #include "common/sim_clock.hpp"
 
 namespace worm::storage {
@@ -161,10 +162,6 @@ class FileBlockDevice final : public BlockDevice {
   /// block_count() reports it: reopening never truncates written blocks.
   FileBlockDevice(const std::string& path, std::size_t block_size,
                   std::size_t block_count);
-  ~FileBlockDevice() override;
-
-  FileBlockDevice(const FileBlockDevice&) = delete;
-  FileBlockDevice& operator=(const FileBlockDevice&) = delete;
 
   [[nodiscard]] std::size_t block_size() const override { return block_size_; }
   [[nodiscard]] std::size_t block_count() const override {
@@ -175,13 +172,13 @@ class FileBlockDevice final : public BlockDevice {
   void write_block(std::size_t index, common::ByteView data) override;
   void grow(std::size_t additional_blocks) override;
 
+  /// Syncs every written block to the device.
   void flush();
 
  private:
-  std::string path_;
+  common::File file_;
   std::size_t block_size_;
   std::size_t block_count_;
-  int fd_ = -1;
 };
 
 }  // namespace worm::storage

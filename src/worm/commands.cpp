@@ -1,5 +1,6 @@
 #include "worm/commands.hpp"
 
+#include <atomic>
 #include <optional>
 
 #include "common/crc32c.hpp"
@@ -170,7 +171,21 @@ HashMode get_hash_mode(ByteReader& r) {
   return static_cast<HashMode>(raw);
 }
 
+void bump(std::atomic<std::uint64_t>& count, std::uint64_t by = 1) {
+  count.fetch_add(by, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+ScpuChannel::WireStats ScpuChannel::wire_stats() const {
+  auto get = [](const std::atomic<std::uint64_t>& count) {
+    return count.load(std::memory_order_relaxed);
+  };
+  return {get(wire_.commands),   get(wire_.bytes_crossed),
+          get(wire_.errors),     get(wire_.retries),
+          get(wire_.dedup_hits), get(wire_.transport_faults),
+          get(wire_.timeouts)};
+}
 
 // ---------------------------------------------------------------------------
 // Device-side dispatch
@@ -365,7 +380,7 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
       if (const Bytes* hit = fw_.transport_cached(seq, request_crc)) {
         // Duplicate delivery of an already-executed sequenced command:
         // answer from the cache, execute nothing.
-        ++wire_.dedup_hits;
+        bump(wire_.dedup_hits);
         response = *hit;
         from_cache = true;
       }
@@ -398,9 +413,9 @@ Bytes ScpuChannel::receive(std::uint64_t seq, std::uint32_t request_crc,
     fw_.device().charge(
         fw_.device().cost().transfer_cost(request.size(), response.size()));
   }
-  ++wire_.commands;
-  wire_.bytes_crossed += request.size() + response.size();
-  if (!response.empty() && response[0] == kStatusError) ++wire_.errors;
+  bump(wire_.commands);
+  bump(wire_.bytes_crossed, request.size() + response.size());
+  if (!response.empty() && response[0] == kStatusError) bump(wire_.errors);
   return response;
 }
 
@@ -465,11 +480,11 @@ Bytes ScpuChannel::send(const Prepared& cmd) {
       }
       // kStatusTransport: the device refused a damaged frame — retryable.
     }
-    ++wire_.transport_faults;
+    bump(wire_.transport_faults);
     common::Duration wait{retry_.response_timeout.ns + backoff.ns};
     if (attempt >= retry_.max_attempts ||
         common::Duration{waited.ns + wait.ns} > retry_.deadline) {
-      ++wire_.timeouts;
+      bump(wire_.timeouts);
       throw ChannelTimeoutError(
           "mailbox command timed out after " + std::to_string(attempt) +
           " attempt(s) (seq " + std::to_string(cmd.seq) + ")");
@@ -480,7 +495,7 @@ Bytes ScpuChannel::send(const Prepared& cmd) {
     backoff =
         common::Duration{backoff.ns * static_cast<std::int64_t>(
                                           retry_.backoff_factor)};
-    ++wire_.retries;
+    bump(wire_.retries);
   }
 }
 

@@ -28,6 +28,7 @@
 //    ScpuDeadError immediately (no retry — the outage is permanent).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -132,7 +133,8 @@ struct ChannelRetryPolicy {
 class ScpuChannel {
  public:
   /// Running totals for the transport itself (the transport half of the
-  /// mailbox.* keys in WormStore::counters()).
+  /// mailbox.* keys in WormStore::counters()), as wire_stats() snapshots
+  /// them.
   struct WireStats {
     std::uint64_t commands = 0;       // crossings dispatched (device side)
     std::uint64_t bytes_crossed = 0;  // request + response bytes
@@ -182,7 +184,10 @@ class ScpuChannel {
   /// Seq continuation across host restarts (from ScpuStatus::last_seq + 1).
   void set_next_seq(std::uint64_t next) { next_seq_ = next; }
 
-  [[nodiscard]] const WireStats& wire_stats() const { return wire_; }
+  /// The transport's counts so far. Reads relaxed atomics only, so any
+  /// thread may call it, a crossing in flight included; the counts of a
+  /// crossing still in flight may be partly in.
+  [[nodiscard]] WireStats wire_stats() const;
 
   // --- request/response codecs --------------------------------------------
   // Public and static so WormStore can journal an encoded intent before the
@@ -281,7 +286,17 @@ class ScpuChannel {
   RetryPolicy retry_;
   common::FaultInjector* fault_;
   std::uint64_t next_seq_ = 1;
-  WireStats wire_;
+  // WireStats' counts, bumped by the crossing thread alone.
+  struct WireCounts {
+    std::atomic<std::uint64_t> commands{0};
+    std::atomic<std::uint64_t> bytes_crossed{0};
+    std::atomic<std::uint64_t> errors{0};
+    std::atomic<std::uint64_t> retries{0};
+    std::atomic<std::uint64_t> dedup_hits{0};
+    std::atomic<std::uint64_t> transport_faults{0};
+    std::atomic<std::uint64_t> timeouts{0};
+  };
+  WireCounts wire_;
 };
 
 }  // namespace worm::core

@@ -1,8 +1,6 @@
 #include "worm/journal.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <utility>
 
 #include "common/crc32c.hpp"
@@ -11,7 +9,6 @@
 
 namespace worm::core {
 
-using common::ByteReader;
 using common::Bytes;
 using common::ByteView;
 using common::ByteWriter;
@@ -32,10 +29,10 @@ Bytes encode_frame(JournalRecordType type, ByteView payload) {
   return w.take();
 }
 
-void put_u32(std::ofstream& out, std::uint32_t v) {
-  const char le[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                      static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out.write(le, 4);
+Bytes le_u32(std::uint32_t v) {
+  ByteWriter w;
+  w.u32(v);
+  return w.take();
 }
 
 /// The record kinds a journal may hold; retired values are damage.
@@ -58,29 +55,8 @@ HostJournal::HostJournal(std::string path, common::FaultInjector* fault)
     : path_(std::move(path)), fault_(fault) {
   if (!enabled()) return;
   common::MutexLock lk(mu_);
-  open_for_append();
-}
-
-void HostJournal::open_for_append() {
-  out_.open(path_, std::ios::binary | std::ios::app);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
-  if (!out_ || ec) {
-    throw common::StorageError("cannot open journal: " + path_);
-  }
-  end_ = size;
-  torn_ = false;
-}
-
-void HostJournal::cut_torn_tail() {
-  out_.close();
-  std::error_code ec;
-  std::filesystem::resize_file(path_, end_, ec);
-  if (ec) {
-    throw common::StorageError("cannot cut journal back to its last frame: " +
-                               path_);
-  }
-  open_for_append();
+  file_ = common::File(path_, common::File::Mode::kCreate);
+  end_ = file_.size();
 }
 
 void HostJournal::append(JournalRecordType type, ByteView payload,
@@ -89,30 +65,26 @@ void HostJournal::append(JournalRecordType type, ByteView payload,
   Bytes frame = encode_frame(type, payload);
   common::MutexLock lk(mu_);
   // A frame appended behind a partial one would be invisible to replay.
-  if (torn_) cut_torn_tail();
+  if (torn_) {
+    file_.resize(end_);
+    torn_ = false;
+  }
   switch (WORM_FAULT_POINT(fault_, "journal.append")) {
     case FaultKind::kTransient:
       // The write never reached the disk at all.
       throw common::TransientStorageError("journal append failed (injected)");
-    case FaultKind::kTorn: {
+    case FaultKind::kTorn:
       // Power cut mid-write: half a frame lands, then the host "crashes".
       torn_ = true;
-      std::size_t half = frame.size() / 2;
-      out_.write(reinterpret_cast<const char*>(frame.data()),
-                 static_cast<std::streamsize>(half));
-      out_.flush();
+      file_.write_at(end_, ByteView(frame).first(frame.size() / 2));
       throw common::TransientStorageError("journal append torn (injected)");
-    }
     default:
       break;
   }
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
-  out_.flush();
-  if (!out_) {
-    torn_ = true;
-    throw common::StorageError("journal write failed: " + path_);
-  }
+  // Until the whole frame is in, what lies past end_ is a partial frame.
+  torn_ = true;
+  file_.write_at(end_, frame);
+  torn_ = false;
   if (type == JournalRecordType::kQueuedWrite) {
     for (std::uint64_t qid : qids) admissions_[qid] = {end_, frame.size()};
   } else if (type == JournalRecordType::kIntent) {
@@ -127,15 +99,8 @@ HostJournal::ReplayResult HostJournal::replay() {
   ReplayResult result;
   if (!enabled()) return result;
   common::MutexLock lk(mu_);
-  std::ifstream in(path_, std::ios::binary | std::ios::ate);
-  if (!in) return result;  // no journal yet: clean empty store
-  // One sized read: a byte-wise stream iterator took most of a boot's
-  // replay time.
-  Bytes data(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  data.resize(static_cast<std::size_t>(in.gcount()));
+  Bytes data(file_.size());
+  file_.read_at(0, data);
   std::size_t pos = 0;
   while (pos < data.size()) {
     // Header: u8 type + u32 len.
@@ -195,44 +160,32 @@ HostJournal::Stats HostJournal::stats() const {
 
 HostJournal::FrameSink::FrameSink(std::string path,
                                   common::FaultInjector* fault)
-    : path_(std::move(path)),
-      fault_(fault),
-      out_(path_, std::ios::binary | std::ios::trunc) {
-  if (!out_) {
-    throw common::StorageError("cannot open journal temp: " + path_);
-  }
-}
+    : file_(std::move(path), common::File::Mode::kTruncate), fault_(fault) {}
 
 void HostJournal::FrameSink::begin(JournalRecordType type) {
   frame_at_ = size_;
   frame_len_ = 0;
   crc_ = 0;
-  const char header[kFrameHeader] = {static_cast<char>(type), 0, 0, 0, 0};
-  out_.write(header, sizeof header);  // end() patches the length in
-  size_ += kFrameHeader;
+  const std::uint8_t header[kFrameHeader] = {static_cast<std::uint8_t>(type),
+                                             0, 0, 0, 0};
+  raw(header);  // end() patches the length in
 }
 
 void HostJournal::FrameSink::write(ByteView piece) {
-  out_.write(reinterpret_cast<const char*>(piece.data()),
-             static_cast<std::streamsize>(piece.size()));
+  raw(piece);
   crc_ = common::crc32c_extend(crc_, piece);
   frame_len_ += piece.size();
-  size_ += piece.size();
   if (!std::exchange(probed_, true)) fault_point();
 }
 
 void HostJournal::FrameSink::end() {
   if (frame_len_ > UINT32_MAX) {
-    throw common::StorageError("journal checkpoint frame too large: " + path_);
+    throw common::StorageError("journal checkpoint frame too large: " +
+                               file_.path());
   }
-  out_.seekp(static_cast<std::streamoff>(frame_at_ + 1));
-  put_u32(out_, static_cast<std::uint32_t>(frame_len_));
-  out_.seekp(0, std::ios::end);
-  put_u32(out_, crc_);
-  size_ += 4;
-  if (!out_) {
-    throw common::StorageError("journal checkpoint write failed: " + path_);
-  }
+  file_.write_at(frame_at_ + 1,
+                 le_u32(static_cast<std::uint32_t>(frame_len_)));
+  raw(le_u32(crc_));
 }
 
 void HostJournal::FrameSink::frame(JournalRecordType type, ByteView payload) {
@@ -242,18 +195,8 @@ void HostJournal::FrameSink::frame(JournalRecordType type, ByteView payload) {
 }
 
 void HostJournal::FrameSink::raw(ByteView bytes) {
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+  file_.write_at(size_, bytes);
   size_ += bytes.size();
-}
-
-void HostJournal::FrameSink::close() {
-  out_.flush();
-  const bool ok = static_cast<bool>(out_);
-  out_.close();
-  if (!ok || !out_) {
-    throw common::StorageError("journal checkpoint write failed: " + path_);
-  }
 }
 
 void HostJournal::FrameSink::fault_point() {
@@ -265,18 +208,10 @@ void HostJournal::FrameSink::fault_point() {
 std::map<std::uint64_t, HostJournal::Frame>
 HostJournal::copy_admissions_locked(FrameSink& sink) {
   std::map<std::uint64_t, Frame> moved;
-  if (admissions_.empty()) return moved;
-  std::ifstream in(path_, std::ios::binary);
   Bytes frame;
   for (const auto& [qid, at] : admissions_) {
     frame.resize(at.size);
-    in.seekg(static_cast<std::streamoff>(at.offset));
-    in.read(reinterpret_cast<char*>(frame.data()),
-            static_cast<std::streamsize>(frame.size()));
-    if (!in) {
-      throw common::StorageError("cannot copy an admission from the journal: " +
-                                 path_);
-    }
+    file_.read_at(at.offset, frame);
     moved[qid] = {sink.size_, at.size};
     sink.raw(frame);
   }
@@ -297,28 +232,21 @@ void HostJournal::checkpoint(const std::function<void(FrameSink&)>& body) {
     common::MutexLock lk(mu_);
     std::map<std::uint64_t, Frame> moved = copy_admissions_locked(sink);
     sink.fault_point();  // every frame is in the temp file
-    sink.close();
     sink.fault_point();  // before the rename
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw common::StorageError("journal rename failed: " + path_);
-    }
+    sink.file_.rename_to(path_);
     swapped = true;
+    // The journal goes on with the checkpoint's descriptor; the replaced
+    // file's closes here.
+    file_ = std::move(sink.file_);
+    end_ = sink.size_;
+    torn_ = false;
     admissions_ = std::move(moved);
     checkpoint_bytes_ = sink.size_;
     since_checkpoint_ = 0;
     ++stats_.checkpoints;
-    // Should the reopen fail, the next append cuts back to this end and
-    // reopens before it writes.
-    out_.close();
-    end_ = sink.size_;
-    torn_ = true;
-    open_for_append();
     sink.fault_point();  // after the rename
   } catch (...) {
-    if (opened && !swapped) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-    }
+    if (opened && !swapped) common::remove_file(tmp);
     common::MutexLock lk(mu_);
     ++stats_.checkpoint_failures;
     throw;

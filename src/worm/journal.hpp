@@ -24,10 +24,17 @@
 // (checkpoint()): the VRDT, the unanswered intents and every admission no
 // intent has superseded yet. A boot then replays one checkpoint plus what
 // followed it.
+//
+// The journal holds one descriptor (common::File) for its whole life and
+// never reopens its file: an append writes its frame at the end of the last
+// whole frame, a torn tail is cut with a resize, replay and the
+// checkpoint's copy of the owed admissions read through the same
+// descriptor, and a checkpoint's temp file, once renamed over the journal,
+// is the descriptor the journal goes on with. Nothing here syncs: an append
+// reaches the kernel, not the device.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <span>
@@ -37,6 +44,7 @@
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
 
 namespace worm::core {
 
@@ -105,12 +113,13 @@ class HostJournal {
 
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
 
-  /// Appends one frame and flushes it to the OS. Throws TransientStorageError
-  /// when the injected fault fires; the frame may then be torn on disk until
-  /// the next append, which first cuts the file back to the last whole frame
-  /// this journal wrote. `qids` ties the frame to write_async admissions: a
-  /// kQueuedWrite passes its own queued id, and every checkpoint carries its
-  /// frame until a kIntent passes that id among the ones it supersedes.
+  /// Writes one frame behind the last whole one (to the kernel; no sync).
+  /// Throws TransientStorageError when the injected fault fires; the frame
+  /// may then be torn on disk until the next append, which first cuts the
+  /// file back to the last whole frame this journal wrote. `qids` ties the
+  /// frame to write_async admissions: a kQueuedWrite passes its own queued
+  /// id, and every checkpoint carries its frame until a kIntent passes that
+  /// id among the ones it supersedes.
   void append(JournalRecordType type, common::ByteView payload,
               std::span<const std::uint64_t> qids = {}) EXCLUDES(mu_);
 
@@ -151,16 +160,16 @@ class HostJournal {
    private:
     friend class HostJournal;
     FrameSink(std::string path, common::FaultInjector* fault);
-    // Verbatim bytes: an admission frame copied from the journal.
+    // Verbatim bytes at the end of the temp file: a frame header or CRC, or
+    // an admission frame copied from the journal.
     void raw(common::ByteView bytes);
-    void close();
     // One evaluation of "journal.rewrite": any fired kind fails the
     // checkpoint there.
     void fault_point();
 
-    const std::string path_;
+    // The temp file; the rename hands it to the journal.
+    common::File file_;
     common::FaultInjector* const fault_;
-    std::ofstream out_;
     std::uint64_t size_ = 0;      // bytes in the temp file
     std::uint64_t frame_at_ = 0;  // where the open frame's header starts
     std::uint64_t frame_len_ = 0;
@@ -176,8 +185,9 @@ class HostJournal {
   /// rename. `body` streams the checkpoint's own frames into the temp file
   /// without the journal lock, so appends go on meanwhile. Then, under the
   /// lock, the kQueuedWrite frame of every admission no intent has
-  /// superseded is copied in verbatim, and the temp file is renamed over
-  /// the journal. One checkpoint at a time: the caller serializes them.
+  /// superseded is copied in verbatim, the temp file is renamed over the
+  /// journal, and its descriptor becomes the journal's. One checkpoint at a
+  /// time: the caller serializes them.
   /// On any failure, `body`'s own throw included, the temp file is
   /// removed, the journal goes on appending to the file it had, the failure
   /// is counted and the error is rethrown. "journal.rewrite" is evaluated
@@ -200,11 +210,6 @@ class HostJournal {
     std::uint64_t size = 0;
   };
 
-  // Opens the file for appending; its current size is the end of the last
-  // whole frame.
-  void open_for_append() REQUIRES(mu_);
-  // Truncates the file to end_ and reopens it.
-  void cut_torn_tail() REQUIRES(mu_);
   // Copies every kept admission frame from the journal into `sink`; returns
   // where each now sits there.
   std::map<std::uint64_t, Frame> copy_admissions_locked(FrameSink& sink)
@@ -213,8 +218,9 @@ class HostJournal {
   const std::string path_;
   common::FaultInjector* const fault_;
   mutable common::AnnotatedMutex mu_;
-  std::ofstream out_ GUARDED_BY(mu_);
-  // File offset just past the last whole frame.
+  // Open from construction on; a checkpoint swaps in its temp file's.
+  common::File file_ GUARDED_BY(mu_);
+  // File offset just past the last whole frame: where the next append goes.
   std::uint64_t end_ GUARDED_BY(mu_) = 0;
   // Bytes past end_ are a partial or damaged frame: an append failed after
   // writing part of its frame, or replay stopped there.

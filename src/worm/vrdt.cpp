@@ -1,9 +1,9 @@
 #include "worm/vrdt.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 
 namespace worm::core {
 
@@ -332,20 +332,11 @@ Vrdt Vrdt::deserialize(common::ByteView data) {
 }
 
 void Vrdt::save(const std::string& path) const {
-  Bytes data = serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw common::StorageError("Vrdt::save: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out) throw common::StorageError("Vrdt::save: write failed");
+  common::write_file(path, serialize());
 }
 
 Vrdt Vrdt::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw common::StorageError("Vrdt::load: cannot open " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return deserialize(data);
+  return deserialize(common::read_file(path));
 }
 
 bool Vrdt::force_erase(Sn sn) {

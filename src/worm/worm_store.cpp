@@ -63,6 +63,7 @@ WormStore::WormStore(common::SimClock& clock, Firmware& firmware,
       records_(records),
       config_(std::move(config)),
       channel_(firmware, validated(config_).mailbox.retry, config_.fault),
+      wire_(channel_),
       journal_(config_.journal_path, config_.fault) {
   // Out-of-band deployment wiring: interrupt registration and policy
   // parameters a real host learns at provisioning time. Everything else —
@@ -735,7 +736,6 @@ std::optional<WriteTicket> WormStore::admit(WriteRequest request,
   WritePipeline::Pending p;
   p.attr = request.attr;
   p.mode = request.mode;
-  for (const auto& b : request.payloads) p.bytes += b.size();
   if (config_.hash_mode == HashMode::kHostHash) {
     // Hash on the admitting thread, outside the store lock: with N writers
     // the hashing runs N-wide while only the journal append and the group
@@ -1425,9 +1425,8 @@ void WormStore::adopt_epoch_cert_locked(const std::optional<EpochCert>& cert) {
 }
 
 std::map<std::string_view, std::uint64_t> WormStore::counters() const {
-  common::MutexLock commit(commit_mu_);
+  const ScpuChannel::WireStats wire = wire_.wire_stats();
   common::SharedLock lk(state_mu_);
-  const ScpuChannel::WireStats& wire = channel_.wire_stats();
   const WritePipeline::Stats wp =
       pipeline_ != nullptr ? pipeline_->stats() : WritePipeline::Stats{};
   const HostJournal::Stats journal = journal_.stats();

@@ -377,12 +377,15 @@ class WormStore final : public HostAgent {
 
   /// Every store counter by its stable `<subsystem>.<counter>` name — the
   /// one place those names exist (DESIGN.md §6 lists them). Safe to call
-  /// concurrently with any operation (it waits out a crossing in flight, to
-  /// read the transport's counts); with the pipeline on and writers active,
-  /// write_pipeline.* may lag a mid-flush committer, so call drain_writes()
-  /// first when the numbers must be settled.
+  /// concurrently with any operation, and never waits out a crossing: the
+  /// transport's counts are atomics, and the rest need only the shared
+  /// store lock, which no crossing holds. With writers or a duty pass
+  /// active, the numbers may catch them partway (a group's crossing counted
+  /// before its mailbox.batches, or its tickets resolved before its journal
+  /// checkpoint ran), so call drain_writes() first when they must be
+  /// settled.
   [[nodiscard]] std::map<std::string_view, std::uint64_t> counters() const
-      EXCLUDES(commit_mu_, state_mu_);
+      EXCLUDES(state_mu_);
 
  private:
   friend class InsiderHandle;
@@ -653,8 +656,11 @@ class WormStore final : public HostAgent {
   // with commit_mu_ makes "no crossing without the commit lock"
   // compile-time.
   ScpuChannel channel_ GUARDED_BY(commit_mu_);
+  // The same channel, for counters() alone: wire_stats() reads relaxed
+  // atomics, so a stats read never waits out a crossing for commit_mu_.
+  const ScpuChannel& wire_;
   // The mailbox.* counts the store makes itself; the transport's are in
-  // channel_.wire_stats().
+  // wire_.wire_stats().
   struct MailboxCounts {
     std::uint64_t batches = 0;          // kWriteBatch crossings
     std::uint64_t batched_writes = 0;   // writes those crossings carried

@@ -38,8 +38,7 @@ bool WritePipeline::flush_due_locked() const {
   if (stop_ || flush_all_) return true;
   if (queue_.empty()) return false;
   if (asked_ > taken_) return true;  // an asked write is still queued
-  if (queue_.size() >= max_batch_) return true;
-  return queued_bytes_ >= kFlushBytes;
+  return queue_.size() >= max_batch_;
 }
 
 bool WritePipeline::claim_slot(bool block) {
@@ -76,7 +75,6 @@ WriteTicket WritePipeline::submit_reserved(Pending p) {
     --reserved_;
     WORM_REQUIRE(!stop_,
                  "WritePipeline::submit_reserved: pipeline is shut down");
-    queued_bytes_ += p.bytes;
     // Visible to readers before the queue can assign the record an Sn:
     // read-your-writes needs "queued" observable no later than "flushable".
     unassigned_.fetch_add(1, std::memory_order_release);
@@ -134,7 +132,6 @@ void WritePipeline::shutdown_drop() {
       dropped.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    queued_bytes_ = 0;
   }
   cv_work_.notify_all();
   cv_space_.notify_all();
@@ -198,7 +195,6 @@ void WritePipeline::committer_loop() {
       std::size_t take = std::min(queue_.size(), max_batch_);
       group.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
-        queued_bytes_ -= queue_.front().bytes;
         group.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }

@@ -11,12 +11,12 @@
 //
 // Group-commit policy: this file is the only code that decides when queued
 // writes cross. A group is due when the queue holds max_batch records (the
-// store's mailbox.max_batch, the bound every crossing obeys) or kFlushBytes
-// (1 MiB) of payload, when the queue is full, when drain()
-// runs, or when one of its tickets is asked: get() makes it due and waits,
-// ready() makes it due without blocking. There is no timer and no age
-// threshold, so a write whose ticket nobody asks stays queued until its
-// group fills or the store drains.
+// store's mailbox.max_batch, the bound every crossing obeys), when the
+// queue is full, when drain() runs, or when one of its tickets is asked:
+// get() makes it due and waits, ready() makes it due without blocking.
+// There is no timer, no age threshold and no byte threshold (the queue's
+// capacity bounds what it holds), so a write whose ticket nobody asks stays
+// queued until its group fills or the store drains.
 //
 // Lock discipline (DESIGN.md §7, §8): everything below lives under mu_, and
 // the committer calls the FlushFn with NO pipeline lock held. The flush
@@ -44,9 +44,6 @@
 #include "worm/types.hpp"
 
 namespace worm::core {
-
-/// Queued payload bytes that make a flush due, whatever the group size.
-inline constexpr std::size_t kFlushBytes = 1u << 20;
 
 struct WritePipelineConfig {
   /// Off (the default) keeps the store fully synchronous: write() crosses
@@ -114,7 +111,6 @@ class WritePipeline {
     std::vector<common::Bytes> payloads;
     std::optional<WitnessMode> mode;
     common::Bytes claimed_hash;
-    std::size_t bytes = 0;
     std::shared_ptr<detail::TicketState> ticket;
   };
 
@@ -211,7 +207,6 @@ class WritePipeline {
   std::condition_variable_any cv_done_;   // wakes drain() after each round
   std::deque<Pending> queue_ GUARDED_BY(mu_);
   std::size_t reserved_ GUARDED_BY(mu_) = 0;  // claimed slots not yet enqueued
-  std::size_t queued_bytes_ GUARDED_BY(mu_) = 0;
   std::size_t inflight_ GUARDED_BY(mu_) = 0;
   // Admission ordinals count from 1 in queue order, so the write with
   // ordinal k is still queued exactly when k > taken_.

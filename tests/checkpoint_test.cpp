@@ -1,8 +1,9 @@
-// Online journal checkpoints: the journal stays bounded while the store
-// serves, a crash at every step of a checkpoint loses no acknowledged
-// write, a failed checkpoint leaves the journal appendable, no checkpoint
-// folds away a record replay needs to redo a failed shred, and reads and
-// admissions go on while a checkpoint streams the VRDT.
+// The journal's frames match a hex golden, and online checkpoints: the
+// journal stays bounded while the store serves, a crash at every step of a
+// checkpoint loses no acknowledged write, a failed checkpoint leaves the
+// journal appendable, no checkpoint folds away a record replay needs to
+// redo a failed shred, and reads and admissions go on while a checkpoint
+// streams the VRDT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -92,6 +94,68 @@ std::vector<std::uint64_t> admission_qids(const std::string& path) {
   return qids;
 }
 
+/// The journal file's bytes, hex-encoded.
+std::string file_hex(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const Bytes bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  return common::hex_encode(bytes);
+}
+
+// ---------------------------------------------------------------------------
+// The on-disk format
+// ---------------------------------------------------------------------------
+
+TEST(Journal, FramesMatchTheGoldenEncoding) {
+  // Each frame is u8 type | u32 payload length | payload | u32 CRC-32C of
+  // the payload, integers little-endian. Payloads are opaque to the
+  // journal; the qids tie admissions to the intent that supersedes them.
+  const std::string path = ::testing::TempDir() + "journal_golden.wal";
+  std::remove(path.c_str());
+  HostJournal journal(path);
+  const std::uint64_t first = 1;
+  const std::uint64_t second = 2;
+  journal.append(JournalRecordType::kQueuedWrite, common::to_bytes("qw1"),
+                 {&first, 1});
+  journal.append(JournalRecordType::kQueuedWrite, common::to_bytes("qw2"),
+                 {&second, 1});
+  journal.append(JournalRecordType::kIntent, common::to_bytes("intent"),
+                 {&first, 1});
+  journal.append(JournalRecordType::kComplete, common::to_bytes("done"));
+  journal.append(JournalRecordType::kPutDeleted, common::to_bytes("proof"));
+  journal.append(JournalRecordType::kTrimBelow,
+                 Bytes{0x2a, 0, 0, 0, 0, 0, 0, 0});
+  const std::string queued_second = "09" "03000000" "717732" "c7134a87";
+  EXPECT_EQ(file_hex(path),
+            "09" "03000000" "717731" "33e01a94" +     // kQueuedWrite "qw1"
+                queued_second +                       // kQueuedWrite "qw2"
+                "01" "06000000" "696e74656e74" "ff052b1b"  // kIntent
+                "02" "04000000" "646f6e65" "cb203605"      // kComplete
+                "04" "05000000" "70726f6f66" "df6b2b86"    // kPutDeleted
+                "07" "08000000" "2a00000000000000" "87296b51");  // kTrimBelow
+
+  // A checkpoint whose first frame streams in two pieces. Only the second
+  // admission survives into it: the intent superseded the first.
+  journal.checkpoint([](HostJournal::FrameSink& out) {
+    out.begin(JournalRecordType::kCheckpoint);
+    out.write(common::to_bytes("vr"));
+    out.write(common::to_bytes("dt"));
+    out.end();
+    out.frame(JournalRecordType::kIntent, common::to_bytes("pending"));
+  });
+  const std::string checkpointed =
+      "08" "04000000" "76726474" "66703d78"            // kCheckpoint "vrdt"
+      "01" "07000000" "70656e64696e67" "685d9eb2" +    // kIntent "pending"
+      queued_second;                                   // copied verbatim
+  EXPECT_EQ(file_hex(path), checkpointed);
+
+  // The journal goes on behind the checkpoint.
+  journal.append(JournalRecordType::kComplete, common::to_bytes("next"));
+  EXPECT_EQ(file_hex(path),
+            checkpointed + "02" "04000000" "6e657874" "bbe8148f");
+  EXPECT_EQ(journal.replay().records.size(), 4u);
+}
+
 // ---------------------------------------------------------------------------
 // The size gate
 // ---------------------------------------------------------------------------
@@ -108,7 +172,9 @@ TEST(Checkpoint, JournalStaysBoundedThroughWriteAsyncAndWriteBatch) {
     const std::uint64_t appended = counter(rig, "journal.appended_bytes");
     const std::uint64_t checkpoints = counter(rig, "journal.checkpoints");
     commit();
-    // counters() waits out the flush, its checkpoint included.
+    // A group's tickets resolve before its checkpoint runs: drain so the
+    // flush, its checkpoint included, is over before the sample.
+    rig.store->drain_writes();
     const std::uint64_t now_checkpoints = counter(rig, "journal.checkpoints");
     const std::uint64_t records =
         counter(rig, "journal.appended_bytes") - appended;
@@ -357,6 +423,7 @@ TEST(Checkpoint, OnlineFailureIsCountedAndRetriedWhenNextDue) {
   while (counter(rig, "journal.checkpoint_failures") < 2) {
     Bytes bytes = payload(0, index++);
     acked[rig.store->write_async(request(rig, bytes)).get()] = bytes;
+    rig.store->drain_writes();  // the group's checkpoint attempt included
     ASSERT_LT(index, 600) << "no checkpoint was ever due";
   }
   EXPECT_EQ(counter(rig, "journal.checkpoints"), 0u);
@@ -364,6 +431,7 @@ TEST(Checkpoint, OnlineFailureIsCountedAndRetriedWhenNextDue) {
   std::filesystem::remove(tmp);
   Bytes bytes = payload(0, index++);
   acked[rig.store->write_async(request(rig, bytes)).get()] = bytes;
+  rig.store->drain_writes();
   EXPECT_EQ(counter(rig, "journal.checkpoints"), 1u)
       << "still due, so the next group checkpoints";
   (void)rig.crash_and_recover();

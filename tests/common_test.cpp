@@ -1,10 +1,17 @@
 // Unit tests for the common substrate: bytes/hex, serialization round-trips,
-// and the simulated clock's alarm semantics (the retention monitor's engine).
+// the simulated clock's alarm semantics (the retention monitor's engine),
+// and the one file type the host's storage goes through.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/serial.hpp"
 #include "common/sim_clock.hpp"
 
@@ -202,6 +209,112 @@ TEST(Duration, ArithmeticAndConversions) {
   EXPECT_DOUBLE_EQ(Duration::millis(1500).to_seconds_f(), 1.5);
   EXPECT_EQ(Duration::from_seconds_f(0.25), Duration::millis(250));
   EXPECT_EQ(Duration::seconds(3) * 4, Duration::seconds(12));
+}
+
+/// A path under the gtest temp dir, with nothing there yet.
+std::string fresh_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+/// The message of the StorageError `fn` throws, or "" when it throws none.
+template <typename Fn>
+std::string storage_error(Fn&& fn) {
+  try {
+    std::forward<Fn>(fn)();
+  } catch (const StorageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(File, ReadsAndWritesAtOffsets) {
+  const std::string path = fresh_path("file_offsets.bin");
+  File file(path, File::Mode::kCreate);
+  file.write_at(0, to_bytes("hello"));
+  file.write_at(8, to_bytes("world"));  // the gap reads as zeros
+  EXPECT_EQ(file.size(), 13u);
+  file.write_at(1, to_bytes("EL"));
+  Bytes all(13);
+  file.read_at(0, all);
+  EXPECT_EQ(all, to_bytes(std::string("hELlo\0\0\0world", 13)));
+  Bytes middle(4);
+  file.read_at(7, middle);
+  EXPECT_EQ(middle, to_bytes(std::string("\0wor", 4)));
+  EXPECT_EQ(read_file(path), all);
+}
+
+TEST(File, ReadPastTheEndThrowsAndNamesTheFile) {
+  const std::string path = fresh_path("file_short.bin");
+  File file(path, File::Mode::kCreate);
+  file.write_at(0, to_bytes("abc"));
+  Bytes four(4);
+  EXPECT_NE(storage_error([&] { file.read_at(0, four); }).find(path),
+            std::string::npos);
+  Bytes one(1);
+  EXPECT_THROW(file.read_at(3, one), StorageError);
+  file.read_at(2, one);
+  EXPECT_EQ(one, to_bytes("c"));
+}
+
+TEST(File, ResizeCutsAndExtends) {
+  const std::string path = fresh_path("file_resize.bin");
+  File file(path, File::Mode::kCreate);
+  file.write_at(0, to_bytes("abcdef"));
+  file.resize(2);
+  EXPECT_EQ(file.size(), 2u);
+  EXPECT_EQ(read_file(path), to_bytes("ab"));
+  file.resize(4);
+  EXPECT_EQ(read_file(path), to_bytes(std::string("ab\0\0", 4)));
+}
+
+TEST(File, WriteAfterRenameLandsUnderTheNewName) {
+  const std::string from = fresh_path("file_rename_from.bin");
+  const std::string to = fresh_path("file_rename_to.bin");
+  write_file(to, to_bytes("replaced"));
+  File file(from, File::Mode::kCreate);
+  file.write_at(0, to_bytes("one"));
+  file.rename_to(to);
+  EXPECT_EQ(file.path(), to);
+  file.write_at(3, to_bytes("two"));
+  EXPECT_EQ(read_file(to), to_bytes("onetwo"));
+  EXPECT_THROW((void)read_file(from), StorageError);
+}
+
+TEST(File, ExistingModeOnAMissingPathThrows) {
+  const std::string path = fresh_path("file_missing.bin");
+  EXPECT_NE(storage_error([&] { File(path, File::Mode::kExisting); })
+                .find(path),
+            std::string::npos);
+  EXPECT_THROW((void)read_file(path), StorageError);
+  File(path, File::Mode::kCreate).write_at(0, to_bytes("now"));
+  EXPECT_EQ(File(path, File::Mode::kExisting).size(), 3u);
+}
+
+TEST(File, TruncateEmptiesWhatCreateKeeps) {
+  const std::string path = fresh_path("file_truncate.bin");
+  write_file(path, to_bytes("old contents"));
+  EXPECT_EQ(File(path, File::Mode::kCreate).size(), 12u);
+  EXPECT_EQ(File(path, File::Mode::kTruncate).size(), 0u);
+  EXPECT_TRUE(read_file(path).empty());
+}
+
+TEST(File, MovedFromFileClosesNothing) {
+  const std::string path = fresh_path("file_moved.bin");
+  std::optional<File> source(std::in_place, path, File::Mode::kCreate);
+  File moved(std::move(*source));
+  source.reset();  // had it closed the descriptor, the write below fails
+  moved.write_at(0, to_bytes("still open"));
+  EXPECT_EQ(read_file(path), to_bytes("still open"));
+
+  const std::string other_path = fresh_path("file_moved_other.bin");
+  File other(other_path, File::Mode::kCreate);
+  other = std::move(moved);  // closes other's own descriptor, takes moved's
+  other.write_at(0, to_bytes("STILL"));
+  EXPECT_EQ(other.path(), path);
+  EXPECT_EQ(read_file(path), to_bytes("STILL open"));
+  EXPECT_TRUE(read_file(other_path).empty());
 }
 
 }  // namespace

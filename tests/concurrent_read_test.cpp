@@ -18,10 +18,12 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -276,6 +278,37 @@ TEST(ConcurrentRead, ReadsProceedWhileAnotherReadRefreshesTheBase) {
   ReadOutcome below = refresh.get();
   ASSERT_TRUE(below.is<core::ReadBelowBase>());
   EXPECT_EQ(verifier.verify_read(1, below).verdict, Verdict::kDeletedVerified);
+}
+
+TEST(ConcurrentRead, CountersProceedWhileAWriteGroupCrosses) {
+  // A stats read takes no commit lock: the transport's counts are atomics,
+  // and the rest need only the shared store lock, which no crossing holds.
+  core::StoreConfig sc;
+  sc.pipeline.enabled = true;
+  ParkableRig p("channel.request", sc);
+  const Sn committed = p.rig.put("committed", Duration::days(30));
+  const auto before = p.rig.store.counters();
+
+  std::future<std::map<std::string_view, std::uint64_t>> stats;
+  p.bp.arm();
+  ReleaseOnExit release{p.bp};
+  core::WriteTicket crossing = p.rig.store.write_async(p.request("crossing"));
+  (void)crossing.ready();  // asking makes its group due
+  ASSERT_TRUE(p.bp.wait_parked());
+  stats = std::async(std::launch::async,
+                     [&] { return p.rig.store.counters(); });
+  EXPECT_TRUE(returned(stats)) << "counters() waited for the crossing";
+  p.bp.release();
+  EXPECT_EQ(crossing.get(), committed + 1);
+
+  // Parked before the device saw it, the group's crossing is not counted
+  // yet; its admission is.
+  const auto during = stats.get();
+  EXPECT_EQ(during.at("mailbox.crossings"), before.at("mailbox.crossings"));
+  EXPECT_EQ(during.at("write_pipeline.queued"),
+            before.at("write_pipeline.queued") + 1);
+  EXPECT_GT(p.rig.store.counters().at("mailbox.crossings"),
+            before.at("mailbox.crossings"));
 }
 
 // ---------------------------------------------------------------------------

@@ -61,9 +61,10 @@ struct CrashRig {
   }
 
   /// (Re)constructs the record store and the store over the persistent
-  /// lower layers. After a crash the caller decides whether to recover()
-  /// (journaled rigs).
+  /// lower layers, after crashing a host that is still up. After a crash
+  /// the caller decides whether to recover() (journaled rigs).
   void boot() {
+    crash();
     records.emplace(disk);
     store.emplace(clock, firmware, *records, config);
   }

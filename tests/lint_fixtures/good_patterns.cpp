@@ -3,6 +3,7 @@
 // against a specific false-positive regression.
 #include "common/annotations.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
 #include "crypto/rsa.hpp"
 
 namespace worm {
@@ -64,3 +65,22 @@ bool consume_verdict(const crypto::RsaPublicKey& pk, common::ByteView payload,
 // "process_blocks" or "force_backend" is data. Only a real call outside
 // src/crypto/ trips crypto-isolation — see mont_mul_into docs.
 const char* kKernelDoc = "hot loop dispatches via process_blocks(...)";
+
+// common::File's own calls are the sanctioned file API, and a member named
+// like a syscall is not the syscall: only a global `::pwrite(` or a stream
+// type trips file-io. The socket layer's ::read and ::close are not file
+// calls, and prose or a string saying "std::ofstream" is neither.
+struct FileLike {
+  void open() {}
+  void rename(const char*) {}
+  void fsync() {}
+};
+void file_near_misses(FileLike& f, common::File& file, int fd, char* buf) {
+  f.open();
+  f.rename("elsewhere");
+  f.fsync();
+  file.rename_to("elsewhere");
+  (void)::read(fd, buf, 1);
+  ::close(fd);
+}
+const char* kFileDoc = "std::ofstream and ::pwrite live in common/file.cpp";

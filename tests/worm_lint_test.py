@@ -27,6 +27,7 @@ EXPECTED_RULE = {
     "bad_fault_bypass.cpp": "fault-bypass",
     "bad_blocking_wait.cpp": "blocking-under-state-mu",
     "bad_crypto_kernel.cpp": "crypto-isolation",
+    "bad_file_io.cpp": "file-io",
     # Live in server/ and cluster/ subdirectories so --as-src maps them to
     # src/server/ and src/cluster/, the two scopes the rule guards.
     "server/bad_direct_store.cpp": "server-store-isolation",
@@ -70,6 +71,15 @@ def main():
     check("bad_crypto_kernel.cpp:every-call",
           r.stdout.count("[crypto-isolation]") == 6,
           f"expected 6 findings, one per call:\n{r.stdout}")
+
+    # file-io flags each of its fixture's 13 marked lines: both headers,
+    # the three stream types, std::filesystem, the six syscalls and
+    # std::rename. So a file API dropped from the rule's pattern shows up
+    # here.
+    r = run_lint("--as-src", str(FIXTURES / "bad_file_io.cpp"))
+    check("bad_file_io.cpp:every-call",
+          r.stdout.count("[file-io]") == 13,
+          f"expected 13 findings, one per marked line:\n{r.stdout}")
 
     # (c) the near-miss fixture is clean: no false positives on comments,
     # strings, continuations, (void) discards or the annotated wrappers.

@@ -86,6 +86,19 @@ enforces the architectural invariants that no single-TU analysis can see:
                       live outside src/ and may pin backends for A/B
                       measurement).
 
+  file-io             common::File (common/file.{hpp,cpp}) is the one way
+                      src/ touches a file: an owned descriptor whose reads
+                      and writes loop over short transfers and EINTR, and
+                      whose failures name the file. Nothing else in src/
+                      may include <fstream> or <filesystem>, name
+                      std::ifstream / std::ofstream / std::fstream /
+                      std::filesystem, or call ::open, ::pread, ::pwrite,
+                      ::ftruncate, ::fsync, ::fdatasync or (std::)rename,
+                      so the journal's and the platters' durability has one
+                      place to land. The socket layer (common/net) keeps
+                      its own descriptors: none of these calls is a socket
+                      call.
+
 Usage:
   worm_lint.py [--repo DIR] [--compile-commands FILE] [--as-src FILE...]
 
@@ -216,6 +229,16 @@ CRYPTO_KERNEL_PATTERN = re.compile(
     r"(?:\s*<\s*\w+\s*>)?|force_backend)\s*\(")
 CRYPTO_KERNEL_ALLOWLIST = re.compile(r"^src/crypto/")
 
+# Every other way to open, read, write, resize, sync or rename a file. The
+# syscalls must be spelled global (`::pread(`): a member or a qualified
+# name (`file_.write_at(`, `File::rename_to(`) is not a match.
+FILE_IO_PATTERN = re.compile(
+    r"#\s*include\s*<(?:fstream|filesystem)>|"
+    r"\bstd::(?:(?:basic_)?[io]?fstream|filesystem)\b|"
+    r"(?:\bstd|(?<![\w:]))::(?:open|pread|pwrite|ftruncate|fsync|fdatasync|"
+    r"rename)\s*\(")
+FILE_IO_ALLOWLIST = re.compile(r"^src/common/file\.(hpp|cpp)$")
+
 
 class Finding:
     def __init__(self, rule: str, path: str, line: int, message: str):
@@ -288,6 +311,7 @@ def lint_file(rel: str, text: str) -> list[Finding]:
     mutex_exempt = bool(RAW_MUTEX_ALLOWLIST.match(rel))
     fault_exempt = bool(FAULT_BYPASS_ALLOWLIST.match(rel))
     crypto_exempt = bool(CRYPTO_KERNEL_ALLOWLIST.match(rel))
+    file_io_exempt = bool(FILE_IO_ALLOWLIST.match(rel))
 
     # blocking-under-state-mu scope tracking: brace depth at which each live
     # state_mu_ guard was constructed; a guard dies when depth drops below it.
@@ -363,6 +387,13 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                 "src/crypto/; use the public Sha256/ChainedHash/"
                 "MontgomeryCtx API so backend dispatch and cost accounting "
                 "stay centralized"))
+
+        if not file_io_exempt and FILE_IO_PATTERN.search(line):
+            findings.append(Finding(
+                "file-io", rel, lineno,
+                "file access outside common::File; open, read, write, "
+                "resize, sync and rename files through common/file.hpp so "
+                "src/ has one way to touch a file"))
 
     return findings
 
